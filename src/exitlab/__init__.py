@@ -10,9 +10,8 @@ from .ocp import (SpeedField, Trajectory, ValueField, check_dpp,
                   check_value_regularity, final_cost, first_exit_time,
                   horizon_bound, is_admissible, solve_value, synthesize_optimal,
                   trajectory_bound)
-from .equilibrium import (EquilibriumConfig, EquilibriumReport, best_response,
-                          certify, exploitability, induced_speed_field,
-                          solve_equilibrium)
+from .equilibrium import (EquilibriumConfig, EquilibriumReport, certify,
+                          exploitability, induced_speed_field, solve_equilibrium)
 from .asymptotics import (ConvergenceCurve, RateFit, convergence_curve,
                           fit_decay_rate, limit_measure, settling_time,
                           stability_sweep, theorem_bound)
@@ -28,7 +27,7 @@ __all__ = [
     "SpeedField", "Trajectory", "ValueField", "check_dpp",
     "check_value_regularity", "final_cost", "first_exit_time", "horizon_bound",
     "is_admissible", "solve_value", "synthesize_optimal", "trajectory_bound",
-    "EquilibriumConfig", "EquilibriumReport", "best_response", "certify",
+    "EquilibriumConfig", "EquilibriumReport", "certify",
     "exploitability", "induced_speed_field", "solve_equilibrium",
     "ConvergenceCurve", "RateFit", "convergence_curve", "fit_decay_rate",
     "limit_measure", "settling_time", "stability_sweep", "theorem_bound",

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 SQRT2 = float(np.sqrt(2.0))
+BIG = 1e30  # value of an inadmissible candidate move
 
 
 class DomainError(ValueError):
@@ -138,6 +139,29 @@ class SpatialDomain:
         """
         raise NotImplementedError
 
+    def reach_stencil(self, r_max):
+        """Reach-ball minimum over every node, for budgets up to r_max.
+
+        Returns bind(r): r is a per-node budget array with r <= r_max, and
+        bind(r)(node_values) is, per node, the minimum of the interpolated
+        node field over the candidate moves reach_candidates(node, r) marks
+        valid. The r-dependent work happens in bind, so one bound stencil
+        serves any number of fields. Backends override this with a
+        precomputed node stencil; every override must return bit-identical
+        minima to this default.
+        """
+        pts = self.node_points()
+
+        def bind(r):
+            cand, _, valid = self.reach_candidates(pts, r)
+            flat = cand.reshape(-1, *cand.shape[2:])
+
+            def ball_min(node_values):
+                vals = self.interp(node_values, flat).reshape(valid.shape)
+                return np.min(np.where(valid, vals, BIG), axis=1)
+            return ball_min
+        return bind
+
     def snap_to_target(self, ps):
         """Snap points within dx/2 of a target node onto it.
 
@@ -240,8 +264,7 @@ class IntervalDomain(SpatialDomain):
             cand[:, s] = np.clip(q, self.lo, self.hi)
             valid[:, s] = ok
         # nodes inside the closed ball, ascending coordinate
-        i_lo = np.ceil((ps - r - self.lo) / self.dx - 1e-9).astype(int)
-        i_hi = np.floor((ps + r - self.lo) / self.dx + 1e-9).astype(int)
+        i_lo, i_hi = self._ball_bounds(ps, r)
         for s in range(n_ball):
             idx = i_lo + s
             ok = (idx <= i_hi) & (idx >= 0) & (idx < self.n_nodes)
@@ -251,6 +274,43 @@ class IntervalDomain(SpatialDomain):
         disp = np.abs(cand - ps[:, None])
         disp[~valid] = np.inf
         return cand, disp, valid
+
+    def _ball_bounds(self, ps, r):
+        """First and last node index inside each closed ball, as reach_candidates."""
+        i_lo = np.ceil((ps - r - self.lo) / self.dx - 1e-9).astype(int)
+        i_hi = np.floor((ps + r - self.lo) / self.dx + 1e-9).astype(int)
+        return i_lo, i_hi
+
+    def reach_stencil(self, r_max):
+        """Node stencil i + o over the offsets o any ball of radius <= r_max reaches.
+
+        Node values are gathered directly (np.interp returns the node value
+        exactly at a node coordinate); the two sphere endpoints go through
+        one np.interp call per field.
+        """
+        x = self.coords
+        i_lo, i_hi = self._ball_bounds(x, np.full(self.n_nodes, float(r_max)))
+        own = np.arange(self.n_nodes)
+        offsets = np.arange(min(np.min(i_lo - own), 0), max(np.max(i_hi - own), 0) + 1)
+        idx = own[:, None] + offsets[None, :]
+        in_range = (idx >= 0) & (idx < self.n_nodes)
+        safe = np.clip(idx, 0, self.n_nodes - 1)
+        null_step = offsets[None, :] == 0
+
+        def bind(r):
+            r = np.broadcast_to(np.asarray(r, dtype=float), x.shape)
+            lo_b, hi_b = self._ball_bounds(x, r)
+            node_ok = null_step | (in_range & (idx >= lo_b[:, None]) & (idx <= hi_b[:, None]))
+            ends = np.concatenate([x - r, x + r])
+            end_ok = (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12)
+            ends = np.clip(ends, self.lo, self.hi)
+
+            def ball_min(node_values):
+                end_vals = np.where(end_ok, np.interp(ends, x, node_values), BIG)
+                node_best = np.min(np.where(node_ok, node_values[safe], BIG), axis=1)
+                return np.minimum(node_best, np.min(end_vals.reshape(2, -1), axis=0))
+            return ball_min
+        return bind
 
     def snap_to_target(self, ps):
         ps = np.asarray(ps, dtype=float).copy()
@@ -377,62 +437,93 @@ class Grid2dDomain(SpatialDomain):
         d = np.asarray(ps, dtype=float)[:, None, :] - self.coords[self.targets][None, :, :]
         return np.min(self._metric(d), axis=1)
 
-    def interp(self, node_values, ps):
-        """Bilinear interpolation of a flat node field."""
-        ps = np.asarray(ps, dtype=float)
+    def _bilinear_plan(self, ps):
+        """Flat corner indices and the factors (1-tx, tx, 1-ty, ty) per point."""
         nx, ny = self.shape
-        v = node_values.reshape(nx, ny)
         fx = np.clip((ps[:, 0] - self.lo[0]) / self.dx, 0, nx - 1)
         fy = np.clip((ps[:, 1] - self.lo[1]) / self.dx, 0, ny - 1)
         ix = np.minimum(fx.astype(int), nx - 2) if nx > 1 else np.zeros(len(ps), dtype=int)
         iy = np.minimum(fy.astype(int), ny - 2) if ny > 1 else np.zeros(len(ps), dtype=int)
         tx = fx - ix
         ty = fy - iy
-        v00 = v[ix, iy]
-        v10 = v[np.minimum(ix + 1, nx - 1), iy]
-        v01 = v[ix, np.minimum(iy + 1, ny - 1)]
-        v11 = v[np.minimum(ix + 1, nx - 1), np.minimum(iy + 1, ny - 1)]
-        return (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
-                + v01 * (1 - tx) * ty + v11 * tx * ty)
+        jx = np.minimum(ix + 1, nx - 1)
+        jy = np.minimum(iy + 1, ny - 1)
+        corners = (ix * ny + iy, jx * ny + iy, ix * ny + jy, jx * ny + jy)
+        return corners, (1 - tx, tx, 1 - ty, ty)
+
+    @staticmethod
+    def _bilinear(node_values, plan):
+        # products stay in the order v * x-factor * y-factor, term by term,
+        # so a cached plan gives the same floats as interp
+        (i00, i10, i01, i11), (sx, tx, sy, ty) = plan
+        return (node_values[i00] * sx * sy + node_values[i10] * tx * sy
+                + node_values[i01] * sx * ty + node_values[i11] * tx * ty)
+
+    def interp(self, node_values, ps):
+        """Bilinear interpolation of a flat node field."""
+        return self._bilinear(node_values, self._bilinear_plan(np.asarray(ps, dtype=float)))
 
     def _in_box(self, q):
         return np.all((q >= self.lo - 1e-12) & (q <= self.hi + 1e-12), axis=-1)
 
+    def _sphere_endpoints(self, ps, r):
+        """Points at metric distance r from ps along each lattice direction."""
+        units = np.array(self._offsets, dtype=float)
+        scale = r[:, None] / self._metric(units)[None, :]
+        return ps[:, None, :] + units[None, :, :] * scale[:, :, None]
+
+    def _window_nodes(self, ps, r_max):
+        """Clipped lattice nodes in the (2w+1)^2 window that holds every r_max-ball."""
+        w = int(np.floor(r_max / self.dx + 1e-9)) + 1
+        ix = np.round((ps[:, 0] - self.lo[0]) / self.dx).astype(int)
+        iy = np.round((ps[:, 1] - self.lo[1]) / self.dx).astype(int)
+        off = np.arange(-w, w + 1)
+        jx = np.clip(ix[:, None, None] + off[None, :, None], 0, self.shape[0] - 1)
+        jy = np.clip(iy[:, None, None] + off[None, None, :], 0, self.shape[1] - 1)
+        q = np.stack(np.broadcast_arrays(self.xs[jx], self.ys[jy]), axis=-1)
+        return q.reshape(len(ps), -1, 2)
+
+    def reach_stencil(self, r_max):
+        """Window node slots that some node's r_max-ball holds, plus sphere endpoints.
+
+        The node slots, their bilinear plans and their displacements are
+        fixed; bind(r) only places the sphere endpoints and plans their
+        interpolation in one batch.
+        """
+        x = self.coords
+        q = self._window_nodes(x, r_max)
+        disp = self._metric(q - x[:, None, :])
+        keep = np.any(disp <= r_max + 1e-12, axis=0)
+        q, disp = q[:, keep], disp[:, keep]
+        node_plan = self._bilinear_plan(q.reshape(-1, 2))
+
+        def bind(r):
+            r = np.broadcast_to(np.asarray(r, dtype=float), (self.n_nodes,))
+            node_ok = disp <= r[:, None] + 1e-12
+            ends = self._sphere_endpoints(x, r)
+            end_ok = self._in_box(ends)
+            end_plan = self._bilinear_plan(ends.reshape(-1, 2))
+
+            def ball_min(node_values):
+                node_vals = self._bilinear(node_values, node_plan).reshape(disp.shape)
+                end_vals = self._bilinear(node_values, end_plan).reshape(end_ok.shape)
+                return np.minimum(np.min(np.where(node_ok, node_vals, BIG), axis=1),
+                                  np.min(np.where(end_ok, end_vals, BIG), axis=1))
+            return ball_min
+        return bind
+
     def reach_candidates(self, ps, r):
         ps = np.asarray(ps, dtype=float)
         r = np.broadcast_to(np.asarray(r, dtype=float), (ps.shape[0],))
-        m = ps.shape[0]
-        w = int(np.floor(np.max(r, initial=0.0) / self.dx + 1e-9)) + 1
-        node_window = [(a, b) for a in range(-w, w + 1) for b in range(-w, w + 1)]
-        S = 1 + len(self._offsets) + len(node_window)
-        cand = np.empty((m, S, 2))
-        disp = np.full((m, S), np.inf)
-        valid = np.zeros((m, S), dtype=bool)
-        cand[:, 0] = ps
-        disp[:, 0] = 0.0
-        valid[:, 0] = True
-        s = 1
-        for ox, oy in self._offsets:
-            unit = np.array([ox, oy], dtype=float)
-            scale = r / self._metric(unit)
-            q = ps + unit[None, :] * scale[:, None]
-            ok = self._in_box(q)
-            cand[:, s] = q
-            disp[ok, s] = r[ok]
-            valid[:, s] = ok
-            s += 1
-        ix = np.round((ps[:, 0] - self.lo[0]) / self.dx).astype(int)
-        iy = np.round((ps[:, 1] - self.lo[1]) / self.dx).astype(int)
-        for ox, oy in node_window:
-            jx = np.clip(ix + ox, 0, self.shape[0] - 1)
-            jy = np.clip(iy + oy, 0, self.shape[1] - 1)
-            q = np.column_stack([self.xs[jx], self.ys[jy]])
-            d = self._metric(q - ps)
-            ok = d <= r + 1e-12
-            cand[:, s] = q
-            disp[ok, s] = d[ok]
-            valid[:, s] = ok
-            s += 1
+        ends = self._sphere_endpoints(ps, r)
+        nodes = self._window_nodes(ps, np.max(r, initial=0.0))
+        node_disp = self._metric(nodes - ps[:, None, :])
+        cand = np.concatenate([ps[:, None, :], ends, nodes], axis=1)
+        valid = np.concatenate([np.ones((len(ps), 1), dtype=bool), self._in_box(ends),
+                                node_disp <= r[:, None] + 1e-12], axis=1)
+        disp = np.concatenate([np.zeros((len(ps), 1)),
+                               np.broadcast_to(r[:, None], ends.shape[:2]), node_disp], axis=1)
+        disp[~valid] = np.inf
         return cand, disp, valid
 
     def snap_to_target(self, ps):
@@ -553,8 +644,9 @@ class GraphDomain(SpatialDomain):
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
         p, q = np.broadcast_arrays(p, q)
-        out = np.array([self._pair_dist(a, b) for a, b in zip(p, q)])
-        return out if out.size > 1 else float(out[0])
+        out = np.array([self._pair_dist(a, b)
+                        for a, b in zip(p.reshape(-1, 3), q.reshape(-1, 3))]).reshape(p.shape[:-1])
+        return out if out.size > 1 else float(out.flat[0])
 
     def point_distance_matrix(self, ps, qs):
         ps = np.atleast_2d(np.asarray(ps, dtype=float))

@@ -36,6 +36,8 @@ class EquilibriumConfig:
     marginal_binning: str = "auto"  # "on" | "off" | "auto"
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.exploitability_tol <= 0:
             raise ValueError("exploitability tolerance must be positive")
         if self.damping == "constant" and not (0 < self.damping_value <= 1):
@@ -145,52 +147,22 @@ def frozen_field(m0, kernel, dt, n_steps):
     return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
 
 
-def best_response(field, m0, domain, cost):
-    """Optimal trajectory per atom of m0 (t_0 = 0) under the given field."""
-    phi = solve_value(domain, cost, field)
-    samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, m0.points, 0.0,
-                                                        raise_on_stall=True)
-    ensemble = TrajectoryEnsemble(domain, field.dt, samples, m0.weights.copy(),
-                                  np.full(m0.n_atoms, j0), exit_idx, validate=False)
-    ensemble.exit_nodes = exit_node
-    return ensemble, phi
-
-
 def realized_costs(ensemble, cost, cap=None):
     """Exit time plus exit cost per trajectory; non-exits get capped + flagged."""
-    n = ensemble.n_traj
-    out = np.empty(n)
-    capped = 0
-    exit_nodes = getattr(ensemble, "exit_nodes", None)
-    for k in range(n):
-        e = ensemble.exit_indices[k]
-        if e < 0:
-            out[k] = np.inf if cap is None else cap
-            capped += 1
-        else:
-            if exit_nodes is not None and exit_nodes[k] >= 0:
-                g = cost.at_node(int(exit_nodes[k]))
-            else:
-                p = ensemble.samples[k, e]
-                _, tgt = ensemble.domain.snap_to_target(
-                    np.atleast_1d(p) if ensemble.domain.kind == "interval" else np.atleast_2d(p))
-                g = cost.at_node(int(tgt[0])) if tgt[0] >= 0 else np.inf
-            out[k] = (e - ensemble.start_indices[k]) * ensemble.dt + g
-    return out, capped
+    exited = ensemble.exit_indices >= 0
+    nodes = ensemble.exit_nodes
+    g = np.where(nodes >= 0, cost.node_table()[nodes], np.inf)
+    out = (ensemble.exit_indices - ensemble.start_indices) * ensemble.dt + g
+    out[~exited] = np.inf if cap is None else cap
+    return out, int(np.count_nonzero(~exited))
 
 
 def admissibility_excess(ensemble, speed, slack):
     """Worst step-length excess over k dt + slack across the whole ensemble."""
-    domain = ensemble.domain
     worst = -np.inf
     for j in range(ensemble.n_steps):
         cur = ensemble.samples[:, j]
-        nxt = ensemble.samples[:, j + 1]
-        if domain.kind == "interval":
-            step = np.abs(nxt - cur)
-        else:
-            step = np.array([float(np.atleast_1d(domain.point_distance(a, b))[0])
-                             for a, b in zip(np.atleast_2d(cur), np.atleast_2d(nxt))])
+        step = ensemble.domain.point_distance(cur, ensemble.samples[:, j + 1])
         budget = speed.at_points(j, cur) * ensemble.dt + slack
         worst = max(worst, float(np.max(step - budget, initial=-np.inf)))
     return worst
@@ -287,10 +259,11 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
 
     for n in range(config.max_iterations):
         iterations = n + 1
+        # best response of every atom of m0 to the current field
         samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, m0.points, 0.0)
         candidate = TrajectoryEnsemble(domain, dt, samples, m0.weights.copy(),
-                                       np.full(m0.n_atoms, j0), exit_idx, validate=False)
-        candidate.exit_nodes = exit_node
+                                       np.full(m0.n_atoms, j0), exit_idx, exit_node,
+                                       validate=False)
         if mixture is None:
             mixture = candidate
         else:

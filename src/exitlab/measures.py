@@ -198,10 +198,13 @@ class TrajectoryEnsemble:
     samples has shape (n_traj, n_steps + 1) on the interval backend and
     (n_traj, n_steps + 1, point_dim) otherwise. Trajectories are constant
     before start_index and after exit_index (-1 marks a non-exiting path).
+    exit_nodes holds the target node hit at exit (-1 when there is none);
+    when omitted it is read off the exit positions by snapping them to the
+    target set.
     """
 
     def __init__(self, domain, dt, samples, weights, start_indices=None,
-                 exit_indices=None, validate=True):
+                 exit_indices=None, exit_nodes=None, validate=True):
         self.domain = domain
         self.dt = float(dt)
         self.samples = np.asarray(samples, dtype=float)
@@ -211,6 +214,13 @@ class TrajectoryEnsemble:
                               else np.asarray(start_indices, dtype=int))
         self.exit_indices = (np.full(n, -1, dtype=int) if exit_indices is None
                              else np.asarray(exit_indices, dtype=int))
+        if exit_nodes is None:
+            exit_nodes = np.full(n, -1, dtype=int)
+            exited = np.flatnonzero(self.exit_indices >= 0)
+            if len(exited):
+                _, exit_nodes[exited] = domain.snap_to_target(
+                    self.samples[exited, self.exit_indices[exited]])
+        self.exit_nodes = np.asarray(exit_nodes, dtype=int)
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
             raise MeasureError("trajectory weights must sum to 1")
 
@@ -245,12 +255,8 @@ class TrajectoryEnsemble:
         return m.merged() if merge else m
 
     def step_lengths(self):
-        if self.samples.ndim == 2:
-            return np.abs(np.diff(self.samples, axis=1))
-        a = self.samples[:, :-1].reshape(-1, self.samples.shape[2])
-        b = self.samples[:, 1:].reshape(-1, self.samples.shape[2])
-        d = np.array([self.domain.point_distance(x, y) for x, y in zip(a, b)])
-        return d.reshape(self.n_traj, self.n_steps)
+        d = self.domain.point_distance(self.samples[:, :-1], self.samples[:, 1:])
+        return np.reshape(d, (self.n_traj, self.n_steps))
 
     def check_lipschitz(self, k_max):
         """Worst excess over the discrete Lipschitz bound k_max*dt + dx."""
@@ -283,7 +289,7 @@ class TrajectoryEnsemble:
         w = np.array([v[1] for v in seen.values()])
         return TrajectoryEnsemble(self.domain, self.dt, self.samples[idx], w,
                                   self.start_indices[idx], self.exit_indices[idx],
-                                  validate=False)
+                                  self.exit_nodes[idx], validate=False)
 
     def pruned(self, threshold=1e-9):
         keep = self.weights >= threshold
@@ -292,7 +298,8 @@ class TrajectoryEnsemble:
         w = self.weights[keep]
         return TrajectoryEnsemble(self.domain, self.dt, self.samples[keep],
                                   w / w.sum(), self.start_indices[keep],
-                                  self.exit_indices[keep], validate=False)
+                                  self.exit_indices[keep], self.exit_nodes[keep],
+                                  validate=False)
 
     def mix(self, other, lam, prune=1e-9):
         """Fictitious-play style weighted union (1-lam)*self + lam*other."""
@@ -302,6 +309,7 @@ class TrajectoryEnsemble:
         weights = np.concatenate([(1 - lam) * self.weights, lam * other.weights])
         starts = np.concatenate([self.start_indices, other.start_indices])
         exits = np.concatenate([self.exit_indices, other.exit_indices])
+        nodes = np.concatenate([self.exit_nodes, other.exit_nodes])
         out = TrajectoryEnsemble(self.domain, self.dt, samples, weights,
-                                 starts, exits, validate=False).merged()
+                                 starts, exits, nodes, validate=False).merged()
         return out.pruned(prune)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BIG = 1e30
+from .domain import BIG
 
 
 class OcpError(RuntimeError):
@@ -161,18 +161,6 @@ def trajectory_bound(t_of_r, k_max, r):
     return k_max * t_of_r + float(r)
 
 
-def _reach_min(domain, node_pts, next_values, r):
-    """Minimum of the interpolated next slice over each node's reach ball."""
-    cand, disp, valid = domain.reach_candidates(node_pts, r)
-    m, s_count = disp.shape
-    best = np.full(m, BIG)
-    for s in range(s_count):
-        vals = domain.interp(next_values, cand[:, s])
-        vals = np.where(valid[:, s], vals, BIG)
-        best = np.minimum(best, vals)
-    return best
-
-
 def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
     """Backward semi-Lagrangian solve of the exit-time value function.
 
@@ -193,11 +181,14 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
     targets = domain.targets
     g_t = g[targets]
 
+    # one node stencil serves every slice: no slice's reach exceeds r_max
+    stencil = domain.reach_stencil(float(np.max(speed.values)) * dt)
+
     # terminal slice: stationary fixed point under the frozen last speed
     # slice, iterated monotonically down from the a-priori supersolution
     # T-style bound (geodesic travel at K_min plus the worst exit cost)
-    node_pts = domain.node_points()
-    r_last = speed.at_nodes(n_steps) * dt
+    k_bound = speed.at_nodes(n_steps)
+    ball_min = stencil(k_bound * dt)
     tdist = domain.target_node_distances()
     if not np.all(np.isfinite(tdist)):
         raise OcpError("some nodes cannot reach the target; domain may be disconnected")
@@ -205,7 +196,7 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
     phi[targets] = g_t
     max_sweeps = int(3 * np.max(tdist) / (speed.k_min * dt)) + 200
     for _ in range(max_sweeps):
-        new = dt + _reach_min(domain, node_pts, phi, r_last)
+        new = dt + ball_min(phi)
         new[targets] = g_t
         new = np.minimum(new, phi)
         delta = np.max(phi - new)
@@ -218,8 +209,12 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
     values = np.empty((n_steps + 1, domain.n_nodes))
     values[n_steps] = phi
     for j in range(n_steps - 1, -1, -1):
-        r = speed.at_nodes(j) * dt
-        values[j] = dt + _reach_min(domain, node_pts, values[j + 1], r)
+        # rebind only when the speed slice changes (frozen fields, emptied
+        # late slices and the terminal slice repeat)
+        if not np.array_equal(speed.at_nodes(j), k_bound):
+            k_bound = speed.at_nodes(j)
+            ball_min = stencil(k_bound * dt)
+        values[j] = dt + ball_min(values[j + 1])
         values[j][targets] = g_t
     return ValueField(domain, dt, values)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -28,6 +30,21 @@ def _require(block, allowed, context):
     unknown = set(block) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {context}")
+
+
+def _require_number(value, path, integer=False, positive=False):
+    """Reject non-numbers, booleans, non-finite and non-positive values at a dotted path."""
+    kind = "an integer" if integer else "a finite number"
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not math.isfinite(value)):
+        raise ScenarioError(f"{path} must be {kind}, got {value!r}")
+    if positive and value <= 0:
+        raise ScenarioError(f"{path} must be positive, got {value!r}")
+
+
+def _require_choice(value, choices, path):
+    if isinstance(value, bool) or value not in choices:
+        raise ScenarioError(f"{path} must be one of {list(choices)}, got {value!r}")
 
 
 def validate_config(cfg):
@@ -53,6 +70,8 @@ def validate_config(cfg):
         _require(dom, {"kind", "n_nodes", "edges", "targets", "origin"}, "domain")
     else:
         raise ScenarioError(f"unknown domain kind {dom['kind']!r}")
+    if dom["kind"] != "graph":
+        _require_number(dom.get("dx"), "domain.dx", positive=True)
 
     cost = out.setdefault("exit_cost", {"kind": "zero"})
     _require(cost, {"kind", "value", "entries", "lipschitz"}, "exit_cost")
@@ -88,10 +107,21 @@ def validate_config(cfg):
     _require(eq["damping"], {"rule", "value"}, "equilibrium.damping")
     eq.setdefault("tolerance", 0.02)
     eq.setdefault("marginal_binning", "auto")
+    _require_number(eq["max_iterations"], "equilibrium.max_iterations", integer=True, positive=True)
+    _require_number(eq["tolerance"], "equilibrium.tolerance", positive=True)
+    _require_choice(eq["damping"].get("rule"), ("fictitious_play", "constant"),
+                    "equilibrium.damping.rule")
+    if eq["damping"]["rule"] == "constant":
+        value = eq["damping"].get("value", 0.5)
+        _require_number(value, "equilibrium.damping.value", positive=True)
+        if value > 1:
+            raise ScenarioError(f"equilibrium.damping.value must lie in (0, 1], got {value!r}")
+    _require_choice(eq["marginal_binning"], ("auto", "on", "off"), "equilibrium.marginal_binning")
 
     asym = out.setdefault("asymptotics", {})
     _require(asym, {"p", "report_times", "rate_fit"}, "asymptotics")
     asym.setdefault("p", 1)
+    _require_choice(asym["p"], (1, 2), "asymptotics.p")
     asym.setdefault("report_times", {"kind": "linear", "start": 0.0, "stop": None, "step": None})
     rt = asym["report_times"]
     if isinstance(rt, dict):

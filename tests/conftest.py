@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+from exitlab import runner
 from exitlab.domain import ExitCost, IntervalDomain
+from exitlab.scenarios import scenario_registry
 
 
 @pytest.fixture
@@ -32,3 +36,17 @@ def rng_factory():
     def make(seed):
         return np.random.default_rng(seed)
     return make
+
+
+@pytest.fixture(scope="session")
+def registry_runs(tmp_path_factory):
+    """Every registry scenario, run once per session into a shared directory."""
+    root = tmp_path_factory.mktemp("registry_runs")
+    runs = {}
+    for name in sorted(scenario_registry()):
+        t0 = time.monotonic()
+        result = runner.run(name, str(root / name))
+        runs[name] = {"result": result, "elapsed": time.monotonic() - t0,
+                      "dir": str(root / name)}
+        assert result.status == 0, f"{name} failed: status {result.status} {result.error}"
+    return runs

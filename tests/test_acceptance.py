@@ -27,19 +27,6 @@ def report_line(number, passed, detail):
     print(f"[acceptance] criterion {number}: {tag} ({detail})")
 
 
-@pytest.fixture(scope="session")
-def registry_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("registry_runs")
-    runs = {}
-    for name in REGISTRY:
-        t0 = time.monotonic()
-        result = runner.run(name, str(root / name))
-        runs[name] = {"result": result, "elapsed": time.monotonic() - t0,
-                      "dir": str(root / name)}
-        assert result.status == 0, f"{name} failed: status {result.status} {result.error}"
-    return runs
-
-
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")

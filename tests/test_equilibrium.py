@@ -4,12 +4,11 @@ import pytest
 
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, IntervalDomain
-from exitlab.equilibrium import (EquilibriumConfig, best_response, certify,
-                                 exploitability, frozen_field,
-                                 induced_speed_field, run_grid,
+from exitlab.equilibrium import (EquilibriumConfig, certify, exploitability,
+                                 frozen_field, induced_speed_field, run_grid,
                                  solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
-from exitlab.ocp import default_dpp_tol
+from exitlab.ocp import default_dpp_tol, solve_value
 
 
 def remark_game(dx=0.005):
@@ -38,10 +37,20 @@ def build_line_ensemble(dom, dt, start, target_coord, n_steps, speed=1.0):
     path = np.clip(start + direction * speed * t, min(start, target_coord),
                    max(start, target_coord))
     exit_idx = int(np.argmax(path == target_coord))
-    ens = TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
-                             np.zeros(1, dtype=int), np.array([exit_idx]))
-    ens.exit_nodes = np.array([dom.node_at(target_coord)])
-    return ens
+    return TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
+                              np.zeros(1, dtype=int), np.array([exit_idx]),
+                              np.array([dom.node_at(target_coord)]))
+
+
+def best_response(m0, dom, cost, kernel):
+    """The iteration's first best response, to the frozen field K(m0, .).
+
+    Returns (ensemble, value of the frozen field, dt).
+    """
+    report = solve_equilibrium(m0, kernel, dom, cost, EquilibriumConfig(max_iterations=1))
+    dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
+    phi = solve_value(dom, cost, frozen_field(m0, kernel, dt, n_steps))
+    return report.final_ensemble, phi, dt
 
 
 def test_induced_field_constant_kernel():
@@ -66,9 +75,7 @@ def test_induced_field_far_cloud_ball_chi():
 def test_best_response_preserves_initial_marginal():
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure(dom, [0.21, 0.5, 0.83], [0.25, 0.5, 0.25])
-    dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
-    field = frozen_field(m0, kernel, dt, n_steps)
-    ens, phi = best_response(field, m0, dom, cost)
+    ens, _, _ = best_response(m0, dom, cost, kernel)
     e0 = ens.time_marginal(0.0)
     assert np.array_equal(e0.points, m0.points)
     assert np.array_equal(e0.weights, m0.weights)
@@ -79,9 +86,7 @@ def test_best_response_is_optimal_for_its_field():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.0, 0.2, 30)
     m0 = ParticleMeasure(dom, pts, np.full(30, 1 / 30))
-    dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
-    field = frozen_field(m0, kernel, dt, n_steps)
-    ens, phi = best_response(field, m0, dom, cost)
+    ens, phi, dt = best_response(m0, dom, cost, kernel)
     tol = default_dpp_tol(dom, dt)
     realized = (ens.exit_indices - ens.start_indices) * dt
     gaps = realized - phi.at_points(0, ens.samples[:, 0])
@@ -253,6 +258,8 @@ def test_induced_field_inherits_kernel_lipschitz():
 
 
 def test_config_validation():
+    with pytest.raises(ValueError):
+        EquilibriumConfig(max_iterations=0)
     with pytest.raises(ValueError):
         EquilibriumConfig(exploitability_tol=0.0)
     with pytest.raises(ValueError):

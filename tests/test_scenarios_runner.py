@@ -101,6 +101,28 @@ def test_validation_failure_status(tmp_path):
     assert not h2["passed"]
 
 
+@pytest.mark.parametrize("path, value", [
+    ("equilibrium.max_iterations", 0),
+    ("equilibrium.max_iterations", 2.5),
+    ("equilibrium.tolerance", -1),
+    ("equilibrium.tolerance", float("nan")),
+    ("domain.dx", 0),
+    ("domain.dx", "a"),
+    ("domain.dx", float("nan")),
+    ("asymptotics.p", 3),
+    ("equilibrium.damping.rule", "secant"),
+    ("equilibrium.damping.value", 1.5),
+    ("equilibrium.marginal_binning", "maybe"),
+])
+def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
+    cfg = load_scenario("remark_5_3")
+    cfg["equilibrium"]["damping"] = {"rule": "constant", "value": 0.5}
+    runner.set_by_path(cfg, path, value)
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION
+    assert path in result.error
+
+
 def test_indicator_chi_flagged_outside_coverage(tmp_path):
     cfg = load_scenario("remark_5_3")
     cfg["kernel"]["chi"] = {"family": "ball", "radius": 0.1, "amplitude": 0.5}
