@@ -26,6 +26,10 @@ class MeasurePreconditionError(ValueError):
 class Kappa:
     """Nonincreasing positive speed profile kappa(s)."""
 
+    # parameters each family reads without a default
+    required = {"constant": ("value",), "affine_clamped": ("intercept", "slope", "floor"),
+                "exponential": ("scale", "rate")}
+
     def __init__(self, family, **params):
         self.family = family
         self.params = params
@@ -72,6 +76,8 @@ class Kappa:
 class Chi:
     """Interaction kernel chi(x, y) as a function of distance."""
 
+    required = {"ball": ("radius",), "gaussian": ("width",)}
+
     def __init__(self, family, **params):
         self.family = family
         self.params = params
@@ -114,6 +120,8 @@ class Chi:
 
 class Eta:
     """Weight / cut-off on the population, possibly vanishing at the target."""
+
+    required = {"taper": ("distance",)}
 
     def __init__(self, family, **params):
         self.family = family

@@ -114,10 +114,6 @@ class SpatialDomain:
     def point_distance_matrix(self, ps, qs):
         raise NotImplementedError
 
-    def nodes_to_points_distance(self, ps):
-        """(n_nodes, m) distances from every node to each point."""
-        raise NotImplementedError
-
     def point_origin_distance(self, ps):
         raise NotImplementedError
 
@@ -233,9 +229,6 @@ class IntervalDomain(SpatialDomain):
 
     def point_distance_matrix(self, ps, qs):
         return np.abs(np.asarray(ps, dtype=float)[:, None] - np.asarray(qs, dtype=float)[None, :])
-
-    def nodes_to_points_distance(self, ps):
-        return np.abs(self.coords[:, None] - np.asarray(ps, dtype=float)[None, :])
 
     def point_origin_distance(self, ps):
         return np.abs(np.asarray(ps, dtype=float) - self.coords[self.origin])
@@ -426,9 +419,6 @@ class Grid2dDomain(SpatialDomain):
 
     def point_distance_matrix(self, ps, qs):
         return self._metric(np.asarray(ps, dtype=float)[:, None, :] - np.asarray(qs, dtype=float)[None, :, :])
-
-    def nodes_to_points_distance(self, ps):
-        return self._metric(self.coords[:, None, :] - np.asarray(ps, dtype=float)[None, :, :])
 
     def point_origin_distance(self, ps):
         return self._metric(np.asarray(ps, dtype=float) - self.coords[self.origin])
@@ -652,11 +642,6 @@ class GraphDomain(SpatialDomain):
         ps = np.atleast_2d(np.asarray(ps, dtype=float))
         qs = np.atleast_2d(np.asarray(qs, dtype=float))
         return np.array([[self._pair_dist(a, b) for b in qs] for a in ps])
-
-    def nodes_to_points_distance(self, ps):
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        all_nodes = np.arange(self.n_nodes)
-        return np.column_stack([self._point_node_dist(p, all_nodes) for p in ps])
 
     def point_origin_distance(self, ps):
         ps = np.atleast_2d(np.asarray(ps, dtype=float))

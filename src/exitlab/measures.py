@@ -18,6 +18,22 @@ class MeasureError(ValueError):
     pass
 
 
+def _first_seen_groups(keys):
+    """Group equal rows of a 2d array in the order each row first appears.
+
+    Returns (first, label): first[g] is the row where group g first appears,
+    and label[k] is the group of row k, so np.bincount(label, w) adds the
+    weights of each group in row order.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
 class ParticleMeasure:
     """Weighted particle cloud representing a probability measure on the domain."""
 
@@ -48,17 +64,11 @@ class ParticleMeasure:
         return len(self.weights)
 
     def merged(self):
-        """Merge exactly coinciding atoms, preserving first-seen order."""
-        seen = {}
-        for k in range(self.n_atoms):
-            key = self.points[k].tobytes() if self.points.ndim > 1 else float(self.points[k]).hex()
-            if key in seen:
-                seen[key][1] += self.weights[k]
-            else:
-                seen[key] = [self.points[k], self.weights[k]]
-        pts = np.array([v[0] for v in seen.values()])
-        w = np.array([v[1] for v in seen.values()])
-        return ParticleMeasure(self.domain, pts, w, validate=False)
+        """Merge bitwise-equal atoms (so -0.0 and 0.0 stay apart), preserving first-seen order."""
+        keys = self.points.reshape(self.n_atoms, -1).view(np.int64)
+        idx, label = _first_seen_groups(keys)
+        w = np.bincount(label, weights=self.weights, minlength=len(idx))
+        return ParticleMeasure(self.domain, self.points[idx], w, validate=False)
 
     def pushforward(self, mapping):
         """Apply a point map atomwise; colliding atoms merge."""
@@ -185,13 +195,6 @@ def _quantize_1d(domain, d, n):
     return ParticleMeasure(domain, pts, np.full(n, 1.0 / n))
 
 
-def uniform_quantile_atoms(domain, a, b, n):
-    """Equal-weight atoms at the quantiles of the uniform law on [a, b]."""
-    q = (np.arange(n) + 0.5) / n
-    pts = a + (b - a) * q
-    return ParticleMeasure(domain, pts, np.full(n, 1.0 / n))
-
-
 class TrajectoryEnsemble:
     """Weighted set of timed trajectories sampled on a uniform time grid.
 
@@ -239,9 +242,6 @@ class TrajectoryEnsemble:
     def times(self):
         return np.arange(self.n_steps + 1) * self.dt
 
-    def positions_at_index(self, j):
-        return self.samples[:, j]
-
     def time_index(self, t):
         j = int(round(t / self.dt))
         if t < -self.dt / 2 or j > self.n_steps:
@@ -273,20 +273,13 @@ class TrajectoryEnsemble:
                 worst = max(worst, float(dev))
         return worst
 
-    def _keys(self):
-        for k in range(self.n_traj):
-            yield (int(self.start_indices[k]), int(self.exit_indices[k]),
-                   self.samples[k].tobytes())
-
     def merged(self):
-        seen = {}
-        for k, key in enumerate(self._keys()):
-            if key in seen:
-                seen[key][1] += self.weights[k]
-            else:
-                seen[key] = [k, self.weights[k]]
-        idx = np.array([v[0] for v in seen.values()], dtype=int)
-        w = np.array([v[1] for v in seen.values()])
+        """Merge trajectories with equal start index, exit index and sample bits."""
+        n = self.n_traj
+        keys = np.column_stack([self.start_indices, self.exit_indices,
+                                self.samples.reshape(n, -1).view(np.int64)])
+        idx, label = _first_seen_groups(keys)
+        w = np.bincount(label, weights=self.weights, minlength=len(idx))
         return TrajectoryEnsemble(self.domain, self.dt, self.samples[idx], w,
                                   self.start_indices[idx], self.exit_indices[idx],
                                   self.exit_nodes[idx], validate=False)

@@ -29,13 +29,10 @@ STATUS_NOT_CONVERGED = 3
 STATUS_INTERNAL = 4
 
 TRAJECTORY_ROW_CAP = 400_000
+# rows formatted and written per write call: bounds the text held in memory
+# at once (a whole trajectories.csv held as text set the corridor's peak RSS)
+ROW_BLOCK = 16_384
 PACKAGE_VERSION = "0.1.0"
-
-
-def _fmt(x):
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return ""
-    return f"{x:.12g}"
 
 
 def _r12(x):
@@ -248,22 +245,35 @@ def build_ledger(bundle):
 # ---------------------------------------------------------------------------
 # persistence
 
-def _write_csv(path, header, rows):
+def _cells(col):
+    """Text of each cell: integers in decimal, floats as %.12g, non-finite floats empty."""
+    if np.issubdtype(col.dtype, np.integer):
+        return list(map(str, col.tolist()))
+    cells = list(map("%.12g".__mod__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_table(path, header, columns):
+    """Write a CSV from equal-length 1d columns, ROW_BLOCK rows per write."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for lo in range(0, n, ROW_BLOCK):
+            cells = [_cells(c[lo:lo + ROW_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _coord_columns(domain):
     return {"interval": ["x"], "grid2d": ["x", "y"], "graph": ["u", "v", "s"]}[domain.kind]
 
 
-def _point_row(domain, p):
-    if domain.kind == "interval":
-        return [float(p)]
-    return [float(c) for c in np.atleast_1d(p)]
+def _point_columns(points):
+    """One float column per coordinate of a point batch."""
+    points = np.asarray(points, dtype=float)
+    return [points] if points.ndim == 1 else list(points.T)
 
 
 def _sha256(path):
@@ -291,75 +301,67 @@ def persist(bundle, run_dir):
         ens = report.final_ensemble
         coord_cols = _coord_columns(domain)
 
-        _write_csv(os.path.join(run_dir, "exploitability_history.csv"),
-                   ["iteration", "exploitability", "max_gap", "min_gap", "mixture_support"],
-                   [[h["iteration"], float(h["exploitability"]), float(h["max_gap"]),
-                     float(h["min_gap"]), h["mixture_support"]] for h in report.history])
+        hist = report.history
+        _write_table(os.path.join(run_dir, "exploitability_history.csv"),
+                     ["iteration", "exploitability", "max_gap", "min_gap", "mixture_support"],
+                     [np.array([h["iteration"] for h in hist], dtype=int)]
+                     + [np.array([h[key] for h in hist], dtype=float)
+                        for key in ("exploitability", "max_gap", "min_gap")]
+                     + [np.array([h["mixture_support"] for h in hist], dtype=int)])
         files.append("exploitability_history.csv")
 
-        times = ens.times()
-        stride = max(1, int(np.ceil(ens.n_traj * (ens.n_steps + 1) / TRAJECTORY_ROW_CAP)))
-        t_idx = sorted(set(range(0, ens.n_steps + 1, stride)) | {ens.n_steps})
-        rows = []
-        for k in range(ens.n_traj):
-            e = ens.exit_indices[k]
-            for j in t_idx:
-                rows.append([k, float(times[j])] + _point_row(domain, ens.samples[k, j])
-                            + [int(0 <= e <= j)])
-        _write_csv(os.path.join(run_dir, "trajectories.csv"),
-                   ["particle_id", "t"] + coord_cols + ["exited_flag"], rows)
+        n = ens.n_traj
+        stride = max(1, int(np.ceil(n * (ens.n_steps + 1) / TRAJECTORY_ROW_CAP)))
+        t_idx = np.union1d(np.arange(0, ens.n_steps + 1, stride), [ens.n_steps])
+        e = ens.exit_indices[:, None]
+        _write_table(os.path.join(run_dir, "trajectories.csv"),
+                     ["particle_id", "t"] + coord_cols + ["exited_flag"],
+                     [np.repeat(np.arange(n), len(t_idx)), np.tile(ens.times()[t_idx], n),
+                      *_point_columns(ens.samples[:, t_idx].reshape(
+                          (n * len(t_idx),) + ens.samples.shape[2:])),
+                      ((0 <= e) & (e <= t_idx)).ravel().astype(int)])
         files.append("trajectories.csv")
 
         costs, _ = eq.realized_costs(ens, bundle["cost"], cap=None)
-        rows = [[k, float(ens.weights[k])] + _point_row(domain, ens.samples[k, 0])
-                + [float((ens.exit_indices[k] - ens.start_indices[k]) * ens.dt)
-                   if ens.exit_indices[k] >= 0 else float("nan"),
-                   float(costs[k]) if np.isfinite(costs[k]) else float("nan")]
-                for k in range(ens.n_traj)]
-        _write_csv(os.path.join(run_dir, "trajectory_summary.csv"),
-                   ["particle_id", "weight"] + [f"start_{c}" for c in coord_cols]
-                   + ["exit_time", "realized_cost"], rows)
+        exit_time = np.where(ens.exit_indices >= 0,
+                             (ens.exit_indices - ens.start_indices) * ens.dt, np.nan)
+        _write_table(os.path.join(run_dir, "trajectory_summary.csv"),
+                     ["particle_id", "weight"] + [f"start_{c}" for c in coord_cols]
+                     + ["exit_time", "realized_cost"],
+                     [np.arange(n), ens.weights, *_point_columns(ens.samples[:, 0]),
+                      exit_time, costs])
         files.append("trajectory_summary.csv")
 
-        rows = []
-        for t in bundle["report_grid"]:
-            m = ens.time_marginal(t, merge=True)
-            for i in range(m.n_atoms):
-                rows.append([float(t)] + _point_row(domain, m.points[i])
-                            + [float(m.weights[i])])
-        _write_csv(os.path.join(run_dir, "marginals.csv"),
-                   ["t"] + coord_cols + ["weight"], rows)
+        grid = np.asarray(bundle["report_grid"], dtype=float)
+        marginals = [ens.time_marginal(t, merge=True) for t in grid]
+        # the zero-length leading pieces keep the column shapes for an empty grid
+        _write_table(os.path.join(run_dir, "marginals.csv"),
+                     ["t"] + coord_cols + ["weight"],
+                     [np.repeat(grid, [m.n_atoms for m in marginals]),
+                      *_point_columns(np.concatenate(
+                          [ens.samples[:0, 0]] + [m.points for m in marginals])),
+                      np.concatenate([np.empty(0)] + [m.weights for m in marginals])])
         files.append("marginals.csv")
 
         m0 = bundle["m0"]
-        _write_csv(os.path.join(run_dir, "initial_measure.csv"),
-                   coord_cols + ["weight"],
-                   [_point_row(domain, m0.points[i]) + [float(m0.weights[i])]
-                    for i in range(m0.n_atoms)])
+        _write_table(os.path.join(run_dir, "initial_measure.csv"),
+                     coord_cols + ["weight"], [*_point_columns(m0.points), m0.weights])
         files.append("initial_measure.csv")
 
         phi = report.final_phi
-        node_pts = domain.node_points()
-        rows = []
-        seen = set()
-        for t in bundle["report_grid"]:
-            j = phi.time_index(t)
-            if j in seen:
-                continue
-            seen.add(j)
-            for i in range(domain.n_nodes):
-                rows.append([float(j * phi.dt)] + _point_row(domain, node_pts[i])
-                            + [float(phi.values[j, i])])
-        _write_csv(os.path.join(run_dir, "value_function.csv"),
-                   ["t"] + coord_cols + ["phi"], rows)
+        js = np.array(list(dict.fromkeys(phi.time_index(t) for t in grid)), dtype=int)
+        row_j = np.repeat(js, domain.n_nodes)
+        row_node = np.tile(np.arange(domain.n_nodes), len(js))
+        _write_table(os.path.join(run_dir, "value_function.csv"),
+                     ["t"] + coord_cols + ["phi"],
+                     [row_j * phi.dt, *_point_columns(domain.node_points()[row_node]),
+                      phi.values[row_j, row_node]])
         files.append("value_function.csv")
 
         curve = bundle["curve"]
         if curve is not None:
-            _write_csv(os.path.join(run_dir, "convergence_curve.csv"),
-                       ["t", "w_p", "bound"],
-                       [[float(t), float(v), float(b) if np.isfinite(b) else float("nan")]
-                        for t, v, b in zip(curve.times, curve.values, curve.bounds)])
+            _write_table(os.path.join(run_dir, "convergence_curve.csv"),
+                         ["t", "w_p", "bound"], [curve.times, curve.values, curve.bounds])
             files.append("convergence_curve.csv")
 
         fit = bundle.get("rate_fit")

@@ -15,11 +15,12 @@ import numbers
 import numpy as np
 
 from .congestion import CongestionKernel, Kappa, Chi, Eta
-from .domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
+from .domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from .equilibrium import EquilibriumConfig
 from .measures import ParticleMeasure
 
 SCHEMA_VERSION = 1
+KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
 
 
 class ScenarioError(ValueError):
@@ -82,9 +83,14 @@ def validate_config(cfg):
     if not isinstance(ker, dict):
         raise ScenarioError("kernel block is required")
     _require(ker, {"kappa", "chi", "eta"}, "kernel")
-    for part in ("kappa", "chi", "eta"):
+    for part, cls in KERNEL_PARTS.items():
         if part not in ker or "family" not in ker[part]:
             raise ScenarioError(f"kernel.{part} with a 'family' is required")
+        family = ker[part]["family"]
+        for param in cls.required.get(family, ()):
+            if param not in ker[part]:
+                raise ScenarioError(
+                    f"kernel.{part}.{param} is required for family {family!r}")
 
     m0 = out.get("initial_measure")
     if not isinstance(m0, dict) or "kind" not in m0:
@@ -234,11 +240,15 @@ def build_initial_measure(domain, cfg):
     block = cfg["initial_measure"]
     flags = []
     kind = block["kind"]
-    if kind == "dirac":
-        return ParticleMeasure.dirac(domain, _as_point(domain, block["location"])), flags
-    if kind == "atoms":
-        pts = [_as_point(domain, p) for p in block["points"]]
-        return ParticleMeasure(domain, pts, block["weights"]), flags
+    try:
+        if kind == "dirac":
+            return ParticleMeasure.dirac(domain, _as_point(domain, block["location"])), flags
+        if kind == "atoms":
+            pts = [_as_point(domain, p) for p in block["points"]]
+            return ParticleMeasure(domain, pts, block["weights"]), flags
+    except DomainError as err:
+        path = "location" if kind == "dirac" else "points"
+        raise ScenarioError(f"initial_measure.{path}: {err}") from None
     if domain.kind != "interval":
         raise ScenarioError(f"initial_measure kind {kind!r} needs the interval backend")
     n = int(block["count"])

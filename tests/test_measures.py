@@ -237,3 +237,82 @@ def test_mix_merges_and_preserves_mass():
     again = mixed.mix(other, 0.5)
     assert again.n_traj == 2  # identical trajectory merged, not duplicated
     assert again.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def merged_points_reference(m):
+    """Dict-based ParticleMeasure.merged: keys are float hex / point bytes."""
+    seen = {}
+    for k in range(m.n_atoms):
+        key = m.points[k].tobytes() if m.points.ndim > 1 else float(m.points[k]).hex()
+        if key in seen:
+            seen[key][1] += m.weights[k]
+        else:
+            seen[key] = [m.points[k], m.weights[k]]
+    return (np.array([v[0] for v in seen.values()]),
+            np.array([v[1] for v in seen.values()]))
+
+
+def merged_ensemble_reference(ens):
+    """Dict-based TrajectoryEnsemble.merged: keys are (start, exit, sample bytes)."""
+    seen = {}
+    for k in range(ens.n_traj):
+        key = (int(ens.start_indices[k]), int(ens.exit_indices[k]), ens.samples[k].tobytes())
+        if key in seen:
+            seen[key][1] += ens.weights[k]
+        else:
+            seen[key] = [k, ens.weights[k]]
+    idx = np.array([v[0] for v in seen.values()], dtype=int)
+    return idx, np.array([v[1] for v in seen.values()])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["repeats", "signed_zero", "grid2d"])
+def test_particle_merge_matches_dict_reference(case):
+    rng = np.random.default_rng(4)
+    if case == "grid2d":
+        dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.25, targets=[[0.0, 0.0]])
+        pts = rng.choice([0.0, -0.0, 0.25, 0.5], size=(60, 2))
+    else:
+        dom = make_domain()
+        values = [0.0, -0.0] if case == "signed_zero" else [0.1, 0.3, 0.30000000000000004, 0.7]
+        pts = rng.choice(values, size=60)
+    w = rng.uniform(0.1, 1.0, len(pts))
+    m = ParticleMeasure(dom, pts, w / w.sum(), validate=False)
+    ref_pts, ref_w = merged_points_reference(m)
+    out = m.merged()
+    assert _same_bits(out.points, ref_pts)
+    assert _same_bits(out.weights, ref_w)
+    if case == "signed_zero":
+        assert out.n_atoms == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trajectory_merge_matches_dict_reference(dim):
+    rng = np.random.default_rng(5)
+    if dim == 1:
+        dom = make_domain()
+        paths = np.array([[0.5, 0.25, 0.0], [0.5, 0.25, -0.0], [0.5, 0.75, 1.0]])
+    else:
+        dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.25, targets=[[0.0, 0.0]])
+        paths = np.array([[[0.5, 0.5], [0.25, 0.0], [0.0, 0.0]],
+                          [[0.5, 0.5], [0.25, -0.0], [0.0, 0.0]],
+                          [[0.5, 0.5], [0.5, 0.25], [0.5, 0.5]]])
+    n = 80
+    pick = rng.integers(0, len(paths), n)
+    starts = rng.integers(0, 2, n)
+    exits = rng.choice([-1, 2], n)
+    w = rng.uniform(0.1, 1.0, n)
+    ens = TrajectoryEnsemble(dom, 0.25, paths[pick], w / w.sum(), starts, exits,
+                             np.arange(n), validate=False)
+    idx, ref_w = merged_ensemble_reference(ens)
+    out = ens.merged()
+    assert _same_bits(out.samples, ens.samples[idx])
+    assert _same_bits(out.weights, ref_w)
+    assert np.array_equal(out.start_indices, ens.start_indices[idx])
+    assert np.array_equal(out.exit_indices, ens.exit_indices[idx])
+    assert np.array_equal(out.exit_nodes, idx)
+    # 3 paths x 2 starts x 2 exits: equal samples with another start or exit stay apart
+    assert out.n_traj == 12

@@ -113,6 +113,11 @@ def test_validation_failure_status(tmp_path):
     ("equilibrium.damping.rule", "secant"),
     ("equilibrium.damping.value", 1.5),
     ("equilibrium.marginal_binning", "maybe"),
+    ("initial_measure.location", 2.0),
+    pytest.param("initial_measure", {"kind": "atoms", "points": [0.5, 3.0],
+                                     "weights": [0.5, 0.5]}, id="initial_measure-atoms_outside"),
+    pytest.param("kernel.kappa", {"family": "affine_clamped", "slope": 0.5, "floor": 0.2},
+                 id="kernel.kappa-no_intercept"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
