@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import ParticleMeasure, wasserstein, MeasureError
-from .ocp import horizon_bound
+from .ocp import horizon_bound, trajectory_bound
 
 
 class ShrinkWindowError(ValueError):
@@ -79,11 +79,7 @@ def decay_constants(domain, cost, bounds):
 def psi_function(domain, cost, bounds):
     """Vectorized confinement radius psi(R) = K_max T(R) + R."""
     def psi(r):
-        r = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(r)
-        t_r = np.array([horizon_bound(domain, cost, bounds, x) for x in flat])
-        out = bounds[1] * t_r + flat
-        return out if r.ndim else float(out[0])
+        return trajectory_bound(horizon_bound(domain, cost, bounds, r), bounds[1], r)
     return psi
 
 
@@ -103,10 +99,7 @@ def theorem_bound(m0, psi_fn, alpha, t0, t, p):
 def _project_to_nodes(measure):
     """Histogram projection: snap atoms to nearest nodes and merge."""
     domain = measure.domain
-    from .equilibrium import _node_index_of_points
-
-    idx = _node_index_of_points(domain, measure.points)
-    pts = domain.points_of_nodes(idx)
+    pts = domain.points_of_nodes(domain.nearest_nodes(measure.points))
     return ParticleMeasure(domain, pts, measure.weights.copy(), validate=False).merged()
 
 

@@ -178,8 +178,7 @@ class CongestionKernel:
 
     def _eta_at_points(self, points):
         if self.eta.family == "constant":
-            return np.full(np.atleast_1d(points).shape[0] if self.domain.kind == "interval"
-                           else np.atleast_2d(points).shape[0], self.eta.value)
+            return np.full(len(points), self.eta.value)
         return self.eta.at_target_distance(self.domain.point_target_distance(points))
 
     def averaged_density(self, mu, points):
@@ -194,10 +193,8 @@ class CongestionKernel:
         """Speed at a node index or a single point under population mu."""
         if isinstance(x, (int, np.integer)):
             pts = self.domain.points_of_nodes([int(x)])
-        elif self.domain.kind == "interval":
-            pts = np.atleast_1d(np.asarray(x, dtype=float))
         else:
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
+            pts = self.domain.as_points(x)
         s = self.averaged_density(mu, pts)
         k = self.kappa(s)
         out = np.clip(k, self.k_min, self.k_max)

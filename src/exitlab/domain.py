@@ -19,7 +19,14 @@ BIG = 1e30  # value of an inadmissible candidate move
 
 
 class DomainError(ValueError):
-    """Invalid node, point, or domain construction."""
+    """Invalid node, point, or domain construction.
+
+    key names the constructor argument at fault, when there is one.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -40,9 +47,6 @@ class HypothesisReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def as_dict(self):
         return [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -55,6 +59,7 @@ class SpatialDomain:
 
     Attributes shared by all backends:
       kind            backend name
+      coord_names     one name per point coordinate (artifact column headers)
       n_nodes         number of grid/graph nodes
       dx              grid spacing (min edge length on graphs)
       origin          index of the distinguished node
@@ -63,17 +68,25 @@ class SpatialDomain:
     """
 
     kind = "abstract"
+    coord_names = ()
     geodesic_constant = 1.0
 
     # ---- node-level API -------------------------------------------------
 
     def node_coords(self):
-        raise NotImplementedError
+        return self.coords
 
-    def _check_node(self, i):
+    def _check_node(self, i, key=None):
         if not (0 <= int(i) < self.n_nodes):
-            raise DomainError(f"unknown node index {i} (n_nodes={self.n_nodes})")
+            raise DomainError(f"unknown node index {i} (n_nodes={self.n_nodes})", key)
         return int(i)
+
+    def _resolve_nodes(self, coords, key):
+        """Node index of each coordinate (node id on graphs), errors tagged with key."""
+        try:
+            return [self.node_at(c) for c in coords]
+        except DomainError as err:
+            raise DomainError(str(err), key) from None
 
     def distance(self, i, j):
         """Shortest-path distance between two nodes."""
@@ -99,26 +112,43 @@ class SpatialDomain:
         raise NotImplementedError
 
     # ---- point-level API (continuous positions) -------------------------
+    # A point batch's trailing axis holds the len(coord_names) coordinates;
+    # the interval's one coordinate has no axis, so its batches are 1d.
+
+    def as_points(self, x):
+        """Float copy of a point or a point batch, as a batch."""
+        pts = np.array(x, dtype=float, ndmin=2)
+        if pts.shape[-1] != len(self.coord_names):
+            raise DomainError(f"{self.kind} points have {len(self.coord_names)} "
+                              f"coordinates, got an array of shape {pts.shape}")
+        return pts
+
+    def nearest_nodes(self, ps):
+        """Index of the nearest node of each point, for any leading batch shape."""
+        raise NotImplementedError
 
     def node_points(self):
         """All nodes as a batch of points."""
-        raise NotImplementedError
+        return self.points_of_nodes(np.arange(self.n_nodes))
 
     def points_of_nodes(self, idx):
-        raise NotImplementedError
+        return self.coords[np.asarray(idx, dtype=int)]
 
     def point_distance(self, p, q):
-        """Metric distance between two point batches (broadcast elementwise)."""
+        """Metric distance between two point batches (broadcast elementwise, any shape)."""
         raise NotImplementedError
 
     def point_distance_matrix(self, ps, qs):
-        raise NotImplementedError
+        """Distance from every point of batch ps to every point of batch qs."""
+        return self.point_distance(np.asarray(ps)[:, None], np.asarray(qs)[None, :])
 
     def point_origin_distance(self, ps):
-        raise NotImplementedError
+        """Distance of each point to the origin node, for any leading batch shape."""
+        return self.point_distance(ps, self.points_of_nodes(self.origin))
 
     def point_target_distance(self, ps):
-        raise NotImplementedError
+        """Distance of each point of a batch to the nearest target node."""
+        return np.min(self.point_distance_matrix(ps, self.points_of_nodes(self.targets)), axis=1)
 
     def interp(self, node_values, ps):
         """Interpolate a per-node field at continuous points."""
@@ -173,25 +203,23 @@ class IntervalDomain(SpatialDomain):
     """1d interval [lo, hi] sampled with uniform spacing dx."""
 
     kind = "interval"
+    coord_names = ("x",)
 
     def __init__(self, lo, hi, dx, targets, origin=None):
         if hi <= lo:
-            raise DomainError("interval requires hi > lo")
+            raise DomainError("interval requires hi > lo", "hi")
         if dx <= 0:
-            raise DomainError("dx must be positive")
+            raise DomainError("dx must be positive", "dx")
         n = int(round((hi - lo) / dx)) + 1
         self.lo, self.hi = float(lo), float(hi)
         self.dx = (self.hi - self.lo) / (n - 1)
         self.coords = np.linspace(self.lo, self.hi, n)
         self.n_nodes = n
-        self.targets = np.array(sorted({self.node_at(c) for c in targets}), dtype=int)
+        self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
         if origin is None:
             origin = self.lo
-        self.origin = self.node_at(origin)
+        self.origin = self._resolve_nodes([origin], "origin")[0]
         self._target_dist = None
-
-    def node_coords(self):
-        return self.coords
 
     def node_at(self, coord):
         i = int(round((float(coord) - self.lo) / self.dx))
@@ -217,25 +245,15 @@ class IntervalDomain(SpatialDomain):
     def origin_node_distances(self):
         return np.abs(self.coords - self.coords[self.origin])
 
-    # points are plain float arrays of shape (m,)
-    def node_points(self):
-        return self.coords.copy()
+    def as_points(self, x):
+        return np.array(x, dtype=float).reshape(-1)
 
-    def points_of_nodes(self, idx):
-        return self.coords[np.asarray(idx, dtype=int)]
+    def nearest_nodes(self, ps):
+        i = np.round((np.asarray(ps, dtype=float) - self.lo) / self.dx).astype(int)
+        return np.clip(i, 0, self.n_nodes - 1)
 
     def point_distance(self, p, q):
         return np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
-
-    def point_distance_matrix(self, ps, qs):
-        return np.abs(np.asarray(ps, dtype=float)[:, None] - np.asarray(qs, dtype=float)[None, :])
-
-    def point_origin_distance(self, ps):
-        return np.abs(np.asarray(ps, dtype=float) - self.coords[self.origin])
-
-    def point_target_distance(self, ps):
-        tc = self.coords[self.targets]
-        return np.min(np.abs(np.asarray(ps, dtype=float)[:, None] - tc[None, :]), axis=1)
 
     def interp(self, node_values, ps):
         return np.interp(np.asarray(ps, dtype=float), self.coords, node_values)
@@ -329,21 +347,22 @@ class Grid2dDomain(SpatialDomain):
     """
 
     kind = "grid2d"
+    coord_names = ("x", "y")
 
     def __init__(self, lo, hi, dx, targets, origin=None, connectivity=8):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if np.any(hi <= lo):
-            raise DomainError("grid2d requires hi > lo per axis")
+            raise DomainError("grid2d requires hi > lo per axis", "hi")
         if connectivity not in (4, 8):
-            raise DomainError("connectivity must be 4 or 8")
+            raise DomainError("connectivity must be 4 or 8", "connectivity")
         self.lo, self.hi = lo, hi
         self.connectivity = int(connectivity)
         nx = int(round((hi[0] - lo[0]) / dx)) + 1
         ny = int(round((hi[1] - lo[1]) / dx)) + 1
         for extent, n in (((hi[0] - lo[0]), nx), ((hi[1] - lo[1]), ny)):
             if abs(extent / (n - 1) - dx) > 1e-9 * max(1.0, dx):
-                raise DomainError(f"extent {extent} is not a multiple of dx = {dx}")
+                raise DomainError(f"extent {extent} is not a multiple of dx = {dx}", "dx")
         self.shape = (nx, ny)
         self.dx = float((hi[0] - lo[0]) / (nx - 1))
         xs = np.linspace(lo[0], hi[0], nx)
@@ -352,16 +371,13 @@ class Grid2dDomain(SpatialDomain):
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self.coords = np.column_stack([gx.ravel(), gy.ravel()])
         self.n_nodes = nx * ny
-        self.targets = np.array(sorted({self.node_at(c) for c in targets}), dtype=int)
-        self.origin = self.node_at(origin if origin is not None else lo)
+        self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
+        self.origin = self._resolve_nodes([origin if origin is not None else lo], "origin")[0]
         self._target_dist = None
         if self.connectivity == 8:
             self._offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
         else:
             self._offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
-
-    def node_coords(self):
-        return self.coords
 
     def node_at(self, coord):
         coord = np.asarray(coord, dtype=float)
@@ -408,24 +424,14 @@ class Grid2dDomain(SpatialDomain):
     def origin_node_distances(self):
         return self._metric(self.coords - self.coords[self.origin])
 
-    def node_points(self):
-        return self.coords.copy()
-
-    def points_of_nodes(self, idx):
-        return self.coords[np.asarray(idx, dtype=int)]
+    def nearest_nodes(self, ps):
+        ps = np.asarray(ps, dtype=float)
+        ix = np.clip(np.round((ps[..., 0] - self.lo[0]) / self.dx).astype(int), 0, self.shape[0] - 1)
+        iy = np.clip(np.round((ps[..., 1] - self.lo[1]) / self.dx).astype(int), 0, self.shape[1] - 1)
+        return ix * self.shape[1] + iy
 
     def point_distance(self, p, q):
         return self._metric(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
-
-    def point_distance_matrix(self, ps, qs):
-        return self._metric(np.asarray(ps, dtype=float)[:, None, :] - np.asarray(qs, dtype=float)[None, :, :])
-
-    def point_origin_distance(self, ps):
-        return self._metric(np.asarray(ps, dtype=float) - self.coords[self.origin])
-
-    def point_target_distance(self, ps):
-        d = np.asarray(ps, dtype=float)[:, None, :] - self.coords[self.targets][None, :, :]
-        return np.min(self._metric(d), axis=1)
 
     def _bilinear_plan(self, ps):
         """Flat corner indices and the factors (1-tx, tx, 1-ty, ty) per point."""
@@ -539,23 +545,24 @@ class GraphDomain(SpatialDomain):
     """
 
     kind = "graph"
+    coord_names = ("u", "v", "s")
 
     def __init__(self, n_nodes, edges, targets, origin=0, coords=None):
         self.n_nodes = int(n_nodes)
         if self.n_nodes < 1:
-            raise DomainError("graph needs at least one node")
+            raise DomainError("graph needs at least one node", "n_nodes")
         rows, cols, vals = [], [], []
         self.edge_length = {}
         for u, v, length in edges:
             u, v, length = int(u), int(v), float(length)
             if length <= 0:
-                raise DomainError(f"edge ({u},{v}) has nonpositive length")
+                raise DomainError(f"edge ({u},{v}) has nonpositive length", "edges")
             if u == v:
-                raise DomainError(f"self-loop at node {u}")
-            self._check_node(u), self._check_node(v)
+                raise DomainError(f"self-loop at node {u}", "edges")
+            self._check_node(u, "edges"), self._check_node(v, "edges")
             key = (min(u, v), max(u, v))
             if key in self.edge_length:
-                raise DomainError(f"duplicate edge {key}")
+                raise DomainError(f"duplicate edge {key}", "edges")
             rows += [u, v]
             cols += [v, u]
             vals += [length, length]
@@ -564,8 +571,8 @@ class GraphDomain(SpatialDomain):
         self.dx = min(self.edge_length.values()) if self.edge_length else 1.0
         dm, pred = dijkstra(self.adjacency, return_predecessors=True)
         self._dm, self._pred = dm, pred
-        self.targets = np.array(sorted({self._check_node(t) for t in targets}), dtype=int)
-        self.origin = self._check_node(origin)
+        self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
+        self.origin = self._resolve_nodes([origin], "origin")[0]
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self._neighbors = [self.adjacency.indices[self.adjacency.indptr[i]:self.adjacency.indptr[i + 1]].tolist()
                            for i in range(self.n_nodes)]
@@ -599,10 +606,6 @@ class GraphDomain(SpatialDomain):
 
     # point helpers ------------------------------------------------------
 
-    def node_points(self):
-        idx = np.arange(self.n_nodes, dtype=float)
-        return np.column_stack([idx, idx, np.zeros(self.n_nodes)])
-
     def points_of_nodes(self, idx):
         idx = np.asarray(idx, dtype=float)
         return np.column_stack([idx, idx, np.zeros(len(idx))])
@@ -630,22 +633,22 @@ class GraphDomain(SpatialDomain):
             best = min(best, abs(psg - s2))
         return float(best)
 
-    def point_distance(self, p, q):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        p, q = np.broadcast_arrays(p, q)
-        out = np.array([self._pair_dist(a, b)
-                        for a, b in zip(p.reshape(-1, 3), q.reshape(-1, 3))]).reshape(p.shape[:-1])
-        return out if out.size > 1 else float(out.flat[0])
+    def nearest_nodes(self, ps):
+        ps = np.asarray(ps, dtype=float)
+        out = [int(u) if u == v or s <= self._edge_len(int(u), int(v)) / 2 else int(v)
+               for u, v, s in ps.reshape(-1, 3).tolist()]
+        return np.array(out, dtype=int).reshape(ps.shape[:-1])
 
-    def point_distance_matrix(self, ps, qs):
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        qs = np.atleast_2d(np.asarray(qs, dtype=float))
-        return np.array([[self._pair_dist(a, b) for b in qs] for a in ps])
+    def point_distance(self, p, q):
+        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        out = np.array([self._pair_dist(a, b) for a, b in zip(p.reshape(-1, 3), q.reshape(-1, 3))])
+        return out.reshape(p.shape[:-1])
 
     def point_origin_distance(self, ps):
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        return np.array([self._point_node_dist(p, np.array([self.origin]))[0] for p in ps])
+        ps = np.asarray(ps, dtype=float)
+        origin = np.array([self.origin])
+        out = np.array([self._point_node_dist(p, origin)[0] for p in ps.reshape(-1, 3)])
+        return out.reshape(ps.shape[:-1])
 
     def point_target_distance(self, ps):
         ps = np.atleast_2d(np.asarray(ps, dtype=float))

@@ -31,7 +31,6 @@ class EquilibriumConfig:
     damping: str = "fictitious_play"  # or "constant"
     damping_value: float = 0.5
     exploitability_tol: float = 0.02
-    seed: int = 0
     prune_threshold: float = PRUNE_DEFAULT
     marginal_binning: str = "auto"  # "on" | "off" | "auto"
 
@@ -81,21 +80,6 @@ def run_grid(domain, kernel, cost, m0, dt=None, horizon_margin=2):
     return dt, n_steps, r_max, t_bound
 
 
-def _node_index_of_points(domain, pts):
-    if domain.kind == "interval":
-        return np.clip(np.round((pts - domain.lo) / domain.dx).astype(int), 0, domain.n_nodes - 1)
-    if domain.kind == "grid2d":
-        ix = np.clip(np.round((pts[:, 0] - domain.lo[0]) / domain.dx).astype(int), 0, domain.shape[0] - 1)
-        iy = np.clip(np.round((pts[:, 1] - domain.lo[1]) / domain.dx).astype(int), 0, domain.shape[1] - 1)
-        return ix * domain.shape[1] + iy
-    pts = np.atleast_2d(pts)
-    out = np.empty(len(pts), dtype=int)
-    for k, p in enumerate(pts):
-        u, v, s = int(p[0]), int(p[1]), float(p[2])
-        out[k] = u if (u == v or s <= domain._edge_len(u, v) / 2) else v
-    return out
-
-
 def field_from_marginals(kernel, positions, weights, dt, binned):
     """Speed field k(t_j, x_i) from per-slice particle positions.
 
@@ -112,8 +96,7 @@ def field_from_marginals(kernel, positions, weights, dt, binned):
     if binned:
         hist = np.zeros((n_slices, domain.n_nodes))
         for j in range(n_slices):
-            idx = _node_index_of_points(domain, positions[:, j])
-            np.add.at(hist[j], idx, weights)
+            np.add.at(hist[j], domain.nearest_nodes(positions[:, j]), weights)
         density = hist @ kernel.node_interaction_matrix().T
         values[:] = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
     else:
@@ -347,15 +330,10 @@ def _bound_checks(report, m0, kernel, domain, cost):
     # m0-mass of the R-ball.
     start_d = m0.origin_distances()
     radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
-    if domain.kind == "interval":
-        excursions = np.max(np.abs(ens.samples - domain.coords[domain.origin]), axis=1)
-    else:
-        flat = ens.samples.reshape(-1, ens.samples.shape[-1])
-        excursions = domain.point_origin_distance(flat).reshape(ens.n_traj, -1).max(axis=1)
+    psis = trajectory_bound(horizon_bound(domain, cost, bounds, radii), bounds[1], radii)
+    excursions = np.max(domain.point_origin_distance(ens.samples), axis=1)
     worst = np.inf
-    for r in radii:
-        t_r = horizon_bound(domain, cost, bounds, r)
-        psi_r = trajectory_bound(t_r, bounds[1], r)
+    for r, psi_r in zip(radii, psis):
         lhs = float(np.sum(ens.weights[excursions <= psi_r + 1e-9]))
         rhs = float(np.sum(m0.weights[start_d <= r + 1e-9]))
         worst = min(worst, lhs - rhs)

@@ -39,10 +39,8 @@ class ParticleMeasure:
 
     def __init__(self, domain, points, weights, validate=True):
         self.domain = domain
-        self.points = np.atleast_1d(np.array(points, dtype=float))
+        self.points = domain.as_points(points)
         self.weights = np.atleast_1d(np.array(weights, dtype=float))
-        if self.domain.kind != "interval":
-            self.points = np.atleast_2d(self.points)
         if len(self.weights) != len(self.points):
             raise MeasureError("points and weights length mismatch")
         if validate:
@@ -54,10 +52,7 @@ class ParticleMeasure:
 
     @classmethod
     def dirac(cls, domain, point):
-        pts = np.array([point], dtype=float)
-        if domain.kind == "interval":
-            pts = pts.reshape(1)
-        return cls(domain, pts, np.array([1.0]))
+        return cls(domain, point, np.array([1.0]))
 
     @property
     def n_atoms(self):
@@ -264,14 +259,12 @@ class TrajectoryEnsemble:
         return float(np.max(excess, initial=-np.inf))
 
     def check_constant_after_exit(self):
-        worst = 0.0
-        for k in range(self.n_traj):
-            e = self.exit_indices[k]
-            if e >= 0 and e < self.n_steps:
-                tail = self.samples[k, e:]
-                dev = np.max(self.domain.point_distance(tail[1:], np.broadcast_to(tail[0], tail[1:].shape)), initial=0.0)
-                worst = max(worst, float(dev))
-        return worst
+        """Worst distance of a sample after the exit index from the exit sample."""
+        e = self.exit_indices
+        exit_pts = self.samples[np.arange(self.n_traj), np.maximum(e, 0)]
+        drift = self.domain.point_distance(self.samples, exit_pts[:, None])
+        after = (np.arange(self.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
+        return float(np.max(drift[after], initial=0.0))
 
     def merged(self):
         """Merge trajectories with equal start index, exit index and sample bits."""

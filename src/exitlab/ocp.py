@@ -118,10 +118,7 @@ class ValueField:
         return self.domain.interp(self.values[min(j, self.n_steps)], pts)
 
     def at(self, t, point):
-        pts = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.domain.kind != "interval":
-            pts = np.atleast_2d(pts)
-        return float(self.at_points(self.time_index(t), pts)[0])
+        return float(self.at_points(self.time_index(t), self.domain.as_points(point))[0])
 
 
 @dataclass
@@ -140,12 +137,14 @@ class Trajectory:
     def n_steps(self):
         return self.samples.shape[0] - 1
 
-    def position(self, j):
-        return self.samples[min(j, self.n_steps)]
-
 
 def horizon_bound(domain, cost, bounds, r):
-    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min."""
+    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min.
+
+    r may be an array (one bound per radius); a scalar r gives a float. The
+    terms are summed in this order on purpose: the ledger prints the bound,
+    and a regrouped form such as G_0 + (d(0, y_0) + R)/K_min rounds differently.
+    """
     if len(domain.targets) == 0:
         raise OcpError("target set is empty")
     k_min = bounds[0]
@@ -153,12 +152,14 @@ def horizon_bound(domain, cost, bounds, r):
     g0 = cost.at_node(y0)
     d0 = domain.distance(domain.origin, y0)
     d_const = domain.geodesic_constant
-    return g0 + d_const * d0 / k_min + d_const * float(r) / k_min
+    t = g0 + d_const * d0 / k_min + d_const * np.asarray(r, dtype=float) / k_min
+    return float(t) if t.ndim == 0 else t
 
 
 def trajectory_bound(t_of_r, k_max, r):
-    """Confinement radius psi(R) = K_max T(R) + R for optimal paths."""
-    return k_max * t_of_r + float(r)
+    """Confinement radius psi(R) = K_max T(R) + R for optimal paths (arrays broadcast)."""
+    out = k_max * np.asarray(t_of_r, dtype=float) + np.asarray(r, dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
@@ -244,15 +245,9 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
     dt = phi.dt
     n_steps = phi.n_steps
     j0 = speed.time_index(t0)
-    pts = np.asarray(start_points, dtype=float).copy()
-    if domain.kind == "interval":
-        pts = np.atleast_1d(pts)
-        shape = (len(pts), n_steps + 1)
-    else:
-        pts = np.atleast_2d(pts)
-        shape = (len(pts), n_steps + 1, pts.shape[1])
+    pts = domain.as_points(start_points)
     m = len(pts)
-    samples = np.empty(shape)
+    samples = np.empty((m, n_steps + 1) + pts.shape[1:])
     exit_idx = np.full(m, -1, dtype=int)
     exit_node = np.full(m, -1, dtype=int)
 
@@ -260,13 +255,12 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
     hit = tgt >= 0
     exit_idx[hit] = j0
     exit_node[hit] = tgt[hit]
-    samples[:, :j0 + 1] = pos[:, None] if domain.kind == "interval" else pos[:, None, :]
+    samples[:, :j0 + 1] = pos[:, None]
 
     for j in range(j0, n_steps):
         active = np.flatnonzero(exit_idx < 0)
         if len(active) == 0:
-            tail = samples[:, j] if domain.kind == "interval" else samples[:, j, :]
-            samples[:, j + 1:] = tail[:, None] if domain.kind == "interval" else tail[:, None, :]
+            samples[:, j + 1:] = samples[:, j][:, None]
             break
         cur = pos[active]
         r = speed.at_points(j, cur) * dt
@@ -292,16 +286,15 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
         if len(stuck) > 0:
             k = int(stuck[0])
             raise SynthesisStall(
-                f"synthesis stall: trajectory from {start_points[k]} never reached "
+                f"synthesis stall: trajectory from {pts[k]} never reached "
                 f"the target within the horizon (stall position {pos[k]})")
     return samples, j0, exit_idx, exit_node
 
 
 def synthesize_optimal(phi, speed, cost, t0, x0, raise_on_stall=True):
     """One optimal trajectory from (t0, x0); realized cost = exit time + exit cost."""
-    start = np.array([x0]) if phi.domain.kind == "interval" else np.array([x0], dtype=float)
     samples, j0, exit_idx, exit_node = synthesize_batch(
-        phi, speed, start, t0, raise_on_stall=raise_on_stall)
+        phi, speed, phi.domain.as_points(x0), t0, raise_on_stall=raise_on_stall)
     e, node = int(exit_idx[0]), int(exit_node[0])
     if e >= 0:
         realized = (e - j0) * phi.dt + cost.at_node(node)
@@ -332,11 +325,9 @@ def is_admissible(traj, speed, slack):
     worst = -np.inf
     worst_step = -1
     for j in range(traj.n_steps):
-        p = traj.samples[j]
-        q = traj.samples[j + 1]
-        pb = np.atleast_1d(p) if domain.kind == "interval" else np.atleast_2d(p)
-        step = float(np.atleast_1d(domain.point_distance(p, q))[0])
-        budget = float(speed.at_points(j, pb)[0]) * traj.dt + slack
+        p = traj.samples[j:j + 1]
+        step = float(domain.point_distance(p, traj.samples[j + 1:j + 2])[0])
+        budget = float(speed.at_points(j, p)[0]) * traj.dt + slack
         if step - budget > worst:
             worst = step - budget
             worst_step = j
@@ -350,18 +341,13 @@ def check_dpp(phi, traj):
     Returns the worst inequality violation (positive when the inequality
     fails) and the worst equality residual up to the exit index.
     """
-    domain = phi.domain
     j0 = traj.start_index
     j_end = traj.exit_index if traj.exit_index >= 0 else traj.n_steps
-    x0 = traj.samples[j0]
-    x0b = np.atleast_1d(x0) if domain.kind == "interval" else np.atleast_2d(x0)
-    base = float(phi.at_points(j0, x0b)[0])
+    base = float(phi.at_points(j0, traj.samples[j0:j0 + 1])[0])
     worst_ineq = 0.0
     worst_eq = 0.0
     for j in range(j0, j_end + 1):
-        p = traj.samples[j]
-        pb = np.atleast_1d(p) if domain.kind == "interval" else np.atleast_2d(p)
-        val = float(phi.at_points(j, pb)[0]) + (j - j0) * phi.dt - base
+        val = float(phi.at_points(j, traj.samples[j:j + 1])[0]) + (j - j0) * phi.dt - base
         worst_ineq = max(worst_ineq, -val)
         worst_eq = max(worst_eq, abs(val))
     return {"max_inequality_violation": worst_ineq, "max_equality_residual": worst_eq}
@@ -398,24 +384,13 @@ def check_value_regularity(phi, radius=None, rng=None, samples=400):
 
 def value_bound_excess(phi, domain, cost, bounds):
     """Worst excess of phi over T(R) + max g with R = d(0, x) (a-priori bound)."""
-    od = domain.origin_node_distances()
-    t_of_r = np.array([horizon_bound(domain, cost, bounds, r) for r in od])
-    limit = t_of_r + cost.max_cost
+    limit = horizon_bound(domain, cost, bounds, domain.origin_node_distances()) + cost.max_cost
     return float(np.max(phi.values - limit[None, :]))
 
 
 def confinement_excess(samples, domain, cost, bounds):
     """Worst excess of trajectory excursions over the psi(R)-ball radius."""
-    if domain.kind == "interval":
-        flat = samples.reshape(-1)
-        dists = domain.point_origin_distance(flat).reshape(samples.shape[0], -1)
-    else:
-        flat = samples.reshape(-1, samples.shape[-1])
-        dists = domain.point_origin_distance(flat).reshape(samples.shape[0], -1)
+    dists = domain.point_origin_distance(samples)
     start_r = dists[:, 0]
-    worst = -np.inf
-    for k in range(samples.shape[0]):
-        t_r = horizon_bound(domain, cost, bounds, start_r[k])
-        psi_r = trajectory_bound(t_r, bounds[1], start_r[k])
-        worst = max(worst, float(np.max(dists[k]) - psi_r))
-    return worst
+    psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
+    return float(np.max(np.max(dists, axis=1) - psi_r, initial=-np.inf))

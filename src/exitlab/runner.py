@@ -79,7 +79,7 @@ def execute(cfg):
     cost = sc.build_cost(domain, cfg)
     try:
         kernel = sc.build_kernel(domain, cfg)
-    except Exception as err:  # kernel hypothesis violations are validation failures
+    except ValueError as err:  # kernel hypothesis violations and unknown families
         bundle["hypotheses"] = validate_hypotheses(domain, cost).as_dict()
         bundle["hypotheses"].append({"name": "H8", "passed": False, "detail": str(err)})
         bundle["status"] = STATUS_VALIDATION
@@ -228,9 +228,7 @@ def build_ledger(bundle):
     ledger["settling_time"] = _r12(bundle.get("settling_time"))
     m_inf = report.m_infinity
     if m_inf is not None:
-        pts = np.atleast_2d(m_inf.points) if m_inf.points.ndim == 1 else m_inf.points
-        if bundle["domain"].kind == "interval":
-            pts = m_inf.points.reshape(-1, 1)
+        pts = m_inf.points.reshape(m_inf.n_atoms, -1)
         ledger["m_infinity"] = [
             [_r12(c) for c in row] + [_r12(w)]
             for row, w in zip(pts.tolist(), m_inf.weights.tolist())]
@@ -266,10 +264,6 @@ def _write_table(path, header, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _coord_columns(domain):
-    return {"interval": ["x"], "grid2d": ["x", "y"], "graph": ["u", "v", "s"]}[domain.kind]
-
-
 def _point_columns(points):
     """One float column per coordinate of a point batch."""
     points = np.asarray(points, dtype=float)
@@ -299,7 +293,7 @@ def persist(bundle, run_dir):
         domain = bundle["domain"]
         report = bundle["equilibrium"]
         ens = report.final_ensemble
-        coord_cols = _coord_columns(domain)
+        coord_cols = list(domain.coord_names)
 
         hist = report.history
         _write_table(os.path.join(run_dir, "exploitability_history.csv"),
@@ -516,8 +510,6 @@ def limit_distance_to_dirac(ledger, domain, location):
 
     atoms = ledger["m_infinity"]
     pts = np.array([row[:-1] for row in atoms], dtype=float)
-    if domain.kind == "interval":
-        pts = pts.reshape(-1)
     w = np.array([row[-1] for row in atoms], dtype=float)
     m = ParticleMeasure(domain, pts, w, validate=False)
     return wasserstein(m, ParticleMeasure.dirac(domain, location), 1)

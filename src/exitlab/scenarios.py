@@ -17,7 +17,7 @@ import numpy as np
 from .congestion import CongestionKernel, Kappa, Chi, Eta
 from .domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from .equilibrium import EquilibriumConfig
-from .measures import ParticleMeasure
+from .measures import MeasureError, ParticleMeasure
 
 SCHEMA_VERSION = 1
 KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
@@ -41,6 +41,14 @@ def _require_number(value, path, integer=False, positive=False):
         raise ScenarioError(f"{path} must be {kind}, got {value!r}")
     if positive and value <= 0:
         raise ScenarioError(f"{path} must be positive, got {value!r}")
+
+
+def _require_numbers(value, count, path):
+    """Reject anything but a list of `count` finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ScenarioError(f"{path} must be a list of {count} numbers, got {value!r}")
+    for k, v in enumerate(value):
+        _require_number(v, f"{path}[{k}]")
 
 
 def _require_choice(value, choices, path):
@@ -71,6 +79,23 @@ def validate_config(cfg):
         _require(dom, {"kind", "n_nodes", "edges", "targets", "origin"}, "domain")
     else:
         raise ScenarioError(f"unknown domain kind {dom['kind']!r}")
+    if dom["kind"] == "interval":
+        _require_number(dom.get("lo"), "domain.lo")
+        _require_number(dom.get("hi"), "domain.hi")
+    elif dom["kind"] == "grid2d":
+        _require_numbers(dom.get("lo"), 2, "domain.lo")
+        _require_numbers(dom.get("hi"), 2, "domain.hi")
+    else:
+        _require_number(dom.get("n_nodes"), "domain.n_nodes", integer=True, positive=True)
+        edges = dom.get("edges")
+        if not isinstance(edges, list):
+            raise ScenarioError(f"domain.edges must be a list of [u, v, length] triples, got {edges!r}")
+        for k, edge in enumerate(edges):
+            _require_numbers(edge, 3, f"domain.edges[{k}]")
+    if isinstance(dom.get("targets"), dict):
+        _require(dom["targets"], {"intervals"}, "domain.targets")
+        for k, pair in enumerate(dom["targets"].get("intervals", ())):
+            _require_numbers(pair, 2, f"domain.targets.intervals[{k}]")
     if dom["kind"] != "graph":
         _require_number(dom.get("dx"), "domain.dx", positive=True)
 
@@ -78,6 +103,18 @@ def validate_config(cfg):
     _require(cost, {"kind", "value", "entries", "lipschitz"}, "exit_cost")
     if cost.get("kind") not in ("zero", "constant", "table"):
         raise ScenarioError(f"unknown exit_cost kind {cost.get('kind')!r}")
+    if cost["kind"] == "constant":
+        _require_number(cost.get("value"), "exit_cost.value")
+    if cost["kind"] == "table":
+        entries = cost.get("entries")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
+            raise ScenarioError(f"exit_cost.entries must be a list of [target, cost] pairs, "
+                                f"got {entries!r}")
+        for k, (_, value) in enumerate(entries):
+            _require_number(value, f"exit_cost.entries[{k}]")
+    if cost.get("lipschitz") is not None:
+        _require_number(cost["lipschitz"], "exit_cost.lipschitz")
 
     ker = out.get("kernel")
     if not isinstance(ker, dict):
@@ -91,6 +128,9 @@ def validate_config(cfg):
             if param not in ker[part]:
                 raise ScenarioError(
                     f"kernel.{part}.{param} is required for family {family!r}")
+        for param, value in ker[part].items():
+            if param != "family":
+                _require_number(value, f"kernel.{part}.{param}")
 
     m0 = out.get("initial_measure")
     if not isinstance(m0, dict) or "kind" not in m0:
@@ -105,6 +145,12 @@ def validate_config(cfg):
     if m0["kind"] not in allowed:
         raise ScenarioError(f"unknown initial_measure kind {m0['kind']!r}")
     _require(m0, allowed[m0["kind"]], "initial_measure")
+    if m0["kind"] == "uniform":
+        _require_numbers(m0.get("support"), 2, "initial_measure.support")
+    for key in ("shoulder", "exponent", "rate", "count"):
+        if key in allowed[m0["kind"]]:
+            _require_number(m0.get(key), f"initial_measure.{key}",
+                            integer=key == "count", positive=key == "count")
 
     eq = out.setdefault("equilibrium", {})
     _require(eq, {"max_iterations", "damping", "tolerance", "marginal_binning"}, "equilibrium")
@@ -132,11 +178,26 @@ def validate_config(cfg):
     rt = asym["report_times"]
     if isinstance(rt, dict):
         _require(rt, {"kind", "start", "stop", "step", "count"}, "asymptotics.report_times")
+        _require_choice(rt.get("kind", "linear"), ("linear", "log"), "asymptotics.report_times.kind")
+        for key in ("start", "stop", "step", "count"):
+            if rt.get(key) is not None:
+                _require_number(rt[key], f"asymptotics.report_times.{key}",
+                                integer=key == "count", positive=key in ("step", "count"))
+    elif isinstance(rt, list):
+        _require_numbers(rt, len(rt), "asymptotics.report_times")
+    else:
+        raise ScenarioError(f"asymptotics.report_times must be an object or a list, got {rt!r}")
     fit = asym.setdefault("rate_fit", None)
     if fit is not None:
         _require(fit, {"mode", "window", "tail_dimension"}, "asymptotics.rate_fit")
         if fit.get("mode") not in ("power", "exponential"):
             raise ScenarioError("rate_fit.mode must be 'power' or 'exponential'")
+        _require_numbers(fit.get("window"), 2, "asymptotics.rate_fit.window")
+        if fit["window"][0] >= fit["window"][1]:
+            raise ScenarioError(f"asymptotics.rate_fit.window must be increasing, "
+                                f"got {fit['window']!r}")
+        _require_number(fit.get("tail_dimension", 1), "asymptotics.rate_fit.tail_dimension",
+                        integer=True, positive=True)
     return out
 
 
@@ -145,7 +206,7 @@ def _interval_targets(lo, hi, dx, spec):
     if isinstance(spec, dict):
         coords = np.arange(int(round((hi - lo) / dx)) + 1) * dx + lo
         keep = np.zeros(len(coords), dtype=bool)
-        for a, b in spec["intervals"]:
+        for a, b in spec.get("intervals", ()):
             keep |= (coords >= a - 1e-12) & (coords <= b + 1e-12)
         return coords[keep].tolist()
     return spec
@@ -153,28 +214,33 @@ def _interval_targets(lo, hi, dx, spec):
 
 def build_domain(cfg):
     dom = cfg["domain"]
-    if dom["kind"] == "interval":
-        targets = _interval_targets(dom["lo"], dom["hi"], dom["dx"], dom["targets"])
-        return IntervalDomain(dom["lo"], dom["hi"], dom["dx"], targets,
-                              dom.get("origin"))
-    if dom["kind"] == "grid2d":
-        return Grid2dDomain(dom["lo"], dom["hi"], dom["dx"], dom["targets"],
-                            dom.get("origin"), dom.get("connectivity", 8))
-    return GraphDomain(dom["n_nodes"], dom["edges"], dom["targets"],
-                       dom.get("origin", 0))
+    try:
+        if dom["kind"] == "interval":
+            targets = _interval_targets(dom["lo"], dom["hi"], dom["dx"], dom["targets"])
+            return IntervalDomain(dom["lo"], dom["hi"], dom["dx"], targets,
+                                  dom.get("origin"))
+        if dom["kind"] == "grid2d":
+            return Grid2dDomain(dom["lo"], dom["hi"], dom["dx"], dom["targets"],
+                                dom.get("origin"), dom.get("connectivity", 8))
+        return GraphDomain(dom["n_nodes"], dom["edges"], dom["targets"],
+                           dom.get("origin", 0))
+    except DomainError as err:
+        path = "domain" if err.key is None else f"domain.{err.key}"
+        raise ScenarioError(f"{path}: {err}") from None
 
 
 def build_cost(domain, cfg):
     cost = cfg["exit_cost"]
-    if cost["kind"] == "zero":
-        return ExitCost.zero(domain)
-    if cost["kind"] == "constant":
-        return ExitCost.constant(domain, cost["value"])
-    values = {}
-    for key, value in cost["entries"]:
-        node = domain.node_at(key)
-        values[node] = float(value)
-    return ExitCost(domain, values, cost.get("lipschitz"))
+    try:
+        if cost["kind"] == "zero":
+            return ExitCost.zero(domain)
+        if cost["kind"] == "constant":
+            return ExitCost.constant(domain, cost["value"])
+        values = {domain.node_at(key): float(value) for key, value in cost["entries"]}
+        return ExitCost(domain, values, cost.get("lipschitz"))
+    except DomainError as err:
+        path = "exit_cost.value" if cost["kind"] == "constant" else "exit_cost.entries"
+        raise ScenarioError(f"{path}: {err}") from None
 
 
 def build_kernel(domain, cfg):
@@ -246,7 +312,9 @@ def build_initial_measure(domain, cfg):
         if kind == "atoms":
             pts = [_as_point(domain, p) for p in block["points"]]
             return ParticleMeasure(domain, pts, block["weights"]), flags
-    except DomainError as err:
+    except MeasureError as err:
+        raise ScenarioError(f"initial_measure.weights: {err}") from None
+    except ValueError as err:  # a point outside the domain, or not a number
         path = "location" if kind == "dirac" else "points"
         raise ScenarioError(f"initial_measure.{path}: {err}") from None
     if domain.kind != "interval":
@@ -272,7 +340,6 @@ def build_equilibrium_config(cfg):
         damping=damping["rule"],
         damping_value=float(damping.get("value", 0.5)),
         exploitability_tol=float(eq["tolerance"]),
-        seed=int(cfg.get("seed", 0)),
         marginal_binning=eq["marginal_binning"],
     )
 

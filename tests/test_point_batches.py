@@ -1,0 +1,205 @@
+"""The backend point-batch surface: as_points, nearest_nodes, batched distances,
+array-valued T(R) and psi(R), and the vectorized constant-after-exit check.
+
+The references below are the per-item versions these functions replaced; each
+test asserts bit-equal results against them on all backends that apply.
+"""
+import numpy as np
+import pytest
+
+from exitlab.domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.measures import TrajectoryEnsemble
+from exitlab.ocp import horizon_bound, trajectory_bound
+
+
+def interval():
+    return IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0], origin=0.3)
+
+
+def grid():
+    return Grid2dDomain([0.0, 0.0], [0.5, 0.4], 0.1, targets=[[0.5, 0.2]],
+                        origin=[0.1, 0.1], connectivity=8)
+
+
+def graph():
+    return GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)],
+                       targets=[2, 4], origin=0)
+
+
+def random_points(domain, rng, shape):
+    """Points of the given leading batch shape spread over the domain."""
+    if domain.kind == "interval":
+        return rng.uniform(domain.lo - 0.02, domain.hi + 0.02, shape)
+    if domain.kind == "grid2d":
+        return rng.uniform(domain.lo - 0.02, domain.hi + 0.02, shape + (2,))
+    edges = sorted(domain.edge_length)
+    pick = rng.integers(0, len(edges), shape)
+    u = np.array([edges[k][0] for k in pick.ravel()], dtype=float).reshape(shape)
+    v = np.array([edges[k][1] for k in pick.ravel()], dtype=float).reshape(shape)
+    length = np.array([domain.edge_length[edges[k]] for k in pick.ravel()]).reshape(shape)
+    pts = np.stack([u, v, rng.uniform(0.0, 1.0, shape) * length], axis=-1)
+    at_node = rng.random(shape) < 0.2
+    pts[at_node] = np.stack([u[at_node], u[at_node], np.zeros(at_node.sum())], axis=-1)
+    return pts
+
+
+def node_index_of_points_reference(domain, pts):
+    """Nearest node of each point of a 1d point batch, one backend branch each."""
+    if domain.kind == "interval":
+        return np.clip(np.round((pts - domain.lo) / domain.dx).astype(int), 0, domain.n_nodes - 1)
+    if domain.kind == "grid2d":
+        ix = np.clip(np.round((pts[:, 0] - domain.lo[0]) / domain.dx).astype(int), 0, domain.shape[0] - 1)
+        iy = np.clip(np.round((pts[:, 1] - domain.lo[1]) / domain.dx).astype(int), 0, domain.shape[1] - 1)
+        return ix * domain.shape[1] + iy
+    pts = np.atleast_2d(pts)
+    out = np.empty(len(pts), dtype=int)
+    for k, p in enumerate(pts):
+        u, v, s = int(p[0]), int(p[1]), float(p[2])
+        out[k] = u if (u == v or s <= domain._edge_len(u, v) / 2) else v
+    return out
+
+
+def test_interval_as_points_shapes():
+    dom = interval()
+    assert dom.as_points(0.5).shape == (1,)
+    assert dom.as_points([0.5]).shape == (1,)
+    assert dom.as_points(np.linspace(0, 1, 7)).shape == (7,)
+    rows = np.linspace(0, 1, 4).reshape(4, 1)  # ledger rows: one column per coordinate
+    assert np.array_equal(dom.as_points(rows), rows.ravel())
+    assert dom.as_points(3).dtype == float
+
+
+@pytest.mark.parametrize("make", [grid, graph])
+def test_as_points_shapes_and_trailing_axis(make):
+    dom = make()
+    dim = len(dom.coord_names)
+    point = [0.0] * dim
+    assert dom.as_points(point).shape == (1, dim)
+    assert dom.as_points([point, point, point]).shape == (3, dim)
+    assert dom.as_points(np.zeros((2, 1, dim))).shape == (2, 1, dim)
+    with pytest.raises(DomainError):
+        dom.as_points(0.5)
+    with pytest.raises(DomainError):
+        dom.as_points(np.zeros((4, 1)))
+    with pytest.raises(DomainError):
+        dom.as_points(np.zeros((4, dim + 1)))
+
+
+@pytest.mark.parametrize("make", [interval, grid, graph])
+def test_as_points_returns_a_float_copy(make):
+    dom = make()
+    src = dom.node_points()[:3]
+    pts = dom.as_points(src)
+    pts[...] = -1.0
+    assert np.all(src[..., -1] >= 0.0)
+    assert dom.as_points(src.astype(int)).dtype == float
+
+
+@pytest.mark.parametrize("make", [interval, grid, graph])
+def test_nearest_nodes_matches_reference_on_batches(make):
+    dom = make()
+    rng = np.random.default_rng(11)
+    batch = random_points(dom, rng, (40, 6))
+    got = dom.nearest_nodes(batch)
+    assert got.shape == (40, 6)
+    want = np.stack([node_index_of_points_reference(dom, batch[:, j]) for j in range(6)], axis=1)
+    assert np.array_equal(got, want)
+    flat = random_points(dom, rng, (25,))
+    assert np.array_equal(dom.nearest_nodes(flat), node_index_of_points_reference(dom, flat))
+
+
+def test_graph_nearest_nodes_around_an_edge_midpoint():
+    dom = graph()
+    half = dom.edge_length[(1, 3)] / 2
+    offsets = [0.0, np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), 2 * half]
+    pts = np.array([[1.0, 3.0, s] for s in offsets] + [[3.0, 3.0, 0.0], [4.0, 4.0, 0.0]])
+    got = dom.nearest_nodes(pts)
+    assert np.array_equal(got, node_index_of_points_reference(dom, pts))
+    assert got.tolist() == [1, 1, 1, 3, 3, 3, 4]
+
+
+def test_graph_point_distances_on_batches_of_any_shape():
+    dom = graph()
+    rng = np.random.default_rng(5)
+    one_p, one_q = random_points(dom, rng, (1,)), random_points(dom, rng, (1,))
+    d = dom.point_distance(one_p, one_q)
+    assert isinstance(d, np.ndarray) and d.shape == (1,)
+    assert d[0] == dom._pair_dist(one_p[0], one_q[0])
+    o = dom.point_origin_distance(one_p)
+    assert isinstance(o, np.ndarray) and o.shape == (1,)
+
+    p, q = random_points(dom, rng, (4, 3)), random_points(dom, rng, (4, 3))
+    d = dom.point_distance(p, q)
+    assert d.shape == (4, 3)
+    want = np.array([[dom._pair_dist(p[i, j], q[i, j]) for j in range(3)] for i in range(4)])
+    assert np.array_equal(d, want)
+    # broadcasting one point against a batch
+    d_row = dom.point_distance(p, q[0, 0])
+    assert np.array_equal(d_row, [[dom._pair_dist(a, q[0, 0]) for a in row] for row in p])
+    o = dom.point_origin_distance(p)
+    assert o.shape == (4, 3)
+    want = np.array([[dom._point_node_dist(p[i, j], np.array([dom.origin]))[0]
+                      for j in range(3)] for i in range(4)])
+    assert np.array_equal(o, want)
+
+
+def horizon_bound_reference(domain, cost, bounds, r):
+    """T(R) for one radius in Python floats, as the per-item loops evaluated it."""
+    k_min = bounds[0]
+    y0 = int(domain.targets[np.argmin([domain.distance(domain.origin, t) for t in domain.targets])])
+    g0 = cost.at_node(y0)
+    d0 = domain.distance(domain.origin, y0)
+    d_const = domain.geodesic_constant
+    return g0 + d_const * d0 / k_min + d_const * float(r) / k_min
+
+
+@pytest.mark.parametrize("make", [interval, grid])
+def test_array_bounds_bit_equal_to_scalar_calls(make):
+    dom = make()
+    cost = ExitCost(dom, {int(t): 0.1 + 0.07 * k for k, t in enumerate(dom.targets)}, 0.3)
+    bounds = (0.37, 1.9)
+    rng = np.random.default_rng(2)
+    radii = np.concatenate([rng.uniform(0.0, 3.0, 2000), dom.origin_node_distances(), [0.0]])
+    t_arr = horizon_bound(dom, cost, bounds, radii)
+    t_ref = np.array([horizon_bound_reference(dom, cost, bounds, r) for r in radii])
+    assert np.array_equal(t_arr.view(np.int64), t_ref.view(np.int64))
+    scalar = horizon_bound(dom, cost, bounds, radii[0])
+    assert type(scalar) is float and scalar == t_ref[0]
+
+    psi_arr = trajectory_bound(t_arr, bounds[1], radii)
+    psi_ref = np.array([bounds[1] * t + float(r) for t, r in zip(t_ref, radii)])
+    assert np.array_equal(psi_arr.view(np.int64), psi_ref.view(np.int64))
+    assert type(trajectory_bound(t_ref[0], bounds[1], radii[0])) is float
+
+
+def check_constant_after_exit_reference(ens):
+    worst = 0.0
+    for k in range(ens.n_traj):
+        e = ens.exit_indices[k]
+        if e >= 0 and e < ens.n_steps:
+            tail = ens.samples[k, e:]
+            dev = np.max(ens.domain.point_distance(tail[1:], np.broadcast_to(tail[0], tail[1:].shape)),
+                         initial=0.0)
+            worst = max(worst, float(dev))
+    return worst
+
+
+@pytest.mark.parametrize("make", [interval, grid, graph])
+def test_check_constant_after_exit_matches_reference(make):
+    dom = make()
+    rng = np.random.default_rng(8)
+    n, steps = 12, 9
+    samples = random_points(dom, rng, (n, steps + 1))
+    exits = np.array([-1, 0, 3, steps, 5, 2, -1, 7, 1, 4, steps, 6])
+    for k, e in enumerate(exits):
+        if e >= 0:
+            samples[k, e:] = samples[k, e]
+    ens = TrajectoryEnsemble(dom, 0.1, samples, np.full(n, 1.0 / n), exit_indices=exits,
+                             exit_nodes=np.zeros(n, dtype=int))
+    assert ens.check_constant_after_exit() == 0.0 == check_constant_after_exit_reference(ens)
+    # drift after exit on a few rows, including the last step and a non-exited row
+    for k, j in ((2, 6), (4, steps), (7, 8), (0, 4)):
+        samples[k, j] = random_points(dom, rng, ())
+    got = ens.check_constant_after_exit()
+    assert got > 0.0
+    assert got == check_constant_after_exit_reference(ens)

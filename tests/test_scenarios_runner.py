@@ -9,6 +9,7 @@ from exitlab import cli, runner
 from exitlab.scenarios import (ScenarioError, build_domain,
                                build_initial_measure, load_scenario,
                                scenario_registry, validate_config)
+from test_backends import graph_scenario
 
 
 def test_registry_names_resolve_and_validate():
@@ -118,6 +119,26 @@ def test_validation_failure_status(tmp_path):
                                      "weights": [0.5, 0.5]}, id="initial_measure-atoms_outside"),
     pytest.param("kernel.kappa", {"family": "affine_clamped", "slope": 0.5, "floor": 0.2},
                  id="kernel.kappa-no_intercept"),
+    pytest.param("initial_measure", {"kind": "atoms", "points": [0.25, 0.75],
+                                     "weights": [0.5, 0.4]}, id="initial_measure-weights_sum_0.9"),
+    pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": 0},
+                 id="initial_measure-count_0"),
+    pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": -3},
+                 id="initial_measure-count_-3"),
+    pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": "a"},
+                 id="initial_measure-count_a"),
+    ("asymptotics.report_times.step", 0),
+    pytest.param("asymptotics.rate_fit", {"mode": "power", "window": [1.0]},
+                 id="asymptotics.rate_fit-window_of_one"),
+    pytest.param("exit_cost", {"kind": "table"}, id="exit_cost-table_without_entries"),
+    ("domain.hi", 0.0),
+    pytest.param("domain.targets", [0.0, 2.0], id="domain.targets-outside"),
+    pytest.param("kernel.kappa", {"family": "affine_clamped", "intercept": "x", "slope": 0.5,
+                                  "floor": 0.2}, id="kernel.kappa-intercept_x"),
+    ("initial_measure.location", "a"),
+    pytest.param("initial_measure", {"kind": "atoms", "points": ["a", 0.5], "weights": [0.5, 0.5]},
+                 id="initial_measure-atoms_not_numbers"),
+    pytest.param("domain.targets", {"foo": [[0.9, 1.0]]}, id="domain.targets-no_intervals"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -126,6 +147,15 @@ def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION
     assert path in result.error
+
+
+@pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1, "a"]], "0-1"])
+def test_malformed_graph_edges_are_validation_failures(tmp_path, edges):
+    cfg = graph_scenario()
+    cfg["domain"]["edges"] = edges
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION
+    assert "domain.edges" in result.error
 
 
 def test_indicator_chi_flagged_outside_coverage(tmp_path):

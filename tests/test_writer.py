@@ -43,7 +43,7 @@ def persist_csvs_reference(bundle, run_dir):
     domain = bundle["domain"]
     report = bundle["equilibrium"]
     ens = report.final_ensemble
-    coord_cols = runner._coord_columns(domain)
+    coord_cols = list(domain.coord_names)
 
     write_csv_reference(
         os.path.join(run_dir, "exploitability_history.csv"),
