@@ -261,27 +261,17 @@ class IntervalDomain(SpatialDomain):
     def reach_candidates(self, ps, r):
         ps = np.asarray(ps, dtype=float)
         r = np.broadcast_to(np.asarray(r, dtype=float), ps.shape)
-        m = ps.shape[0]
         n_ball = int(np.floor(np.max(r, initial=0.0) / self.dx + 1e-9)) * 2 + 2
-        S = 3 + n_ball
-        cand = np.empty((m, S))
-        valid = np.zeros((m, S), dtype=bool)
-        cand[:, 0] = ps
-        valid[:, 0] = True
         # sphere endpoints, left before right
-        for s, sgn in ((1, -1.0), (2, 1.0)):
-            q = ps + sgn * r
-            ok = (q >= self.lo - 1e-12) & (q <= self.hi + 1e-12)
-            cand[:, s] = np.clip(q, self.lo, self.hi)
-            valid[:, s] = ok
+        ends = ps[:, None] + np.array([-1.0, 1.0]) * r[:, None]
         # nodes inside the closed ball, ascending coordinate
         i_lo, i_hi = self._ball_bounds(ps, r)
-        for s in range(n_ball):
-            idx = i_lo + s
-            ok = (idx <= i_hi) & (idx >= 0) & (idx < self.n_nodes)
-            safe = np.clip(idx, 0, self.n_nodes - 1)
-            cand[:, 3 + s] = self.coords[safe]
-            valid[:, 3 + s] = ok
+        idx = i_lo[:, None] + np.arange(n_ball)
+        cand = np.concatenate([ps[:, None], np.clip(ends, self.lo, self.hi),
+                               self.coords[np.clip(idx, 0, self.n_nodes - 1)]], axis=1)
+        valid = np.concatenate([np.ones((len(ps), 1), dtype=bool),
+                                (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12),
+                                (idx <= i_hi[:, None]) & (idx >= 0) & (idx < self.n_nodes)], axis=1)
         disp = np.abs(cand - ps[:, None])
         disp[~valid] = np.inf
         return cand, disp, valid

@@ -141,13 +141,20 @@ def realized_costs(ensemble, cost, cap=None):
 
 
 def admissibility_excess(ensemble, speed, slack):
-    """Worst step-length excess over k dt + slack across the whole ensemble."""
+    """Worst step-length excess over k dt + slack across the moving steps.
+
+    A zero-length step never exceeds a budget k dt + slack with k >= k_min > 0,
+    so the budget is interpolated only where a step moves. The result is -inf
+    when nothing moves; the gate's decision (excess > 1e-9) is the same as over
+    every step.
+    """
     worst = -np.inf
     for j in range(ensemble.n_steps):
         cur = ensemble.samples[:, j]
         step = ensemble.domain.point_distance(cur, ensemble.samples[:, j + 1])
-        budget = speed.at_points(j, cur) * ensemble.dt + slack
-        worst = max(worst, float(np.max(step - budget, initial=-np.inf)))
+        moving = step > 0
+        budget = speed.at_points(j, cur[moving]) * ensemble.dt + slack
+        worst = max(worst, float(np.max(step[moving] - budget, initial=-np.inf)))
     return worst
 
 
@@ -192,14 +199,17 @@ def exploitability(ensemble, kernel, domain, cost, config=None, cap=None,
     return eps, details
 
 
-def certify(ensemble, kernel, domain, cost, tol, config=None):
+def certify(ensemble, kernel, domain, cost, tol, config=None, field=None, phi=None):
     """Weak / strong equilibrium flags at tolerance tol.
 
     weak: weighted exploitability <= tol. strong: every positive-weight
     trajectory has optimality gap <= tol. On atomic ensembles the two are
-    designed to coincide at the solver's stopping rule.
+    designed to coincide at the solver's stopping rule. field and phi, when
+    given, must be the ensemble's own induced field and its value solve (as
+    EquilibriumReport.final_field and final_phi are for final_ensemble).
     """
-    eps, details = exploitability(ensemble, kernel, domain, cost, config=config)
+    eps, details = exploitability(ensemble, kernel, domain, cost, config=config,
+                                  field=field, phi=phi)
     positive = ensemble.weights > 0
     max_gap = float(np.max(details["gaps"][positive]))
     weak = eps <= tol

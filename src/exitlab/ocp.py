@@ -222,16 +222,10 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
 
 def _select_candidates(vals, disp):
     """Argmin by (value, displacement, slot order); slots are direction-ordered."""
-    m, s_count = vals.shape
-    best_val = vals[:, 0].copy()
-    best_disp = disp[:, 0].copy()
-    best_slot = np.zeros(m, dtype=int)
-    for s in range(1, s_count):
-        better = (vals[:, s] < best_val) | ((vals[:, s] == best_val) & (disp[:, s] < best_disp))
-        best_val = np.where(better, vals[:, s], best_val)
-        best_disp = np.where(better, disp[:, s], best_disp)
-        best_slot = np.where(better, s, best_slot)
-    return best_slot, best_val
+    tie = vals == np.min(vals, axis=1)[:, None]
+    tie &= disp == np.min(np.where(tie, disp, np.inf), axis=1)[:, None]
+    best_slot = np.argmax(tie, axis=1)
+    return best_slot, vals[np.arange(len(vals)), best_slot]
 
 
 def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
@@ -265,11 +259,8 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
         cur = pos[active]
         r = speed.at_points(j, cur) * dt
         cand, disp, valid = domain.reach_candidates(cur, r)
-        s_count = disp.shape[1]
-        vals = np.empty((len(active), s_count))
-        for s in range(s_count):
-            v = domain.interp(phi.values[j + 1], cand[:, s])
-            vals[:, s] = np.where(valid[:, s], v, BIG)
+        vals = np.full(valid.shape, BIG)
+        vals[valid] = domain.interp(phi.values[j + 1], cand[valid])
         slot, best_val = _select_candidates(vals, disp)
         if np.any(best_val >= BIG / 2):
             k = active[int(np.flatnonzero(best_val >= BIG / 2)[0])]

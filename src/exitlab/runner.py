@@ -102,8 +102,9 @@ def execute(cfg):
 
     config = sc.build_equilibrium_config(cfg)
     report = eq.solve_equilibrium(m0, kernel, domain, cost, config)
+    # the last iteration already induced the final ensemble's field and solved it
     cert = eq.certify(report.final_ensemble, kernel, domain, cost, report.tol,
-                      config=config)
+                      config=config, field=report.final_field, phi=report.final_phi)
     bundle.update(domain=domain, cost=cost, kernel=kernel, m0=m0,
                   equilibrium=report, certification=cert)
     bundle["flags"] += report.flags

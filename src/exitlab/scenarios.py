@@ -67,6 +67,7 @@ def validate_config(cfg):
     out = copy.deepcopy(cfg)
     out.setdefault("name", "unnamed")
     out.setdefault("seed", 0)
+    _require_number(out["seed"], "seed", integer=True)
 
     dom = out.get("domain")
     if not isinstance(dom, dict) or "kind" not in dom:
@@ -183,8 +184,17 @@ def validate_config(cfg):
             if rt.get(key) is not None:
                 _require_number(rt[key], f"asymptotics.report_times.{key}",
                                 integer=key == "count", positive=key in ("step", "count"))
+        start = 0.0 if rt.get("start") is None else rt["start"]
+        stop = rt.get("stop")
+        if start < 0:
+            raise ScenarioError(f"asymptotics.report_times.start must not be negative, got {start!r}")
+        if stop is not None and (stop < start or (rt.get("kind") == "log" and stop <= 0)):
+            raise ScenarioError(f"asymptotics.report_times.stop must be at least start "
+                                f"({start!r}) and positive on a log grid, got {stop!r}")
     elif isinstance(rt, list):
         _require_numbers(rt, len(rt), "asymptotics.report_times")
+        if any(t < 0 for t in rt):
+            raise ScenarioError(f"asymptotics.report_times must not hold negative times, got {rt!r}")
     else:
         raise ScenarioError(f"asymptotics.report_times must be an object or a list, got {rt!r}")
     fit = asym.setdefault("rate_fit", None)
@@ -349,7 +359,7 @@ def report_times(cfg, horizon):
     if isinstance(rt, list):
         return np.array([t for t in rt if t <= horizon + 1e-9], dtype=float)
     kind = rt.get("kind", "linear")
-    start = float(rt.get("start", 0.0))
+    start = 0.0 if rt.get("start") is None else float(rt["start"])
     stop = rt.get("stop")
     stop = horizon if stop is None else min(float(stop), horizon)
     if kind == "log":

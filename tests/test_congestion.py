@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from exitlab import congestion
 from exitlab.congestion import (Chi, CongestionKernel, Eta, HypothesisViolation,
                                 Kappa, MeasurePreconditionError)
-from exitlab.domain import ExitCost, IntervalDomain
+from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.measures import ParticleMeasure, wasserstein
 
 E_MINUS_HALF = float(np.exp(-0.5))
@@ -207,3 +208,47 @@ def test_binned_evaluation_error_within_bound():
     np.add.at(hist, idx, mu.weights)
     binned = kernel.node_speeds_binned(hist)
     assert np.max(np.abs(binned - exact)) <= kernel.binning_error_bound() + 1e-12
+
+
+def congested_kernel(domain):
+    return make_kernel(domain,
+                       kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
+                       chi=Chi("gaussian", width=0.15, amplitude=0.6),
+                       eta=Eta("taper", distance=0.1))
+
+
+def one_shot_node_matrix(kernel):
+    """chi(d) * eta over every node pair in one broadcast, as before the row blocks."""
+    nodes = kernel.domain.node_points()
+    d = kernel.domain.point_distance_matrix(nodes, nodes)
+    return kernel.chi(d) * kernel._eta_at_points(nodes)[None, :]
+
+
+@pytest.mark.parametrize("backend", ["interval", "grid2d", "graph"])
+def test_node_interaction_matrix_blocks_match_one_shot(backend, monkeypatch):
+    if backend == "interval":  # 334 nodes: two full blocks and a partial one
+        dom = IntervalDomain(0.0, 1.0, 0.003, targets=[1.0])
+    elif backend == "grid2d":  # 273 nodes
+        dom = Grid2dDomain([0.0, 0.0], [1.0, 0.6], 0.05, targets=[[1.0, 0.3]])
+    else:  # 12 nodes in blocks of 5
+        monkeypatch.setattr(congestion, "NODE_MATRIX_ROW_BLOCK", 5)
+        edges = [(i, i + 1, 0.05 + 0.01 * (i % 3)) for i in range(11)] + [(2, 7, 0.12)]
+        dom = GraphDomain(12, edges, targets=[11], origin=0)
+    kernel = congested_kernel(dom)
+    got = kernel.node_interaction_matrix()
+    assert dom.n_nodes > congestion.NODE_MATRIX_ROW_BLOCK
+    assert np.array_equal(got.view(np.int64), one_shot_node_matrix(kernel).view(np.int64))
+
+
+def test_node_interaction_matrix_build_peak_stays_near_its_size():
+    import tracemalloc
+
+    dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.025, targets=[[1.0, 0.5]])  # 41 x 41
+    kernel = congested_kernel(dom)
+    tracemalloc.start()
+    try:
+        matrix = kernel.node_interaction_matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix.nbytes

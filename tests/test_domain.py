@@ -177,3 +177,38 @@ def test_reach_candidates_respect_domain_bounds():
     assert np.all(cand[valid] >= -1e-12)
     assert np.all(cand[valid] <= 1 + 1e-12)
     assert np.all(disp[valid] <= 0.01 + 1e-12)
+
+
+def looped_interval_candidates(dom, ps, r):
+    """IntervalDomain.reach_candidates as it was built, slot by slot."""
+    ps = np.asarray(ps, dtype=float)
+    r = np.broadcast_to(np.asarray(r, dtype=float), ps.shape)
+    m = ps.shape[0]
+    n_ball = int(np.floor(np.max(r, initial=0.0) / dom.dx + 1e-9)) * 2 + 2
+    cand = np.empty((m, 3 + n_ball))
+    valid = np.zeros((m, 3 + n_ball), dtype=bool)
+    cand[:, 0] = ps
+    valid[:, 0] = True
+    for s, sgn in ((1, -1.0), (2, 1.0)):
+        q = ps + sgn * r
+        cand[:, s] = np.clip(q, dom.lo, dom.hi)
+        valid[:, s] = (q >= dom.lo - 1e-12) & (q <= dom.hi + 1e-12)
+    i_lo, i_hi = dom._ball_bounds(ps, r)
+    for s in range(n_ball):
+        idx = i_lo + s
+        cand[:, 3 + s] = dom.coords[np.clip(idx, 0, dom.n_nodes - 1)]
+        valid[:, 3 + s] = (idx <= i_hi) & (idx >= 0) & (idx < dom.n_nodes)
+    disp = np.abs(cand - ps[:, None])
+    disp[~valid] = np.inf
+    return cand, disp, valid
+
+
+@pytest.mark.parametrize("r_scale", [0.0, 1.0, 2.7])
+def test_interval_reach_candidates_match_slot_loop(r_scale):
+    dom = IntervalDomain(0.0, 1.0, 0.01, targets=[1.0])
+    rng = np.random.default_rng(5)
+    ps = np.concatenate([rng.uniform(0.0, 1.0, 300), dom.coords[[0, 1, 50, -2, -1]]])
+    r = r_scale * dom.dx * rng.uniform(0.2, 1.0, len(ps))
+    for got, want in zip(dom.reach_candidates(ps, r), looped_interval_candidates(dom, ps, r)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from exitlab.domain import ExitCost, IntervalDomain
-from exitlab.ocp import (HorizonError, OcpError, SpeedField, SynthesisStall,
+from exitlab.domain import BIG, ExitCost, IntervalDomain
+from exitlab.ocp import (HorizonError, _select_candidates, OcpError, SpeedField, SynthesisStall,
                          Trajectory, check_dpp, check_value_regularity,
                          default_dpp_tol, final_cost, first_exit_time,
                          horizon_bound, is_admissible, solve_value,
@@ -280,3 +280,37 @@ def test_synthesized_batch_matches_single():
         single = synthesize_optimal(phi, field, cost, 0.0, x0)
         assert np.array_equal(samples[k], single.samples)
         assert exit_idx[k] == single.exit_index
+
+
+def sequential_select(vals, disp):
+    """The slot-by-slot selection loop _select_candidates replaced, kept as its reference."""
+    m, s_count = vals.shape
+    best_val = vals[:, 0].copy()
+    best_disp = disp[:, 0].copy()
+    best_slot = np.zeros(m, dtype=int)
+    for s in range(1, s_count):
+        better = (vals[:, s] < best_val) | ((vals[:, s] == best_val) & (disp[:, s] < best_disp))
+        best_val = np.where(better, vals[:, s], best_val)
+        best_disp = np.where(better, disp[:, s], best_disp)
+        best_slot = np.where(better, s, best_slot)
+    return best_slot, best_val
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_candidates_matches_sequential_loop(seed):
+    rng = np.random.default_rng(seed)
+    m, s_count = 400, 11
+    # few distinct values and displacements force ties in both keys; invalid
+    # slots carry BIG and an infinite displacement, as reach_candidates marks them
+    vals = rng.choice([0.0, -0.0, 0.25, 0.5], size=(m, s_count))
+    free = rng.random((m, s_count)) < 0.2
+    vals[free] = rng.uniform(0.0, 1.0, int(free.sum()))
+    disp = rng.choice([0.0, -0.0, 0.01, 0.02], size=(m, s_count))
+    invalid = rng.random((m, s_count)) < 0.3
+    invalid[:8] = True  # rows with no valid slot at all
+    vals[invalid] = BIG
+    disp[invalid] = np.inf
+    slot, best = _select_candidates(vals, disp)
+    ref_slot, ref_best = sequential_select(vals, disp)
+    assert np.array_equal(slot, ref_slot)
+    assert np.array_equal(best.view(np.int64), ref_best.view(np.int64))

@@ -139,6 +139,14 @@ def test_validation_failure_status(tmp_path):
     pytest.param("initial_measure", {"kind": "atoms", "points": ["a", 0.5], "weights": [0.5, 0.5]},
                  id="initial_measure-atoms_not_numbers"),
     pytest.param("domain.targets", {"foo": [[0.9, 1.0]]}, id="domain.targets-no_intervals"),
+    pytest.param("asymptotics.report_times", {"kind": "linear", "start": 0.4, "stop": 0.2},
+                 id="asymptotics.report_times-stop_below_start"),
+    pytest.param("asymptotics.report_times", {"kind": "log", "start": 0.0, "stop": 0, "count": 5},
+                 id="asymptotics.report_times-log_stop_0"),
+    pytest.param("asymptotics.report_times", [0.0, -1.0, 0.3],
+                 id="asymptotics.report_times-negative_time"),
+    ("asymptotics.report_times.start", -1.0),
+    ("seed", "abc"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -278,3 +286,13 @@ def test_report_times_grid():
     assert times[0] == 0.0 and times[-1] <= 0.51 + 1e-9
     cfg["asymptotics"]["report_times"] = [0.0, 0.3, 0.9]
     assert list(report_times(cfg, 0.51)) == [0.0, 0.3]
+
+
+def test_report_times_null_start_is_zero(tmp_path):
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["report_times"] = {"kind": "linear", "start": None, "stop": 0.5,
+                                          "step": 0.25}
+    result = runner.run(cfg, str(tmp_path / "null_start"))
+    assert result.status == 0, result.error
+    from exitlab.scenarios import report_times
+    assert list(report_times(cfg, 0.51)) == [0.0, 0.25, 0.5]
