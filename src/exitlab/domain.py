@@ -188,6 +188,26 @@ class SpatialDomain:
             return ball_min
         return bind
 
+    def reach_plan(self, r_max):
+        """One greedy-descent step's candidate evaluation, for budgets up to r_max.
+
+        Returns evaluate(ps, r, node_values) -> (cand, vals, disp) for budgets
+        r <= r_max: the candidate moves and displacements of
+        reach_candidates(ps, r), and the node field interpolated at every
+        candidate, with BIG at invalid slots and an infinite displacement.
+        Backends override this with a slot layout fixed from r_max, which may
+        hold further invalid slots; the first slot with the least (value,
+        displacement) must hold the same move, with the same bits, as in
+        reach_candidates. Arrays an override returns may be reused by its
+        next call.
+        """
+        def evaluate(ps, r, node_values):
+            cand, disp, valid = self.reach_candidates(ps, r)
+            vals = np.full(valid.shape, BIG)
+            vals[valid] = self.interp(node_values, cand[valid])
+            return cand, vals, disp
+        return evaluate
+
     def snap_to_target(self, ps):
         """Snap points within dx/2 of a target node onto it.
 
@@ -275,6 +295,54 @@ class IntervalDomain(SpatialDomain):
         disp = np.abs(cand - ps[:, None])
         disp[~valid] = np.inf
         return cand, disp, valid
+
+    def reach_plan(self, r_max):
+        """reach_candidates' slots, slot-major in buffers reused from step to step.
+
+        The layout is fixed from r_max: the null step, the two sphere
+        endpoints and n_ball node slots, sized with room for an interpolated
+        budget that overshoots r_max in its last bits (node slots past a
+        ball's last node are invalid). One np.interp call evaluates the first
+        three slots; node slots gather the node values, which is what np.interp
+        returns at a node coordinate. The arrays returned are (m, S) views.
+        """
+        n_ball = int(np.floor(r_max / self.dx + 1e-6)) * 2 + 2
+        n_slot = 3 + n_ball
+        offsets = np.arange(n_ball)[:, None]
+        signs = np.array([[-1.0], [1.0]])
+        buffers = []
+
+        def evaluate(ps, r, node_values):
+            m = len(ps)
+            if not buffers or buffers[0].size < n_slot * m:
+                buffers[:] = [np.empty(n_slot * m) for _ in range(3)] + [np.empty(n_slot * m, bool)]
+            cand, vals, disp, valid = (b[:n_slot * m].reshape(n_slot, m) for b in buffers)
+            cand[0] = ps
+            valid[0] = True
+            # sphere endpoints, left before right: -r + ps and r + ps are ps - r
+            # and ps + r to the bit
+            ends = cand[1:3]
+            np.multiply(signs, r, out=ends)
+            ends += ps
+            valid[1:3] = (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12)
+            # nodes inside the closed ball, as _ball_bounds computes them
+            f = (ends - self.lo) / self.dx
+            i_lo = np.ceil(f[0] - 1e-9).astype(int)
+            i_hi = np.floor(f[1] + 1e-9).astype(int)
+            np.clip(ends, self.lo, self.hi, out=ends)
+            idx = i_lo + offsets
+            safe = np.minimum(np.maximum(idx, 0), self.n_nodes - 1)
+            np.equal(safe, idx, out=valid[3:])
+            valid[3:] &= idx <= i_hi
+            cand[3:] = self.coords[safe]
+            vals[:3] = self.interp(node_values, cand[:3])
+            vals[3:] = node_values[safe]
+            invalid = ~valid
+            np.copyto(vals, BIG, where=invalid)
+            np.abs(np.subtract(cand, ps, out=disp), out=disp)
+            np.copyto(disp, np.inf, where=invalid)
+            return cand.T, vals.T, disp.T
+        return evaluate
 
     def _ball_bounds(self, ps, r):
         """First and last node index inside each closed ball, as reach_candidates."""
@@ -558,6 +626,8 @@ class GraphDomain(SpatialDomain):
             vals += [length, length]
             self.edge_length[key] = length
         self.adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
+        # edge length by (u, v) in both orders, 0 where there is no edge
+        self._edge_table = self.adjacency.toarray()
         self.dx = min(self.edge_length.values()) if self.edge_length else 1.0
         dm, pred = dijkstra(self.adjacency, return_predecessors=True)
         self._dm, self._pred = dm, pred
@@ -625,9 +695,8 @@ class GraphDomain(SpatialDomain):
 
     def nearest_nodes(self, ps):
         ps = np.asarray(ps, dtype=float)
-        out = [int(u) if u == v or s <= self._edge_len(int(u), int(v)) / 2 else int(v)
-               for u, v, s in ps.reshape(-1, 3).tolist()]
-        return np.array(out, dtype=int).reshape(ps.shape[:-1])
+        u, v = ps[..., 0].astype(int), ps[..., 1].astype(int)
+        return np.where((u == v) | (ps[..., 2] <= self._edge_table[u, v] / 2), u, v)
 
     def point_distance(self, p, q):
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))

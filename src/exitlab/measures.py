@@ -26,12 +26,43 @@ def _first_seen_groups(keys):
     weights of each group in row order.
     """
     keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return _first_seen(keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel())
+
+
+def _first_seen(keys):
+    """_first_seen_groups over a 1d array of keys."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse.ravel()]
+
+
+# splitmix64 constants: the golden-ratio increment and the two finalizer multipliers
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(x):
+    """splitmix64 finalizer on a uint64 array (integer arithmetic wraps mod 2**64)."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX_A
+    x = (x ^ (x >> np.uint64(27))) * _MIX_B
+    return x ^ (x >> np.uint64(31))
+
+
+def trajectory_keys(start_indices, exit_indices, samples):
+    """64-bit key per trajectory over its start index, exit index and sample bits.
+
+    Rows that are equal bit for bit get equal keys, so -0.0 and 0.0 differ.
+    Distinct rows may collide; TrajectoryEnsemble merges check every grouped
+    row against its group's first row and regroup exactly on a mismatch.
+    """
+    n = len(start_indices)
+    words = np.column_stack([start_indices, exit_indices,
+                             np.ascontiguousarray(samples).reshape(n, -1).view(np.int64)])
+    salt = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN
+    return _mix64(np.bitwise_xor.reduce(_mix64(words.view(np.uint64) + salt), axis=1))
 
 
 class ParticleMeasure:
@@ -198,11 +229,15 @@ class TrajectoryEnsemble:
     before start_index and after exit_index (-1 marks a non-exiting path).
     exit_nodes holds the target node hit at exit (-1 when there is none);
     when omitted it is read off the exit positions by snapping them to the
-    target set.
+    target set. Two more per-row fields are caches of the samples, computed
+    when omitted and carried by merged, pruned and mix: node_indices, the
+    int32 nearest node of every sample, and row_keys, the trajectory_keys()
+    of every trajectory.
     """
 
     def __init__(self, domain, dt, samples, weights, start_indices=None,
-                 exit_indices=None, exit_nodes=None, validate=True):
+                 exit_indices=None, exit_nodes=None, validate=True,
+                 node_indices=None, row_keys=None):
         self.domain = domain
         self.dt = float(dt)
         self.samples = np.asarray(samples, dtype=float)
@@ -219,6 +254,12 @@ class TrajectoryEnsemble:
                 _, exit_nodes[exited] = domain.snap_to_target(
                     self.samples[exited, self.exit_indices[exited]])
         self.exit_nodes = np.asarray(exit_nodes, dtype=int)
+        if node_indices is None:
+            node_indices = domain.nearest_nodes(self.samples).astype(np.int32)
+        self.node_indices = node_indices
+        if row_keys is None:
+            row_keys = trajectory_keys(self.start_indices, self.exit_indices, self.samples)
+        self.row_keys = row_keys
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
             raise MeasureError("trajectory weights must sum to 1")
 
@@ -267,35 +308,95 @@ class TrajectoryEnsemble:
         return float(np.max(drift[after], initial=0.0))
 
     def merged(self):
-        """Merge trajectories with equal start index, exit index and sample bits."""
-        n = self.n_traj
-        keys = np.column_stack([self.start_indices, self.exit_indices,
-                                self.samples.reshape(n, -1).view(np.int64)])
-        idx, label = _first_seen_groups(keys)
-        w = np.bincount(label, weights=self.weights, minlength=len(idx))
-        return TrajectoryEnsemble(self.domain, self.dt, self.samples[idx], w,
-                                  self.start_indices[idx], self.exit_indices[idx],
-                                  self.exit_nodes[idx], validate=False)
+        """Merge trajectories with equal start index, exit index and sample bits.
+
+        Groups keep first-seen order and add their weights in row order.
+        """
+        rows, w = _merged_rows((self,), self.weights)
+        return _ensemble_of_rows((self,), rows, w)
 
     def pruned(self, threshold=1e-9):
-        keep = self.weights >= threshold
-        if not np.any(keep):
-            raise MeasureError("pruning removed all trajectories")
+        keep = _kept(self.weights, threshold)
         w = self.weights[keep]
-        return TrajectoryEnsemble(self.domain, self.dt, self.samples[keep],
-                                  w / w.sum(), self.start_indices[keep],
-                                  self.exit_indices[keep], self.exit_nodes[keep],
-                                  validate=False)
+        return _ensemble_of_rows((self,), np.flatnonzero(keep), w / w.sum())
 
     def mix(self, other, lam, prune=1e-9):
-        """Fictitious-play style weighted union (1-lam)*self + lam*other."""
+        """Fictitious-play style weighted union (1-lam)*self + lam*other.
+
+        Equal to concatenating the two, then merged(), then pruned(prune);
+        only the surviving rows are copied, once.
+        """
         if other.samples.shape[1:] != self.samples.shape[1:] or other.dt != self.dt:
             raise MeasureError("cannot mix ensembles on different grids")
-        samples = np.concatenate([self.samples, other.samples])
-        weights = np.concatenate([(1 - lam) * self.weights, lam * other.weights])
-        starts = np.concatenate([self.start_indices, other.start_indices])
-        exits = np.concatenate([self.exit_indices, other.exit_indices])
-        nodes = np.concatenate([self.exit_nodes, other.exit_nodes])
-        out = TrajectoryEnsemble(self.domain, self.dt, samples, weights,
-                                 starts, exits, nodes, validate=False).merged()
-        return out.pruned(prune)
+        parts = (self, other)
+        rows, w = _merged_rows(parts, np.concatenate([(1 - lam) * self.weights,
+                                                      lam * other.weights]))
+        keep = _kept(w, prune)
+        w = w[keep]
+        return _ensemble_of_rows(parts, rows[keep], w / w.sum())
+
+
+# the per-row fields of TrajectoryEnsemble, in constructor keyword form
+ROW_FIELDS = ("samples", "start_indices", "exit_indices", "exit_nodes", "node_indices",
+              "row_keys")
+
+
+def _kept(weights, threshold):
+    keep = weights >= threshold
+    if not np.any(keep):
+        raise MeasureError("pruning removed all trajectories")
+    return keep
+
+
+def _take(arrays, rows):
+    """Rows (ascending) of the concatenation of arrays, without building it."""
+    if len(arrays) == 1:
+        return arrays[0][rows]
+    out = np.empty((len(rows),) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    split = np.searchsorted(rows, np.cumsum([len(a) for a in arrays[:-1]]))
+    lo = offset = 0
+    for a, hi in zip(arrays, list(split) + [len(rows)]):
+        # mode="clip" writes straight into out; the default mode buffers a copy
+        np.take(a, rows[lo:hi] - offset, axis=0, out=out[lo:hi], mode="clip")
+        lo, offset = hi, offset + len(a)
+    return out
+
+
+def _ensemble_of_rows(parts, rows, weights):
+    """Ensemble of the given rows (ascending) of the concatenated parts."""
+    first = parts[0]
+    if len(parts) == 1 and len(rows) == first.n_traj:
+        fields = {name: getattr(first, name) for name in ROW_FIELDS}  # every row: no copy
+    else:
+        fields = {name: _take([getattr(p, name) for p in parts], rows) for name in ROW_FIELDS}
+    return TrajectoryEnsemble(first.domain, first.dt, weights=weights, validate=False, **fields)
+
+
+def _merged_rows(parts, weights):
+    """First-seen representative rows of the concatenated parts and the group weights.
+
+    Rows are grouped by row key. Every row of a group is then checked bit for
+    bit against the group's first row (start, exit, samples); on any mismatch,
+    a key collision, the rows are regrouped exactly on their bits.
+    """
+    keys = np.concatenate([p.row_keys for p in parts])
+    first, label = _first_seen(keys)
+    rep = first[label]
+    dup = np.flatnonzero(rep != np.arange(len(keys)))
+    if len(dup) and not _rows_equal(parts, dup, rep[dup]):
+        first, label = _first_seen_groups(_bit_rows(parts, np.arange(len(keys))))
+    return first, np.bincount(label, weights=weights, minlength=len(first))
+
+
+def _bit_rows(parts, rows):
+    """(start, exit, sample bits) of the given rows (ascending), one int64 row each."""
+    starts, exits, samples = (_take([getattr(p, name) for p in parts], rows)
+                              for name in ("start_indices", "exit_indices", "samples"))
+    return np.column_stack([starts, exits, samples.reshape(len(rows), -1).view(np.int64)])
+
+
+def _rows_equal(parts, a, b):
+    """Whether rows a[k] and b[k] of the concatenated parts are equal bit for bit."""
+    rows = np.unique(np.concatenate([a, b]))
+    bits = _bit_rows(parts, rows)
+    return bool(np.array_equal(bits[np.searchsorted(rows, a)], bits[np.searchsorted(rows, b)]))

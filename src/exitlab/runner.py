@@ -174,6 +174,12 @@ def _assemble_checks(bundle):
         checks.append({"name": "limit_support_in_target", "passed": bool(worst <= 1e-9),
                        "detail": f"max distance of limit atoms to the target = {worst:.6g}"})
 
+    # the horizon is known only after the solve, so validate_config cannot
+    # reject a report grid that lies wholly beyond it
+    if len(bundle["report_grid"]) == 0:
+        checks.append({"name": "report_grid_nonempty", "passed": False,
+                       "detail": f"no report time lies in [0, {ens.horizon:.6g}]"})
+
     t_star = bundle["settling_time"]
     settle_bound = report.t_bound + report.dt
     settled_ok = t_star is not None and t_star <= settle_bound + 1e-9

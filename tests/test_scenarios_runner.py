@@ -296,3 +296,26 @@ def test_report_times_null_start_is_zero(tmp_path):
     assert result.status == 0, result.error
     from exitlab.scenarios import report_times
     assert list(report_times(cfg, 0.51)) == [0.0, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param([5.0, 6.0], id="list"),
+    pytest.param({"kind": "linear", "start": 5.0}, id="linear"),
+])
+def test_report_grid_beyond_the_horizon_fails_a_check(tmp_path, times):
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["report_times"] = times
+    out = tmp_path / "late"
+    result = runner.run(cfg, str(out))
+    assert result.status == runner.STATUS_NOT_CONVERGED, result.error
+    checks = {c["name"]: c for c in result.ledger["checks"]}
+    assert checks["report_grid_nonempty"]["passed"] is False
+    assert "0.51" in checks["report_grid_nonempty"]["detail"]
+    assert result.ledger["equilibrium"]["converged"]
+    check = runner.verify(str(out))
+    assert check.passed and not check.differences
+
+
+def test_report_grid_check_only_when_the_grid_is_empty(tmp_path):
+    result = runner.run("remark_5_3", str(tmp_path / "run"))
+    assert "report_grid_nonempty" not in {c["name"] for c in result.ledger["checks"]}

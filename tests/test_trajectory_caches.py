@@ -1,0 +1,375 @@
+"""The per-trajectory caches and the synthesis plan against the code they replaced.
+
+TrajectoryEnsemble carries node_indices and row_keys through merged, pruned
+and mix; the binned field reads the node indices in one np.bincount per block
+of slices; synthesize_batch evaluates candidate moves through the backend's
+reach_plan. Each reference below is a kept copy of the code before these
+caches, and every comparison is bit for bit.
+"""
+import numpy as np
+import pytest
+
+from exitlab import measures
+from exitlab.congestion import CongestionKernel, Eta, Kappa, Chi
+from exitlab.domain import BIG, GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.equilibrium import _slice_histograms, field_from_marginals
+from exitlab.measures import TrajectoryEnsemble
+from exitlab.ocp import SpeedField, ValueField, _select_candidates, synthesize_batch
+
+
+def interval():
+    return IntervalDomain(0.0, 1.0, 0.05, targets=[1.0], origin=0.0)
+
+
+def grid():
+    return Grid2dDomain([0.0, 0.0], [0.5, 0.4], 0.1, targets=[[0.5, 0.2]],
+                        origin=[0.0, 0.2], connectivity=8)
+
+
+def graph():
+    return GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)],
+                       targets=[2, 4], origin=0)
+
+
+BACKENDS = [interval, grid, graph]
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# ---- references: the code before the caches ------------------------------
+
+def first_seen_groups_reference(keys):
+    """Void-view grouping of equal rows in first-seen order."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+def merged_reference(samples, weights, starts, exits):
+    """TrajectoryEnsemble.merged before row keys: (representative rows, weights)."""
+    n = len(samples)
+    keys = np.column_stack([starts, exits, samples.reshape(n, -1).view(np.int64)])
+    idx, label = first_seen_groups_reference(keys)
+    return idx, np.bincount(label, weights=weights, minlength=len(idx))
+
+
+def mix_reference(a, b, lam, prune):
+    """concatenate, merged, pruned: (rows of the concatenation, weights)."""
+    samples = np.concatenate([a.samples, b.samples])
+    weights = np.concatenate([(1 - lam) * a.weights, lam * b.weights])
+    starts = np.concatenate([a.start_indices, b.start_indices])
+    exits = np.concatenate([a.exit_indices, b.exit_indices])
+    idx, w = merged_reference(samples, weights, starts, exits)
+    keep = w >= prune
+    w = w[keep]
+    return idx[keep], w / w.sum()
+
+
+def histogram_reference(domain, positions, weights):
+    """The binned histogram before the node-index cache: np.add.at per slice."""
+    hist = np.zeros((positions.shape[1], domain.n_nodes))
+    for j in range(positions.shape[1]):
+        np.add.at(hist[j], domain.nearest_nodes(positions[:, j]), weights)
+    return hist
+
+
+def synthesize_reference(phi, speed, start_points, t0=0.0):
+    """synthesize_batch before the plan: reach_candidates and a masked interp per step."""
+    domain = phi.domain
+    dt, n_steps = phi.dt, phi.n_steps
+    j0 = speed.time_index(t0)
+    pts = domain.as_points(start_points)
+    m = len(pts)
+    samples = np.empty((m, n_steps + 1) + pts.shape[1:])
+    exit_idx = np.full(m, -1, dtype=int)
+    exit_node = np.full(m, -1, dtype=int)
+    pos, tgt = domain.snap_to_target(pts)
+    hit = tgt >= 0
+    exit_idx[hit] = j0
+    exit_node[hit] = tgt[hit]
+    samples[:, :j0 + 1] = pos[:, None]
+    for j in range(j0, n_steps):
+        active = np.flatnonzero(exit_idx < 0)
+        if len(active) == 0:
+            samples[:, j + 1:] = samples[:, j][:, None]
+            break
+        cur = pos[active]
+        r = speed.at_points(j, cur) * dt
+        cand, disp, valid = domain.reach_candidates(cur, r)
+        vals = np.full(valid.shape, BIG)
+        vals[valid] = domain.interp(phi.values[j + 1], cand[valid])
+        slot, _ = _select_candidates(vals, disp)
+        new = cand[np.arange(len(active)), slot]
+        snapped, tgt = domain.snap_to_target(new)
+        pos[active] = snapped
+        hit = tgt >= 0
+        exit_idx[active[hit]] = j + 1
+        exit_node[active[hit]] = tgt[hit]
+        samples[:, j + 1] = pos
+    return samples, j0, exit_idx, exit_node
+
+
+# ---- ensembles with repeated rows -----------------------------------------
+
+def node_paths(domain, rng, n_paths, n_steps):
+    """Paths over node points and edge points, with a -0.0 twin of the first."""
+    if domain.kind == "interval":
+        pool = np.concatenate([domain.coords, rng.uniform(domain.lo, domain.hi, 8)])
+        paths = rng.choice(pool, (n_paths, n_steps + 1))
+        paths[1] = paths[0]
+        paths[0, 0], paths[1, 0] = 0.0, -0.0
+    elif domain.kind == "grid2d":
+        pool = np.concatenate([domain.coords, rng.uniform(domain.lo, domain.hi, (8, 2))])
+        paths = pool[rng.integers(0, len(pool), (n_paths, n_steps + 1))]
+        paths[1] = paths[0]
+        paths[0, 0, 1], paths[1, 0, 1] = 0.0, -0.0
+    else:
+        edges = sorted(domain.edge_length)
+        pool = [[float(i), float(i), 0.0] for i in range(domain.n_nodes)]
+        for u, v in edges:
+            length = domain.edge_length[(u, v)]
+            pool += [[u, v, length / 2], [u, v, rng.uniform(0.0, length)]]
+        pool = np.array(pool)
+        paths = pool[rng.integers(0, len(pool), (n_paths, n_steps + 1))]
+        paths[1] = paths[0]
+        paths[0, 0, 2], paths[1, 0, 2] = 0.0, -0.0
+        paths[0, 0, :2] = paths[1, 0, :2] = 0.0
+    return paths
+
+
+def repeated_ensemble(domain, rng, n=60, n_paths=4, n_steps=5):
+    """Rows drawn from a few paths, starts and exits: many bit-equal repeats."""
+    paths = node_paths(domain, rng, n_paths, n_steps)
+    pick = rng.integers(0, n_paths, n)
+    starts = rng.integers(0, 2, n)
+    exits = rng.choice([-1, n_steps], n)
+    w = rng.uniform(0.1, 1.0, n)
+    return TrajectoryEnsemble(domain, 0.1, paths[pick], w / w.sum(), starts, exits,
+                              np.arange(n), validate=False)
+
+
+def assert_rows_of(out, parts, rows, weights):
+    """out holds the given rows of the concatenated parts, with these weights."""
+    def cat(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+    for name in measures.ROW_FIELDS:
+        assert _bits(getattr(out, name)) == _bits(cat(name)[rows]), name
+    assert _bits(out.weights) == _bits(weights)
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_merged_matches_void_view_grouping(make):
+    dom = make()
+    ens = repeated_ensemble(dom, np.random.default_rng(3))
+    idx, w = merged_reference(ens.samples, ens.weights, ens.start_indices, ens.exit_indices)
+    out = ens.merged()
+    assert_rows_of(out, [ens], idx, w)
+    # 4 paths (one a -0.0 twin of another) x 2 starts x 2 exits, all drawn
+    assert out.n_traj == 16
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_mix_matches_concatenate_merge_prune(make):
+    dom = make()
+    rng = np.random.default_rng(8)
+    a = repeated_ensemble(dom, rng).merged()
+    b = repeated_ensemble(dom, rng, n=30)
+    for lam, prune in ((0.25, 1e-9), (0.5, 0.02), (0.9, 0.05)):
+        rows, w = mix_reference(a, b, lam, prune)
+        out = a.mix(b, lam, prune)
+        assert_rows_of(out, [a, b], rows, w)
+        assert 0 < out.n_traj < a.n_traj + b.n_traj
+        a = out
+
+
+def test_key_collision_takes_the_exact_fallback(monkeypatch):
+    calls = []
+    exact = measures._first_seen_groups
+
+    def spy(keys):
+        calls.append(keys.shape)
+        return exact(keys)
+
+    monkeypatch.setattr(measures, "trajectory_keys", lambda s, e, x: np.zeros(len(s), np.uint64))
+    monkeypatch.setattr(measures, "_first_seen_groups", spy)
+    rng = np.random.default_rng(2)
+    a = repeated_ensemble(interval(), rng)
+    b = repeated_ensemble(interval(), rng, n=30)
+    assert not np.any(a.row_keys)  # every row collides
+    idx, w = merged_reference(a.samples, a.weights, a.start_indices, a.exit_indices)
+    assert_rows_of(a.merged(), [a], idx, w)
+    assert len(calls) == 1
+    rows, w = mix_reference(a, b, 0.3, 0.01)
+    assert_rows_of(a.mix(b, 0.3, 0.01), [a, b], rows, w)
+    assert len(calls) == 2
+
+
+def test_unmerged_and_unpruned_rows_are_not_copied():
+    rng = np.random.default_rng(6)
+    dom = interval()
+    samples = rng.uniform(0.0, 1.0, (20, 7))
+    ens = TrajectoryEnsemble(dom, 0.1, samples, np.full(20, 0.05))
+    for out in (ens.merged(), ens.pruned(1e-9)):
+        for name in measures.ROW_FIELDS:
+            assert getattr(out, name) is getattr(ens, name)
+    assert ens.pruned(1e-9).weights is not ens.weights
+
+
+def test_row_keys_depend_on_start_exit_and_sign_of_zero():
+    samples = np.zeros((4, 3))
+    samples[1, 2] = -0.0
+    keys = measures.trajectory_keys(np.array([0, 0, 1, 0]), np.array([2, 2, 2, -1]), samples)
+    assert keys.dtype == np.uint64
+    assert len(set(keys.tolist())) == 4
+    again = measures.trajectory_keys(np.array([0]), np.array([2]), samples[:1].copy())
+    assert again[0] == keys[0]
+
+
+# ---- node indices ---------------------------------------------------------
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_carried_node_indices_equal_nearest_nodes(make):
+    dom = make()
+    rng = np.random.default_rng(4)
+    a = repeated_ensemble(dom, rng)
+    assert a.node_indices.dtype == np.int32
+    b = repeated_ensemble(dom, rng, n=25)
+    for ens in (a, a.merged(), a.pruned(0.02), a.mix(b, 0.4), a.mix(b, 0.4, 0.02).merged()):
+        assert np.array_equal(ens.node_indices, dom.nearest_nodes(ens.samples))
+        assert ens.node_indices.dtype == np.int32
+
+
+# ---- binned field ---------------------------------------------------------
+
+def congested_kernel(domain):
+    return CongestionKernel(domain, Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
+                            Chi("gaussian", width=0.3, amplitude=0.6),
+                            Eta("taper", distance=0.2))
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_bincount_histogram_and_field_equal_per_slice_add_at(make):
+    dom = make()
+    rng = np.random.default_rng(9)
+    # more slices than one bincount block, so the last block is a short one
+    paths = node_paths(dom, rng, 40, 150)
+    w = rng.uniform(0.0, 1.0, 40) ** 4
+    w /= w.sum()
+    nodes = dom.nearest_nodes(paths).astype(np.int32)
+    hist = _slice_histograms(nodes, w, dom.n_nodes)
+    want = histogram_reference(dom, paths, w)
+    assert np.array_equal(hist.view(np.int64), want.view(np.int64))
+    kernel = congested_kernel(dom)
+    got = field_from_marginals(kernel, paths, w, 0.1, True, nodes).values
+    density = want @ kernel.node_interaction_matrix().T
+    ref = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    without = field_from_marginals(kernel, paths, w, 0.1, True).values
+    assert np.array_equal(got.view(np.int64), without.view(np.int64))
+
+
+# ---- synthesis plan -------------------------------------------------------
+
+def tied_value(domain, n_slices, rng, levels):
+    """Value slices with few distinct levels: many value and displacement ties."""
+    dist = domain.target_node_distances()
+    values = np.round(dist / np.max(dist) * levels) / levels
+    values = values[None, :] + rng.choice([0.0, 0.0, 0.25], (n_slices, domain.n_nodes))
+    values[:, domain.targets] = 0.0
+    return values
+
+
+def random_speed(domain, dt, n_slices, rng, k_min=0.2, k_max=1.0):
+    values = rng.uniform(k_min, k_max, (n_slices, domain.n_nodes))
+    values[:, ::3] = k_max  # full budgets k_max * dt
+    values[:, 1::5] = k_min  # and the smallest, k_min * dt
+    return SpeedField(domain, dt, values, (k_min, k_max))
+
+
+def start_points(domain, rng):
+    if domain.kind == "interval":
+        return np.concatenate([[domain.lo, domain.hi, domain.lo + domain.dx / 3],
+                               rng.uniform(domain.lo, domain.hi, 40), domain.coords[::4]])
+    if domain.kind == "grid2d":
+        corners = [[domain.lo[0], domain.lo[1]], [domain.lo[0], domain.hi[1]],
+                   [domain.hi[0], domain.lo[1]], [domain.hi[0], domain.hi[1]]]
+        edges = [[domain.lo[0], 0.17], [0.23, domain.hi[1]], [0.31, domain.lo[1]]]
+        return np.concatenate([corners, edges, rng.uniform(domain.lo, domain.hi, (40, 2)),
+                               domain.coords[::3]])
+    return np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 0.0], [0.0, 1.0, 0.5], [1.0, 3.0, 0.35],
+                     [0.0, 1.0, 1.0], [1.0, 3.0, 0.0]])
+
+
+@pytest.mark.parametrize("levels", [3, 1000])
+@pytest.mark.parametrize("make", BACKENDS)
+def test_synthesis_plan_matches_per_step_candidates(make, levels):
+    dom = make()
+    rng = np.random.default_rng(levels)
+    dt = dom.dx  # unit CFL at k_max = 1
+    n_slices = 40
+    speed = random_speed(dom, dt, n_slices, rng)
+    phi = ValueField(dom, dt, tied_value(dom, n_slices, rng, levels))
+    pts = start_points(dom, rng)
+    got = synthesize_batch(phi, speed, pts, 0.0, raise_on_stall=False)
+    want = synthesize_reference(phi, speed, pts)
+    assert _bits(got[0]) == _bits(want[0])
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    assert np.any(got[2] > 0)
+
+
+@pytest.mark.parametrize("make", [interval, grid])
+def test_reach_plan_selects_the_reach_candidates_move(make):
+    dom = make()
+    rng = np.random.default_rng(12)
+    r_max = 1.7 * dom.dx
+    evaluate = dom.reach_plan(r_max)
+    pts = start_points(dom, rng)
+    node_values = np.round(rng.uniform(0.0, 1.0, dom.n_nodes) * 4) / 4
+    # budgets from near zero to r_max, and r_max overshot in its last bit
+    for r in (rng.uniform(0.0, r_max, len(pts)), np.full(len(pts), r_max),
+              np.full(len(pts), np.nextafter(r_max, np.inf)), np.full(len(pts), 0.2 * dom.dx)):
+        cand, vals, disp = evaluate(pts, r, node_values)
+        slot, best = _select_candidates(vals, disp)
+        ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
+        ref_vals = np.full(valid.shape, BIG)
+        ref_vals[valid] = dom.interp(node_values, ref_cand[valid])
+        ref_slot, ref_best = _select_candidates(ref_vals, ref_disp)
+        rows = np.arange(len(pts))
+        assert _bits(cand[rows, slot]) == _bits(ref_cand[rows, ref_slot])
+        assert _bits(best) == _bits(ref_best)
+        assert _bits(disp[rows, slot]) == _bits(ref_disp[rows, ref_slot])
+        assert np.array_equal(np.isinf(disp), vals == BIG)
+
+
+def test_interval_plan_has_room_for_a_budget_one_ulp_over_r_max():
+    dom = IntervalDomain(0.0, 1.0, 0.05, targets=[1.0])
+    # the largest r_max that still gives reach_candidates two node slots;
+    # one ulp more gives four
+    r_max = dom.dx * (1 - 1e-9)
+    for _ in range(64):
+        if np.floor(r_max / dom.dx + 1e-9) < 1:
+            break
+        r_max = np.nextafter(r_max, 0.0)
+    assert np.floor(np.nextafter(r_max, np.inf) / dom.dx + 1e-9) == 1
+    r = np.full(dom.n_nodes - 2, np.nextafter(r_max, np.inf))
+    pts = dom.coords[1:-1]
+    node_values = 1.0 - dom.coords  # downhill to the right: the right neighbour node wins
+    cand, vals, disp = dom.reach_plan(r_max)(pts, r, node_values)
+    slot, _ = _select_candidates(vals, disp)
+    ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
+    ref_slot, _ = _select_candidates(np.where(valid, dom.interp(node_values, ref_cand), BIG),
+                                     ref_disp)
+    rows = np.arange(len(pts))
+    assert _bits(cand[rows, slot]) == _bits(ref_cand[rows, ref_slot])
+    # the right neighbour sits in the third node slot, and wins, for some points
+    right = valid[:, 5] & (ref_slot == 5)
+    assert ref_cand.shape[1] == 7 and np.any(right)
+    assert np.array_equal(cand[right, slot[right]], dom.coords[2:][right])
