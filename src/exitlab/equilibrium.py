@@ -82,13 +82,16 @@ def run_grid(domain, kernel, cost, m0, dt=None, horizon_margin=2):
     return dt, n_steps, r_max, t_bound
 
 
-def field_from_marginals(kernel, positions, weights, dt, binned, nodes=None):
+def field_from_marginals(kernel, positions, weights, dt, binned, nodes=None, settled=None):
     """Speed field k(t_j, x_i) from per-slice particle positions.
 
     positions has shape (n_traj, n_slices[, dim]); slice j of the field is
     the kernel evaluated against the weighted cloud at slice j, optionally
     histogram-binned to grid cells. nodes, when given, is
-    domain.nearest_nodes(positions) (an ensemble's node_indices).
+    domain.nearest_nodes(positions) (an ensemble's node_indices). settled,
+    when given, is a slice after which every slice of positions is bit-equal
+    to it (an ensemble's settled_slice): the clouds, and so their histogram
+    rows or speed rows, are computed up to it and copied after it.
     """
     domain = kernel.domain
     n_slices = positions.shape[1]
@@ -96,38 +99,45 @@ def field_from_marginals(kernel, positions, weights, dt, binned, nodes=None):
         values = np.full((n_slices, domain.n_nodes), kernel.kappa.value)
         return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
     values = np.empty((n_slices, domain.n_nodes))
+    last = n_slices - 1 if settled is None else settled
     if binned:
         if nodes is None:
             nodes = domain.nearest_nodes(positions)
-        hist = _slice_histograms(nodes, weights, domain.n_nodes)
+        hist = _slice_histograms(nodes, weights, domain.n_nodes, last)
+        # the product runs over every row, so BLAS blocking sees the same matrix
         density = hist @ kernel.node_interaction_matrix().T
         values[:] = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
     else:
-        for j in range(n_slices):
+        for j in range(last + 1):
             mu = ParticleMeasure(domain, positions[:, j], weights, validate=False)
             values[j] = kernel.node_speeds(mu)
+        values[last + 1:] = values[last]
     return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
 
 
-def _slice_histograms(nodes, weights, n_nodes):
+def _slice_histograms(nodes, weights, n_nodes, last=None):
     """hist[j, i]: the weight of the trajectories whose slice-j node is i.
 
     One np.bincount over the bins j * n_nodes + nodes per block of slices,
     read row by row. Each bin belongs to one slice and np.bincount adds in
     array order, so every bin sums its weights in trajectory order, as
-    np.add.at per slice does: the histogram is the same to the bit.
+    np.add.at per slice does: the histogram is the same to the bit. Slices
+    after last (default: the last slice) repeat slice last's nodes, so they
+    copy its row.
     """
     n_slices = nodes.shape[1]
+    last = n_slices - 1 if last is None else last
     hist = np.empty((n_slices, n_nodes))
     repeated = None
-    for lo in range(0, n_slices, HIST_SLICE_BLOCK):
-        block = nodes[:, lo:lo + HIST_SLICE_BLOCK]
+    for lo in range(0, last + 1, HIST_SLICE_BLOCK):
+        block = nodes[:, lo:min(lo + HIST_SLICE_BLOCK, last + 1)]
         width = block.shape[1]
         if repeated is None or len(repeated) != block.size:
             repeated = np.repeat(weights, width)  # row k's weight on each of its bins
         bins = (block + np.arange(width) * n_nodes).ravel()
         hist[lo:lo + width] = np.bincount(bins, weights=repeated,
                                           minlength=width * n_nodes).reshape(width, n_nodes)
+    hist[last + 1:] = hist[last]
     return hist
 
 
@@ -142,7 +152,8 @@ def _use_binning(config, n_traj, n_slices, n_nodes):
 def induced_speed_field(ensemble, kernel, binned=False):
     """k_Q(t, x) = K(e_t#Q, x) on the ensemble's grid."""
     return field_from_marginals(kernel, ensemble.samples, ensemble.weights,
-                                ensemble.dt, binned, ensemble.node_indices)
+                                ensemble.dt, binned, ensemble.node_indices,
+                                ensemble.settled_slice)
 
 
 def frozen_field(m0, kernel, dt, n_steps):
@@ -171,10 +182,11 @@ def admissibility_excess(ensemble, speed, slack):
     A zero-length step never exceeds a budget k dt + slack with k >= k_min > 0,
     so the budget is interpolated only where a step moves. The result is -inf
     when nothing moves; the gate's decision (excess > 1e-9) is the same as over
-    every step.
+    every step. Steps after the ensemble's settled slice join bit-equal points
+    and have length zero, so the loop stops there.
     """
     worst = -np.inf
-    for j in range(ensemble.n_steps):
+    for j in range(ensemble.settled_slice):
         cur = ensemble.samples[:, j]
         step = ensemble.domain.point_distance(cur, ensemble.samples[:, j + 1])
         moving = step > 0
@@ -288,7 +300,12 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
             mixture = mixture.mix(candidate, config.weight(n), config.prune_threshold)
         binned = _use_binning(config, mixture.n_traj, n_steps + 1, domain.n_nodes)
         binned_any = binned_any or binned
-        eps, det = exploitability(mixture, kernel, domain, cost, config=config)
+        # the mixture's settled tail leaves the previous solve's trailing
+        # speed and value rows unchanged: the solve copies them
+        field = induced_speed_field(mixture, kernel, binned)
+        phi = solve_value(domain, cost, field, reuse=phi)
+        eps, det = exploitability(mixture, kernel, domain, cost, config=config,
+                                  field=field, phi=phi)
         history.append({
             "iteration": n,
             "exploitability": eps,
@@ -302,7 +319,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         if max(det["max_gap"], -det["min_gap"]) <= tol:
             converged = True
             break
-        field, phi = det["field"], det["phi"]
 
     final = mixture
     if binned_any:

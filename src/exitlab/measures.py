@@ -6,6 +6,8 @@ paths; time marginals are the column clouds e_t#Q.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -232,7 +234,8 @@ class TrajectoryEnsemble:
     target set. Two more per-row fields are caches of the samples, computed
     when omitted and carried by merged, pruned and mix: node_indices, the
     int32 nearest node of every sample, and row_keys, the trajectory_keys()
-    of every trajectory.
+    of every trajectory. settled_slice is derived from the samples once per
+    ensemble object and is not carried.
     """
 
     def __init__(self, domain, dt, samples, weights, start_indices=None,
@@ -277,6 +280,26 @@ class TrajectoryEnsemble:
 
     def times(self):
         return np.arange(self.n_steps + 1) * self.dt
+
+    @cached_property
+    def settled_slice(self):
+        """The last slice at which any sample changes bits (0 when none does).
+
+        Every later slice is bit-equal to it. Rows are constant after their
+        exit index, so the tail after the latest exit is checked against its
+        first slice in one comparison; should some row move after its
+        recorded exit, the slices are compared one by one from the end.
+        """
+        bits = self.samples.reshape(self.n_traj, self.n_steps + 1, -1).view(np.int64)
+        exits = self.exit_indices
+        last = self.n_steps
+        if len(exits) and np.all(exits >= 0):
+            hint = int(np.max(exits))
+            if np.all(bits[:, hint:] == bits[:, hint:hint + 1]):
+                last = hint
+        while last > 0 and np.array_equal(bits[:, last], bits[:, last - 1]):
+            last -= 1
+        return last
 
     def time_index(self, t):
         j = int(round(t / self.dt))

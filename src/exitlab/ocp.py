@@ -96,12 +96,20 @@ class SpeedField:
 
 
 class ValueField:
-    """Value function phi(t_j, x_i) with backend-native spatial interpolation."""
+    """Value function phi(t_j, x_i) with backend-native spatial interpolation.
 
-    def __init__(self, domain, dt, values):
+    A field from solve_value also keeps what it was solved from (the exit
+    cost, the speed field and the stationary tolerance), so that a later
+    solve can reuse its rows; the three are None otherwise.
+    """
+
+    def __init__(self, domain, dt, values, cost=None, speed=None, stationary_tol=None):
         self.domain = domain
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
+        self.cost = cost
+        self.speed = speed
+        self.stationary_tol = stationary_tol
 
     @property
     def n_steps(self):
@@ -162,13 +170,21 @@ def trajectory_bound(t_of_r, k_max, r):
     return float(out) if out.ndim == 0 else out
 
 
-def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
+def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10, reuse=None):
     """Backward semi-Lagrangian solve of the exit-time value function.
 
     The terminal slice is the stationary minimal-time solve under the frozen
     final speed slice, which removes horizon truncation bias; earlier slices
     follow the dynamic programming recursion with the exit cost pinned on the
     target set at every slice.
+
+    reuse, when given, is an earlier solve_value result. Value slice j
+    depends only on speed slice j and value slice j + 1, and the terminal
+    slice only on the last speed slice (with the domain, the cost, dt, K_min
+    and the stationary tolerance). So when all of those match, the value
+    rows over the longest trailing run of speed rows that are bit-equal to
+    reuse's are reuse's rows: they are copied, and the solve starts below
+    the run. The result is bit-identical to a solve without reuse.
     """
     if cost.lipschitz_constant * speed.k_max >= 1.0:
         raise OcpError(
@@ -181,15 +197,57 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
     g = cost.node_table()
     targets = domain.targets
     g_t = g[targets]
+    values = np.empty((n_steps + 1, domain.n_nodes))
+    start = _reused_rows(domain, cost, speed, stationary_tol, reuse)
+    if start <= n_steps:
+        values[start:] = reuse.values[start:]
+    if start == 0:
+        return ValueField(domain, dt, values, cost, speed, stationary_tol)
 
     # one node stencil serves every slice: no slice's reach exceeds r_max
     stencil = domain.reach_stencil(float(np.max(speed.values)) * dt)
+    if start > n_steps:
+        start = n_steps
+        values[n_steps] = _stationary_slice(domain, cost, speed, stencil, stationary_tol)
+    # rebind only where the speed slice changes (frozen fields and emptied
+    # late slices repeat)
+    bits = speed.values.view(np.int64)
+    changed = np.any(bits[:-1] != bits[1:], axis=1)
+    for j in range(start - 1, -1, -1):
+        if j == start - 1 or changed[j]:
+            ball_min = stencil(speed.values[j] * dt)
+        values[j] = dt + ball_min(values[j + 1])
+        values[j][targets] = g_t
+    return ValueField(domain, dt, values, cost, speed, stationary_tol)
 
-    # terminal slice: stationary fixed point under the frozen last speed
-    # slice, iterated monotonically down from the a-priori supersolution
-    # T-style bound (geodesic travel at K_min plus the worst exit cost)
-    k_bound = speed.at_nodes(n_steps)
-    ball_min = stencil(k_bound * dt)
+
+def _reused_rows(domain, cost, speed, stationary_tol, reuse):
+    """First row of the trailing run of speed rows bit-equal to reuse's.
+
+    The row count (no row) when reuse is None or was solved on another
+    domain, cost, dt, K_min, stationary tolerance or grid shape.
+    """
+    n_rows = speed.values.shape[0]
+    if (reuse is None or reuse.speed is None or reuse.domain is not domain
+            or reuse.cost is not cost or reuse.stationary_tol != stationary_tol
+            or reuse.speed.dt != speed.dt or reuse.speed.k_min != speed.k_min
+            or reuse.speed.values.shape != speed.values.shape):
+        return n_rows
+    same = np.all(speed.values.view(np.int64) == reuse.speed.values.view(np.int64), axis=1)
+    differs = np.flatnonzero(~same)
+    return int(differs[-1]) + 1 if len(differs) else 0
+
+
+def _stationary_slice(domain, cost, speed, stencil, stationary_tol):
+    """Stationary fixed point under the frozen last speed slice.
+
+    Iterated monotonically down from the a-priori supersolution T-style
+    bound (geodesic travel at K_min plus the worst exit cost).
+    """
+    dt = speed.dt
+    targets = domain.targets
+    g_t = cost.node_table()[targets]
+    ball_min = stencil(speed.at_nodes(speed.n_steps) * dt)
     tdist = domain.target_node_distances()
     if not np.all(np.isfinite(tdist)):
         raise OcpError("some nodes cannot reach the target; domain may be disconnected")
@@ -203,21 +261,8 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10):
         delta = np.max(phi - new)
         phi = new
         if delta <= stationary_tol:
-            break
-    else:
-        raise OcpError("stationary terminal solve did not converge")
-
-    values = np.empty((n_steps + 1, domain.n_nodes))
-    values[n_steps] = phi
-    for j in range(n_steps - 1, -1, -1):
-        # rebind only when the speed slice changes (frozen fields, emptied
-        # late slices and the terminal slice repeat)
-        if not np.array_equal(speed.at_nodes(j), k_bound):
-            k_bound = speed.at_nodes(j)
-            ball_min = stencil(k_bound * dt)
-        values[j] = dt + ball_min(values[j + 1])
-        values[j][targets] = g_t
-    return ValueField(domain, dt, values)
+            return phi
+    raise OcpError("stationary terminal solve did not converge")
 
 
 def _select_candidates(vals, disp):

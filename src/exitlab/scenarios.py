@@ -200,8 +200,7 @@ def validate_config(cfg):
     fit = asym.setdefault("rate_fit", None)
     if fit is not None:
         _require(fit, {"mode", "window", "tail_dimension"}, "asymptotics.rate_fit")
-        if fit.get("mode") not in ("power", "exponential"):
-            raise ScenarioError("rate_fit.mode must be 'power' or 'exponential'")
+        _require_choice(fit.get("mode"), ("power", "exponential"), "asymptotics.rate_fit.mode")
         _require_numbers(fit.get("window"), 2, "asymptotics.rate_fit.window")
         if fit["window"][0] >= fit["window"][1]:
             raise ScenarioError(f"asymptotics.rate_fit.window must be increasing, "
@@ -365,6 +364,8 @@ def report_times(cfg, horizon):
     if kind == "log":
         count = int(rt.get("count", 20))
         lo = max(start, 1e-6)
+        if lo > stop:  # the grid starts beyond the solved horizon
+            return np.empty(0)
         return np.geomspace(lo, stop, count)
     step = rt.get("step")
     if step is None:

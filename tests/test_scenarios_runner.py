@@ -130,6 +130,8 @@ def test_validation_failure_status(tmp_path):
     ("asymptotics.report_times.step", 0),
     pytest.param("asymptotics.rate_fit", {"mode": "power", "window": [1.0]},
                  id="asymptotics.rate_fit-window_of_one"),
+    pytest.param("asymptotics.rate_fit", {"mode": "linear", "window": [1.0, 5.0]},
+                 id="asymptotics.rate_fit-mode_linear"),
     pytest.param("exit_cost", {"kind": "table"}, id="exit_cost-table_without_entries"),
     ("domain.hi", 0.0),
     pytest.param("domain.targets", [0.0, 2.0], id="domain.targets-outside"),
@@ -155,6 +157,13 @@ def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION
     assert path in result.error
+
+
+def test_unknown_rate_fit_mode_names_the_path_and_the_value():
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["rate_fit"] = {"mode": "linear", "window": [1.0, 5.0]}
+    with pytest.raises(ScenarioError, match=r"asymptotics\.rate_fit\.mode .*'linear'"):
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1, "a"]], "0-1"])
@@ -301,6 +310,7 @@ def test_report_times_null_start_is_zero(tmp_path):
 @pytest.mark.parametrize("times", [
     pytest.param([5.0, 6.0], id="list"),
     pytest.param({"kind": "linear", "start": 5.0}, id="linear"),
+    pytest.param({"kind": "log", "start": 5.0, "count": 4}, id="log"),
 ])
 def test_report_grid_beyond_the_horizon_fails_a_check(tmp_path, times):
     cfg = load_scenario("remark_5_3")
