@@ -6,10 +6,10 @@ trajectories, and verifies the dynamic-programming residuals along them.
 """
 import numpy as np
 
-from exitlab import (ExitCost, IntervalDomain, SpeedField, check_dpp,
-                     first_exit_time, horizon_bound, solve_value,
-                     synthesize_optimal)
-from exitlab.ocp import default_dpp_tol
+from exitlab import (ExitCost, IntervalDomain, SpeedField, TrajectoryEnsemble,
+                     check_dpp, horizon_bound, solve_value)
+from exitlab.equilibrium import realized_costs
+from exitlab.ocp import default_dpp_tol, synthesize_batch
 
 domain = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0], origin=0.0)
 cost = ExitCost(domain, {domain.node_at(0.0): 0.05, domain.node_at(1.0): 0.0})
@@ -29,10 +29,14 @@ print(f"value at (t=0, x=0.5): {phi.at(0.0, 0.5):.4f}")
 print(f"value at (t=0, x=0.2): {phi.at(0.0, 0.2):.4f}   (slow patch sits nearby)")
 
 tol = default_dpp_tol(domain, dt)
-for x0 in (0.15, 0.5, 0.85):
-    traj = synthesize_optimal(phi, field, cost, 0.0, x0)
-    res = check_dpp(phi, traj)
-    print(f"start {x0:.2f}: exit at {domain.coords[traj.exit_node]:.0f} "
-          f"after {first_exit_time(traj):.3f}s, realized cost {traj.realized_cost:.4f} "
-          f"(phi {phi.at(0.0, x0):.4f}, dpp residual {res['max_equality_residual']:.4f}, "
+starts = np.array([0.15, 0.5, 0.85])
+samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, starts, 0.0)
+paths = TrajectoryEnsemble(domain, dt, samples, np.full(len(starts), 1 / len(starts)),
+                           np.full(len(starts), j0), exit_idx, exit_node)
+realized, _ = realized_costs(paths, cost)
+residual = check_dpp(phi, samples, j0, exit_idx)["max_equality_residual"]
+for k, x0 in enumerate(starts):
+    print(f"start {x0:.2f}: exit at {domain.coords[exit_node[k]]:.0f} "
+          f"after {(exit_idx[k] - j0) * dt:.3f}s, realized cost {realized[k]:.4f} "
+          f"(phi {phi.at(0.0, x0):.4f}, dpp residual {residual[k]:.4f}, "
           f"tol {tol:.3f})")

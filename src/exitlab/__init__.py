@@ -6,9 +6,7 @@ from .domain import (ExitCost, GraphDomain, Grid2dDomain, IntervalDomain,
 from .congestion import Chi, CongestionKernel, Eta, Kappa
 from .measures import (ParticleMeasure, TrajectoryEnsemble, sample_from_density,
                        wasserstein)
-from .ocp import (SpeedField, Trajectory, ValueField, check_dpp,
-                  check_value_regularity, final_cost, first_exit_time,
-                  horizon_bound, is_admissible, solve_value, synthesize_optimal,
+from .ocp import (SpeedField, ValueField, check_dpp, horizon_bound, solve_value,
                   trajectory_bound)
 from .equilibrium import (EquilibriumConfig, EquilibriumReport, certify,
                           exploitability, induced_speed_field, solve_equilibrium)
@@ -24,9 +22,8 @@ __all__ = [
     "ExitCost", "GraphDomain", "Grid2dDomain", "IntervalDomain",
     "validate_hypotheses", "Chi", "CongestionKernel", "Eta", "Kappa",
     "ParticleMeasure", "TrajectoryEnsemble", "sample_from_density", "wasserstein",
-    "SpeedField", "Trajectory", "ValueField", "check_dpp",
-    "check_value_regularity", "final_cost", "first_exit_time", "horizon_bound",
-    "is_admissible", "solve_value", "synthesize_optimal", "trajectory_bound",
+    "SpeedField", "ValueField", "check_dpp", "horizon_bound", "solve_value",
+    "trajectory_bound",
     "EquilibriumConfig", "EquilibriumReport", "certify",
     "exploitability", "induced_speed_field", "solve_equilibrium",
     "ConvergenceCurve", "RateFit", "convergence_curve", "fit_decay_rate",

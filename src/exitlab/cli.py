@@ -2,7 +2,8 @@
 
 Exit statuses of `run`: 0 converged and all ledger checks pass, 2 validation
 failure, 3 non-convergence or failed checks (artifacts still written),
-4 internal error. `verify` returns 0 on pass, 1 on failure.
+4 internal error. `verify` returns 0 on pass, 1 on failure. `sweep` returns
+2 when it has no --param or a --param without PATH=V1,V2,...
 """
 from __future__ import annotations
 
@@ -99,12 +100,15 @@ def main(argv=None):
         return 0 if result.passed else 1
 
     if args.command == "sweep":
+        if not args.param:
+            print("sweep needs at least one --param PATH=V1,V2,...", file=sys.stderr)
+            return runner.STATUS_VALIDATION
         params = {}
         for spec in args.param:
             path, _, values = spec.partition("=")
             if not values:
                 print(f"bad --param {spec!r}; expected PATH=V1,V2,...", file=sys.stderr)
-                return 4
+                return runner.STATUS_VALIDATION
             params[path] = [_parse_param_value(v) for v in values.split(",")]
         out_root = args.out or os.path.join(_out_root(args), "sweep")
         aggregate = runner.sweep(args.scenario, params, out_root, seed=args.seed,

@@ -192,17 +192,6 @@ class CongestionKernel:
         contrib = self.chi(d) * self._eta_at_points(mu.points)[None, :]
         return contrib @ mu.weights
 
-    def eval_speed(self, mu, x):
-        """Speed at a node index or a single point under population mu."""
-        if isinstance(x, (int, np.integer)):
-            pts = self.domain.points_of_nodes([int(x)])
-        else:
-            pts = self.domain.as_points(x)
-        s = self.averaged_density(mu, pts)
-        k = self.kappa(s)
-        out = np.clip(k, self.k_min, self.k_max)
-        return float(out[0]) if out.size == 1 else out
-
     def node_speeds(self, mu):
         """Speed at every domain node (direct atom summation)."""
         s = self.averaged_density(mu, self.domain.node_points())
@@ -219,10 +208,6 @@ class CongestionKernel:
                 out[lo:lo + len(d)] = self.chi(d) * eta[None, :]
             self._node_matrix = out
         return self._node_matrix
-
-    def node_speeds_binned(self, node_mass):
-        s = self.node_interaction_matrix() @ node_mass
-        return np.clip(self.kappa(s), self.k_min, self.k_max)
 
     def binning_error_bound(self):
         """Speed error bound of the one-cell histogram approximation."""

@@ -96,10 +96,6 @@ class SpatialDomain:
         """Unit-speed shortest path i -> j as (node index list, length)."""
         raise NotImplementedError
 
-    def distance_to_target(self, i):
-        i = self._check_node(i)
-        return float(self.target_node_distances()[i])
-
     def target_node_distances(self):
         """Distance from every node to the target set."""
         raise NotImplementedError

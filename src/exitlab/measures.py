@@ -1,4 +1,4 @@
-"""Particle measures on a domain, trajectory ensembles, pushforward, Wasserstein.
+"""Particle measures on a domain, trajectory ensembles, Wasserstein distances.
 
 Measures are purely atomic: a weighted cloud of continuous positions.
 Trajectory ensembles store dense uniform-dt samples of piecewise-linear
@@ -98,17 +98,6 @@ class ParticleMeasure:
         w = np.bincount(label, weights=self.weights, minlength=len(idx))
         return ParticleMeasure(self.domain, self.points[idx], w, validate=False)
 
-    def pushforward(self, mapping):
-        """Apply a point map atomwise; colliding atoms merge."""
-        out = []
-        for k in range(self.n_atoms):
-            q = mapping(self.points[k])
-            if q is None:
-                raise MeasureError(f"pushforward map undefined at atom {k} ({self.points[k]})")
-            out.append(q)
-        pts = np.array(out, dtype=float)
-        return ParticleMeasure(self.domain, pts, self.weights.copy(), validate=False).merged()
-
     def p_moment(self, p):
         d = self.domain.point_origin_distance(self.points)
         return float(np.sum(self.weights * d ** p))
@@ -155,14 +144,10 @@ def wasserstein_lp(dist, wx, wy, p=1):
             f"support {n}x{m} exceeds the exact-LP cap {MAX_LP_SUPPORT}: "
             "reduce support or project to histogram")
     c = (np.asarray(dist, dtype=float) ** p).ravel()
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in range(m):
-            k = i * m + j
-            rows += [i, n + j]
-            cols += [k, k]
-            vals += [1.0, 1.0]
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n + m, n * m))
+    # column k = i * m + j couples source i (row i) and sink j (row n + j)
+    k = np.arange(n * m)
+    rows = np.column_stack([k // m, n + k % m]).ravel()
+    a_eq = sp.csr_matrix((np.ones(2 * n * m), (rows, np.repeat(k, 2))), shape=(n + m, n * m))
     b_eq = np.concatenate([wx, wy])
     res = linprog(c, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs")
     if not res.success:

@@ -10,8 +10,6 @@ makes the scheme monotone in the speed field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import BIG
@@ -78,23 +76,6 @@ class SpeedField:
     def at_points(self, j, pts):
         return self.domain.interp(self.at_nodes(j), pts)
 
-    def spatial_lipschitz_excess(self, l_r, rng=None, samples=200, radius=None):
-        """Worst sampled violation of |k(t,x1)-k(t,x2)| <= L_R d(x1,x2) (H6)."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        n = self.domain.n_nodes
-        od = self.domain.origin_node_distances()
-        pool = np.arange(n) if radius is None else np.flatnonzero(od <= radius)
-        worst = -np.inf
-        for _ in range(samples):
-            i, j = rng.choice(pool, size=2)
-            if i == j:
-                continue
-            t = rng.integers(0, self.n_steps + 1)
-            gap = abs(self.values[t, i] - self.values[t, j])
-            worst = max(worst, gap - l_r * self.domain.distance(i, j))
-        return worst
-
-
 class ValueField:
     """Value function phi(t_j, x_i) with backend-native spatial interpolation.
 
@@ -127,23 +108,6 @@ class ValueField:
 
     def at(self, t, point):
         return float(self.at_points(self.time_index(t), self.domain.as_points(point))[0])
-
-
-@dataclass
-class Trajectory:
-    """A single timed path on the grid, constant before start and after exit."""
-
-    domain: object
-    dt: float
-    samples: np.ndarray
-    start_index: int
-    exit_index: int  # -1 when the path never reaches the target set
-    exit_node: int   # target node index at exit, -1 otherwise
-    realized_cost: float
-
-    @property
-    def n_steps(self):
-        return self.samples.shape[0] - 1
 
 
 def horizon_bound(domain, cost, bounds, r):
@@ -327,95 +291,35 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
     return samples, j0, exit_idx, exit_node
 
 
-def synthesize_optimal(phi, speed, cost, t0, x0, raise_on_stall=True):
-    """One optimal trajectory from (t0, x0); realized cost = exit time + exit cost."""
-    samples, j0, exit_idx, exit_node = synthesize_batch(
-        phi, speed, phi.domain.as_points(x0), t0, raise_on_stall=raise_on_stall)
-    e, node = int(exit_idx[0]), int(exit_node[0])
-    if e >= 0:
-        realized = (e - j0) * phi.dt + cost.at_node(node)
-    else:
-        realized = np.inf
-    return Trajectory(phi.domain, phi.dt, samples[0], j0, e, node, realized)
+def check_dpp(phi, samples, start_indices, exit_indices):
+    """Residuals of phi(t0+h, gamma(t0+h)) + h >= phi(t0, x0) along each row.
 
-
-def first_exit_time(traj):
-    """Exit time after start, or inf when the path never reaches the target."""
-    if traj.exit_index < 0:
-        return np.inf
-    return (traj.exit_index - traj.start_index) * traj.dt
-
-
-def final_cost(traj, cost):
-    if traj.exit_index < 0:
-        return np.inf
-    return cost.at_node(traj.exit_node)
-
-
-def is_admissible(traj, speed, slack):
-    """Check per-step displacement <= k(t_j, gamma(t_j)) dt + slack.
-
-    Returns (ok, report) where report carries the worst step violation.
+    samples holds one path per row (an ensemble's rows, or synthesize_batch's
+    output, whose single start index serves every row). Each row is read from
+    its start index up to its exit index, or to its last slice when it never
+    exits, with one interpolation per slice over the rows read there. Returns
+    per-row arrays of the worst inequality violation (positive when the
+    inequality fails) and the worst equality residual.
     """
-    domain = traj.domain
-    worst = -np.inf
-    worst_step = -1
-    for j in range(traj.n_steps):
-        p = traj.samples[j:j + 1]
-        step = float(domain.point_distance(p, traj.samples[j + 1:j + 2])[0])
-        budget = float(speed.at_points(j, p)[0]) * traj.dt + slack
-        if step - budget > worst:
-            worst = step - budget
-            worst_step = j
-    report = {"worst_violation": worst, "worst_step": worst_step}
-    return worst <= 1e-12, report
-
-
-def check_dpp(phi, traj):
-    """Residuals of phi(t0+h, gamma(t0+h)) + h >= phi(t0, x0) on the grid.
-
-    Returns the worst inequality violation (positive when the inequality
-    fails) and the worst equality residual up to the exit index.
-    """
-    j0 = traj.start_index
-    j_end = traj.exit_index if traj.exit_index >= 0 else traj.n_steps
-    base = float(phi.at_points(j0, traj.samples[j0:j0 + 1])[0])
-    worst_ineq = 0.0
-    worst_eq = 0.0
-    for j in range(j0, j_end + 1):
-        val = float(phi.at_points(j, traj.samples[j:j + 1])[0]) + (j - j0) * phi.dt - base
-        worst_ineq = max(worst_ineq, -val)
-        worst_eq = max(worst_eq, abs(val))
+    m = len(samples)
+    start = np.broadcast_to(np.asarray(start_indices, dtype=int), (m,))
+    exit_idx = np.asarray(exit_indices, dtype=int)
+    end = np.where(exit_idx >= 0, exit_idx, samples.shape[1] - 1)
+    base = np.empty(m)
+    worst_ineq = np.zeros(m)
+    worst_eq = np.zeros(m)
+    for j in range(int(np.min(start, initial=0)), int(np.max(end, initial=-1)) + 1):
+        rows = np.flatnonzero((start <= j) & (j <= end))
+        if len(rows) == 0:
+            continue
+        at_j = phi.at_points(j, samples[rows, j])
+        first = start[rows] == j
+        base[rows[first]] = at_j[first]
+        val = at_j + (j - start[rows]) * phi.dt - base[rows]
+        # replace only on a strict increase, as max(worst, new) does
+        worst_ineq[rows] = np.where(-val > worst_ineq[rows], -val, worst_ineq[rows])
+        worst_eq[rows] = np.where(np.abs(val) > worst_eq[rows], np.abs(val), worst_eq[rows])
     return {"max_inequality_violation": worst_ineq, "max_equality_residual": worst_eq}
-
-
-def check_value_regularity(phi, radius=None, rng=None, samples=400):
-    """Empirical Lipschitz ratio and time-difference quotient of the value field.
-
-    The time quotient floor > -1 is the grid-testable form of the
-    time-monotonicity estimate; the spatial ratio is reported as measured.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    domain = phi.domain
-    od = domain.origin_node_distances()
-    pool = np.arange(domain.n_nodes) if radius is None else np.flatnonzero(od <= radius)
-    spatial = 0.0
-    quotient_min = np.inf
-    for _ in range(samples):
-        i, j = rng.choice(pool, size=2)
-        t = rng.integers(0, phi.n_steps + 1)
-        if i != j:
-            d = domain.distance(i, j)
-            spatial = max(spatial, abs(phi.values[t, i] - phi.values[t, j]) / d)
-        t2 = rng.integers(0, phi.n_steps + 1)
-        if t2 != t:
-            q = (phi.values[t, i] - phi.values[t2, i]) / ((t - t2) * phi.dt)
-            quotient_min = min(quotient_min, q)
-    return {
-        "spatial_lipschitz_ratio": spatial,
-        "time_quotient_min": quotient_min if np.isfinite(quotient_min) else 0.0,
-        "time_quotient_above_floor": bool(quotient_min > -1.0 or not np.isfinite(quotient_min)),
-    }
 
 
 def value_bound_excess(phi, domain, cost, bounds):

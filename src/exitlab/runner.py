@@ -21,7 +21,7 @@ from . import equilibrium as eq
 from . import scenarios as sc
 from .domain import validate_hypotheses
 from .measures import wasserstein
-from .ocp import check_dpp, default_dpp_tol, Trajectory
+from .ocp import check_dpp, default_dpp_tol
 
 STATUS_OK = 0
 STATUS_VALIDATION = 2
@@ -189,12 +189,10 @@ def _assemble_checks(bundle):
 
     # equality case of the DPP along (near-)optimal paths: probe the three
     # heaviest atoms, which are the most recently re-synthesized ones
-    worst_eq = 0.0
-    for k in np.argsort(ens.weights)[::-1][:3]:
-        traj = Trajectory(domain, ens.dt, ens.samples[k], int(ens.start_indices[k]),
-                          int(ens.exit_indices[k]), -1, 0.0)
-        res = check_dpp(report.final_phi, traj)
-        worst_eq = max(worst_eq, res["max_equality_residual"])
+    top = np.argsort(ens.weights)[::-1][:3]
+    res = check_dpp(report.final_phi, ens.samples[top], ens.start_indices[top],
+                    ens.exit_indices[top])
+    worst_eq = float(np.max(res["max_equality_residual"], initial=0.0))
     dpp_cap = report.tol + tol_dpp
     checks.append({"name": "dpp_equality_spot_check",
                    "passed": bool(worst_eq <= dpp_cap),
@@ -438,9 +436,14 @@ def verify(run_dir, tol=None):
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         return VerifyResult(False, [], f"missing manifest.json in {run_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    differences = []
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as err:
+        return VerifyResult(False, [], f"manifest.json is not valid JSON: {err}")
+    for key in ("artifacts", "config"):
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
+            return VerifyResult(False, [], f"manifest.json has no {key} object")
     for name, digest in manifest["artifacts"].items():
         path = os.path.join(run_dir, name)
         if not os.path.exists(path):

@@ -125,7 +125,7 @@ def test_criterion_5_power_tail_rate(registry_runs):
     run = registry_runs["power_tail_cor56a"]
     fit = run["result"].ledger["rate_fit"]
     ok = fit["mode"] == "power" and fit["value"] <= -2.0 + 0.3
-    # pointwise match with the closed-form pushforward oracle
+    # pointwise match with the closed-form oracle sum_i w_i max(x_i - t, 0)
     _, atom_rows = read_csv(os.path.join(run["dir"], "initial_measure.csv"))
     xs = np.array([float(r[0]) for r in atom_rows])
     ws = np.array([float(r[1]) for r in atom_rows])

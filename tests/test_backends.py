@@ -4,9 +4,18 @@ import pytest
 
 from exitlab import runner
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain
-from exitlab.measures import ParticleMeasure, wasserstein
-from exitlab.ocp import SpeedField, solve_value, synthesize_optimal
+from exitlab.equilibrium import realized_costs
+from exitlab.measures import ParticleMeasure, TrajectoryEnsemble, wasserstein
+from exitlab.ocp import SpeedField, solve_value, synthesize_batch
 from exitlab.scenarios import validate_config
+
+
+def synthesize_one(phi, field, cost, x0):
+    """(exit node, realized cost) of the path synthesized from x0 at t = 0."""
+    samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, phi.domain.as_points(x0))
+    ens = TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1), np.array([j0]),
+                             exit_idx, exit_node)
+    return int(ens.exit_nodes[0]), float(realized_costs(ens, cost)[0][0])
 
 
 def test_grid2d_value_and_synthesis_constant_speed():
@@ -17,9 +26,8 @@ def test_grid2d_value_and_synthesis_constant_speed():
     phi = solve_value(dom, cost, field)
     dist = dom.target_node_distances()
     assert np.max(np.abs(phi.values[0] - dist)) <= dom.dx
-    traj = synthesize_optimal(phi, field, cost, 0.0, [0.3, 0.4])
-    gap = abs(traj.realized_cost - dom.distance(dom.node_at([0.3, 0.4]),
-                                                dom.node_at([0.0, 0.0])))
+    _, cost_realized = synthesize_one(phi, field, cost, [0.3, 0.4])
+    gap = abs(cost_realized - dom.distance(dom.node_at([0.3, 0.4]), dom.node_at([0.0, 0.0])))
     assert gap <= 4 * (field.dt + dom.dx)
 
 
@@ -30,9 +38,9 @@ def test_graph_value_exact_on_line_of_edges():
     field = SpeedField.constant(dom, 1.0, dom.dx, 5.0)
     phi = solve_value(dom, cost, field)
     assert np.allclose(phi.values[0], [1.5, 0.5, 0.0, 0.5, 0.1], atol=1e-9)
-    traj = synthesize_optimal(phi, field, cost, 0.0, (0.0, 0.0, 0.0))
-    assert traj.exit_node == 2
-    assert traj.realized_cost == pytest.approx(1.5, abs=4 * (field.dt + dom.dx))
+    exit_node, cost_realized = synthesize_one(phi, field, cost, (0.0, 0.0, 0.0))
+    assert exit_node == 2
+    assert cost_realized == pytest.approx(1.5, abs=4 * (field.dt + dom.dx))
 
 
 def grid2d_scenario():

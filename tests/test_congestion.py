@@ -6,6 +6,7 @@ from exitlab import congestion
 from exitlab.congestion import (Chi, CongestionKernel, Eta, HypothesisViolation,
                                 Kappa, MeasurePreconditionError)
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.equilibrium import field_from_marginals, frozen_field
 from exitlab.measures import ParticleMeasure, wasserstein
 
 E_MINUS_HALF = float(np.exp(-0.5))
@@ -24,6 +25,16 @@ def make_kernel(domain, kappa=None, chi=None, eta=None):
     )
 
 
+def speed_at_node(kernel, mu, x):
+    return float(kernel.node_speeds(mu)[kernel.domain.node_at(x)])
+
+
+def speed_at_points(kernel, mu, x):
+    """Speeds at off-node points, interpolated from the nodes as synthesis reads them."""
+    field = frozen_field(mu, kernel, kernel.domain.dx, 1)
+    return field.at_points(0, kernel.domain.as_points(x))
+
+
 def brute_force_density(chi, eta_vals, domain, mu, x):
     return sum(w * float(chi(np.array(abs(x - p)))) * ev
                for p, w, ev in zip(mu.points, mu.weights, eta_vals))
@@ -34,7 +45,8 @@ def test_constant_kappa_gives_unit_speed_everywhere():
     kernel = make_kernel(dom)
     mu = ParticleMeasure(dom, [0.2, 0.8], [0.5, 0.5])
     for x in (0.0, 0.37, 1.0):
-        assert kernel.eval_speed(mu, x) == 1.0
+        assert speed_at_node(kernel, mu, x) == 1.0
+    assert np.all(speed_at_points(kernel, mu, [0.123, 0.555]) == 1.0)
 
 
 def test_zero_chi_gives_kappa_at_zero():
@@ -42,7 +54,7 @@ def test_zero_chi_gives_kappa_at_zero():
     kernel = make_kernel(dom, kappa=Kappa("affine_clamped", intercept=0.9,
                                           slope=1.0, floor=0.2))
     mu = ParticleMeasure.dirac(dom, 0.5)
-    assert kernel.eval_speed(mu, 0.5) == pytest.approx(0.9)
+    assert speed_at_node(kernel, mu, 0.5) == pytest.approx(0.9)
 
 
 def test_ball_chi_dirac_example():
@@ -51,9 +63,9 @@ def test_ball_chi_dirac_example():
                          kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
                          chi=Chi("ball", radius=0.1))
     mu_here = ParticleMeasure.dirac(dom, 0.5)
-    assert kernel.eval_speed(mu_here, 0.5) == pytest.approx(0.2)
+    assert speed_at_node(kernel, mu_here, 0.5) == pytest.approx(0.2)
     mu_far = ParticleMeasure.dirac(dom, 0.9)
-    assert kernel.eval_speed(mu_far, 0.5) == pytest.approx(1.0)
+    assert speed_at_node(kernel, mu_far, 0.5) == pytest.approx(1.0)
     # cross-check against direct summation
     eta_vals = np.ones(1)
     s = brute_force_density(kernel.chi, eta_vals, dom, mu_here, 0.5)
@@ -65,7 +77,7 @@ def test_unnormalized_measure_rejected():
     kernel = make_kernel(dom, chi=Chi("gaussian", width=0.1))
     bad = ParticleMeasure(dom, [0.4, 0.6], [0.5, 0.6], validate=False)
     with pytest.raises(MeasurePreconditionError):
-        kernel.eval_speed(bad, 0.5)
+        kernel.node_speeds(bad)
 
 
 def test_derive_bounds_examples():
@@ -147,11 +159,11 @@ def test_monotone_congestion(seed):
     x = rng.uniform(0.3, 0.7)
     pts = rng.uniform(0, 1, 10)
     w = np.full(10, 0.1)
-    before = kernel.eval_speed(ParticleMeasure(dom, pts, w), x)
+    before = speed_at_points(kernel, ParticleMeasure(dom, pts, w), x)[0]
     far = int(np.argmax(np.abs(pts - x)))
     pts2 = pts.copy()
     pts2[far] = x  # pull the farthest particle onto the query point
-    after = kernel.eval_speed(ParticleMeasure(dom, pts2, w), x)
+    after = speed_at_points(kernel, ParticleMeasure(dom, pts2, w), x)[0]
     assert after <= before + 1e-12
 
 
@@ -167,11 +179,11 @@ def test_continuity_in_measure(seed):
     w = np.full(20, 0.05)
     mu = ParticleMeasure(dom, pts, w)
     x = 0.5
-    base = kernel.eval_speed(mu, x)
+    base = speed_at_node(kernel, mu, x)
     prev_gap = np.inf
     for eps in (0.1, 0.01, 0.001):
         shifted = ParticleMeasure(dom, np.clip(pts + eps, 0, 1), w)
-        gap = abs(kernel.eval_speed(shifted, x) - base)
+        gap = abs(speed_at_node(kernel, shifted, x) - base)
         assert gap <= prev_gap + 1e-12
         assert wasserstein(shifted, mu, 1) <= eps + 1e-12
         prev_gap = gap
@@ -190,7 +202,8 @@ def test_spatial_lipschitz_bound(seed):
     mu = ParticleMeasure(dom, pts, np.full(15, 1 / 15))
     for _ in range(40):
         x1, x2 = rng.uniform(0, 1, 2)
-        gap = abs(kernel.eval_speed(mu, x1) - kernel.eval_speed(mu, x2))
+        k1, k2 = speed_at_points(kernel, mu, [x1, x2])
+        gap = abs(k1 - k2)
         assert gap <= l_r * abs(x1 - x2) + 1e-9
 
 
@@ -202,12 +215,10 @@ def test_binned_evaluation_error_within_bound():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, 50)
     mu = ParticleMeasure(dom, pts, np.full(50, 0.02))
-    exact = kernel.node_speeds(mu)
-    hist = np.zeros(dom.n_nodes)
-    idx = np.clip(np.round((pts - dom.lo) / dom.dx).astype(int), 0, dom.n_nodes - 1)
-    np.add.at(hist, idx, mu.weights)
-    binned = kernel.node_speeds_binned(hist)
-    assert np.max(np.abs(binned - exact)) <= kernel.binning_error_bound() + 1e-12
+    exact = field_from_marginals(kernel, pts[:, None], mu.weights, dom.dx, binned=False)
+    binned = field_from_marginals(kernel, pts[:, None], mu.weights, dom.dx, binned=True)
+    assert np.array_equal(exact.values[0], kernel.node_speeds(mu))
+    assert np.max(np.abs(binned.values - exact.values)) <= kernel.binning_error_bound() + 1e-12
 
 
 def congested_kernel(domain):

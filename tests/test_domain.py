@@ -79,12 +79,13 @@ def test_graph_disconnected_geodesic_raises():
     assert not h4.passed
 
 
-def test_distance_to_target_examples():
+def test_target_node_distances_examples():
     dom = IntervalDomain(0.0, 1.0, 0.005, targets=[0.0, 1.0])
-    assert dom.distance_to_target(dom.node_at(0.5)) == pytest.approx(0.5, abs=1e-12)
-    assert dom.distance_to_target(dom.node_at(0.0)) == 0.0
+    tdist = dom.target_node_distances()
+    assert tdist[dom.node_at(0.5)] == pytest.approx(0.5, abs=1e-12)
+    assert tdist[dom.node_at(0.0)] == 0.0
     left = IntervalDomain(0.0, 1.0, 0.005, targets=[0.0])
-    assert left.distance_to_target(left.node_at(0.3)) == pytest.approx(0.3, abs=1e-12)
+    assert left.target_node_distances()[left.node_at(0.3)] == pytest.approx(0.3, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

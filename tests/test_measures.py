@@ -1,6 +1,8 @@
-"""Particle measures: Wasserstein, pushforward, moments, sampling, ensembles."""
+"""Particle measures: Wasserstein, moments, sampling, ensembles."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from exitlab.domain import Grid2dDomain, IntervalDomain
 from exitlab.measures import (MeasureError, ParticleMeasure, TrajectoryEnsemble,
@@ -87,29 +89,44 @@ def test_lp_support_cap():
         wasserstein(mu, mu, 1)
 
 
-def test_pushforward_examples():
-    dom = make_domain()
-    mu = ParticleMeasure(dom, [0.3, 0.8], [0.5, 0.5])
-    same = mu.pushforward(lambda p: p)
-    assert np.allclose(sorted(same.points), [0.3, 0.8])
-    to_zero = mu.pushforward(lambda p: 0.0)
-    assert to_zero.n_atoms == 1 and to_zero.points[0] == 0.0
-    assert to_zero.weights[0] == pytest.approx(1.0)
-
-    def nearest_target(p):
-        tc = dom.coords[dom.targets]
-        return tc[np.argmin(np.abs(tc - p))]
-
-    snapped = mu.pushforward(nearest_target)
-    got = dict(zip(snapped.points.tolist(), snapped.weights.tolist()))
-    assert got == {0.0: pytest.approx(0.5), 1.0: pytest.approx(0.5)}
+def transport_constraints_reference(n, m):
+    """wasserstein_lp's equality constraints as the n*m double loop built them."""
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in range(m):
+            k = i * m + j
+            rows += [i, n + j]
+            cols += [k, k]
+            vals += [1.0, 1.0]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + m, n * m))
 
 
-def test_pushforward_undefined_names_atom():
-    dom = make_domain()
-    mu = ParticleMeasure(dom, [0.3, 0.8], [0.5, 0.5])
-    with pytest.raises(MeasureError, match="atom 1"):
-        mu.pushforward(lambda p: None if p > 0.5 else p)
+def wasserstein_lp_reference(dist, wx, wy, p=1):
+    a_eq = transport_constraints_reference(*dist.shape)
+    c = (np.asarray(dist, dtype=float) ** p).ravel()
+    res = linprog(c, A_eq=a_eq[:-1], b_eq=np.concatenate([wx, wy])[:-1], bounds=(0, None),
+                  method="highs")
+    return max(res.fun, 0.0) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (7, 2)])
+def test_transport_constraints_match_the_double_loop(n, m, monkeypatch):
+    built = []
+    monkeypatch.setattr("exitlab.measures.linprog",
+                        lambda c, A_eq, **kw: built.append(A_eq) or linprog(c, A_eq=A_eq, **kw))
+    rng = np.random.default_rng(n * 10 + m)
+    dist = rng.uniform(0.0, 1.0, (n, m))
+    wx, wy = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    for p in (1, 2):
+        got = wasserstein_lp(dist, wx, wy, p)
+        assert np.array_equal(np.float64(got).view(np.int64),
+                              np.float64(wasserstein_lp_reference(dist, wx, wy, p)).view(np.int64))
+    ref = transport_constraints_reference(n, m)[:-1]
+    assert len(built) == 2
+    for a_eq in built:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a_eq, attr), getattr(ref, attr))
+            assert getattr(a_eq, attr).dtype == getattr(ref, attr).dtype
 
 
 def test_p_moment_examples():

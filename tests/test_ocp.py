@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from exitlab.domain import BIG, ExitCost, IntervalDomain
+from exitlab.equilibrium import admissibility_excess, realized_costs
+from exitlab.measures import TrajectoryEnsemble
 from exitlab.ocp import (HorizonError, _select_candidates, OcpError, SpeedField, SynthesisStall,
-                         Trajectory, check_dpp, check_value_regularity,
-                         default_dpp_tol, final_cost, first_exit_time,
-                         horizon_bound, is_admissible, solve_value,
-                         synthesize_batch, synthesize_optimal, trajectory_bound)
+                         check_dpp, default_dpp_tol, horizon_bound, solve_value,
+                         synthesize_batch, trajectory_bound)
 
 
 def remark_setup(dx=0.005, k=1.0, horizon=0.7):
@@ -15,6 +15,41 @@ def remark_setup(dx=0.005, k=1.0, horizon=0.7):
     cost = ExitCost.zero(dom)
     field = SpeedField.constant(dom, k, dx / k, horizon)
     return dom, cost, field
+
+
+def path(dom, dt, samples, exit_index=-1):
+    """One timed path from slice 0 as a one-row ensemble."""
+    return TrajectoryEnsemble(dom, dt, np.asarray(samples, dtype=float)[None], np.ones(1),
+                              np.zeros(1, dtype=int), np.array([exit_index]))
+
+
+def synthesize_one(phi, field, t0, x0, raise_on_stall=True):
+    """The synthesized path from (t0, x0) as a one-row ensemble."""
+    samples, j0, exit_idx, exit_node = synthesize_batch(
+        phi, field, phi.domain.as_points(x0), t0, raise_on_stall=raise_on_stall)
+    return TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1), np.array([j0]),
+                              exit_idx, exit_node)
+
+
+def realized(ens, cost):
+    """Exit time plus exit cost of a one-row ensemble (inf when it never exits)."""
+    return float(realized_costs(ens, cost)[0][0])
+
+
+def dpp_residuals(phi, ens):
+    res = check_dpp(phi, ens.samples, ens.start_indices, ens.exit_indices)
+    return {k: float(v[0]) for k, v in res.items()}
+
+
+def value_regularity(phi):
+    """Time quotient over every adjacent slice pair, spatial ratio over all node pairs."""
+    quotient_min = float(np.min(np.diff(phi.values, axis=0) / phi.dt))
+    nodes = phi.domain.node_points()
+    dist = phi.domain.point_distance_matrix(nodes, nodes)
+    off = ~np.eye(len(nodes), dtype=bool)
+    spatial = max(float(np.max(np.abs(row[:, None] - row[None, :])[off] / dist[off]))
+                  for row in phi.values)
+    return quotient_min, spatial
 
 
 def minimal_time_oracle(dom, cost, k):
@@ -51,65 +86,61 @@ def test_value_constant_speed_two_against_oracle():
     assert np.max(np.abs(phi.values[0] - oracle)) <= dom.dx + 1e-9
 
 
-def test_first_exit_time_examples():
+def test_exit_time_examples():
     dom, cost, field = remark_setup()
-    gamma_r = synthesize_optimal(solve_value(dom, cost, field), field, cost, 0.0, 0.5)
-    assert first_exit_time(gamma_r) == pytest.approx(0.5, abs=2 * dom.dx)
-    at_target = synthesize_optimal(solve_value(dom, cost, field), field, cost, 0.0, 0.0)
-    assert first_exit_time(at_target) == 0.0
-    n = field.n_steps
-    const = Trajectory(dom, field.dt, np.full(n + 1, 0.5), 0, -1, -1, np.inf)
-    assert first_exit_time(const) == np.inf
+    phi = solve_value(dom, cost, field)
+    # with a zero exit cost the realized cost is the exit time
+    assert realized(synthesize_one(phi, field, 0.0, 0.5), cost) == pytest.approx(0.5, abs=2 * dom.dx)
+    assert realized(synthesize_one(phi, field, 0.0, 0.0), cost) == 0.0
+    const = path(dom, field.dt, np.full(field.n_steps + 1, 0.5))
+    assert realized(const, cost) == np.inf
 
 
-def test_final_cost_examples():
+def test_exit_cost_examples():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
     cost = ExitCost(dom, {dom.node_at(0.0): 0.1, dom.node_at(1.0): 0.3})
-    traj = Trajectory(dom, 0.01, np.linspace(0.8, 1.0, 21), 0, 20, dom.node_at(1.0), 0.5)
-    assert final_cost(traj, cost) == pytest.approx(0.3)
-    lost = Trajectory(dom, 0.01, np.full(21, 0.5), 0, -1, -1, np.inf)
-    assert final_cost(lost, cost) == np.inf
-    assert final_cost(traj, ExitCost.zero(dom)) == 0.0
+    ens = path(dom, 0.01, np.linspace(0.8, 1.0, 21), exit_index=20)
+    assert ens.exit_nodes[0] == dom.node_at(1.0)
+    assert realized(ens, cost) == pytest.approx(0.2 + 0.3)
+    lost = path(dom, 0.01, np.full(21, 0.5))
+    assert realized(lost, cost) == np.inf
+    assert realized(ens, ExitCost.zero(dom)) == pytest.approx(0.2)
 
 
-def test_is_admissible_examples():
+def test_admissibility_excess_examples():
     dom, cost, field = remark_setup(dx=0.01)
     n = field.n_steps
-    const = Trajectory(dom, field.dt, np.full(n + 1, 0.5), 0, -1, -1, np.inf)
-    ok, _ = is_admissible(const, field, slack=0.0)
-    assert ok
+    const = path(dom, field.dt, np.full(n + 1, 0.5))
+    assert admissibility_excess(const, field, slack=0.0) <= 1e-12
     t = np.arange(n + 1) * field.dt
-    gamma_r = Trajectory(dom, field.dt, np.minimum(0.5 + t, 1.0), 0, -1, -1, np.inf)
-    ok, _ = is_admissible(gamma_r, field, slack=1e-9)
-    assert ok
+    gamma_r = path(dom, field.dt, np.minimum(0.5 + t, 1.0))
+    assert admissibility_excess(gamma_r, field, slack=1e-9) <= 1e-12
     # a 2 dx step in one dt with k = 1 and dt = dx violates by about dx
     bad = np.full(n + 1, 0.5)
     bad[1:] = 0.5 + 2 * dom.dx
-    bad_traj = Trajectory(dom, field.dt, bad, 0, -1, -1, np.inf)
-    ok, report = is_admissible(bad_traj, field, slack=0.0)
-    assert not ok
-    assert report["worst_violation"] == pytest.approx(dom.dx, abs=1e-9)
+    excess = admissibility_excess(path(dom, field.dt, bad), field, slack=0.0)
+    assert excess == pytest.approx(dom.dx, abs=1e-9)
 
 
 def test_synthesize_left_exit_and_target_start():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    traj = synthesize_optimal(phi, field, cost, 0.0, 0.3)
-    assert traj.exit_node == dom.node_at(0.0)
-    assert traj.realized_cost == pytest.approx(0.3, abs=2 * dom.dx)
-    at_target = synthesize_optimal(phi, field, cost, 0.0, 1.0)
-    assert at_target.exit_index == at_target.start_index
-    assert at_target.realized_cost == 0.0
+    ens = synthesize_one(phi, field, 0.0, 0.3)
+    assert ens.exit_nodes[0] == dom.node_at(0.0)
+    assert realized(ens, cost) == pytest.approx(0.3, abs=2 * dom.dx)
+    at_target = synthesize_one(phi, field, 0.0, 1.0)
+    assert at_target.exit_indices[0] == at_target.start_indices[0]
+    assert realized(at_target, cost) == 0.0
     assert np.all(at_target.samples == 1.0)
 
 
 def test_synthesize_tie_break_is_deterministic():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    runs = [synthesize_optimal(phi, field, cost, 0.0, 0.5) for _ in range(3)]
-    sides = {t.exit_node for t in runs}
+    runs = [synthesize_one(phi, field, 0.0, 0.5) for _ in range(3)]
+    sides = {int(ens.exit_nodes[0]) for ens in runs}
     assert len(sides) == 1
-    assert runs[0].realized_cost == pytest.approx(0.5, abs=2 * dom.dx)
+    assert realized(runs[0], cost) == pytest.approx(0.5, abs=2 * dom.dx)
 
 
 def test_horizon_bound_examples():
@@ -132,32 +163,28 @@ def test_check_dpp_on_optimal_and_adversarial_paths():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     tol = default_dpp_tol(dom, field.dt)
-    optimal = synthesize_optimal(phi, field, cost, 0.0, 0.3)
-    res = check_dpp(phi, optimal)
+    res = dpp_residuals(phi, synthesize_one(phi, field, 0.0, 0.3))
     assert res["max_equality_residual"] <= tol
     assert res["max_inequality_violation"] <= 1e-9
 
     n = field.n_steps
-    const = Trajectory(dom, field.dt, np.full(n + 1, 0.5), 0, -1, -1, np.inf)
-    res = check_dpp(phi, const)
+    res = dpp_residuals(phi, path(dom, field.dt, np.full(n + 1, 0.5)))
     assert res["max_inequality_violation"] <= 1e-9
 
     # moving against the descent doubles the cost rate: the residual grows as
     # 2h until the value midpoint (h = 0.2), then stays at 0.4 up to the exit
     wrong = np.minimum(0.3 + np.arange(n + 1) * field.dt, 1.0)
     exit_idx = int(np.searchsorted(wrong, 1.0 - 1e-12))
-    wrong_traj = Trajectory(dom, field.dt, wrong, 0, exit_idx, dom.node_at(1.0), 0.7)
-    res = check_dpp(phi, wrong_traj)
+    res = dpp_residuals(phi, path(dom, field.dt, wrong, exit_index=exit_idx))
     assert res["max_equality_residual"] == pytest.approx(2 * 0.2, abs=tol)
 
 
-def test_check_value_regularity():
+def test_value_regularity():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    report = check_value_regularity(phi, rng=np.random.default_rng(0))
-    assert report["time_quotient_above_floor"]
-    assert abs(report["time_quotient_min"]) <= 1e-9  # autonomous: time-independent
-    assert report["spatial_lipschitz_ratio"] <= 1.0 + 1e-6
+    quotient_min, spatial = value_regularity(phi)
+    assert abs(quotient_min) <= 1e-9  # autonomous: time-independent
+    assert spatial <= 1.0 + 1e-6
 
 
 def random_smooth_field(dom, rng, k_lo, k_hi, dt, horizon):
@@ -198,12 +225,12 @@ def test_restriction_optimality():
     field = random_smooth_field(dom, rng, k_lo, k_hi, dt, horizon)
     phi = solve_value(dom, cost, field)
     tol = default_dpp_tol(dom, dt)
-    traj = synthesize_optimal(phi, field, cost, 0.0, 0.52)
-    t1_idx = max(traj.exit_index // 2, 1)
-    x1 = traj.samples[t1_idx]
-    tail = synthesize_optimal(phi, field, cost, t1_idx * dt, x1)
-    tail_cost_original = traj.realized_cost - t1_idx * dt
-    assert tail.realized_cost == pytest.approx(tail_cost_original, abs=tol)
+    ens = synthesize_one(phi, field, 0.0, 0.52)
+    t1_idx = max(int(ens.exit_indices[0]) // 2, 1)
+    x1 = ens.samples[0, t1_idx]
+    tail = synthesize_one(phi, field, t1_idx * dt, x1)
+    tail_cost_original = realized(ens, cost) - t1_idx * dt
+    assert realized(tail, cost) == pytest.approx(tail_cost_original, abs=tol)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -244,9 +271,9 @@ def test_value_regularity_on_nonautonomous_fields(seed):
     horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
     field = random_smooth_field(dom, rng, k_lo, k_hi, dt, horizon)
     phi = solve_value(dom, cost, field)
-    report = check_value_regularity(phi, rng=np.random.default_rng(seed))
-    assert report["time_quotient_above_floor"]
-    assert np.isfinite(report["spatial_lipschitz_ratio"])
+    quotient_min, spatial = value_regularity(phi)
+    assert quotient_min > -1.0
+    assert np.isfinite(spatial)
 
 
 def test_smallness_refusal_and_horizon_error():
@@ -265,21 +292,23 @@ def test_synthesis_stall_reports_position():
     cost = ExitCost.zero(dom)
     field = SpeedField.constant(dom, 1.0, 0.01, 0.1)  # horizon far too short
     phi = solve_value(dom, cost, field)
-    with pytest.raises(SynthesisStall):
-        synthesize_optimal(phi, field, cost, 0.0, 0.9)
-    traj = synthesize_optimal(phi, field, cost, 0.0, 0.9, raise_on_stall=False)
-    assert traj.exit_index == -1 and traj.realized_cost == np.inf
+    with pytest.raises(SynthesisStall, match="stall position"):
+        synthesize_one(phi, field, 0.0, 0.9)
+    ens = synthesize_one(phi, field, 0.0, 0.9, raise_on_stall=False)
+    assert ens.exit_indices[0] == -1 and realized(ens, cost) == np.inf
 
 
 def test_synthesized_batch_matches_single():
+    """A batch of 4 equals 4 batches of 1, bit for bit."""
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     starts = np.array([0.1, 0.33, 0.5, 0.77])
     samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, starts, 0.0)
     for k, x0 in enumerate(starts):
-        single = synthesize_optimal(phi, field, cost, 0.0, x0)
-        assert np.array_equal(samples[k], single.samples)
-        assert exit_idx[k] == single.exit_index
+        one, j0_one, exit_one, node_one = synthesize_batch(phi, field, starts[k:k + 1], 0.0)
+        assert j0_one == j0
+        assert np.array_equal(samples[k].view(np.int64), one[0].view(np.int64))
+        assert exit_idx[k] == exit_one[0] and exit_node[k] == node_one[0]
 
 
 def sequential_select(vals, disp):

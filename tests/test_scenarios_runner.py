@@ -84,6 +84,32 @@ def test_verify_names_corrupted_artifact(tmp_path):
     assert "trajectories.csv" in check.error
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("not json", "not valid JSON"),
+    ("no artifacts", "no artifacts object"),
+    ("no config", "no config object"),
+    ("artifacts list", "no artifacts object"),
+])
+def test_verify_fails_cleanly_on_a_malformed_manifest(tmp_path, capsys, case, expected):
+    out = tmp_path / "run"
+    runner.run("remark_5_3", str(out))
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if case == "not json":
+        path.write_text(path.read_text()[:-20])
+    else:
+        if case == "artifacts list":
+            manifest["artifacts"] = list(manifest["artifacts"])
+        else:
+            del manifest[case.split()[1]]
+        path.write_text(json.dumps(manifest))
+    check = runner.verify(str(out))
+    assert (check.passed, check.differences) == (False, [])
+    assert expected in check.error and "manifest.json" in check.error
+    assert cli.main(["verify", str(out)]) == 1
+    assert f"FAIL: {check.error}" in capsys.readouterr().err
+
+
 def test_verify_with_tol_override_lists_differences(tmp_path):
     out = tmp_path / "run"
     runner.run("remark_5_3", str(out))
@@ -278,6 +304,17 @@ def test_cli_sweep_param_parsing(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())
     assert len(report["members"]) == 2
+
+
+@pytest.mark.parametrize("params, expected", [
+    (["--param", "equilibrium.tolerance"], "bad --param 'equilibrium.tolerance'"),
+    ([], "at least one --param"),
+])
+def test_cli_sweep_rejects_a_missing_or_malformed_param(tmp_path, capsys, params, expected):
+    code = cli.main(["sweep", "remark_5_13", "--out", str(tmp_path / "sw")] + params)
+    assert code == runner.STATUS_VALIDATION
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_validation_exit_code(tmp_path):
