@@ -155,6 +155,8 @@ def fit_decay_rate(curve, window, mode="power", tail_dimension=1):
     w = curve.values[mask]
     if len(t) < 3:
         raise ShrinkWindowError(f"window {window} holds {len(t)} samples; need >= 3")
+    if np.min(t) <= 0:  # the fit takes log t
+        raise ShrinkWindowError(f"window {window} holds the time {np.min(t):.6g} <= 0")
     if np.any(w <= 0):
         raise ShrinkWindowError(
             f"window {window} contains zero curve values; shrink the window")

@@ -625,13 +625,10 @@ class GraphDomain(SpatialDomain):
         # edge length by (u, v) in both orders, 0 where there is no edge
         self._edge_table = self.adjacency.toarray()
         self.dx = min(self.edge_length.values()) if self.edge_length else 1.0
-        dm, pred = dijkstra(self.adjacency, return_predecessors=True)
-        self._dm, self._pred = dm, pred
+        self._dm, self._pred = dijkstra(self.adjacency, return_predecessors=True)
         self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
         self.origin = self._resolve_nodes([origin], "origin")[0]
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
-        self._neighbors = [self.adjacency.indices[self.adjacency.indptr[i]:self.adjacency.indptr[i + 1]].tolist()
-                           for i in range(self.n_nodes)]
 
     def node_coords(self):
         if self.coords is not None:
@@ -660,117 +657,94 @@ class GraphDomain(SpatialDomain):
     def origin_node_distances(self):
         return self._dm[:, self.origin].copy()
 
-    # point helpers ------------------------------------------------------
+    # point helpers: array formulas over _dm and _edge_table --------------
 
     def points_of_nodes(self, idx):
         idx = np.asarray(idx, dtype=float)
-        return np.column_stack([idx, idx, np.zeros(len(idx))])
+        return np.stack([idx, idx, np.zeros_like(idx)], axis=-1)
 
-    def _edge_len(self, u, v):
-        if u == v:
-            return 0.0
-        return self.edge_length[(min(u, v), max(u, v))]
-
-    def _point_node_dist(self, p, nodes):
-        u, v, s = int(p[0]), int(p[1]), float(p[2])
-        if u == v:
-            return self._dm[u, nodes]
-        rem = self._edge_len(u, v) - s
-        return np.minimum(s + self._dm[u, nodes], rem + self._dm[v, nodes])
-
-    def _pair_dist(self, p, q):
-        pu, pv, psg = int(p[0]), int(p[1]), float(p[2])
-        qu, qv, qsg = int(q[0]), int(q[1]), float(q[2])
-        nodes = np.array([qu, qv])
-        offs = np.array([qsg, self._edge_len(qu, qv) - qsg if qu != qv else 0.0])
-        best = np.min(self._point_node_dist(p, nodes) + offs)
-        if pu != pv and {pu, pv} == {qu, qv}:
-            s2 = qsg if (pu, pv) == (qu, qv) else self._edge_len(qu, qv) - qsg
-            best = min(best, abs(psg - s2))
-        return float(best)
-
-    def nearest_nodes(self, ps):
+    def _split(self, ps):
+        """(u, v, s, edge length) of a point batch; s and the length are 0 at a node."""
         ps = np.asarray(ps, dtype=float)
         u, v = ps[..., 0].astype(int), ps[..., 1].astype(int)
-        return np.where((u == v) | (ps[..., 2] <= self._edge_table[u, v] / 2), u, v)
+        return u, v, np.where(u == v, 0.0, ps[..., 2]), self._edge_table[u, v]
+
+    def _node_dist(self, u, v, s, length, nodes):
+        """Split points to nodes, broadcast; at a node both terms are dm[u, nodes] exactly."""
+        return np.minimum(s + self._dm[u, nodes], (length - s) + self._dm[v, nodes])
+
+    def nearest_nodes(self, ps):
+        u, v, s, length = self._split(ps)
+        return np.where((u == v) | (s <= length / 2), u, v)
 
     def point_distance(self, p, q):
-        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-        out = np.array([self._pair_dist(a, b) for a, b in zip(p.reshape(-1, 3), q.reshape(-1, 3))])
-        return out.reshape(p.shape[:-1])
-
-    def point_origin_distance(self, ps):
-        ps = np.asarray(ps, dtype=float)
-        origin = np.array([self.origin])
-        out = np.array([self._point_node_dist(p, origin)[0] for p in ps.reshape(-1, 3)])
-        return out.reshape(ps.shape[:-1])
-
-    def point_target_distance(self, ps):
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        return np.array([np.min(self._point_node_dist(p, self.targets)) for p in ps])
+        pu, pv, ps, pl = self._split(p)
+        qu, qv, qs, ql = self._split(q)
+        best = np.minimum(self._node_dist(pu, pv, ps, pl, qu) + qs,
+                          self._node_dist(pu, pv, ps, pl, qv) + (ql - qs))
+        # two points on one edge are also |s - s2| apart along it
+        fwd = (pu == qu) & (pv == qv)
+        same = (pu != pv) & (fwd | ((pu == qv) & (pv == qu)))
+        along = np.abs(ps - np.where(fwd, qs, ql - qs))
+        return np.where(same, np.minimum(best, along), best)
 
     def interp(self, node_values, ps):
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        out = np.empty(len(ps))
-        for k, p in enumerate(ps):
-            u, v, s = int(p[0]), int(p[1]), float(p[2])
-            if u == v:
-                out[k] = node_values[u]
-            else:
-                t = s / self._edge_len(u, v)
-                out[k] = (1 - t) * node_values[u] + t * node_values[v]
-        return out
-
-    def _point_candidates(self, p, r):
-        """Null step, reachable nodes, and ball-sphere points on frontier edges."""
-        u, v, s = int(p[0]), int(p[1]), float(p[2])
-        cands = [(tuple(p), 0.0)]
-        if u != v:
-            length = self._edge_len(u, v)
-            if r < s - 1e-15:
-                cands.append(((float(u), float(v), s - r), r))
-            if r < length - s - 1e-15:
-                cands.append(((float(u), float(v), s + r), r))
-        all_nodes = np.arange(self.n_nodes)
-        dists = self._point_node_dist(p, all_nodes)
-        inside = [(int(y), float(dists[y])) for y in all_nodes if dists[y] <= r + 1e-12]
-        inside.sort()
-        for y, dy in inside:
-            cands.append(((float(y), float(y), 0.0), dy))
-            for z in self._neighbors[y]:
-                rem = r - dy
-                ell = self._edge_len(y, z)
-                if 1e-15 < rem < ell - 1e-15 and dists[z] > r + 1e-12:
-                    a, b = (y, z) if y < z else (z, y)
-                    off = rem if a == y else ell - rem
-                    cands.append(((float(a), float(b), off), r))
-        return cands
+        u, v, s, length = self._split(ps)
+        t = s / np.where(u == v, 1.0, length)  # 0 at a node: (1 - 0) f[u] + 0 f[u] is f[u]
+        return (1 - t) * node_values[u] + t * node_values[v]
 
     def reach_candidates(self, ps, r):
+        """Each row packed by layout rank: null 0, the along-edge sphere points 1
+        and 2, in-ball node y 3 + y + indptr[y], then its frontier CSR edges k 4 + y + k.
+        """
         ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        r = np.broadcast_to(np.asarray(r, dtype=float), (len(ps),))
-        rows = [self._point_candidates(p, ri) for p, ri in zip(ps, r)]
-        S = max(len(row) for row in rows)
-        cand = np.zeros((len(ps), S, 3))
-        disp = np.full((len(ps), S), np.inf)
-        valid = np.zeros((len(ps), S), dtype=bool)
-        for k, row in enumerate(rows):
-            for s, (pt, d) in enumerate(row):
-                cand[k, s] = pt
-                disp[k, s] = d
-                valid[k, s] = True
-        return cand, disp, valid
+        m = len(ps)
+        r = np.broadcast_to(np.asarray(r, dtype=float), (m,))
+        u, v, s, length = self._split(ps)
+        dists = self._node_dist(u[:, None], v[:, None], s[:, None], length[:, None],
+                                np.arange(self.n_nodes))
+        rows, ys = np.nonzero(dists <= (r + 1e-12)[:, None])
+        dy = dists[rows, ys]
+        # every CSR edge (y, z) of every in-ball node y
+        indptr, nbr, ell = self.adjacency.indptr, self.adjacency.indices, self.adjacency.data
+        deg = indptr[ys + 1] - indptr[ys]
+        pair = np.repeat(np.arange(len(ys)), deg)
+        k = np.arange(len(pair)) + np.repeat(indptr[ys] - (np.cumsum(deg) - deg), deg)
+        er, y, z = rows[pair], ys[pair], nbr[k]
+        rem = r[er] - dy[pair]
+        keep = (1e-15 < rem) & (rem < ell[k] - 1e-15) & (dists[er, z] > r[er] + 1e-12)
+        er, y, z, k, rem = er[keep], y[keep], z[keep], k[keep], rem[keep]
+        # along-edge sphere points: side 0 at s - r, side 1 at s + r
+        lr, side = np.nonzero((u != v)[:, None]
+                              & (r[:, None] < np.column_stack([s, length - s]) - 1e-15))
+        entries = [  # (row, rank, point, displacement)
+            (np.arange(m), np.zeros(m, dtype=int), ps, np.zeros(m)),
+            (lr, 1 + side, np.column_stack(
+                [u[lr], v[lr], s[lr] + np.where(side, r[lr], -r[lr])]), r[lr]),
+            (rows, 3 + ys + indptr[ys], np.column_stack([ys, ys, np.zeros(len(ys))]), dy),
+            (er, 4 + y + k, np.column_stack([np.minimum(y, z), np.maximum(y, z),
+                                             np.where(y < z, rem, ell[k] - rem)]), r[er]),
+        ]
+        row, rank, pts, disp = (np.concatenate(col) for col in zip(*entries))
+        order = np.lexsort((rank, row))
+        row, pts, disp = row[order], pts[order], disp[order]
+        count = np.bincount(row, minlength=m)
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        S = int(count.max(initial=0))
+        cand = np.zeros((m, S, 3))
+        out_disp = np.full((m, S), np.inf)
+        valid = np.zeros((m, S), dtype=bool)
+        cand[row, slot], out_disp[row, slot], valid[row, slot] = pts, disp, True
+        return cand, out_disp, valid
 
     def snap_to_target(self, ps):
         ps = np.atleast_2d(np.asarray(ps, dtype=float)).copy()
-        out = np.full(len(ps), -1, dtype=int)
-        for k, p in enumerate(ps):
-            d = self._point_node_dist(p, self.targets)
-            j = int(np.argmin(d))
-            if d[j] <= self.dx / 2 + 1e-12:
-                t = self.targets[j]
-                ps[k] = (float(t), float(t), 0.0)
-                out[k] = t
+        u, v, s, length = self._split(ps)
+        d = self._node_dist(u[:, None], v[:, None], s[:, None], length[:, None], self.targets)
+        j = np.argmin(d, axis=1)
+        hit = d[np.arange(len(ps)), j] <= self.dx / 2 + 1e-12
+        out = np.where(hit, self.targets[j], -1)
+        ps[hit] = self.points_of_nodes(out[hit])
         return ps, out
 
     def validate_points(self, ps):
@@ -778,7 +752,8 @@ class GraphDomain(SpatialDomain):
         for p in ps:
             u, v, s = int(p[0]), int(p[1]), float(p[2])
             self._check_node(u), self._check_node(v)
-            if u != v and not (0 <= s <= self._edge_len(u, v) + 1e-9):
+            length = self._edge_table[u, v]  # 0 where (u, v) is no edge
+            if u != v and not (length > 0 and 0 <= s <= length + 1e-9):
                 raise DomainError(f"offset {s} outside edge ({u},{v})")
 
 
@@ -788,14 +763,16 @@ class ExitCost:
     def __init__(self, domain, values, lipschitz_constant=None):
         self.domain = domain
         self.values = {int(k): float(v) for k, v in values.items()}
-        missing = set(domain.targets.tolist()) - set(self.values)
-        if missing:
-            raise DomainError(f"exit cost missing target nodes {sorted(missing)}")
+        tgt, keys = set(domain.targets.tolist()), set(self.values)
+        for what, nodes in (("missing target", tgt - keys), ("on non-target", keys - tgt)):
+            if nodes:
+                raise DomainError(f"exit cost {what} nodes {sorted(nodes)}")
         for k, v in self.values.items():
             if not np.isfinite(v) or v < 0:
                 raise DomainError(f"exit cost at node {k} must be finite and >= 0")
-        if lipschitz_constant is None:
-            lipschitz_constant = self._tightest_lipschitz()
+        if lipschitz_constant is None:  # the tightest constant over target pairs
+            _, _, d, gap = self._target_pairs()
+            lipschitz_constant = np.max(gap[d > 0] / d[d > 0], initial=0.0)
         self.lipschitz_constant = float(lipschitz_constant)
 
     @classmethod
@@ -806,15 +783,16 @@ class ExitCost:
     def constant(cls, domain, value):
         return cls(domain, {int(t): float(value) for t in domain.targets}, 0.0)
 
-    def _tightest_lipschitz(self):
+    def _target_pairs(self):
+        """(a, b, d(a, b), |g(a) - g(b)|) over target pairs a < b, in (a, b) order;
+        pairs in different components bound nothing."""
         tgt = self.domain.targets
-        best = 0.0
-        for a in range(len(tgt)):
-            for b in range(a + 1, len(tgt)):
-                d = self.domain.distance(tgt[a], tgt[b])
-                if d > 0:
-                    best = max(best, abs(self.values[int(tgt[a])] - self.values[int(tgt[b])]) / d)
-        return best
+        pts = self.domain.points_of_nodes(tgt)
+        d = self.domain.point_distance_matrix(pts, pts)
+        order = np.arange(len(tgt))
+        a, b = np.nonzero((order[:, None] < order) & np.isfinite(d))
+        g = self.node_table()[tgt]
+        return tgt[a], tgt[b], d[a, b], np.abs(g[a] - g[b])
 
     def at_node(self, i):
         return self.values[int(i)]
@@ -831,17 +809,16 @@ class ExitCost:
         return max(self.values.values())
 
     def lipschitz_violation(self):
-        """Worst (pair, excess) over target pairs, or None when (H3) holds."""
-        tgt = self.domain.targets
-        worst = None
-        for a in range(len(tgt)):
-            for b in range(a + 1, len(tgt)):
-                d = self.domain.distance(tgt[a], tgt[b])
-                gap = abs(self.values[int(tgt[a])] - self.values[int(tgt[b])])
-                excess = gap - self.lipschitz_constant * d - 1e-12
-                if excess > 0 and (worst is None or excess > worst[2]):
-                    worst = (int(tgt[a]), int(tgt[b]), excess)
-        return worst
+        """Worst (pair, excess) over target pairs, or None when (H3) holds.
+
+        The witness is the first pair in (a, b) order with the largest excess.
+        """
+        a, b, d, gap = self._target_pairs()
+        excess = gap - self.lipschitz_constant * d - 1e-12
+        if not np.any(excess > 0):
+            return None
+        k = int(np.argmax(excess))
+        return int(a[k]), int(b[k]), float(excess[k])
 
 
 def validate_hypotheses(domain, cost=None, rng=None, samples=200):

@@ -137,11 +137,14 @@ def _asymptotics_stage(bundle, cfg):
     bundle["p"] = p
 
     fit_cfg = cfg["asymptotics"]["rate_fit"]
-    bundle["rate_fit"] = None
+    bundle["rate_fit"] = bundle["rate_fit_error"] = None
     if fit_cfg is not None and curve is not None:
-        bundle["rate_fit"] = asy.fit_decay_rate(
-            curve, tuple(fit_cfg["window"]), fit_cfg["mode"],
-            int(fit_cfg.get("tail_dimension", 1)))
+        try:
+            bundle["rate_fit"] = asy.fit_decay_rate(
+                curve, tuple(fit_cfg["window"]), fit_cfg["mode"],
+                int(fit_cfg.get("tail_dimension", 1)))
+        except asy.ShrinkWindowError as err:  # the report grid is known only now
+            bundle["rate_fit_error"] = str(err)
 
 
 def _assemble_checks(bundle):
@@ -179,6 +182,10 @@ def _assemble_checks(bundle):
     if len(bundle["report_grid"]) == 0:
         checks.append({"name": "report_grid_nonempty", "passed": False,
                        "detail": f"no report time lies in [0, {ens.horizon:.6g}]"})
+
+    if bundle["rate_fit_error"] is not None:
+        checks.append({"name": "rate_fit_window", "passed": False,
+                       "detail": bundle["rate_fit_error"]})
 
     t_star = bundle["settling_time"]
     settle_bound = report.t_bound + report.dt

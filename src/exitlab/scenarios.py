@@ -321,19 +321,20 @@ def build_initial_measure(domain, cfg):
         if kind == "atoms":
             pts = [_as_point(domain, p) for p in block["points"]]
             return ParticleMeasure(domain, pts, block["weights"]), flags
+        if kind == "uniform" and domain.kind == "interval":
+            n = int(block["count"])
+            a, b = block["support"]
+            q = (np.arange(n) + 0.5) / n
+            pts = a + (b - a) * q
+            return ParticleMeasure(domain, pts, np.full(n, 1.0 / n)), flags
     except MeasureError as err:
         raise ScenarioError(f"initial_measure.weights: {err}") from None
     except ValueError as err:  # a point outside the domain, or not a number
-        path = "location" if kind == "dirac" else "points"
+        path = {"dirac": "location", "atoms": "points"}.get(kind, "support")
         raise ScenarioError(f"initial_measure.{path}: {err}") from None
     if domain.kind != "interval":
         raise ScenarioError(f"initial_measure kind {kind!r} needs the interval backend")
     n = int(block["count"])
-    if kind == "uniform":
-        a, b = block["support"]
-        q = (np.arange(n) + 0.5) / n
-        pts = a + (b - a) * q
-        return ParticleMeasure(domain, pts, np.full(n, 1.0 / n)), flags
     param = block["exponent"] if kind == "power_tail" else block["rate"]
     m0, truncated = _tail_atoms(domain, kind, float(block["shoulder"]), param, n)
     flags.append(f"truncated tail mass fraction {truncated:.6g} "

@@ -160,6 +160,11 @@ def test_fit_decay_rate_window_errors():
         fit_decay_rate(curve, (1.0, 10.0), "power")
     with pytest.raises(ShrinkWindowError, match="samples"):
         fit_decay_rate(curve, (1.0, 1.5), "power")
+    # log t at t = 0 is -inf: the window is refused before any fit
+    at_zero = ConvergenceCurve(np.linspace(0.0, 1.0, 5), np.full(5, 0.5), np.full(5, np.nan), 1)
+    for mode in ("power", "exponential"):
+        with pytest.raises(ShrinkWindowError, match="<= 0"):
+            fit_decay_rate(at_zero, (0.0, 1.0), mode)
 
 
 def test_curve_bound_and_moment_checks_on_solved_game():

@@ -161,6 +161,83 @@ def test_exit_cost_requires_all_targets_and_nonnegative():
         ExitCost(dom, {dom.node_at(0.0): -1.0, dom.node_at(1.0): 0.0})
 
 
+def test_exit_cost_rejects_entries_off_the_target_set():
+    dom = IntervalDomain(0.0, 1.0, 0.5, targets=[0.0, 1.0])
+    # an entry off the target set would raise max_cost and loosen the value bound
+    with pytest.raises(DomainError, match=r"non-target nodes \[1\]"):
+        ExitCost(dom, {0: 0.0, 1: 5.0, 2: 0.0})
+
+
+def tightest_lipschitz_reference(cost):
+    """The per-pair loop the array formula replaced."""
+    tgt = cost.domain.targets
+    best = 0.0
+    for a in range(len(tgt)):
+        for b in range(a + 1, len(tgt)):
+            d = cost.domain.distance(tgt[a], tgt[b])
+            if d > 0:
+                best = max(best, abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])]) / d)
+    return best
+
+
+def lipschitz_violation_reference(cost):
+    tgt = cost.domain.targets
+    worst = None
+    for a in range(len(tgt)):
+        for b in range(a + 1, len(tgt)):
+            d = cost.domain.distance(tgt[a], tgt[b])
+            gap = abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])])
+            excess = gap - cost.lipschitz_constant * d - 1e-12
+            if excess > 0 and (worst is None or excess > worst[2]):
+                worst = (int(tgt[a]), int(tgt[b]), excess)
+    return worst
+
+
+def lipschitz_domains():
+    interval = IntervalDomain(0.0, 1.0, 0.05, targets=[0.0, 0.25, 0.5, 0.75, 1.0])
+    grid = Grid2dDomain([0.0, 0.0], [0.6, 0.4], 0.1,
+                        targets=[[0.6, 0.0], [0.6, 0.1], [0.6, 0.2], [0.0, 0.4], [0.3, 0.4]])
+    rng = np.random.default_rng(4)
+    edges = [(k, k + 1, float(rng.uniform(0.2, 1.0))) for k in range(11)] + [(0, 6, 0.9), (3, 9, 0.4)]
+    graph = GraphDomain(12, edges, targets=[0, 2, 5, 7, 11])
+    return [interval, grid, graph]
+
+
+@pytest.mark.parametrize("dom", lipschitz_domains(), ids=["interval", "grid2d", "graph"])
+def test_exit_cost_lipschitz_pairs_match_the_pair_loops(dom):
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        values = {int(t): float(rng.uniform(0.0, 1.0)) for t in dom.targets}
+        cost = ExitCost(dom, values)
+        assert cost.lipschitz_constant == tightest_lipschitz_reference(cost)
+        assert cost.lipschitz_violation() is None
+        for lip in (0.0, 0.5 * cost.lipschitz_constant):
+            loose = ExitCost(dom, values, lip)
+            assert loose.lipschitz_violation() == lipschitz_violation_reference(loose)
+    # tied excesses: every pair with one end at the first target has the same gap
+    t = dom.targets
+    tied = ExitCost(dom, {int(k): (1.0 if k == t[0] else 0.0) for k in t}, 0.0)
+    want = lipschitz_violation_reference(tied)
+    assert tied.lipschitz_violation() == want == (int(t[0]), int(t[1]), want[2])
+
+
+def test_exit_cost_with_a_single_target():
+    dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])
+    cost = ExitCost(dom, {dom.node_at(1.0): 0.7})
+    assert cost.lipschitz_constant == 0.0 == tightest_lipschitz_reference(cost)
+    assert cost.lipschitz_violation() is None is lipschitz_violation_reference(cost)
+    graph = GraphDomain(3, [(0, 1, 1.0), (1, 2, 0.5)], targets=[2])
+    assert ExitCost(graph, {2: 0.4}).lipschitz_violation() is None
+
+
+def test_exit_cost_pairs_in_different_components_bound_nothing():
+    dom = GraphDomain(4, [(0, 1, 1.0), (2, 3, 1.0)], targets=[0, 1, 3])
+    cost = ExitCost(dom, {0: 0.0, 1: 0.5, 3: 2.0})
+    assert cost.lipschitz_constant == 0.5 == tightest_lipschitz_reference(cost)
+    zero = ExitCost(dom, {0: 0.0, 1: 0.0, 3: 2.0}, 0.0)
+    assert zero.lipschitz_violation() is None is lipschitz_violation_reference(zero)
+
+
 def test_target_snapping_within_half_cell():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
     pts = np.array([0.004, 0.006, 0.997, 0.5])

@@ -2,9 +2,9 @@
 
 Every registry scenario is an interval, so tests/golden_sha256.json does not
 cover the grid2d or graph mixture loop. tests/golden_backends_sha256.json
-holds the digests of three further scenarios, run for several iterations
-with congestion: a binned grid2d room, and a small metric graph with
-binning on and off. Every file of each run directory except manifest.json
+holds the digests of five further scenarios, run for several iterations
+with congestion: a binned grid2d room, and a small metric graph and a
+60-node random graph, each with binning on and off. Every file of each run directory except manifest.json
 is compared. The room2d benchmark workload's seed 0 is checked against the
 hash pinned in perfbench/pinned_report_sha256.json, which is only read here.
 """
@@ -74,9 +74,40 @@ def graph_congested(binning):
                             "rate_fit": None}}
 
 
-# all three stop at max_iterations without meeting the tolerance (status 3)
+def graph_random(binning):
+    """A connected 60-node random graph (a random tree plus 30 chords), congested, 6 iterations."""
+    rng = np.random.default_rng(7)
+    n = 60
+    pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    while len(pairs) < n - 1 + 30:
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((u, v))
+    edges = [[u, v, round(float(rng.uniform(0.2, 1.0)), 3)] for u, v in sorted(pairs)]
+    targets = [int(t) for t in rng.choice(n, size=3, replace=False)]
+    starts = [int(x) for x in rng.choice(n, size=12, replace=False)]
+    kernel = dict(CONGESTED, chi={"family": "gaussian", "width": 0.8, "amplitude": 0.6},
+                  eta={"family": "taper", "distance": 0.5})
+    return {"schema": 1, "name": "graph_random_" + binning, "seed": 0,
+            "domain": {"kind": "graph", "n_nodes": n, "edges": edges,
+                       "targets": targets, "origin": starts[0]},
+            "exit_cost": {"kind": "table",
+                          "entries": [[t, 0.1 * k] for k, t in enumerate(targets)]},
+            "kernel": kernel,
+            "initial_measure": {"kind": "atoms", "points": starts,
+                                "weights": [1.0 / len(starts)] * len(starts)},
+            "equilibrium": {"max_iterations": 6, "tolerance": 1e-6,
+                            "damping": {"rule": "fictitious_play"},
+                            "marginal_binning": binning},
+            "asymptotics": {"p": 1,
+                            "report_times": {"kind": "linear", "start": 0.0,
+                                             "stop": None, "step": 0.5},
+                            "rate_fit": None}}
+
+
+# all five stop at max_iterations without meeting the tolerance (status 3)
 SCENARIOS = {cfg["name"]: cfg for cfg in
-             (room2d_binned(), graph_congested("on"), graph_congested("off"))}
+             (room2d_binned(), graph_congested("on"), graph_congested("off"),
+              graph_random("on"), graph_random("off"))}
 
 
 def _digest(path):

@@ -10,6 +10,7 @@ import pytest
 from exitlab.domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.measures import TrajectoryEnsemble
 from exitlab.ocp import horizon_bound, trajectory_bound
+from test_graph_arrays import edge_len_reference, pair_dist_reference, point_node_dist_reference
 
 
 def interval():
@@ -55,7 +56,7 @@ def node_index_of_points_reference(domain, pts):
     out = np.empty(len(pts), dtype=int)
     for k, p in enumerate(pts):
         u, v, s = int(p[0]), int(p[1]), float(p[2])
-        out[k] = u if (u == v or s <= domain._edge_len(u, v) / 2) else v
+        out[k] = u if (u == v or s <= edge_len_reference(domain, u, v) / 2) else v
     return out
 
 
@@ -124,21 +125,21 @@ def test_graph_point_distances_on_batches_of_any_shape():
     one_p, one_q = random_points(dom, rng, (1,)), random_points(dom, rng, (1,))
     d = dom.point_distance(one_p, one_q)
     assert isinstance(d, np.ndarray) and d.shape == (1,)
-    assert d[0] == dom._pair_dist(one_p[0], one_q[0])
+    assert d[0] == pair_dist_reference(dom, one_p[0], one_q[0])
     o = dom.point_origin_distance(one_p)
     assert isinstance(o, np.ndarray) and o.shape == (1,)
 
     p, q = random_points(dom, rng, (4, 3)), random_points(dom, rng, (4, 3))
     d = dom.point_distance(p, q)
     assert d.shape == (4, 3)
-    want = np.array([[dom._pair_dist(p[i, j], q[i, j]) for j in range(3)] for i in range(4)])
+    want = np.array([[pair_dist_reference(dom, p[i, j], q[i, j]) for j in range(3)] for i in range(4)])
     assert np.array_equal(d, want)
     # broadcasting one point against a batch
     d_row = dom.point_distance(p, q[0, 0])
-    assert np.array_equal(d_row, [[dom._pair_dist(a, q[0, 0]) for a in row] for row in p])
+    assert np.array_equal(d_row, [[pair_dist_reference(dom, a, q[0, 0]) for a in row] for row in p])
     o = dom.point_origin_distance(p)
     assert o.shape == (4, 3)
-    want = np.array([[dom._point_node_dist(p[i, j], np.array([dom.origin]))[0]
+    want = np.array([[point_node_dist_reference(dom, p[i, j], np.array([dom.origin]))[0]
                       for j in range(3)] for i in range(4)])
     assert np.array_equal(o, want)
 

@@ -149,6 +149,10 @@ def test_validation_failure_status(tmp_path):
                                      "weights": [0.5, 0.4]}, id="initial_measure-weights_sum_0.9"),
     pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": 0},
                  id="initial_measure-count_0"),
+    pytest.param("initial_measure", {"kind": "uniform", "support": [0.5, 2.0], "count": 10},
+                 id="initial_measure-uniform_support_outside"),
+    pytest.param("exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0], [0.5, 5.0]]},
+                 id="exit_cost-entry_off_the_target"),
     pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": -3},
                  id="initial_measure-count_-3"),
     pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": "a"},
@@ -183,6 +187,20 @@ def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION
     assert path in result.error
+
+
+@pytest.mark.parametrize("block, path", [
+    ({"initial_measure": {"kind": "uniform", "support": [0.5, 2.0], "count": 10}},
+     "initial_measure.support: point outside interval domain"),
+    ({"exit_cost": {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0], [0.5, 5.0]]}},
+     "exit_cost.entries: exit cost on non-target nodes [100]"),
+])
+def test_off_domain_support_and_off_target_cost_name_their_paths(tmp_path, block, path):
+    cfg = load_scenario("remark_5_3")
+    cfg.update(block)
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION
+    assert result.error == path
 
 
 def test_unknown_rate_fit_mode_names_the_path_and_the_value():
@@ -366,3 +384,32 @@ def test_report_grid_beyond_the_horizon_fails_a_check(tmp_path, times):
 def test_report_grid_check_only_when_the_grid_is_empty(tmp_path):
     result = runner.run("remark_5_3", str(tmp_path / "run"))
     assert "report_grid_nonempty" not in {c["name"] for c in result.ledger["checks"]}
+
+
+@pytest.mark.parametrize("window, detail", [
+    pytest.param([100.0, 200.0], "holds 0 samples", id="no_report_time"),
+    pytest.param([0.0, 0.3], "holds the time 0 <= 0", id="holds_t_0"),
+])
+def test_unusable_rate_fit_window_fails_a_check(tmp_path, capfd, window, detail):
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["rate_fit"] = {"mode": "power", "window": window}
+    out = tmp_path / "fit"
+    result = runner.run(cfg, str(out))
+    assert result.status == runner.STATUS_NOT_CONVERGED, result.error
+    checks = {c["name"]: c for c in result.ledger["checks"]}
+    assert checks["rate_fit_window"]["passed"] is False
+    assert detail in checks["rate_fit_window"]["detail"]
+    assert [c["name"] for c in result.ledger["checks"] if not c["passed"]] == ["rate_fit_window"]
+    assert "rate_fit" not in result.ledger
+    assert not (out / "rate_fit.json").exists()
+    assert "DLASCL" not in capfd.readouterr().err
+    check = runner.verify(str(out))
+    assert check.passed and not check.differences
+
+
+def test_rate_fit_window_check_only_when_the_fit_fails(tmp_path):
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["rate_fit"] = {"mode": "power", "window": [0.05, 0.3]}
+    result = runner.run(cfg, str(tmp_path / "run"))
+    assert "rate_fit_window" not in {c["name"] for c in result.ledger["checks"]}
+    assert "rate_fit" in result.ledger
