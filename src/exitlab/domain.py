@@ -8,6 +8,7 @@ so the geodesic constant is 1 by construction.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +78,14 @@ class SpatialDomain:
         return self.coords
 
     def _check_node(self, i, key=None):
-        if not (0 <= int(i) < self.n_nodes):
+        """Index of node id i, which must be a whole number (3 or 3.0) below n_nodes."""
+        try:
+            idx = operator.index(i)  # an int or a numpy integer
+        except TypeError:
+            idx = int(i) if isinstance(i, (float, np.floating)) and float(i).is_integer() else -1
+        if not 0 <= idx < self.n_nodes:
             raise DomainError(f"unknown node index {i} (n_nodes={self.n_nodes})", key)
-        return int(i)
+        return idx
 
     def _resolve_nodes(self, coords, key):
         """Node index of each coordinate (node id on graphs), errors tagged with key."""
@@ -98,10 +104,11 @@ class SpatialDomain:
 
     def target_node_distances(self):
         """Distance from every node to the target set."""
-        raise NotImplementedError
+        return self.point_target_distance(self.node_points())
 
     def origin_node_distances(self):
-        raise NotImplementedError
+        """Distance from every node to the origin node."""
+        return self.point_origin_distance(self.node_points())
 
     def node_at(self, coord):
         """Index of the node nearest to a coordinate."""
@@ -164,45 +171,44 @@ class SpatialDomain:
     def reach_stencil(self, r_max):
         """Reach-ball minimum over every node, for budgets up to r_max.
 
-        Returns bind(r): r is a per-node budget array with r <= r_max, and
-        bind(r)(node_values) is, per node, the minimum of the interpolated
-        node field over the candidate moves reach_candidates(node, r) marks
-        valid. The r-dependent work happens in bind, so one bound stencil
-        serves any number of fields. Backends override this with a
-        precomputed node stencil; every override must return bit-identical
-        minima to this default.
+        Returns bind(r) for a per-node budget array r <= r_max: bind places
+        reach_plan(r_max)'s moves at the node points once, and
+        bind(r)(node_values) is the least value the plan evaluates per node.
+        An override (a precomputed node stencil) must return the same minima,
+        bit for bit.
         """
+        place = self.reach_plan(r_max)
         pts = self.node_points()
 
         def bind(r):
-            cand, _, valid = self.reach_candidates(pts, r)
-            flat = cand.reshape(-1, *cand.shape[2:])
-
-            def ball_min(node_values):
-                vals = self.interp(node_values, flat).reshape(valid.shape)
-                return np.min(np.where(valid, vals, BIG), axis=1)
-            return ball_min
+            evaluate = place(pts, r)
+            # the plan may reuse its arrays on its next call: reduce them at once
+            return lambda node_values: np.min(evaluate(node_values)[1], axis=1)
         return bind
 
     def reach_plan(self, r_max):
-        """One greedy-descent step's candidate evaluation, for budgets up to r_max.
+        """Candidate evaluation for greedy descent and the reach-ball minimum.
 
-        Returns evaluate(ps, r, node_values) -> (cand, vals, disp) for budgets
-        r <= r_max: the candidate moves and displacements of
-        reach_candidates(ps, r), and the node field interpolated at every
-        candidate, with BIG at invalid slots and an infinite displacement.
+        Returns place(ps, r) for budgets r <= r_max: it places the moves of
+        reach_candidates(ps, r) and returns evaluate(node_values) -> (cand,
+        vals, disp), the moves, the node field at each (BIG at invalid slots)
+        and the displacements (infinite there), for any number of fields.
         Backends override this with a slot layout fixed from r_max, which may
         hold further invalid slots; the first slot with the least (value,
         displacement) must hold the same move, with the same bits, as in
-        reach_candidates. Arrays an override returns may be reused by its
-        next call.
+        reach_candidates. An override may reuse its arrays at its next
+        placement or evaluation: an evaluate serves until the next placement.
         """
-        def evaluate(ps, r, node_values):
+        def place(ps, r):
             cand, disp, valid = self.reach_candidates(ps, r)
-            vals = np.full(valid.shape, BIG)
-            vals[valid] = self.interp(node_values, cand[valid])
-            return cand, vals, disp
-        return evaluate
+            at = cand[valid]
+
+            def evaluate(node_values):
+                vals = np.full(valid.shape, BIG)
+                vals[valid] = self.interp(node_values, at)
+                return cand, vals, disp
+            return evaluate
+        return place
 
     def snap_to_target(self, ps):
         """Snap points within dx/2 of a target node onto it.
@@ -235,7 +241,6 @@ class IntervalDomain(SpatialDomain):
         if origin is None:
             origin = self.lo
         self.origin = self._resolve_nodes([origin], "origin")[0]
-        self._target_dist = None
 
     def node_at(self, coord):
         i = int(round((float(coord) - self.lo) / self.dx))
@@ -251,15 +256,6 @@ class IntervalDomain(SpatialDomain):
         step = 1 if j >= i else -1
         path = list(range(i, j + step, step)) if i != j else [i]
         return path, self.distance(i, j)
-
-    def target_node_distances(self):
-        if self._target_dist is None:
-            tc = self.coords[self.targets]
-            self._target_dist = np.min(np.abs(self.coords[:, None] - tc[None, :]), axis=1)
-        return self._target_dist
-
-    def origin_node_distances(self):
-        return np.abs(self.coords - self.coords[self.origin])
 
     def as_points(self, x):
         return np.array(x, dtype=float).reshape(-1)
@@ -281,7 +277,8 @@ class IntervalDomain(SpatialDomain):
         # sphere endpoints, left before right
         ends = ps[:, None] + np.array([-1.0, 1.0]) * r[:, None]
         # nodes inside the closed ball, ascending coordinate
-        i_lo, i_hi = self._ball_bounds(ps, r)
+        i_lo = np.ceil((ps - r - self.lo) / self.dx - 1e-9).astype(int)
+        i_hi = np.floor((ps + r - self.lo) / self.dx + 1e-9).astype(int)
         idx = i_lo[:, None] + np.arange(n_ball)
         cand = np.concatenate([ps[:, None], np.clip(ends, self.lo, self.hi),
                                self.coords[np.clip(idx, 0, self.n_nodes - 1)]], axis=1)
@@ -293,7 +290,7 @@ class IntervalDomain(SpatialDomain):
         return cand, disp, valid
 
     def reach_plan(self, r_max):
-        """reach_candidates' slots, slot-major in buffers reused from step to step.
+        """reach_candidates' slots, slot-major in buffers reused from placement to placement.
 
         The layout is fixed from r_max: the null step, the two sphere
         endpoints and n_ball node slots, sized with room for an interpolated
@@ -308,7 +305,7 @@ class IntervalDomain(SpatialDomain):
         signs = np.array([[-1.0], [1.0]])
         buffers = []
 
-        def evaluate(ps, r, node_values):
+        def place(ps, r):
             m = len(ps)
             if not buffers or buffers[0].size < n_slot * m:
                 buffers[:] = [np.empty(n_slot * m) for _ in range(3)] + [np.empty(n_slot * m, bool)]
@@ -321,7 +318,7 @@ class IntervalDomain(SpatialDomain):
             np.multiply(signs, r, out=ends)
             ends += ps
             valid[1:3] = (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12)
-            # nodes inside the closed ball, as _ball_bounds computes them
+            # nodes inside the closed ball, as reach_candidates computes them
             f = (ends - self.lo) / self.dx
             i_lo = np.ceil(f[0] - 1e-9).astype(int)
             i_hi = np.floor(f[1] + 1e-9).astype(int)
@@ -331,51 +328,17 @@ class IntervalDomain(SpatialDomain):
             np.equal(safe, idx, out=valid[3:])
             valid[3:] &= idx <= i_hi
             cand[3:] = self.coords[safe]
-            vals[:3] = self.interp(node_values, cand[:3])
-            vals[3:] = node_values[safe]
             invalid = ~valid
-            np.copyto(vals, BIG, where=invalid)
             np.abs(np.subtract(cand, ps, out=disp), out=disp)
             np.copyto(disp, np.inf, where=invalid)
-            return cand.T, vals.T, disp.T
-        return evaluate
 
-    def _ball_bounds(self, ps, r):
-        """First and last node index inside each closed ball, as reach_candidates."""
-        i_lo = np.ceil((ps - r - self.lo) / self.dx - 1e-9).astype(int)
-        i_hi = np.floor((ps + r - self.lo) / self.dx + 1e-9).astype(int)
-        return i_lo, i_hi
-
-    def reach_stencil(self, r_max):
-        """Node stencil i + o over the offsets o any ball of radius <= r_max reaches.
-
-        Node values are gathered directly (np.interp returns the node value
-        exactly at a node coordinate); the two sphere endpoints go through
-        one np.interp call per field.
-        """
-        x = self.coords
-        i_lo, i_hi = self._ball_bounds(x, np.full(self.n_nodes, float(r_max)))
-        own = np.arange(self.n_nodes)
-        offsets = np.arange(min(np.min(i_lo - own), 0), max(np.max(i_hi - own), 0) + 1)
-        idx = own[:, None] + offsets[None, :]
-        in_range = (idx >= 0) & (idx < self.n_nodes)
-        safe = np.clip(idx, 0, self.n_nodes - 1)
-        null_step = offsets[None, :] == 0
-
-        def bind(r):
-            r = np.broadcast_to(np.asarray(r, dtype=float), x.shape)
-            lo_b, hi_b = self._ball_bounds(x, r)
-            node_ok = null_step | (in_range & (idx >= lo_b[:, None]) & (idx <= hi_b[:, None]))
-            ends = np.concatenate([x - r, x + r])
-            end_ok = (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12)
-            ends = np.clip(ends, self.lo, self.hi)
-
-            def ball_min(node_values):
-                end_vals = np.where(end_ok, np.interp(ends, x, node_values), BIG)
-                node_best = np.min(np.where(node_ok, node_values[safe], BIG), axis=1)
-                return np.minimum(node_best, np.min(end_vals.reshape(2, -1), axis=0))
-            return ball_min
-        return bind
+            def evaluate(node_values):
+                vals[:3] = self.interp(node_values, cand[:3])
+                vals[3:] = node_values[safe]
+                np.copyto(vals, BIG, where=invalid)
+                return cand.T, vals.T, disp.T
+            return evaluate
+        return place
 
     def snap_to_target(self, ps):
         ps = np.asarray(ps, dtype=float).copy()
@@ -427,7 +390,6 @@ class Grid2dDomain(SpatialDomain):
         self.n_nodes = nx * ny
         self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
         self.origin = self._resolve_nodes([origin if origin is not None else lo], "origin")[0]
-        self._target_dist = None
         if self.connectivity == 8:
             self._offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
         else:
@@ -468,15 +430,6 @@ class Grid2dDomain(SpatialDomain):
             path.append(cx * ny + cy)
         length = sum(self.distance(a, b) for a, b in zip(path[:-1], path[1:]))
         return path, length
-
-    def target_node_distances(self):
-        if self._target_dist is None:
-            d = self.coords[:, None, :] - self.coords[self.targets][None, :, :]
-            self._target_dist = np.min(self._metric(d), axis=1)
-        return self._target_dist
-
-    def origin_node_distances(self):
-        return self._metric(self.coords - self.coords[self.origin])
 
     def nearest_nodes(self, ps):
         ps = np.asarray(ps, dtype=float)
@@ -608,12 +561,11 @@ class GraphDomain(SpatialDomain):
         rows, cols, vals = [], [], []
         self.edge_length = {}
         for u, v, length in edges:
-            u, v, length = int(u), int(v), float(length)
+            u, v, length = self._check_node(u, "edges"), self._check_node(v, "edges"), float(length)
             if length <= 0:
                 raise DomainError(f"edge ({u},{v}) has nonpositive length", "edges")
             if u == v:
                 raise DomainError(f"self-loop at node {u}", "edges")
-            self._check_node(u, "edges"), self._check_node(v, "edges")
             key = (min(u, v), max(u, v))
             if key in self.edge_length:
                 raise DomainError(f"duplicate edge {key}", "edges")
@@ -650,12 +602,6 @@ class GraphDomain(SpatialDomain):
             path.append(int(self._pred[i, path[-1]]))
         path.reverse()
         return path, float(self._dm[i, j])
-
-    def target_node_distances(self):
-        return np.min(self._dm[:, self.targets], axis=1)
-
-    def origin_node_distances(self):
-        return self._dm[:, self.origin].copy()
 
     # point helpers: array formulas over _dm and _edge_table --------------
 
@@ -750,8 +696,7 @@ class GraphDomain(SpatialDomain):
     def validate_points(self, ps):
         ps = np.atleast_2d(np.asarray(ps, dtype=float))
         for p in ps:
-            u, v, s = int(p[0]), int(p[1]), float(p[2])
-            self._check_node(u), self._check_node(v)
+            u, v, s = self._check_node(p[0]), self._check_node(p[1]), float(p[2])
             length = self._edge_table[u, v]  # 0 where (u, v) is no edge
             if u != v and not (length > 0 and 0 <= s <= length + 1e-9):
                 raise DomainError(f"offset {s} outside edge ({u},{v})")
@@ -762,7 +707,7 @@ class ExitCost:
 
     def __init__(self, domain, values, lipschitz_constant=None):
         self.domain = domain
-        self.values = {int(k): float(v) for k, v in values.items()}
+        self.values = {domain._check_node(k): float(v) for k, v in values.items()}
         tgt, keys = set(domain.targets.tolist()), set(self.values)
         for what, nodes in (("missing target", tgt - keys), ("on non-target", keys - tgt)):
             if nodes:

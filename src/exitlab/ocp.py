@@ -261,7 +261,7 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
     samples[:, :j0 + 1] = pos[:, None]
 
     # one plan serves every step: no step's budget exceeds r_max
-    evaluate = domain.reach_plan(float(np.max(speed.values)) * dt)
+    place = domain.reach_plan(float(np.max(speed.values)) * dt)
     for j in range(j0, n_steps):
         active = np.flatnonzero(exit_idx < 0)
         if len(active) == 0:
@@ -269,7 +269,7 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
             break
         cur = pos[active]
         r = speed.at_points(j, cur) * dt
-        cand, vals, disp = evaluate(cur, r, phi.values[j + 1])
+        cand, vals, disp = place(cur, r)(phi.values[j + 1])
         slot, best_val = _select_candidates(vals, disp)
         if np.any(best_val >= BIG / 2):
             k = active[int(np.flatnonzero(best_val >= BIG / 2)[0])]

@@ -44,11 +44,20 @@ def _require_number(value, path, integer=False, positive=False):
 
 
 def _require_numbers(value, count, path):
-    """Reject anything but a list of `count` finite numbers."""
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise ScenarioError(f"{path} must be a list of {count} numbers, got {value!r}")
+    """Reject anything but a list of `count` finite numbers (of any length if count is None)."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        what = "numbers" if count is None else f"{count} numbers"
+        raise ScenarioError(f"{path} must be a list of {what}, got {value!r}")
     for k, v in enumerate(value):
         _require_number(v, f"{path}[{k}]")
+
+
+def _require_node(value, kind, path):
+    """Reject anything but a node reference of a domain kind: [x, y] on grid2d, else a number."""
+    if kind == "grid2d":
+        _require_numbers(value, 2, path)
+    else:
+        _require_number(value, path)
 
 
 def _require_choice(value, choices, path):
@@ -93,10 +102,23 @@ def validate_config(cfg):
             raise ScenarioError(f"domain.edges must be a list of [u, v, length] triples, got {edges!r}")
         for k, edge in enumerate(edges):
             _require_numbers(edge, 3, f"domain.edges[{k}]")
-    if isinstance(dom.get("targets"), dict):
-        _require(dom["targets"], {"intervals"}, "domain.targets")
-        for k, pair in enumerate(dom["targets"].get("intervals", ())):
+    targets = dom.get("targets")
+    if isinstance(targets, dict) and dom["kind"] == "interval":
+        _require(targets, {"intervals"}, "domain.targets")
+        intervals = targets.get("intervals", [])
+        if not isinstance(intervals, list):
+            raise ScenarioError(f"domain.targets.intervals must be a list of [a, b] pairs, "
+                                f"got {intervals!r}")
+        for k, pair in enumerate(intervals):
             _require_numbers(pair, 2, f"domain.targets.intervals[{k}]")
+    elif isinstance(targets, list):
+        for k, target in enumerate(targets):
+            _require_node(target, dom["kind"], f"domain.targets[{k}]")
+    else:
+        also = " or an intervals object" if dom["kind"] == "interval" else ""
+        raise ScenarioError(f"domain.targets must be a list{also}, got {targets!r}")
+    if dom.get("origin") is not None:
+        _require_node(dom["origin"], dom["kind"], "domain.origin")
     if dom["kind"] != "graph":
         _require_number(dom.get("dx"), "domain.dx", positive=True)
 
@@ -112,8 +134,9 @@ def validate_config(cfg):
                 isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
             raise ScenarioError(f"exit_cost.entries must be a list of [target, cost] pairs, "
                                 f"got {entries!r}")
-        for k, (_, value) in enumerate(entries):
-            _require_number(value, f"exit_cost.entries[{k}]")
+        for k, (node, value) in enumerate(entries):
+            _require_node(node, dom["kind"], f"exit_cost.entries[{k}][0]")
+            _require_number(value, f"exit_cost.entries[{k}][1]")
     if cost.get("lipschitz") is not None:
         _require_number(cost["lipschitz"], "exit_cost.lipschitz")
 
@@ -148,6 +171,8 @@ def validate_config(cfg):
     _require(m0, allowed[m0["kind"]], "initial_measure")
     if m0["kind"] == "uniform":
         _require_numbers(m0.get("support"), 2, "initial_measure.support")
+    if m0["kind"] == "atoms":
+        _require_numbers(m0.get("weights"), None, "initial_measure.weights")
     for key in ("shoulder", "exponent", "rate", "count"):
         if key in allowed[m0["kind"]]:
             _require_number(m0.get(key), f"initial_measure.{key}",
@@ -192,7 +217,7 @@ def validate_config(cfg):
             raise ScenarioError(f"asymptotics.report_times.stop must be at least start "
                                 f"({start!r}) and positive on a log grid, got {stop!r}")
     elif isinstance(rt, list):
-        _require_numbers(rt, len(rt), "asymptotics.report_times")
+        _require_numbers(rt, None, "asymptotics.report_times")
         if any(t < 0 for t in rt):
             raise ScenarioError(f"asymptotics.report_times must not hold negative times, got {rt!r}")
     else:
@@ -302,7 +327,7 @@ def _tail_atoms(domain, kind, shoulder, param, n):
 
 def _as_point(domain, loc):
     if domain.kind == "graph":
-        return domain.points_of_nodes([int(loc)])[0]
+        return domain.points_of_nodes([domain.node_at(loc)])[0]
     return loc
 
 

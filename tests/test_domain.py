@@ -88,6 +88,101 @@ def test_target_node_distances_examples():
     assert left.target_node_distances()[left.node_at(0.3)] == pytest.approx(0.3, abs=1e-12)
 
 
+# (target, origin) node tables as each backend computed them before the base
+# class derived them from the point formulas
+def interval_node_tables_reference(dom):
+    tc = dom.coords[dom.targets]
+    return (np.min(np.abs(dom.coords[:, None] - tc[None, :]), axis=1),
+            np.abs(dom.coords - dom.coords[dom.origin]))
+
+
+def grid2d_node_tables_reference(dom):
+    d = dom.coords[:, None, :] - dom.coords[dom.targets][None, :, :]
+    return np.min(dom._metric(d), axis=1), dom._metric(dom.coords - dom.coords[dom.origin])
+
+
+def graph_node_tables_reference(dom):
+    return np.min(dom._dm[:, dom.targets], axis=1), dom._dm[:, dom.origin].copy()
+
+
+def graph_with_an_unreachable_component(n=60, cut=19, seed=7):
+    """Random tree on the first n - cut nodes plus a chain on the rest, with no edge between."""
+    rng = np.random.default_rng(seed)
+    main = n - cut
+    edges = [(k, int(rng.integers(0, k)), float(rng.uniform(0.1, 1.0))) for k in range(1, main)]
+    edges += [(k, k + 1, float(rng.uniform(0.1, 1.0))) for k in range(main, n - 1)]
+    return GraphDomain(n, edges, targets=[0, 5, 17], origin=3)
+
+
+NODE_TABLE_DOMAINS = {
+    "interval_one_target": (lambda: IntervalDomain(0.0, 1.3, 0.01, targets=[1.3], origin=0.37),
+                            interval_node_tables_reference),
+    "interval_three_targets": (lambda: IntervalDomain(-0.5, 1.0, 0.015, targets=[-0.5, 0.2, 0.71],
+                                                      origin=0.455),
+                               interval_node_tables_reference),
+    "grid2d_4": (lambda: Grid2dDomain([0.0, -0.2], [0.7, 0.5], 0.05,
+                                      targets=[[0.7, 0.15], [0.0, 0.5], [0.35, -0.2]],
+                                      origin=[0.2, 0.1], connectivity=4),
+                 grid2d_node_tables_reference),
+    "grid2d_8": (lambda: Grid2dDomain([0.0, -0.2], [0.7, 0.5], 0.05,
+                                      targets=[[0.7, 0.15], [0.0, 0.5], [0.35, -0.2]],
+                                      origin=[0.2, 0.1], connectivity=8),
+                 grid2d_node_tables_reference),
+    "graph_unreachable": (graph_with_an_unreachable_component, graph_node_tables_reference),
+}
+
+
+@pytest.mark.parametrize("name", NODE_TABLE_DOMAINS)
+def test_node_tables_are_the_point_formulas_at_the_nodes(name):
+    make, reference = NODE_TABLE_DOMAINS[name]
+    dom = make()
+    want_target, want_origin = reference(dom)
+    for got, want in ((dom.target_node_distances(), want_target),
+                      (dom.origin_node_distances(), want_origin)):
+        assert got.shape == want.shape == (dom.n_nodes,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if name == "graph_unreachable":  # the cut-off chain is infinitely far from both
+        assert np.count_nonzero(np.isinf(want_target)) == 19
+        assert np.array_equal(np.isinf(want_origin), np.isinf(want_target))
+    else:
+        assert dom.origin != 0
+
+
+def test_one_definition_of_the_node_tables_and_the_interval_stencil():
+    for cls in (IntervalDomain, Grid2dDomain, GraphDomain):
+        assert "target_node_distances" not in vars(cls)
+        assert "origin_node_distances" not in vars(cls)
+    assert "reach_stencil" not in vars(IntervalDomain)
+    assert "reach_stencil" in vars(Grid2dDomain)  # precomputed bilinear node plans
+
+
+@pytest.mark.parametrize("node", [2.7, 0.5, -1, 5, "3", "a", None, float("nan"),
+                                  float("inf"), [1]])
+def test_malformed_node_ids_are_rejected(node):
+    dom = GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)], targets=[2])
+    with pytest.raises(DomainError, match="unknown node index"):
+        dom.node_at(node)
+    with pytest.raises(DomainError, match="unknown node index") as err:
+        GraphDomain(5, [(0, 1, 1.0), (node, 2, 0.5)], targets=[2])
+    assert err.value.key == "edges"
+    with pytest.raises(DomainError) as err:
+        GraphDomain(5, [(0, 1, 1.0)], targets=[node])
+    assert err.value.key == "targets"
+    with pytest.raises(DomainError) as err:
+        GraphDomain(5, [(0, 1, 1.0)], targets=[1], origin=node)
+    assert err.value.key == "origin"
+
+
+def test_integral_node_ids_are_accepted():
+    dom = GraphDomain(5, [(0.0, 1, 1.0), (1, 2.0, 0.5), (np.int64(1), 3, 0.7), (3, 4, 0.4)],
+                      targets=[2.0, np.float64(4)], origin=3.0)
+    assert dom.targets.tolist() == [2, 4] and dom.origin == 3
+    assert dom.node_at(np.float64(1.0)) == 1
+    dom.validate_points(dom.points_of_nodes([0, 4]))
+    with pytest.raises(DomainError, match="unknown node index 0.5"):
+        dom.validate_points([[0.5, 1.0, 0.2]])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_metric_axioms_interval(seed):
     dom = IntervalDomain(0.0, 2.0, 0.05, targets=[0.0])
@@ -166,6 +261,9 @@ def test_exit_cost_rejects_entries_off_the_target_set():
     # an entry off the target set would raise max_cost and loosen the value bound
     with pytest.raises(DomainError, match=r"non-target nodes \[1\]"):
         ExitCost(dom, {0: 0.0, 1: 5.0, 2: 0.0})
+    # a fractional node index is no node, not the node below it
+    with pytest.raises(DomainError, match="unknown node index 2.5"):
+        ExitCost(dom, {0: 0.0, 2.5: 0.0})
 
 
 def tightest_lipschitz_reference(cost):
@@ -271,7 +369,9 @@ def looped_interval_candidates(dom, ps, r):
         q = ps + sgn * r
         cand[:, s] = np.clip(q, dom.lo, dom.hi)
         valid[:, s] = (q >= dom.lo - 1e-12) & (q <= dom.hi + 1e-12)
-    i_lo, i_hi = dom._ball_bounds(ps, r)
+    # first and last node index inside each closed ball
+    i_lo = np.ceil((ps - r - dom.lo) / dom.dx - 1e-9).astype(int)
+    i_hi = np.floor((ps + r - dom.lo) / dom.dx + 1e-9).astype(int)
     for s in range(n_ball):
         idx = i_lo + s
         cand[:, 3 + s] = dom.coords[np.clip(idx, 0, dom.n_nodes - 1)]

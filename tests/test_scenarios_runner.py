@@ -9,7 +9,7 @@ from exitlab import cli, runner
 from exitlab.scenarios import (ScenarioError, build_domain,
                                build_initial_measure, load_scenario,
                                scenario_registry, validate_config)
-from test_backends import graph_scenario
+from test_backends import graph_scenario, grid2d_scenario
 
 
 def test_registry_names_resolve_and_validate():
@@ -217,6 +217,64 @@ def test_malformed_graph_edges_are_validation_failures(tmp_path, edges):
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION
     assert "domain.edges" in result.error
+
+
+def interval_scenario():
+    return load_scenario("remark_5_3")
+
+
+GRAPH_EDGES = [[1, 2, 0.5], [1, 3, 0.7], [3, 4, 0.4]]
+
+
+@pytest.mark.parametrize("make, path, value, named", [
+    # graph ids that are not whole numbers used to be cut to another node
+    (graph_scenario, "initial_measure.points", [0.6, 3], "initial_measure.points: "),
+    (graph_scenario, "domain.targets", [2.7, 4], "domain.targets: "),
+    (graph_scenario, "domain.origin", 0.9, "domain.origin: "),
+    (graph_scenario, "domain.edges", [[0.5, 1, 1.0]] + GRAPH_EDGES, "domain.edges: "),
+    (graph_scenario, "initial_measure", {"kind": "dirac", "location": 1.5},
+     "initial_measure.location: "),
+    (graph_scenario, "exit_cost.entries", [[2.5, 0.0], [4, 0.0]], "exit_cost.entries: "),
+    # targets and origins of the wrong shape used to fail inside the builders
+    (interval_scenario, "domain.targets", ["a"], "domain.targets[0] "),
+    (interval_scenario, "domain.targets", [None], "domain.targets[0] "),
+    (interval_scenario, "domain.targets", 1.0, "domain.targets "),
+    (grid2d_scenario, "domain.targets", ["a"], "domain.targets[0] "),
+    (grid2d_scenario, "domain.targets", [None], "domain.targets[0] "),
+    (grid2d_scenario, "domain.targets", 1.0, "domain.targets "),
+    (graph_scenario, "domain.targets", ["a"], "domain.targets[0] "),
+    (graph_scenario, "domain.targets", [None], "domain.targets[0] "),
+    (graph_scenario, "domain.targets", 2, "domain.targets "),
+    (graph_scenario, "domain.origin", "x", "domain.origin "),
+    (interval_scenario, "domain.origin", "x", "domain.origin "),
+    (grid2d_scenario, "domain.targets", [[0.1]], "domain.targets[0] "),
+    (grid2d_scenario, "domain.origin", [0.0], "domain.origin "),
+    (grid2d_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0]]},
+     "exit_cost.entries[0][0] "),
+    (interval_scenario, "initial_measure", {"kind": "atoms", "points": [0.5], "weights": ["a"]},
+     "initial_measure.weights[0] "),
+    (interval_scenario, "initial_measure", {"kind": "atoms", "points": [0.5], "weights": 1.0},
+     "initial_measure.weights "),
+])
+def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, named):
+    cfg = make()
+    runner.set_by_path(cfg, path, value)
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION, result.error
+    assert result.error.startswith(named)
+
+
+def test_whole_number_graph_ids_written_as_floats_still_run(tmp_path):
+    base = runner.run(graph_scenario(), str(tmp_path / "base"))
+    cfg = graph_scenario()
+    for path, value in [("domain.targets", [2.0, 4]), ("domain.origin", 0.0),
+                        ("domain.edges", [[0.0, 1.0, 1.0]] + GRAPH_EDGES),
+                        ("initial_measure.points", [0.0, 3.0]),
+                        ("exit_cost.entries", [[2.0, 0.0], [4.0, 0.1]])]:
+        runner.set_by_path(cfg, path, value)
+    result = runner.run(cfg, str(tmp_path / "float"))
+    assert result.status == base.status == 0
+    assert result.ledger["m_infinity"] == base.ledger["m_infinity"]
 
 
 def test_indicator_chi_flagged_outside_coverage(tmp_path):

@@ -330,13 +330,13 @@ def test_reach_plan_selects_the_reach_candidates_move(make):
     dom = make()
     rng = np.random.default_rng(12)
     r_max = 1.7 * dom.dx
-    evaluate = dom.reach_plan(r_max)
+    place = dom.reach_plan(r_max)
     pts = start_points(dom, rng)
     node_values = np.round(rng.uniform(0.0, 1.0, dom.n_nodes) * 4) / 4
     # budgets from near zero to r_max, and r_max overshot in its last bit
     for r in (rng.uniform(0.0, r_max, len(pts)), np.full(len(pts), r_max),
               np.full(len(pts), np.nextafter(r_max, np.inf)), np.full(len(pts), 0.2 * dom.dx)):
-        cand, vals, disp = evaluate(pts, r, node_values)
+        cand, vals, disp = place(pts, r)(node_values)
         slot, best = _select_candidates(vals, disp)
         ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
         ref_vals = np.full(valid.shape, BIG)
@@ -362,7 +362,7 @@ def test_interval_plan_has_room_for_a_budget_one_ulp_over_r_max():
     r = np.full(dom.n_nodes - 2, np.nextafter(r_max, np.inf))
     pts = dom.coords[1:-1]
     node_values = 1.0 - dom.coords  # downhill to the right: the right neighbour node wins
-    cand, vals, disp = dom.reach_plan(r_max)(pts, r, node_values)
+    cand, vals, disp = dom.reach_plan(r_max)(pts, r)(node_values)
     slot, _ = _select_candidates(vals, disp)
     ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
     ref_slot, _ = _select_candidates(np.where(valid, dom.interp(node_values, ref_cand), BIG),
