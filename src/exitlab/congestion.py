@@ -29,7 +29,7 @@ class MeasurePreconditionError(ValueError):
 class Kappa:
     """Nonincreasing positive speed profile kappa(s)."""
 
-    # parameters each family reads without a default
+    # every family, with the parameters it reads without a default
     required = {"constant": ("value",), "affine_clamped": ("intercept", "slope", "floor"),
                 "exponential": ("scale", "rate")}
 
@@ -79,7 +79,7 @@ class Kappa:
 class Chi:
     """Interaction kernel chi(x, y) as a function of distance."""
 
-    required = {"ball": ("radius",), "gaussian": ("width",)}
+    required = {"constant": (), "ball": ("radius",), "gaussian": ("width",)}
 
     def __init__(self, family, **params):
         self.family = family
@@ -124,7 +124,7 @@ class Chi:
 class Eta:
     """Weight / cut-off on the population, possibly vanishing at the target."""
 
-    required = {"taper": ("distance",)}
+    required = {"constant": (), "taper": ("distance",)}
 
     def __init__(self, family, **params):
         self.family = family

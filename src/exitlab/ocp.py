@@ -120,9 +120,11 @@ def horizon_bound(domain, cost, bounds, r):
     if len(domain.targets) == 0:
         raise OcpError("target set is empty")
     k_min = bounds[0]
-    y0 = int(domain.targets[np.argmin([domain.distance(domain.origin, t) for t in domain.targets])])
-    g0 = cost.at_node(y0)
-    d0 = domain.distance(domain.origin, y0)
+    d = domain.point_distance(domain.points_of_nodes(domain.origin),
+                              domain.points_of_nodes(domain.targets))
+    k = int(np.argmin(d))  # y_0: the first nearest target
+    g0 = cost.at_node(domain.targets[k])
+    d0 = d[k]
     d_const = domain.geodesic_constant
     t = g0 + d_const * d0 / k_min + d_const * np.asarray(r, dtype=float) / k_min
     return float(t) if t.ndim == 0 else t

@@ -79,7 +79,7 @@ def execute(cfg):
     cost = sc.build_cost(domain, cfg)
     try:
         kernel = sc.build_kernel(domain, cfg)
-    except ValueError as err:  # kernel hypothesis violations and unknown families
+    except ValueError as err:  # a kernel parameter violates a hypothesis
         bundle["hypotheses"] = validate_hypotheses(domain, cost).as_dict()
         bundle["hypotheses"].append({"name": "H8", "passed": False, "detail": str(err)})
         bundle["status"] = STATUS_VALIDATION

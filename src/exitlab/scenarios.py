@@ -28,6 +28,9 @@ class ScenarioError(ValueError):
 
 
 def _require(block, allowed, context):
+    """Reject a block that is not an object, or that holds keys outside `allowed`."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{context} must be an object, got {block!r}")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {context}")
@@ -145,10 +148,12 @@ def validate_config(cfg):
         raise ScenarioError("kernel block is required")
     _require(ker, {"kappa", "chi", "eta"}, "kernel")
     for part, cls in KERNEL_PARTS.items():
-        if part not in ker or "family" not in ker[part]:
-            raise ScenarioError(f"kernel.{part} with a 'family' is required")
+        if not isinstance(ker.get(part), dict) or "family" not in ker[part]:
+            raise ScenarioError(f"kernel.{part} must be an object with a 'family', "
+                                f"got {ker.get(part)!r}")
         family = ker[part]["family"]
-        for param in cls.required.get(family, ()):
+        _require_choice(family, tuple(cls.required), f"kernel.{part}.family")
+        for param in cls.required[family]:
             if param not in ker[part]:
                 raise ScenarioError(
                     f"kernel.{part}.{param} is required for family {family!r}")
@@ -169,9 +174,16 @@ def validate_config(cfg):
     if m0["kind"] not in allowed:
         raise ScenarioError(f"unknown initial_measure kind {m0['kind']!r}")
     _require(m0, allowed[m0["kind"]], "initial_measure")
+    if m0["kind"] == "dirac":
+        _require_node(m0.get("location"), dom["kind"], "initial_measure.location")
     if m0["kind"] == "uniform":
         _require_numbers(m0.get("support"), 2, "initial_measure.support")
     if m0["kind"] == "atoms":
+        points = m0.get("points")
+        if not isinstance(points, list):
+            raise ScenarioError(f"initial_measure.points must be a list, got {points!r}")
+        for k, point in enumerate(points):
+            _require_node(point, dom["kind"], f"initial_measure.points[{k}]")
         _require_numbers(m0.get("weights"), None, "initial_measure.weights")
     for key in ("shoulder", "exponent", "rate", "count"):
         if key in allowed[m0["kind"]]:

@@ -27,7 +27,8 @@ def test_grid2d_value_and_synthesis_constant_speed():
     dist = dom.target_node_distances()
     assert np.max(np.abs(phi.values[0] - dist)) <= dom.dx
     _, cost_realized = synthesize_one(phi, field, cost, [0.3, 0.4])
-    gap = abs(cost_realized - dom.distance(dom.node_at([0.3, 0.4]), dom.node_at([0.0, 0.0])))
+    start, exit_node = dom.points_of_nodes([dom.node_at([0.3, 0.4]), dom.node_at([0.0, 0.0])])
+    gap = abs(cost_realized - dom.point_distance(start, exit_node))
     assert gap <= 4 * (field.dt + dom.dx)
 
 

@@ -238,7 +238,7 @@ def one_shot_node_matrix(kernel):
 @pytest.mark.parametrize("backend", ["interval", "grid2d", "graph"])
 def test_node_interaction_matrix_blocks_match_one_shot(backend, monkeypatch):
     if backend == "interval":  # 334 nodes: two full blocks and a partial one
-        dom = IntervalDomain(0.0, 1.0, 0.003, targets=[1.0])
+        dom = IntervalDomain(0.0, 0.999, 0.003, targets=[0.999])
     elif backend == "grid2d":  # 273 nodes
         dom = Grid2dDomain([0.0, 0.0], [1.0, 0.6], 0.05, targets=[[1.0, 0.3]])
     else:  # 12 nodes in blocks of 5

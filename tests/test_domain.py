@@ -1,4 +1,4 @@
-"""Metric backends: distances, geodesics, target queries, hypothesis checks."""
+"""Metric backends: the point metric at the nodes, target queries, hypothesis checks."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +6,21 @@ from scipy.sparse.csgraph import dijkstra
 
 from exitlab.domain import (DomainError, ExitCost, GraphDomain, Grid2dDomain,
                             IntervalDomain, validate_hypotheses)
+
+
+def node_distance_reference(dom, i, j):
+    """Distance between two nodes, as each backend defined it per pair."""
+    if dom.kind == "interval":
+        return abs(dom.coords[i] - dom.coords[j])
+    if dom.kind == "grid2d":
+        return float(dom._metric(dom.coords[i] - dom.coords[j]))
+    return float(dom._dm[i, j])
+
+
+def node_metric(dom):
+    """The point metric between every pair of node points."""
+    pts = dom.node_points()
+    return dom.point_distance_matrix(pts, pts)
 
 
 def grid2d_dijkstra_oracle(dom):
@@ -24,59 +39,98 @@ def grid2d_dijkstra_oracle(dom):
     return dijkstra(g)
 
 
+def interval_dijkstra_oracle(dom):
+    """Shortest-path matrix of the path graph through the interval's nodes."""
+    k = np.arange(dom.n_nodes - 1)
+    g = sp.csr_matrix((np.full(len(k), dom.dx), (k, k + 1)), shape=(dom.n_nodes, dom.n_nodes))
+    return dijkstra(g, directed=False)
+
+
+def graph_dijkstra_oracle(dom, edges):
+    """Shortest-path matrix over an edge list, built apart from the domain."""
+    u, v, length = zip(*edges)
+    g = sp.csr_matrix((length, (u, v)), shape=(dom.n_nodes, dom.n_nodes))
+    return dijkstra(g, directed=False)
+
+
+# a long chord (0, 4) that the path 0-1-2-3-4 undercuts
+CHORD_EDGES = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 1.0), (0, 4, 4.0)]
+
+ORACLE_DOMAINS = {
+    "interval": lambda: (IntervalDomain(0.0, 1.0, 0.04, targets=[0.0]), interval_dijkstra_oracle),
+    "grid2d_4": lambda: (Grid2dDomain([0.0, 0.0], [0.5, 0.4], 0.1, targets=[[0.0, 0.0]],
+                                      connectivity=4), grid2d_dijkstra_oracle),
+    "grid2d_8": lambda: (Grid2dDomain([0.0, 0.0], [0.5, 0.4], 0.1, targets=[[0.0, 0.0]],
+                                      connectivity=8), grid2d_dijkstra_oracle),
+    "graph_chord": lambda: (GraphDomain(5, CHORD_EDGES, targets=[4], origin=0),
+                            lambda dom: graph_dijkstra_oracle(dom, CHORD_EDGES)),
+}
+
+
 def test_interval_distance_examples():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
-    assert dom.distance(dom.node_at(0.20), dom.node_at(0.70)) == pytest.approx(0.5, abs=1e-12)
-    assert dom.distance(dom.node_at(0.3), dom.node_at(0.3)) == 0.0
+    p = dom.points_of_nodes([dom.node_at(0.20), dom.node_at(0.70), dom.node_at(0.3)])
+    assert dom.point_distance(p[0], p[1]) == pytest.approx(0.5, abs=1e-12)
+    assert dom.point_distance(p[2], p[2]) == 0.0
 
 
 def test_interval_unknown_node_raises():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0])
-    with pytest.raises(DomainError):
-        dom.distance(0, 5000)
+    with pytest.raises(DomainError, match="unknown node index 5000"):
+        ExitCost(dom, {5000: 0.0})
     with pytest.raises(DomainError):
         dom.node_at(1.7)
 
 
-def test_grid2d_distance_against_dijkstra_oracle():
-    dom = Grid2dDomain([0.0, 0.0], [0.5, 0.5], 0.1, targets=[[0.0, 0.0]], connectivity=8)
-    dm = grid2d_dijkstra_oracle(dom)
-    a = dom.node_at([0.0, 0.0])
-    b = dom.node_at([0.3, 0.4])
-    assert dom.distance(a, b) == pytest.approx(dm[a, b], abs=1e-12)
+@pytest.mark.parametrize("name", ORACLE_DOMAINS)
+def test_node_metric_is_the_shortest_path_metric(name):
+    """The closed-form point metric at the nodes is the graph's geodesic metric: every
+    distance is the length of a shortest edge path, so D = 1."""
+    dom, oracle = ORACLE_DOMAINS[name]()
+    got, want = node_metric(dom), oracle(dom)
+    assert got.shape == want.shape == (dom.n_nodes, dom.n_nodes)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     for i in range(dom.n_nodes):
         for j in range(dom.n_nodes):
-            assert dom.distance(i, j) == pytest.approx(dm[i, j], abs=1e-12)
+            assert got[i, j] == node_distance_reference(dom, i, j)
+    if name == "graph_chord":
+        assert got[0, 4] == 3.0 < dom._edge_table[0, 4]
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_grid2d_geodesic_matches_distance(connectivity):
-    dom = Grid2dDomain([0.0, 0.0], [0.4, 0.4], 0.1, targets=[[0.0, 0.0]],
-                       connectivity=connectivity)
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        i, j = rng.integers(0, dom.n_nodes, 2)
-        path, length = dom.geodesic(i, j)
-        assert path[0] == i and path[-1] == j
-        assert length == pytest.approx(dom.distance(i, j), abs=1e-9)
-
-
-def test_interval_geodesic():
-    dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0])
-    path, length = dom.geodesic(dom.node_at(0.5), dom.node_at(0.0))
-    assert length == pytest.approx(0.5, abs=1e-12)
-    assert len(path) == 51
-    path, length = dom.geodesic(7, 7)
-    assert path == [7] and length == 0.0
-
-
-def test_graph_disconnected_geodesic_raises():
+def test_graph_disconnected_fails_h4():
     dom = GraphDomain(4, [(0, 1, 1.0), (2, 3, 1.0)], targets=[0], origin=0)
-    with pytest.raises(DomainError):
-        dom.geodesic(0, 3)
+    assert np.isinf(node_metric(dom)[0, 3])
     report = validate_hypotheses(dom)
     h4 = [c for c in report.checks if c.name == "H4"][0]
-    assert not h4.passed
+    assert not h4.passed and h4.detail == "graph is disconnected"
+    assert [c.name for c in report.checks if not c.passed] == ["H4"]
+
+
+@pytest.mark.parametrize("name", [*ORACLE_DOMAINS, "graph_one_node"])
+def test_h1_and_h4_pass_on_shortest_path_metrics(name):
+    if name == "graph_one_node":
+        dom = GraphDomain(1, [], targets=[0])
+        assert dom.dx == 1.0
+    else:
+        dom, _ = ORACLE_DOMAINS[name]()
+    report = validate_hypotheses(dom, ExitCost.zero(dom))
+    assert report.passed
+    assert [c.name for c in report.checks] == ["H1", "H2", "H3", "H4"]
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")])
+def test_graph_rejects_edge_lengths_that_are_not_finite_and_positive(length):
+    with pytest.raises(DomainError, match="finite positive length") as err:
+        GraphDomain(3, [(0, 1, 1.0), (1, 2, length)], targets=[2])
+    assert err.value.key == "edges"
+
+
+def test_graph_edge_list_sets_dx_and_rejects_duplicates():
+    dom = GraphDomain(5, CHORD_EDGES, targets=[4])
+    assert dom.dx == 0.5 and type(dom.dx) is float
+    with pytest.raises(DomainError, match="duplicate edge") as err:
+        GraphDomain(3, [(0, 1, 1.0), (1, 0, 2.0)], targets=[2])
+    assert err.value.key == "edges"
 
 
 def test_target_node_distances_examples():
@@ -183,16 +237,19 @@ def test_integral_node_ids_are_accepted():
         dom.validate_points([[0.5, 1.0, 0.2]])
 
 
+def assert_metric_axioms_on_triples(dom, rng, count):
+    d = node_metric(dom)
+    i, j, k = rng.integers(0, dom.n_nodes, (3, count))
+    assert np.allclose(d, d.T, rtol=0.0, atol=1e-12)
+    assert np.all(d >= 0)
+    assert np.array_equal(d[i, j] == 0, i == j)
+    assert np.all(d[i, k] <= d[i, j] + d[j, k] + 1e-12)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_metric_axioms_interval(seed):
     dom = IntervalDomain(0.0, 2.0, 0.05, targets=[0.0])
-    rng = np.random.default_rng(seed)
-    for _ in range(60):
-        i, j, k = rng.integers(0, dom.n_nodes, 3)
-        assert dom.distance(i, j) == pytest.approx(dom.distance(j, i), abs=1e-12)
-        assert dom.distance(i, j) >= 0
-        assert (dom.distance(i, j) == 0) == (i == j)
-        assert dom.distance(i, k) <= dom.distance(i, j) + dom.distance(j, k) + 1e-12
+    assert_metric_axioms_on_triples(dom, np.random.default_rng(seed), 60)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -203,23 +260,7 @@ def test_metric_axioms_grid2d_and_graph(seed):
                             (4, 5, 0.3), (5, 0, 0.8), (1, 4, 0.9)],
                         targets=[3], origin=0)
     for dom in (grid, graph):
-        for _ in range(50):
-            i, j, k = rng.integers(0, dom.n_nodes, 3)
-            assert dom.distance(i, j) == pytest.approx(dom.distance(j, i), abs=1e-12)
-            assert (dom.distance(i, j) == 0) == (i == j)
-            assert dom.distance(i, k) <= dom.distance(i, j) + dom.distance(j, k) + 1e-12
-
-
-def test_geodesic_within_constant_bound():
-    graph = GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 1.0),
-                            (0, 4, 4.0)], targets=[4], origin=0)
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        i, j = rng.integers(0, 5, 2)
-        if i == j:
-            continue
-        _, length = graph.geodesic(i, j)
-        assert length <= graph.geodesic_constant * graph.distance(i, j) + 1e-12
+        assert_metric_axioms_on_triples(dom, rng, 50)
 
 
 def test_validate_hypotheses_remark_domain():
@@ -272,7 +313,7 @@ def tightest_lipschitz_reference(cost):
     best = 0.0
     for a in range(len(tgt)):
         for b in range(a + 1, len(tgt)):
-            d = cost.domain.distance(tgt[a], tgt[b])
+            d = node_distance_reference(cost.domain, tgt[a], tgt[b])
             if d > 0:
                 best = max(best, abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])]) / d)
     return best
@@ -283,7 +324,7 @@ def lipschitz_violation_reference(cost):
     worst = None
     for a in range(len(tgt)):
         for b in range(a + 1, len(tgt)):
-            d = cost.domain.distance(tgt[a], tgt[b])
+            d = node_distance_reference(cost.domain, tgt[a], tgt[b])
             gap = abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])])
             excess = gap - cost.lipschitz_constant * d - 1e-12
             if excess > 0 and (worst is None or excess > worst[2]):

@@ -20,7 +20,7 @@ from exitlab.ocp import SpeedField, solve_value, synthesize_batch
 def edge_len_reference(dom, u, v):
     if u == v:
         return 0.0
-    return dom.edge_length[(min(u, v), max(u, v))]
+    return dom._edge_table[u, v]
 
 
 def point_node_dist_reference(dom, p, nodes):
@@ -135,11 +135,11 @@ def random_graph(seed, n, chords, n_targets=3):
 
 def random_points(dom, rng, shape):
     """Nodes, edge midpoints, random edge offsets (both orientations), targets."""
-    edges = sorted(dom.edge_length)
+    edges = list(zip(*np.nonzero(np.triu(dom._edge_table))))  # (u, v), u < v, ascending
     pick = rng.integers(0, len(edges), shape)
     u = np.array([edges[k][0] for k in pick.ravel()], dtype=float).reshape(shape)
     v = np.array([edges[k][1] for k in pick.ravel()], dtype=float).reshape(shape)
-    length = np.array([dom.edge_length[edges[k]] for k in pick.ravel()]).reshape(shape)
+    length = np.array([dom._edge_table[edges[k]] for k in pick.ravel()]).reshape(shape)
     frac = rng.uniform(0.0, 1.0, shape)
     frac[rng.random(shape) < 0.15] = 0.5
     pts = np.stack([u, v, frac * length], axis=-1)

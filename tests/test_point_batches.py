@@ -10,6 +10,7 @@ import pytest
 from exitlab.domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.measures import TrajectoryEnsemble
 from exitlab.ocp import horizon_bound, trajectory_bound
+from test_domain import node_distance_reference
 from test_graph_arrays import edge_len_reference, pair_dist_reference, point_node_dist_reference
 
 
@@ -33,11 +34,11 @@ def random_points(domain, rng, shape):
         return rng.uniform(domain.lo - 0.02, domain.hi + 0.02, shape)
     if domain.kind == "grid2d":
         return rng.uniform(domain.lo - 0.02, domain.hi + 0.02, shape + (2,))
-    edges = sorted(domain.edge_length)
+    edges = list(zip(*np.nonzero(np.triu(domain._edge_table))))  # (u, v), u < v, ascending
     pick = rng.integers(0, len(edges), shape)
     u = np.array([edges[k][0] for k in pick.ravel()], dtype=float).reshape(shape)
     v = np.array([edges[k][1] for k in pick.ravel()], dtype=float).reshape(shape)
-    length = np.array([domain.edge_length[edges[k]] for k in pick.ravel()]).reshape(shape)
+    length = np.array([domain._edge_table[edges[k]] for k in pick.ravel()]).reshape(shape)
     pts = np.stack([u, v, rng.uniform(0.0, 1.0, shape) * length], axis=-1)
     at_node = rng.random(shape) < 0.2
     pts[at_node] = np.stack([u[at_node], u[at_node], np.zeros(at_node.sum())], axis=-1)
@@ -111,7 +112,7 @@ def test_nearest_nodes_matches_reference_on_batches(make):
 
 def test_graph_nearest_nodes_around_an_edge_midpoint():
     dom = graph()
-    half = dom.edge_length[(1, 3)] / 2
+    half = dom._edge_table[1, 3] / 2
     offsets = [0.0, np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), 2 * half]
     pts = np.array([[1.0, 3.0, s] for s in offsets] + [[3.0, 3.0, 0.0], [4.0, 4.0, 0.0]])
     got = dom.nearest_nodes(pts)
@@ -147,14 +148,15 @@ def test_graph_point_distances_on_batches_of_any_shape():
 def horizon_bound_reference(domain, cost, bounds, r):
     """T(R) for one radius in Python floats, as the per-item loops evaluated it."""
     k_min = bounds[0]
-    y0 = int(domain.targets[np.argmin([domain.distance(domain.origin, t) for t in domain.targets])])
+    y0 = int(domain.targets[np.argmin([node_distance_reference(domain, domain.origin, t)
+                                       for t in domain.targets])])
     g0 = cost.at_node(y0)
-    d0 = domain.distance(domain.origin, y0)
+    d0 = node_distance_reference(domain, domain.origin, y0)
     d_const = domain.geodesic_constant
     return g0 + d_const * d0 / k_min + d_const * float(r) / k_min
 
 
-@pytest.mark.parametrize("make", [interval, grid])
+@pytest.mark.parametrize("make", [interval, grid, graph])
 def test_array_bounds_bit_equal_to_scalar_calls(make):
     dom = make()
     cost = ExitCost(dom, {int(t): 0.1 + 0.07 * k for k, t in enumerate(dom.targets)}, 0.3)

@@ -179,6 +179,23 @@ def test_validation_failure_status(tmp_path):
                  id="asymptotics.report_times-negative_time"),
     ("asymptotics.report_times.start", -1.0),
     ("seed", "abc"),
+    # blocks of the wrong type used to exit with status 4
+    ("kernel.kappa", 5),
+    ("exit_cost", 5),
+    ("equilibrium", 3),
+    ("asymptotics", []),
+    ("asymptotics.rate_fit", 3),
+    pytest.param("initial_measure", {"kind": "dirac"}, id="initial_measure-dirac_no_location"),
+    pytest.param("initial_measure", {"kind": "atoms", "weights": [1.0]},
+                 id="initial_measure-atoms_no_points"),
+    pytest.param("initial_measure", {"kind": "atoms", "points": 5, "weights": [1.0]},
+                 id="initial_measure-atoms_points_5"),
+    ("equilibrium.damping", "x"),
+    ("kernel.kappa.family", "foo"),
+    ("kernel.chi.family", 3),
+    # a dx that does not divide the extent used to run on another grid, or exit 4
+    ("domain.dx", 0.6),
+    ("domain.dx", 5.0),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -262,6 +279,28 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION, result.error
     assert result.error.startswith(named)
+
+
+@pytest.mark.parametrize("make, path, value, named", [
+    (interval_scenario, "equilibrium.damping", "x", "equilibrium.damping must be an object, "),
+    (interval_scenario, "initial_measure", {"kind": "atoms", "points": 5, "weights": [1.0]},
+     "initial_measure.points must be a list, "),
+    (interval_scenario, "initial_measure", {"kind": "dirac"}, "initial_measure.location must be "),
+    (grid2d_scenario, "initial_measure", {"kind": "atoms", "points": [[0.1, 0.2], 0.3],
+                                          "weights": [0.5, 0.5]}, "initial_measure.points[1] "),
+    (interval_scenario, "kernel.kappa.family", "foo", "kernel.kappa.family must be one of "),
+    (graph_scenario, "kernel.eta.family", None, "kernel.eta.family must be one of "),
+    (interval_scenario, "domain.dx", 0.6, "domain.dx: extent 1.0 is not a multiple of dx = 0.6"),
+    (interval_scenario, "domain.dx", 5.0, "domain.dx: "),
+    (grid2d_scenario, "domain.dx", 5.0, "domain.dx: "),
+    (grid2d_scenario, "domain.dx", 0.3, "domain.dx: "),
+])
+def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
+    cfg = make()
+    runner.set_by_path(cfg, path, value)
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION, result.error
+    assert result.error.startswith(named), result.error
 
 
 def test_whole_number_graph_ids_written_as_floats_still_run(tmp_path):

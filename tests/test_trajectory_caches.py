@@ -131,10 +131,10 @@ def node_paths(domain, rng, n_paths, n_steps):
         paths[1] = paths[0]
         paths[0, 0, 1], paths[1, 0, 1] = 0.0, -0.0
     else:
-        edges = sorted(domain.edge_length)
+        edges = zip(*np.nonzero(np.triu(domain._edge_table)))  # (u, v), u < v, ascending
         pool = [[float(i), float(i), 0.0] for i in range(domain.n_nodes)]
         for u, v in edges:
-            length = domain.edge_length[(u, v)]
+            length = domain._edge_table[u, v]
             pool += [[u, v, length / 2], [u, v, rng.uniform(0.0, length)]]
         pool = np.array(pool)
         paths = pool[rng.integers(0, len(pool), (n_paths, n_steps + 1))]
