@@ -42,31 +42,24 @@ class RateFit:
                 "window": list(self.window), "n_points": self.n_points}
 
 
-def limit_measure(ensemble, tol=1e-12):
-    """e_inf#Q realized at the horizon end behind a settling guard."""
-    steps = ensemble.step_lengths()
-    if ensemble.n_steps >= 2:
-        moving = np.max(steps[:, -2:], axis=1)
-    else:
-        moving = steps[:, -1:].max(axis=1)
-    bad = np.flatnonzero(moving > tol)
-    if len(bad) > 0:
+def limit_measure(ensemble):
+    """e_inf#Q realized at the horizon end behind a settling guard: no sample
+    changes over the last two steps (the last one when there is only one)."""
+    last = ensemble.settled_slice
+    if last > max(ensemble.n_steps - 2, 0):
         raise MeasureError(
-            f"horizon too short for the limit: trajectory {bad[0]} still moves "
-            f"at the final steps (displacement {moving[bad[0]]:.3g})")
+            f"horizon too short for the limit: samples still change at slice {last} "
+            f"of {ensemble.n_steps}")
     return ensemble.time_marginal(ensemble.horizon, merge=True)
 
 
-def settling_time(ensemble, tol=1e-12):
-    """Smallest grid time from which every trajectory is constant, or None."""
-    steps = ensemble.step_lengths()
-    moving = steps > tol
-    if not moving.any():
-        return 0.0
-    last = int(np.max(np.nonzero(moving.any(axis=0))[0]))
-    if last == ensemble.n_steps - 1:
+def settling_time(ensemble):
+    """Smallest grid time from which every trajectory is constant, or None
+    when some sample still changes at the last slice."""
+    last = ensemble.settled_slice
+    if last > 0 and last == ensemble.n_steps:
         return None
-    return (last + 1) * ensemble.dt
+    return last * ensemble.dt
 
 
 def decay_constants(domain, cost, bounds):

@@ -214,7 +214,7 @@ class CongestionKernel:
         lchi, _ = self.chi.lipschitz(self.domain.dx)
         return self.kappa.lipschitz() * lchi * self.eta.sup * (self.domain.dx / 2)
 
-    def estimate_lipschitz(self, r=None):
+    def estimate_lipschitz(self):
         """Certified spatial Lipschitz bound L_R for the speed field (H9)."""
         lchi, certified = self.chi.lipschitz(self.domain.dx)
         value = self.kappa.lipschitz() * lchi * self.eta.sup

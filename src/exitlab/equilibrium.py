@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ParticleMeasure, TrajectoryEnsemble
+from .asymptotics import limit_measure
+from .measures import MeasureError, ParticleMeasure, TrajectoryEnsemble
 from .ocp import (SpeedField, horizon_bound, trajectory_bound, solve_value,
                   synthesize_batch, default_dpp_tol)
 
@@ -33,7 +34,6 @@ class EquilibriumConfig:
     damping: str = "fictitious_play"  # or "constant"
     damping_value: float = 0.5
     exploitability_tol: float = 0.02
-    prune_threshold: float = PRUNE_DEFAULT
     marginal_binning: str = "auto"  # "on" | "off" | "auto"
 
     def __post_init__(self):
@@ -60,25 +60,23 @@ class EquilibriumReport:
     exploitability: float
     max_gap: float
     history: list = field(default_factory=list)
-    m_infinity: ParticleMeasure | None = None
-    settled: bool = False
+    m_infinity: ParticleMeasure | None = None  # set when the horizon end is settled
+    certification: dict = field(default_factory=dict)
     bound_checks: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     tol: float = 0.0
     dt: float = 0.0
     r_max: float = 0.0
     t_bound: float = 0.0
-    final_field: SpeedField | None = None
-    final_phi: object = None
+    final_phi: object = None  # final_phi.speed is final_ensemble's induced field
 
 
-def run_grid(domain, kernel, cost, m0, dt=None, horizon_margin=2):
-    """Unit-CFL time grid covering the a-priori exit bound of m0's support."""
-    if dt is None:
-        dt = domain.dx / kernel.k_max
+def run_grid(domain, kernel, cost, m0):
+    """Unit-CFL time grid covering the a-priori exit bound of m0's support, plus two steps."""
+    dt = domain.dx / kernel.k_max
     r_max = float(np.max(m0.origin_distances()))
     t_bound = horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
-    n_steps = int(np.ceil(t_bound / dt - 1e-9)) + horizon_margin
+    n_steps = int(np.ceil(t_bound / dt - 1e-9)) + 2
     return dt, n_steps, r_max, t_bound
 
 
@@ -229,28 +227,17 @@ def exploitability(ensemble, kernel, domain, cost, config=None, cap=None,
         "min_gap": float(np.min(gaps)),
         "capped_trajectories": capped,
         "admissibility_excess": excess,
-        "field": field,
         "phi": phi,
         "gaps": gaps,
     }
     return eps, details
 
 
-def certify(ensemble, kernel, domain, cost, tol, config=None, field=None, phi=None):
-    """Weak / strong equilibrium flags at tolerance tol.
-
-    weak: weighted exploitability <= tol. strong: every positive-weight
-    trajectory has optimality gap <= tol. On atomic ensembles the two are
-    designed to coincide at the solver's stopping rule. field and phi, when
-    given, must be the ensemble's own induced field and its value solve (as
-    EquilibriumReport.final_field and final_phi are for final_ensemble).
-    """
-    eps, details = exploitability(ensemble, kernel, domain, cost, config=config,
-                                  field=field, phi=phi)
-    positive = ensemble.weights > 0
-    max_gap = float(np.max(details["gaps"][positive]))
-    weak = eps <= tol
-    strong = max_gap <= tol
+def _certificate(weights, details, tol):
+    """Weak / strong flags at tolerance tol from exploitability's details."""
+    eps = details["epsilon"]
+    max_gap = float(np.max(details["gaps"][weights > 0]))
+    weak, strong = eps <= tol, max_gap <= tol
     return {
         "weak": bool(weak),
         "strong": bool(strong),
@@ -261,6 +248,18 @@ def certify(ensemble, kernel, domain, cost, tol, config=None, field=None, phi=No
         "tol": tol,
         "capped_trajectories": details["capped_trajectories"],
     }
+
+
+def certify(ensemble, kernel, domain, cost, tol, config=None):
+    """Weak / strong equilibrium flags at tolerance tol.
+
+    weak: weighted exploitability <= tol. strong: every positive-weight
+    trajectory has optimality gap <= tol. On atomic ensembles the two are
+    designed to coincide at the solver's stopping rule. solve_equilibrium
+    builds the same flags from its last iteration (EquilibriumReport.certification).
+    """
+    _, details = exploitability(ensemble, kernel, domain, cost, config=config)
+    return _certificate(ensemble.weights, details, tol)
 
 
 def solve_equilibrium(m0, kernel, domain, cost, config=None):
@@ -275,7 +274,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
     config = config or EquilibriumConfig()
     dt, n_steps, r_max, t_bound = run_grid(domain, kernel, cost, m0)
     tol = config.exploitability_tol
-    tol_dpp = default_dpp_tol(domain, dt)
     flags = []
     binned_any = False
 
@@ -283,7 +281,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
     phi = solve_value(domain, cost, field)
     mixture = None
     history = []
-    final_det = None
     converged = False
     iterations = 0
 
@@ -297,7 +294,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         if mixture is None:
             mixture = candidate
         else:
-            mixture = mixture.mix(candidate, config.weight(n), config.prune_threshold)
+            mixture = mixture.mix(candidate, config.weight(n), PRUNE_DEFAULT)
         binned = _use_binning(config, mixture.n_traj, n_steps + 1, domain.n_nodes)
         binned_any = binned_any or binned
         # the mixture's settled tail leaves the previous solve's trailing
@@ -313,23 +310,21 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
             "min_gap": det["min_gap"],
             "mixture_support": int(mixture.n_traj),
         })
-        final_det = det
         # two-sided gate: positive gaps mean suboptimal atoms, negative gaps
         # mean the value/realization certificate is internally inconsistent
         if max(det["max_gap"], -det["min_gap"]) <= tol:
             converged = True
             break
 
-    final = mixture
     if binned_any:
         flags.append(f"marginal binning active (speed error bound "
                      f"{kernel.binning_error_bound():.6g})")
-    if final_det["capped_trajectories"]:
-        flags.append(f"{final_det['capped_trajectories']} non-exiting trajectories "
+    if det["capped_trajectories"]:
+        flags.append(f"{det['capped_trajectories']} non-exiting trajectories "
                      f"capped at 10*T(R_max)")
 
     report = EquilibriumReport(
-        final_ensemble=final,
+        final_ensemble=mixture,
         converged=converged,
         iterations=iterations,
         exploitability=history[-1]["exploitability"],
@@ -340,21 +335,16 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         dt=dt,
         r_max=r_max,
         t_bound=t_bound,
-        final_field=final_det["field"],
-        final_phi=final_det["phi"],
+        final_phi=det["phi"],
+        # the last iteration measured the returned mixture on its own field
+        certification=_certificate(mixture.weights, det, tol),
     )
-    _attach_limit(report)
+    try:
+        report.m_infinity = limit_measure(mixture)
+    except MeasureError:  # some trajectory still moves at the horizon end
+        pass
     report.bound_checks = _bound_checks(report, m0, kernel, domain, cost)
     return report
-
-
-def _attach_limit(report):
-    ens = report.final_ensemble
-    steps = ens.step_lengths()
-    settled = bool(np.max(steps[:, -2:], initial=0.0) <= 1e-12)
-    report.settled = settled
-    if settled:
-        report.m_infinity = ens.time_marginal(ens.horizon, merge=True)
 
 
 def _bound_checks(report, m0, kernel, domain, cost):

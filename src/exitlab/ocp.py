@@ -14,12 +14,10 @@ import numpy as np
 
 from .domain import BIG
 
+STATIONARY_TOL = 1e-10  # sup-norm sweep change that ends the terminal stationary solve
+
 
 class OcpError(RuntimeError):
-    pass
-
-
-class HorizonError(OcpError):
     pass
 
 
@@ -80,17 +78,16 @@ class ValueField:
     """Value function phi(t_j, x_i) with backend-native spatial interpolation.
 
     A field from solve_value also keeps what it was solved from (the exit
-    cost, the speed field and the stationary tolerance), so that a later
-    solve can reuse its rows; the three are None otherwise.
+    cost and the speed field), so that a later solve can reuse its rows;
+    both are None otherwise.
     """
 
-    def __init__(self, domain, dt, values, cost=None, speed=None, stationary_tol=None):
+    def __init__(self, domain, dt, values, cost=None, speed=None):
         self.domain = domain
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
         self.cost = cost
         self.speed = speed
-        self.stationary_tol = stationary_tol
 
     @property
     def n_steps(self):
@@ -136,7 +133,7 @@ def trajectory_bound(t_of_r, k_max, r):
     return float(out) if out.ndim == 0 else out
 
 
-def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10, reuse=None):
+def solve_value(domain, cost, speed, reuse=None):
     """Backward semi-Lagrangian solve of the exit-time value function.
 
     The terminal slice is the stationary minimal-time solve under the frozen
@@ -146,35 +143,31 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10, reu
 
     reuse, when given, is an earlier solve_value result. Value slice j
     depends only on speed slice j and value slice j + 1, and the terminal
-    slice only on the last speed slice (with the domain, the cost, dt, K_min
-    and the stationary tolerance). So when all of those match, the value
-    rows over the longest trailing run of speed rows that are bit-equal to
-    reuse's are reuse's rows: they are copied, and the solve starts below
-    the run. The result is bit-identical to a solve without reuse.
+    slice only on the last speed slice (with the domain, the cost, dt and
+    K_min). So when all of those match, the value rows over the longest
+    trailing run of speed rows that are bit-equal to reuse's are reuse's
+    rows: they are copied, and the solve starts below the run. The result is bit-identical to a solve without reuse.
     """
     if cost.lipschitz_constant * speed.k_max >= 1.0:
         raise OcpError(
             f"smallness violated: L_g * K_max = {cost.lipschitz_constant * speed.k_max:.6g} >= 1 (H10)")
-    if min_horizon is not None and speed.horizon < min_horizon - 1e-9:
-        raise HorizonError(
-            f"horizon {speed.horizon:.6g} is below the required bound {min_horizon:.6g}")
     dt = speed.dt
     n_steps = speed.n_steps
     g = cost.node_table()
     targets = domain.targets
     g_t = g[targets]
     values = np.empty((n_steps + 1, domain.n_nodes))
-    start = _reused_rows(domain, cost, speed, stationary_tol, reuse)
+    start = _reused_rows(domain, cost, speed, reuse)
     if start <= n_steps:
         values[start:] = reuse.values[start:]
     if start == 0:
-        return ValueField(domain, dt, values, cost, speed, stationary_tol)
+        return ValueField(domain, dt, values, cost, speed)
 
     # one node stencil serves every slice: no slice's reach exceeds r_max
     stencil = domain.reach_stencil(float(np.max(speed.values)) * dt)
     if start > n_steps:
         start = n_steps
-        values[n_steps] = _stationary_slice(domain, cost, speed, stencil, stationary_tol)
+        values[n_steps] = _stationary_slice(domain, cost, speed, stencil)
     # rebind only where the speed slice changes (frozen fields and emptied
     # late slices repeat)
     bits = speed.values.view(np.int64)
@@ -184,19 +177,19 @@ def solve_value(domain, cost, speed, min_horizon=None, stationary_tol=1e-10, reu
             ball_min = stencil(speed.values[j] * dt)
         values[j] = dt + ball_min(values[j + 1])
         values[j][targets] = g_t
-    return ValueField(domain, dt, values, cost, speed, stationary_tol)
+    return ValueField(domain, dt, values, cost, speed)
 
 
-def _reused_rows(domain, cost, speed, stationary_tol, reuse):
+def _reused_rows(domain, cost, speed, reuse):
     """First row of the trailing run of speed rows bit-equal to reuse's.
 
     The row count (no row) when reuse is None or was solved on another
-    domain, cost, dt, K_min, stationary tolerance or grid shape.
+    domain, cost, dt, K_min or grid shape.
     """
     n_rows = speed.values.shape[0]
     if (reuse is None or reuse.speed is None or reuse.domain is not domain
-            or reuse.cost is not cost or reuse.stationary_tol != stationary_tol
-            or reuse.speed.dt != speed.dt or reuse.speed.k_min != speed.k_min
+            or reuse.cost is not cost or reuse.speed.dt != speed.dt
+            or reuse.speed.k_min != speed.k_min
             or reuse.speed.values.shape != speed.values.shape):
         return n_rows
     same = np.all(speed.values.view(np.int64) == reuse.speed.values.view(np.int64), axis=1)
@@ -204,7 +197,7 @@ def _reused_rows(domain, cost, speed, stationary_tol, reuse):
     return int(differs[-1]) + 1 if len(differs) else 0
 
 
-def _stationary_slice(domain, cost, speed, stencil, stationary_tol):
+def _stationary_slice(domain, cost, speed, stencil):
     """Stationary fixed point under the frozen last speed slice.
 
     Iterated monotonically down from the a-priori supersolution T-style
@@ -226,7 +219,7 @@ def _stationary_slice(domain, cost, speed, stencil, stationary_tol):
         new = np.minimum(new, phi)
         delta = np.max(phi - new)
         phi = new
-        if delta <= stationary_tol:
+        if delta <= STATIONARY_TOL:
             return phi
     raise OcpError("stationary terminal solve did not converge")
 

@@ -20,7 +20,8 @@ from . import asymptotics as asy
 from . import equilibrium as eq
 from . import scenarios as sc
 from .domain import validate_hypotheses
-from .measures import wasserstein
+# not called here; kept because perfbench/tracer.py patches exitlab.runner.wasserstein
+from .measures import wasserstein  # noqa: F401
 from .ocp import check_dpp, default_dpp_tol
 
 STATUS_OK = 0
@@ -102,11 +103,8 @@ def execute(cfg):
 
     config = sc.build_equilibrium_config(cfg)
     report = eq.solve_equilibrium(m0, kernel, domain, cost, config)
-    # the last iteration already induced the final ensemble's field and solved it
-    cert = eq.certify(report.final_ensemble, kernel, domain, cost, report.tol,
-                      config=config, field=report.final_field, phi=report.final_phi)
     bundle.update(domain=domain, cost=cost, kernel=kernel, m0=m0,
-                  equilibrium=report, certification=cert)
+                  equilibrium=report, certification=report.certification)
     bundle["flags"] += report.flags
 
     _asymptotics_stage(bundle, cfg)
@@ -519,14 +517,3 @@ def sweep(source, param_values, out_root, seed=None, tol=None, max_iter=None):
             json.dump(stability, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return aggregate
-
-
-def limit_distance_to_dirac(ledger, domain, location):
-    """W_1 between a persisted m_infinity and a Dirac at a coordinate."""
-    from .measures import ParticleMeasure
-
-    atoms = ledger["m_infinity"]
-    pts = np.array([row[:-1] for row in atoms], dtype=float)
-    w = np.array([row[-1] for row in atoms], dtype=float)
-    m = ParticleMeasure(domain, pts, w, validate=False)
-    return wasserstein(m, ParticleMeasure.dirac(domain, location), 1)

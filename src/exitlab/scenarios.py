@@ -21,6 +21,9 @@ from .measures import MeasureError, ParticleMeasure
 
 SCHEMA_VERSION = 1
 KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
+# the parameters a kernel family reads with a default, besides its required ones
+KERNEL_DEFAULTED = {"chi": {family: ("amplitude", "value") for family in Chi.required},
+                    "eta": {"constant": ("value",)}}
 
 
 class ScenarioError(ValueError):
@@ -141,7 +144,13 @@ def validate_config(cfg):
             _require_node(node, dom["kind"], f"exit_cost.entries[{k}][0]")
             _require_number(value, f"exit_cost.entries[{k}][1]")
     if cost.get("lipschitz") is not None:
+        if cost["kind"] != "table":  # the other kinds derive their constant
+            raise ScenarioError(f"exit_cost.lipschitz is read only with kind 'table', "
+                                f"got kind {cost['kind']!r}")
         _require_number(cost["lipschitz"], "exit_cost.lipschitz")
+        if cost["lipschitz"] < 0:
+            raise ScenarioError(f"exit_cost.lipschitz must not be negative, "
+                                f"got {cost['lipschitz']!r}")
 
     ker = out.get("kernel")
     if not isinstance(ker, dict):
@@ -157,6 +166,9 @@ def validate_config(cfg):
             if param not in ker[part]:
                 raise ScenarioError(
                     f"kernel.{part}.{param} is required for family {family!r}")
+        _require(ker[part], {"family", *cls.required[family],
+                             *KERNEL_DEFAULTED.get(part, {}).get(family, ())},
+                 f"kernel.{part} (family {family!r})")
         for param, value in ker[part].items():
             if param != "family":
                 _require_number(value, f"kernel.{part}.{param}")

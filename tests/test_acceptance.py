@@ -34,6 +34,15 @@ def read_csv(path):
     return header, rows
 
 
+def limit_distance_to_dirac(ledger, domain, location):
+    """W_1 between a persisted m_infinity and a Dirac at a coordinate."""
+    atoms = ledger["m_infinity"]
+    pts = np.array([row[:-1] for row in atoms], dtype=float)
+    w = np.array([row[-1] for row in atoms], dtype=float)
+    m = ParticleMeasure(domain, pts, w, validate=False)
+    return wasserstein(m, ParticleMeasure.dirac(domain, location), 1)
+
+
 def test_criterion_1_remark_5_3_oracle(registry_runs):
     run = registry_runs["remark_5_3"]
     ledger = run["result"].ledger
@@ -70,7 +79,7 @@ def test_criterion_2_remark_5_13_case_table(tmp_path):
         a = member["params"]["initial_measure.location"]
         ok = ok and member["status"] == 0
         expected = 0.0 if a < 0.5 else 1.0
-        dist = runner.limit_distance_to_dirac(member, dom, expected)
+        dist = limit_distance_to_dirac(member, dom, expected)
         table[a] = dist
         ok = ok and dist <= 2 * dom.dx
     report_line(2, ok, f"W1 to expected dirac per a: "
@@ -296,7 +305,8 @@ def test_criterion_11_determinism_and_verify(registry_runs, tmp_path):
         for artifact in os.listdir(fresh_dir):
             if artifact == "manifest.json":
                 a = json.loads((fresh_dir / artifact).read_text())
-                b = json.loads(open(os.path.join(registry_runs[name]["dir"], artifact)).read())
+                with open(os.path.join(registry_runs[name]["dir"], artifact)) as fh:
+                    b = json.load(fh)
                 same = same and a["artifacts"] == b["artifacts"]
                 continue
             same = same and filecmp.cmp(str(fresh_dir / artifact),

@@ -42,3 +42,16 @@ def test_owners_of_one_layer_function_share_it(tracer):
     for span, owners in tracer.LAYER_FUNCTIONS:
         found = {id(vars(tracer._resolve(path))[attr]) for path, attr in owners}
         assert len(found) == 1, span
+
+
+def test_every_equilibrium_config_field_is_set_by_the_scenario_builder(monkeypatch):
+    """A field that build_equilibrium_config does not set has no caller: it is an idle knob."""
+    from dataclasses import fields
+
+    from exitlab import scenarios
+
+    seen = {}
+    monkeypatch.setattr(scenarios, "EquilibriumConfig", lambda **kwargs: seen.update(kwargs))
+    cfg = scenarios.validate_config(scenarios.load_scenario("remark_5_3"))
+    scenarios.build_equilibrium_config(cfg)
+    assert set(seen) == {f.name for f in fields(exitlab.EquilibriumConfig)}

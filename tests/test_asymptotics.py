@@ -8,7 +8,7 @@ from exitlab.asymptotics import (ConvergenceCurve, ShrinkWindowError,
                                  p_moment_excess, psi_function, settling_time,
                                  stability_sweep, theorem_bound)
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
-from exitlab.domain import ExitCost, IntervalDomain
+from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import EquilibriumConfig, solve_equilibrium
 from exitlab.measures import MeasureError, ParticleMeasure, TrajectoryEnsemble
 
@@ -100,6 +100,98 @@ def test_settling_time_uniform_band():
                                EquilibriumConfig(exploitability_tol=0.02))
     t_star = settling_time(report.final_ensemble)
     assert t_star == pytest.approx(1.0, abs=2 * report.dt)
+
+
+# ---- "settled" as the step-length scans defined it ------------------------
+
+def settling_time_by_steps(ens, tol=1e-12):
+    """settling_time as it scanned every step length against tol."""
+    moving = ens.step_lengths() > tol
+    if not moving.any():
+        return 0.0
+    last = int(np.max(np.nonzero(moving.any(axis=0))[0]))
+    return None if last == ens.n_steps - 1 else (last + 1) * ens.dt
+
+
+def limit_guard_by_steps(ens, tol=1e-12):
+    """The limit guard as it scanned the last two step lengths against tol."""
+    return bool(np.max(ens.step_lengths()[:, -2:], initial=0.0) <= tol)
+
+
+def has_limit(ens):
+    try:
+        limit_measure(ens)
+    except MeasureError:
+        return False
+    return True
+
+
+def solved_reports():
+    dom, cost, kernel = remark_game(dx=0.01)
+    config = EquilibriumConfig(exploitability_tol=0.02)
+    m0s = [ParticleMeasure.dirac(dom, 0.3), ParticleMeasure.dirac(dom, 0.0),
+           ParticleMeasure(dom, [0.0, 1.0], [0.5, 0.5]),
+           ParticleMeasure(dom, np.linspace(0.2, 0.8, 13), np.full(13, 1 / 13))]
+    reports = [solve_equilibrium(m0, kernel, dom, cost, config) for m0 in m0s]
+    congested = CongestionKernel(dom, Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
+                                 Chi("gaussian", width=0.1, amplitude=0.6),
+                                 Eta("taper", distance=0.1))
+    m0 = ParticleMeasure(dom, np.linspace(0.3, 0.6, 16), np.full(16, 1 / 16))
+    reports.append(solve_equilibrium(m0, congested, dom, cost,
+                                     EquilibriumConfig(max_iterations=5, damping="constant",
+                                                       damping_value=0.4)))
+    return reports
+
+
+def test_solved_ensembles_settle_as_the_step_lengths_said():
+    for report in solved_reports():
+        ens = report.final_ensemble
+        assert settling_time(ens) == settling_time_by_steps(ens)
+        assert (report.m_infinity is not None) == limit_guard_by_steps(ens) == has_limit(ens)
+        if report.m_infinity is not None:
+            again = limit_measure(ens)
+            assert np.array_equal(again.points, report.m_infinity.points)
+            assert np.array_equal(again.weights, report.m_infinity.weights)
+
+
+def held_path(n_steps, start, stop, last_move, dt=0.01):
+    """A path that moves by dt per step up to step last_move, then holds still."""
+    j = np.minimum(np.arange(n_steps + 1), last_move + 1)
+    return np.minimum(start + j * dt, stop)
+
+
+def hand_built_ensembles():
+    dom = IntervalDomain(0.0, 1.0, 0.01, targets=[1.0], origin=0.0)
+    out = {}
+    for n_steps in (0, 1):
+        still = np.full((2, n_steps + 1), 0.5)
+        out[f"n_steps_{n_steps}_still"] = TrajectoryEnsemble(dom, 0.01, still, [0.5, 0.5])
+    out["n_steps_1_moving"] = TrajectoryEnsemble(dom, 0.01, [[0.5, 0.51], [0.5, 0.5]], [0.5, 0.5])
+    out["n_steps_2_moving_first"] = TrajectoryEnsemble(dom, 0.01, [[0.5, 0.51, 0.51]], [1.0])
+    for last_move in (17, 18, 19, 5):  # moving at the last step, the one before, ...
+        rows = [held_path(20, 0.3, 1.0, last_move), held_path(20, 0.5, 1.0, 3)]
+        out[f"last_move_{last_move}"] = TrajectoryEnsemble(dom, 0.01, rows, [0.5, 0.5])
+    # rows recorded as exited at slice 2 that move on afterwards: settled_slice
+    # then compares the slices one by one from the end
+    for last_move in (8, 19):
+        rows = [held_path(20, 0.3, 1.0, last_move), held_path(20, 0.6, 1.0, 1)]
+        out[f"moves_after_exit_{last_move}"] = TrajectoryEnsemble(
+            dom, 0.01, rows, [0.5, 0.5], exit_indices=[2, 2], exit_nodes=[0, 0])
+    grid = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.05, targets=[[1.0, 0.5]])
+    rng = np.random.default_rng(3)
+    walk = np.clip(0.5 + np.cumsum(rng.normal(0.0, 0.02, (4, 31, 2)), axis=1), 0.0, 1.0)
+    for hold in (10, 29, 30):
+        held = walk.copy()
+        held[:, hold:] = held[:, hold:hold + 1]
+        out[f"grid2d_held_from_{hold}"] = TrajectoryEnsemble(grid, 0.01, held, np.full(4, 0.25))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(hand_built_ensembles()))
+def test_hand_built_ensembles_settle_as_the_step_lengths_said(name):
+    ens = hand_built_ensembles()[name]
+    assert settling_time(ens) == settling_time_by_steps(ens)
+    assert has_limit(ens) == limit_guard_by_steps(ens)
 
 
 def test_theorem_bound_edges():

@@ -51,13 +51,11 @@ def solved(game, binning):
 
 
 @pytest.mark.parametrize("game, binning", GAMES)
-def test_certify_on_report_field_equals_fresh_certify(game, binning):
+def test_report_certification_equals_fresh_certify(game, binning):
     dom, cost, kernel, config, report = solved(game, binning)
     assert report.iterations > 1
     fresh = certify(report.final_ensemble, kernel, dom, cost, report.tol, config)
-    reused = certify(report.final_ensemble, kernel, dom, cost, report.tol, config,
-                     field=report.final_field, phi=report.final_phi)
-    assert reused == fresh
+    assert report.certification == fresh
 
 
 @pytest.mark.parametrize("game, binning", GAMES)
@@ -66,7 +64,7 @@ def test_final_field_is_the_final_ensembles_induced_field(game, binning):
     ens = report.final_ensemble
     binned = _use_binning(config, ens.n_traj, ens.n_steps + 1, dom.n_nodes)
     again = induced_speed_field(ens, kernel, binned).values
-    assert np.array_equal(report.final_field.values.view(np.int64), again.view(np.int64))
+    assert np.array_equal(report.final_phi.speed.values.view(np.int64), again.view(np.int64))
 
 
 def test_exploitability_rejects_speeding_after_exit():
@@ -135,3 +133,31 @@ def test_moving_step_excess_matches_full_scan(backend):
     still = TrajectoryEnsemble(dom, 0.01, np.repeat(ens.samples[:, :1], 5, axis=1),
                                ens.weights, validate=False)
     assert admissibility_excess(still, speed, slack) == -np.inf
+
+
+def test_execute_measures_the_final_mixture_once(monkeypatch):
+    """The ledger's certificate is the loop's last exploitability pass; only
+    the Lipschitz check reads the final ensemble's step lengths."""
+    from exitlab import equilibrium as eq, runner
+    from exitlab.scenarios import load_scenario
+
+    passes, scans = [], []
+    plain_exploitability, plain_steps = eq.exploitability, TrajectoryEnsemble.step_lengths
+
+    def counted_exploitability(*args, **kwargs):
+        passes.append(args[0])
+        return plain_exploitability(*args, **kwargs)
+
+    def counted_steps(self):
+        scans.append(self)
+        return plain_steps(self)
+
+    monkeypatch.setattr(eq, "exploitability", counted_exploitability)
+    monkeypatch.setattr(TrajectoryEnsemble, "step_lengths", counted_steps)
+    bundle = runner.execute(load_scenario("congested_corridor") | {"equilibrium": {
+        "max_iterations": 3, "damping": {"rule": "constant", "value": 0.4}}})
+    report = bundle["equilibrium"]
+    assert report.iterations == 3 and len(passes) == 3 and passes[-1] is report.final_ensemble
+    assert scans == [report.final_ensemble]
+    assert bundle["certification"] is report.certification
+    assert report.certification["epsilon"] == report.exploitability

@@ -137,7 +137,7 @@ def test_solve_initial_mass_on_target():
                                EquilibriumConfig(exploitability_tol=0.01))
     assert report.converged and report.iterations == 1
     assert np.all(report.final_ensemble.exit_indices == 0)
-    assert report.settled
+    assert report.m_infinity is not None
     got = dict(zip(report.m_infinity.points.tolist(), report.m_infinity.weights.tolist()))
     assert got == {0.0: pytest.approx(0.5), 1.0: pytest.approx(0.5)}
 

@@ -5,7 +5,7 @@ import pytest
 from exitlab.domain import BIG, ExitCost, IntervalDomain
 from exitlab.equilibrium import admissibility_excess, realized_costs
 from exitlab.measures import TrajectoryEnsemble
-from exitlab.ocp import (HorizonError, _select_candidates, OcpError, SpeedField, SynthesisStall,
+from exitlab.ocp import (_select_candidates, OcpError, SpeedField, SynthesisStall,
                          check_dpp, default_dpp_tol, horizon_bound, solve_value,
                          synthesize_batch, trajectory_bound)
 
@@ -276,15 +276,12 @@ def test_value_regularity_on_nonautonomous_fields(seed):
     assert np.isfinite(spatial)
 
 
-def test_smallness_refusal_and_horizon_error():
+def test_smallness_refusal():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
     bad_cost = ExitCost(dom, {t: 0.0 for t in dom.targets}, lipschitz_constant=1.2)
     field = SpeedField.constant(dom, 1.0, 0.01, 1.5)
     with pytest.raises(OcpError, match="smallness"):
         solve_value(dom, bad_cost, field)
-    cost = ExitCost.zero(dom)
-    with pytest.raises(HorizonError):
-        solve_value(dom, cost, field, min_horizon=5.0)
 
 
 def test_synthesis_stall_reports_position():

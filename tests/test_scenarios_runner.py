@@ -196,6 +196,19 @@ def test_validation_failure_status(tmp_path):
     # a dx that does not divide the extent used to run on another grid, or exit 4
     ("domain.dx", 0.6),
     ("domain.dx", 5.0),
+    # kernel parameters the family does not read, and an exit-cost constant
+    # that a kind other than table drops, used to run with status 0
+    pytest.param("kernel.kappa", {"family": "constant", "value": 1.0, "slope": 7.0},
+                 id="kernel.kappa-constant_with_slope"),
+    pytest.param("kernel.chi", {"family": "constant", "value": 0.0, "width": -3.0},
+                 id="kernel.chi-constant_with_width"),
+    pytest.param("kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
+                 id="kernel.eta-taper_with_value"),
+    pytest.param("exit_cost", {"kind": "zero", "lipschitz": -1.0}, id="exit_cost-zero_lipschitz"),
+    pytest.param("exit_cost", {"kind": "constant", "value": 0.0, "lipschitz": 5.0},
+                 id="exit_cost-constant_lipschitz"),
+    pytest.param("exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0]],
+                               "lipschitz": -1.0}, id="exit_cost-table_negative_lipschitz"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -294,6 +307,13 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     (interval_scenario, "domain.dx", 5.0, "domain.dx: "),
     (grid2d_scenario, "domain.dx", 5.0, "domain.dx: "),
     (grid2d_scenario, "domain.dx", 0.3, "domain.dx: "),
+    (interval_scenario, "exit_cost", {"kind": "zero", "lipschitz": -1.0},
+     "exit_cost.lipschitz is read only with kind 'table', got kind 'zero'"),
+    (interval_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0]],
+                                      "lipschitz": -1.0},
+     "exit_cost.lipschitz must not be negative"),
+    (graph_scenario, "kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
+     "unknown keys ['value'] in kernel.eta (family 'taper')"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()

@@ -49,7 +49,7 @@ def assert_bits_equal(a, b):
 
 # ---- references: the code before reuse and the settled tail ---------------
 
-def solve_value_reference(domain, cost, speed, stationary_tol=1e-10):
+def solve_value_reference(domain, cost, speed):
     """solve_value before reuse: stationary terminal slice, then every slice."""
     dt = speed.dt
     n_steps = speed.n_steps
@@ -68,7 +68,7 @@ def solve_value_reference(domain, cost, speed, stationary_tol=1e-10):
         new = np.minimum(new, phi)
         delta = np.max(phi - new)
         phi = new
-        if delta <= stationary_tol:
+        if delta <= 1e-10:
             break
     values = np.empty((n_steps + 1, domain.n_nodes))
     values[n_steps] = phi
@@ -211,7 +211,7 @@ def test_terminal_mismatch_solves_everything(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", BACKENDS)
-def test_no_reuse_across_dt_k_min_cost_tolerance_or_shape(make, monkeypatch):
+def test_no_reuse_across_dt_k_min_cost_or_shape(make, monkeypatch):
     dom = make()
     cost = ExitCost.zero(dom)
     values = speed_values(dom, np.random.default_rng(4))
@@ -220,19 +220,18 @@ def test_no_reuse_across_dt_k_min_cost_tolerance_or_shape(make, monkeypatch):
     other_cost = ExitCost.constant(dom, 0.1)
     longer = np.concatenate([values[:3], values])  # same tail, shifted rows
     cases = [
-        (field(dom, values, dt=base.dt * 0.75), cost, 1e-10),
-        (field(dom, values, k_min=K_MIN / 2), cost, 1e-10),
-        (base, other_cost, 1e-10),
-        (base, cost, 1e-6),
-        (field(dom, longer), cost, 1e-10),
+        (field(dom, values, dt=base.dt * 0.75), cost),
+        (field(dom, values, k_min=K_MIN / 2), cost),
+        (base, other_cost),
+        (field(dom, longer), cost),
     ]
     calls = count_ball_mins(dom, monkeypatch)
-    for speed, c, tol in cases:
-        fresh = solve_value_reference(dom, c, speed, tol)
+    for speed, c in cases:
+        fresh = solve_value_reference(dom, c, speed)
         # each case moves bits somewhere, so a wrongly reused row is seen
         assert fresh.shape != old.values.shape or not np.array_equal(fresh, old.values)
         del calls[:]
-        phi = solve_value(dom, c, speed, stationary_tol=tol, reuse=old)
+        phi = solve_value(dom, c, speed, reuse=old)
         assert_bits_equal(phi.values, fresh)
         assert len(calls) > speed.n_steps  # the stationary solve ran
     # nor from a field that does not record its speeds, or from another domain
@@ -273,11 +272,12 @@ def test_equilibrium_loop_reuses_the_previous_solve(monkeypatch):
         assert reuse is previous
     # from the second induced field on, the settled tail's rows are copied
     # and the stationary terminal solve is skipped
-    n_steps = report.final_field.n_steps
+    final_field = report.final_phi.speed
+    n_steps = final_field.n_steps
     assert all(0 < count < n_steps for _, _, count in solves[2:])
     phi = report.final_phi
-    assert phi is solves[-1][1] and phi.speed is report.final_field
-    assert_bits_equal(phi.values, solve_value_reference(dom, cost, report.final_field))
+    assert phi is solves[-1][1]
+    assert_bits_equal(phi.values, solve_value_reference(dom, cost, final_field))
 
 
 # ---- the settled tail -----------------------------------------------------
