@@ -438,56 +438,73 @@ class Grid2dDomain(SpatialDomain):
         return np.all((q >= self.lo - 1e-12) & (q <= self.hi + 1e-12), axis=-1)
 
     def _sphere_endpoints(self, ps, r):
-        """Points at metric distance r from ps along each lattice direction."""
+        """Points at metric distance r from ps along each lattice direction, (n_dir, m, 2)."""
         units = np.array(self._offsets, dtype=float)
-        scale = r[:, None] / self._metric(units)[None, :]
-        return ps[:, None, :] + units[None, :, :] * scale[:, :, None]
+        scale = r[None, :] / self._metric(units)[:, None]
+        return ps[None, :, :] + units[:, None, :] * scale[:, :, None]
 
     def _window_nodes(self, ps, r_max):
-        """Clipped lattice nodes in the (2w+1)^2 window that holds every r_max-ball."""
+        """Lattice nodes of the (2w+1)^2 window that holds every r_max-ball.
+
+        Returns the window slots' node points, (m, (2w+1)^2, 2), clipped to
+        the grid, and the mask of the slots that needed no clipping.
+        """
         w = int(np.floor(r_max / self.dx + 1e-9)) + 1
         ix = np.round((ps[:, 0] - self.lo[0]) / self.dx).astype(int)
         iy = np.round((ps[:, 1] - self.lo[1]) / self.dx).astype(int)
         off = np.arange(-w, w + 1)
-        jx = np.clip(ix[:, None, None] + off[None, :, None], 0, self.shape[0] - 1)
-        jy = np.clip(iy[:, None, None] + off[None, None, :], 0, self.shape[1] - 1)
+        jx = ix[:, None, None] + off[None, :, None]
+        jy = iy[:, None, None] + off[None, None, :]
+        inside = (jx >= 0) & (jx < self.shape[0]) & (jy >= 0) & (jy < self.shape[1])
+        jx = np.clip(jx, 0, self.shape[0] - 1)
+        jy = np.clip(jy, 0, self.shape[1] - 1)
         q = np.stack(np.broadcast_arrays(self.xs[jx], self.ys[jy]), axis=-1)
-        return q.reshape(len(ps), -1, 2)
+        return q.reshape(len(ps), -1, 2), inside.reshape(len(ps), -1)
 
     def reach_stencil(self, r_max):
-        """Window node slots that some node's r_max-ball holds, plus sphere endpoints.
+        """Each node's in-ball window nodes and its sphere endpoints, slot-major.
 
-        The node slots, their bilinear plans and their displacements are
-        fixed; bind(r) only places the sphere endpoints and plans their
-        interpolation in one batch.
+        A node keeps the window slots in its r_max-ball that needed no
+        clipping: a clipped slot repeats an unclipped one, with the same
+        value and displacement. Short rows are padded with the node's own
+        slot (displacement 0, always valid), so the node slots, their
+        bilinear plan and their displacements are fixed (K, n_nodes) arrays;
+        bind(r) only places the (n_dir, n_nodes) sphere endpoints and plans
+        their interpolation in one batch.
         """
         x = self.coords
-        q = self._window_nodes(x, r_max)
-        disp = self._metric(q - x[:, None, :])
-        keep = np.any(disp <= r_max + 1e-12, axis=0)
-        q, disp = q[:, keep], disp[:, keep]
+        q, inside = self._window_nodes(x, r_max)
+        keep = inside & (self._metric(q - x[:, None, :]) <= r_max + 1e-12)
+        k = int(np.max(np.sum(keep, axis=1)))
+        # kept slots first, in window order; the centre slot is the node's own
+        slot = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+        slot = np.where(np.take_along_axis(keep, slot, axis=1), slot, q.shape[1] // 2)
+        q = np.ascontiguousarray(np.take_along_axis(q, slot[:, :, None], axis=1).transpose(1, 0, 2))
+        disp = self._metric(q - x[None, :, :])
         node_plan = self._bilinear_plan(q.reshape(-1, 2))
 
         def bind(r):
             r = np.broadcast_to(np.asarray(r, dtype=float), (self.n_nodes,))
-            node_ok = disp <= r[:, None] + 1e-12
+            node_out = disp > r + 1e-12
             ends = self._sphere_endpoints(x, r)
-            end_ok = self._in_box(ends)
+            end_out = ~self._in_box(ends)
             end_plan = self._bilinear_plan(ends.reshape(-1, 2))
 
             def ball_min(node_values):
                 node_vals = self._bilinear(node_values, node_plan).reshape(disp.shape)
-                end_vals = self._bilinear(node_values, end_plan).reshape(end_ok.shape)
-                return np.minimum(np.min(np.where(node_ok, node_vals, BIG), axis=1),
-                                  np.min(np.where(end_ok, end_vals, BIG), axis=1))
+                node_vals[node_out] = BIG
+                end_vals = self._bilinear(node_values, end_plan).reshape(end_out.shape)
+                end_vals[end_out] = BIG
+                return np.minimum(np.minimum.reduce(node_vals, axis=0),
+                                  np.minimum.reduce(end_vals, axis=0))
             return ball_min
         return bind
 
     def reach_candidates(self, ps, r):
         ps = np.asarray(ps, dtype=float)
         r = np.broadcast_to(np.asarray(r, dtype=float), (ps.shape[0],))
-        ends = self._sphere_endpoints(ps, r)
-        nodes = self._window_nodes(ps, np.max(r, initial=0.0))
+        ends = self._sphere_endpoints(ps, r).transpose(1, 0, 2)
+        nodes, _ = self._window_nodes(ps, np.max(r, initial=0.0))
         node_disp = self._metric(nodes - ps[:, None, :])
         cand = np.concatenate([ps[:, None, :], ends, nodes], axis=1)
         valid = np.concatenate([np.ones((len(ps), 1), dtype=bool), self._in_box(ends),

@@ -147,6 +147,14 @@ def solve_value(domain, cost, speed, reuse=None):
     K_min). So when all of those match, the value rows over the longest
     trailing run of speed rows that are bit-equal to reuse's are reuse's
     rows: they are copied, and the solve starts below the run. The result is bit-identical to a solve without reuse.
+
+    Fixed-point rows: value row j is F_j(row j + 1), where F_j (dt plus the
+    reach-ball minimum, targets pinned) depends only on speed row j. When
+    speed row j is bit-equal to speed row j + 1 and value row j + 1 =
+    F_{j+1}(row j + 2) is bit-equal to row j + 2, then F_j = F_{j+1} and row
+    j = F_j(row j + 1) = F_{j+1}(row j + 2) = row j + 1: it is copied. Row
+    j + 1 must be a recursion row (j + 2 <= n_steps), which the terminal
+    stationary row is not; reused rows are recursion rows under this speed.
     """
     if cost.lipschitz_constant * speed.k_max >= 1.0:
         raise OcpError(
@@ -169,11 +177,16 @@ def solve_value(domain, cost, speed, reuse=None):
         start = n_steps
         values[n_steps] = _stationary_slice(domain, cost, speed, stencil)
     # rebind only where the speed slice changes (frozen fields and emptied
-    # late slices repeat)
+    # late slices repeat); copy a row once its frozen run reaches a fixed point
     bits = speed.values.view(np.int64)
     changed = np.any(bits[:-1] != bits[1:], axis=1)
+    words = values.view(np.int64)
+    ball_min = None
     for j in range(start - 1, -1, -1):
-        if j == start - 1 or changed[j]:
+        if not changed[j] and j + 2 <= n_steps and np.array_equal(words[j + 1], words[j + 2]):
+            values[j] = values[j + 1]
+            continue
+        if ball_min is None or changed[j]:
             ball_min = stencil(speed.values[j] * dt)
         values[j] = dt + ball_min(values[j + 1])
         values[j][targets] = g_t

@@ -254,13 +254,22 @@ def build_ledger(bundle):
 # persistence
 
 def _cells(col):
-    """Text of each cell: integers in decimal, floats as %.12g, non-finite floats empty."""
-    if np.issubdtype(col.dtype, np.integer):
-        return list(map(str, col.tolist()))
-    cells = list(map("%.12g".__mod__, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        cells[i] = ""
-    return cells
+    """Text of each cell: integers in decimal, floats as %.12g, non-finite floats empty.
+
+    Each distinct 64-bit pattern is formatted once (by bits, not by value:
+    -0.0 prints as -0) and gathered back to its cells.
+    """
+    is_int = np.issubdtype(col.dtype, np.integer)
+    _, first, inverse = np.unique(col if is_int else col.view(np.int64),
+                                  return_index=True, return_inverse=True)
+    distinct = col[first]
+    if is_int:
+        text = list(map(str, distinct.tolist()))
+    else:
+        text = list(map("%.12g".__mod__, distinct.tolist()))
+        for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+            text[i] = ""
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def _write_table(path, header, columns):

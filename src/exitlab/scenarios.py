@@ -24,6 +24,8 @@ KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
 # the parameters a kernel family reads with a default, besides its required ones
 KERNEL_DEFAULTED = {"chi": {family: ("amplitude", "value") for family in Chi.required},
                     "eta": {"constant": ("value",)}}
+# the exit-cost keys besides kind and lipschitz that each kind reads
+COST_READS = {"zero": set(), "constant": {"value"}, "table": {"entries"}}
 
 
 class ScenarioError(ValueError):
@@ -130,8 +132,11 @@ def validate_config(cfg):
 
     cost = out.setdefault("exit_cost", {"kind": "zero"})
     _require(cost, {"kind", "value", "entries", "lipschitz"}, "exit_cost")
-    if cost.get("kind") not in ("zero", "constant", "table"):
+    if cost.get("kind") not in COST_READS:
         raise ScenarioError(f"unknown exit_cost kind {cost.get('kind')!r}")
+    unread = sorted(set(cost) - {"kind", "lipschitz"} - COST_READS[cost["kind"]])
+    if unread:
+        raise ScenarioError(f"exit_cost.{unread[0]} is not read with kind {cost['kind']!r}")
     if cost["kind"] == "constant":
         _require_number(cost.get("value"), "exit_cost.value")
     if cost["kind"] == "table":
@@ -218,6 +223,9 @@ def validate_config(cfg):
         _require_number(value, "equilibrium.damping.value", positive=True)
         if value > 1:
             raise ScenarioError(f"equilibrium.damping.value must lie in (0, 1], got {value!r}")
+    elif "value" in eq["damping"]:
+        raise ScenarioError(f"equilibrium.damping.value is read only with rule 'constant', "
+                            f"got rule {eq['damping']['rule']!r}")
     _require_choice(eq["marginal_binning"], ("auto", "on", "off"), "equilibrium.marginal_binning")
 
     asym = out.setdefault("asymptotics", {})

@@ -55,3 +55,12 @@ def test_every_equilibrium_config_field_is_set_by_the_scenario_builder(monkeypat
     cfg = scenarios.validate_config(scenarios.load_scenario("remark_5_3"))
     scenarios.build_equilibrium_config(cfg)
     assert set(seen) == {f.name for f in fields(exitlab.EquilibriumConfig)}
+
+
+def test_solve_value_takes_speed_third():
+    """perfbench/tracer.py counts backward steps from solve_value's third positional argument."""
+    import inspect
+
+    from exitlab.ocp import solve_value
+
+    assert list(inspect.signature(solve_value).parameters)[:3] == ["domain", "cost", "speed"]

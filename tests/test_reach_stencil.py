@@ -3,7 +3,9 @@
 The reference is the scheme's definition: interpolate the node field at
 every valid candidate of reach_candidates and take the minimum. Budgets are
 per node and non-uniform in [k_min dt, k_max dt]; border nodes always get
-the largest budget, so their clipped slots are exercised.
+the largest budget, so their clipped slots are exercised. Node fields are
+drawn from a continuum and from three levels, whose ties the minimum must
+also reproduce.
 """
 import numpy as np
 import pytest
@@ -36,8 +38,10 @@ def check_stencil(domain, border, cfl, seed):
     for _ in range(3):
         r = budgets(domain, dt, rng, border)
         ball_min = stencil(r)
-        for _ in range(2):  # one bound stencil serves several fields
-            values = rng.uniform(0.0, 2.0, domain.n_nodes)
+        # one bound stencil serves several fields; three levels make ties
+        for values in (rng.uniform(0.0, 2.0, domain.n_nodes),
+                       rng.uniform(0.0, 2.0, domain.n_nodes),
+                       rng.choice([0.0, 0.5, 1.0], domain.n_nodes)):
             assert np.array_equal(ball_min(values), reference_ball_min(domain, values, r))
 
 
@@ -47,15 +51,60 @@ def test_interval_stencil_matches_candidates(cfl):
     check_stencil(dom, [0, dom.n_nodes - 1], cfl, seed=1)
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-@pytest.mark.parametrize("cfl", [1.0, 1.7])
-def test_grid2d_stencil_matches_candidates(connectivity, cfl):
-    dom = Grid2dDomain([0.0, 0.0], [1.0, 0.6], 0.05, targets=[[1.0, 0.3]],
-                       origin=[0.0, 0.3], connectivity=connectivity)
+def grid_border(dom):
     nx, ny = dom.shape
     ix, iy = np.divmod(np.arange(dom.n_nodes), ny)
-    border = np.flatnonzero((ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1))
-    check_stencil(dom, border, cfl, seed=connectivity)
+    return np.flatnonzero((ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1))
+
+
+def distinct_ball_nodes(dom, r_max):
+    """The largest number of distinct nodes that one node's r_max-ball holds."""
+    cand, _, valid = dom.reach_candidates(dom.node_points(), np.full(dom.n_nodes, r_max))
+    nodes = cand[:, 1 + len(dom._offsets):]
+    inside = valid[:, 1 + len(dom._offsets):]
+    return max(len(np.unique(nodes[i][inside[i]], axis=0)) for i in range(dom.n_nodes))
+
+
+def stencil_node_slots(dom, r_max, monkeypatch):
+    """Node slots per node of reach_stencil(r_max): the points it plans before any bind."""
+    planned = []
+    plan = dom._bilinear_plan
+
+    def recording(ps):
+        planned.append(len(ps))
+        return plan(ps)
+
+    monkeypatch.setattr(dom, "_bilinear_plan", recording)
+    dom.reach_stencil(r_max)
+    monkeypatch.undo()
+    assert len(planned) == 1 and planned[0] % dom.n_nodes == 0
+    return planned[0] // dom.n_nodes
+
+
+def grid(connectivity, hi=(1.0, 0.6), dx=0.05):
+    return Grid2dDomain([0.0, 0.0], list(hi), dx, targets=[[hi[0], hi[1] / 2]],
+                        origin=[0.0, hi[1] / 2], connectivity=connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("cfl", [0.999, 1.0, 1.7, 2.5])
+def test_grid2d_stencil_matches_candidates(connectivity, cfl, monkeypatch):
+    dom = grid(connectivity)
+    check_stencil(dom, grid_border(dom), cfl, seed=connectivity)
+    # only in-ball nodes are slots: one (the node's own) just under dx
+    r_max = cfl * dom.dx
+    slots = stencil_node_slots(dom, r_max, monkeypatch)
+    assert slots <= distinct_ball_nodes(dom, r_max)
+    assert cfl >= 1.0 or slots == 1
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("cfl", [0.999, 1.0, 1.7, 2.5])
+def test_grid2d_stencil_on_a_3x3_grid(connectivity, cfl):
+    """Every node but the centre is a border node, and wide windows clip on both sides."""
+    dom = grid(connectivity, hi=(1.0, 1.0), dx=0.5)
+    assert dom.shape == (3, 3)
+    check_stencil(dom, grid_border(dom), cfl, seed=10 + connectivity)
 
 
 def test_graph_default_stencil_matches_candidates():

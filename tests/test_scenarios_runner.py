@@ -209,6 +209,12 @@ def test_validation_failure_status(tmp_path):
                  id="exit_cost-constant_lipschitz"),
     pytest.param("exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0]],
                                "lipschitz": -1.0}, id="exit_cost-table_negative_lipschitz"),
+    # keys that the kind or rule does not read used to be accepted and dropped
+    pytest.param("exit_cost", {"kind": "zero", "value": 5.0}, id="exit_cost-zero_with_value"),
+    pytest.param("exit_cost", {"kind": "constant", "value": 0.0, "entries": [[0.0, 1.0]]},
+                 id="exit_cost-constant_with_entries"),
+    pytest.param("equilibrium.damping", {"rule": "fictitious_play", "value": 0.3},
+                 id="equilibrium.damping-fictitious_play_with_value"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -314,6 +320,15 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
      "exit_cost.lipschitz must not be negative"),
     (graph_scenario, "kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
      "unknown keys ['value'] in kernel.eta (family 'taper')"),
+    (interval_scenario, "exit_cost", {"kind": "zero", "value": 5.0},
+     "exit_cost.value is not read with kind 'zero'"),
+    (grid2d_scenario, "exit_cost", {"kind": "constant", "value": 0.0, "entries": [[1.0, 0.5]]},
+     "exit_cost.entries is not read with kind 'constant'"),
+    (interval_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0]],
+                                      "value": 1.0},
+     "exit_cost.value is not read with kind 'table'"),
+    (interval_scenario, "equilibrium.damping", {"rule": "fictitious_play", "value": 0.3},
+     "equilibrium.damping.value is read only with rule 'constant', got rule 'fictitious_play'"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()

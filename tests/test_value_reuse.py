@@ -1,9 +1,10 @@
 """Value-solve reuse and the settled tail against the code they replaced.
 
 solve_value(..., reuse=phi) copies the value rows over the trailing run of
-speed rows that are bit-equal to phi's; TrajectoryEnsemble.settled_slice is
-the last slice at which any sample changes bits, and admissibility_excess
-and the field induction stop there. Each reference below is a kept copy of
+speed rows that are bit-equal to phi's, and within a solve a row is a copy
+of the row above once its frozen run has reached the float fixed point;
+TrajectoryEnsemble.settled_slice is the last slice at which any sample
+changes bits, and admissibility_excess and the field induction stop there. Each reference below is a kept copy of
 the code before these changes (or a brute-force scan), and every comparison
 is bit for bit.
 """
@@ -240,6 +241,91 @@ def test_no_reuse_across_dt_k_min_cost_or_shape(make, monkeypatch):
         del calls[:]
         assert_bits_equal(solve_value(dom, cost, base, reuse=reuse).values, old.values)
         assert len(calls) > base.n_steps
+
+
+# ---- fixed-point rows -----------------------------------------------------
+
+def computed_rows(speed, values, start):
+    """Rows below `start` that are not copies under the fixed-point rule.
+
+    Row j is a copy when speed rows j and j + 1 and value rows j + 1 and
+    j + 2 are bit-equal, with row j + 1 a recursion row (j + 2 <= n_steps).
+    """
+    bits = speed.values.view(np.int64)
+    words = values.view(np.int64)
+    return [j for j in range(start)
+            if not (j + 2 <= speed.n_steps and np.array_equal(bits[j], bits[j + 1])
+                    and np.array_equal(words[j + 1], words[j + 2]))]
+
+
+def sweeps_and_reference(dom, cost, speed, calls):
+    """The reference values and the ball minima of its stationary solve."""
+    del calls[:]
+    fresh = solve_value_reference(dom, cost, speed)
+    return fresh, len(calls) - speed.n_steps
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_fixed_point_rows_are_copied_bit_for_bit(make, monkeypatch):
+    dom = make()
+    cost = ExitCost.zero(dom)
+    values = np.random.default_rng(11).uniform(K_MIN, K_MAX, (120, dom.n_nodes))
+    values[20:] = values[20]  # a long settled tail: its rows reach the float fixed point
+    speed = field(dom, values)
+    calls = count_ball_mins(dom, monkeypatch)
+    fresh, sweeps = sweeps_and_reference(dom, cost, speed, calls)
+    # the stationary row is no fixed point of the recursion: it is never copied
+    assert not np.array_equal(fresh[-2], fresh[-1])
+    del calls[:]
+    phi = solve_value(dom, cost, speed)
+    assert_bits_equal(phi.values, fresh)
+    rows = computed_rows(speed, fresh, speed.n_steps)
+    assert len(calls) == sweeps + len(rows)
+    assert len(rows) < speed.n_steps - 5  # the tail did reach the fixed point
+    assert 19 in rows  # and below the tail every row is solved again
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_speed_change_below_a_fixed_point_run(make, monkeypatch):
+    """Two settled runs, each reaching its fixed point: no row is copied across the change."""
+    dom = make()
+    cost = ExitCost.zero(dom)
+    values = np.random.default_rng(12).uniform(K_MIN, K_MAX, (250, dom.n_nodes))
+    values[10:120] = K_MAX
+    values[120:] = values[120]
+    speed = field(dom, values)
+    calls = count_ball_mins(dom, monkeypatch)
+    fresh, sweeps = sweeps_and_reference(dom, cost, speed, calls)
+    assert np.array_equal(fresh[120], fresh[121])  # the upper run is at its fixed point
+    assert not np.array_equal(fresh[119], fresh[120])
+    del calls[:]
+    assert_bits_equal(solve_value(dom, cost, speed).values, fresh)
+    rows = computed_rows(speed, fresh, speed.n_steps)
+    assert len(calls) == sweeps + len(rows)
+    # the lower run is solved from its change down to its own fixed point
+    assert 119 in rows and any(j not in rows for j in range(10, 119))
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_reused_solve_copies_below_its_fixed_point_run(make, monkeypatch):
+    """The rule holds across the reuse boundary: reused rows are recursion rows."""
+    dom = make()
+    cost = ExitCost.zero(dom)
+    rng = np.random.default_rng(14)
+    old_values = rng.uniform(K_MIN, K_MAX, (200, dom.n_nodes))
+    old_values[20:] = old_values[20]
+    old = solve_value(dom, cost, field(dom, old_values))
+    assert np.array_equal(old.values[20], old.values[21])
+    values = old_values.copy()
+    values[10:20] = values[20]  # rows 10-19 join the tail; reuse starts at row 20
+    values[:10] = rng.uniform(K_MIN, K_MAX, (10, dom.n_nodes))
+    speed = field(dom, values)
+    calls = count_ball_mins(dom, monkeypatch)
+    fresh, _ = sweeps_and_reference(dom, cost, speed, calls)
+    del calls[:]
+    phi = solve_value(dom, cost, speed, reuse=old)
+    assert_bits_equal(phi.values, fresh)
+    assert len(calls) == 10  # rows 19 down to 10 are copies, rows 9 to 0 are solved
 
 
 def congested_kernel(domain):

@@ -2,8 +2,11 @@
 
 The reference functions below are the row-by-row writer the run artifacts
 were first produced with: every cell formatted on its own by `_fmt`, every
-row joined and written on its own. tests/golden_sha256.json pins only the
-interval scenarios, so the grid2d and graph artifacts are checked here.
+row joined and written on its own. The writer formats each distinct 64-bit
+pattern of a block once, so repeated values, signed zeros and NaN payloads
+are checked against the per-cell formatting too. tests/golden_sha256.json
+pins only the interval scenarios, so the grid2d and graph artifacts are
+checked here.
 """
 import filecmp
 import os
@@ -146,6 +149,46 @@ def test_random_bit_patterns_across_row_blocks(tmp_path):
     rows = [[int(i), float(x)] for i, x in zip(ids, bits)]
     ref, new = _both_writers(tmp_path, ["id", "v"], rows, [ids, bits])
     assert new == ref
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+REPEATED_BLOCKS = {
+    "heavy repetition": np.random.default_rng(1).choice(
+        [0.25, -0.0, 0.0, 1e-300, 0.1 + 0.2, 7.0], 3 * runner.ROW_BLOCK // 2),
+    "signed zeros": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
+    "signed zeros, minus first": np.array([-0.0, 0.0, 0.0, -0.0]),
+    "nan payloads and infinities": np.array([_nan(0x7FF8000000000000), 1.5,
+                                             _nan(0x7FF8000000000001), np.inf, -np.inf,
+                                             _nan(0xFFF8000000000000), np.inf, 1.5,
+                                             _nan(0x7FF8000000000001), -np.inf]),
+    "repeated ints": np.array([3, 3, -1, 3, 2**53, -1, 0, 2**53, 3]),
+    "one float": np.array([-0.0]),
+    "one int": np.array([-7]),
+    "empty float": np.empty(0),
+    "empty int": np.empty(0, dtype=int),
+}
+
+
+@pytest.mark.parametrize("name", list(REPEATED_BLOCKS))
+def test_cells_grouped_by_bit_pattern_equal_per_cell_text(name):
+    """_cells groups a block by 64-bit pattern, not by value: -0.0 is not 0.0."""
+    col = REPEATED_BLOCKS[name]
+    assert runner._cells(col) == [_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in col.tolist()]
+
+
+def test_repeated_blocks_write_reference_bytes(tmp_path):
+    heavy = REPEATED_BLOCKS["heavy repetition"]
+    n = len(heavy)
+    ints = np.random.default_rng(2).integers(-3, 3, n)
+    zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+    rows = [[float(a), int(b), float(c)] for a, b, c in zip(heavy, ints, zeros)]
+    ref, new = _both_writers(tmp_path, ["a", "n", "z"], rows, [heavy, ints, zeros])
+    assert new == ref
+    assert new.splitlines()[1].endswith(b",-0")
 
 
 @pytest.mark.parametrize("make_cfg", [lambda: load_scenario("remark_5_3"),
