@@ -30,13 +30,13 @@ print(f"value at (t=0, x=0.2): {phi.at(0.0, 0.2):.4f}   (slow patch sits nearby)
 
 tol = default_dpp_tol(domain, dt)
 starts = np.array([0.15, 0.5, 0.85])
-samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, starts, 0.0)
+samples, exit_idx, exit_node = synthesize_batch(phi, field, starts)
 paths = TrajectoryEnsemble(domain, dt, samples, np.full(len(starts), 1 / len(starts)),
-                           np.full(len(starts), j0), exit_idx, exit_node)
+                           exit_indices=exit_idx, exit_nodes=exit_node)
 realized, _ = realized_costs(paths, cost)
-residual = check_dpp(phi, samples, j0, exit_idx)["max_equality_residual"]
+residual = check_dpp(phi, samples, exit_idx)["max_equality_residual"]
 for k, x0 in enumerate(starts):
     print(f"start {x0:.2f}: exit at {domain.coords[exit_node[k]]:.0f} "
-          f"after {(exit_idx[k] - j0) * dt:.3f}s, realized cost {realized[k]:.4f} "
+          f"after {exit_idx[k] * dt:.3f}s, realized cost {realized[k]:.4f} "
           f"(phi {phi.at(0.0, x0):.4f}, dpp residual {residual[k]:.4f}, "
           f"tol {tol:.3f})")

@@ -4,12 +4,11 @@ mean field games on discretized metric domains."""
 from .domain import (ExitCost, GraphDomain, Grid2dDomain, IntervalDomain,
                      validate_hypotheses)
 from .congestion import Chi, CongestionKernel, Eta, Kappa
-from .measures import (ParticleMeasure, TrajectoryEnsemble, sample_from_density,
-                       wasserstein)
+from .measures import ParticleMeasure, TrajectoryEnsemble, wasserstein
 from .ocp import (SpeedField, ValueField, check_dpp, horizon_bound, solve_value,
                   trajectory_bound)
-from .equilibrium import (EquilibriumConfig, EquilibriumReport, certify,
-                          exploitability, induced_speed_field, solve_equilibrium)
+from .equilibrium import (EquilibriumConfig, EquilibriumReport, exploitability,
+                          induced_speed_field, solve_equilibrium)
 from .asymptotics import (ConvergenceCurve, RateFit, convergence_curve,
                           fit_decay_rate, limit_measure, settling_time,
                           stability_sweep, theorem_bound)
@@ -21,10 +20,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ExitCost", "GraphDomain", "Grid2dDomain", "IntervalDomain",
     "validate_hypotheses", "Chi", "CongestionKernel", "Eta", "Kappa",
-    "ParticleMeasure", "TrajectoryEnsemble", "sample_from_density", "wasserstein",
+    "ParticleMeasure", "TrajectoryEnsemble", "wasserstein",
     "SpeedField", "ValueField", "check_dpp", "horizon_bound", "solve_value",
     "trajectory_bound",
-    "EquilibriumConfig", "EquilibriumReport", "certify",
+    "EquilibriumConfig", "EquilibriumReport",
     "exploitability", "induced_speed_field", "solve_equilibrium",
     "ConvergenceCurve", "RateFit", "convergence_curve", "fit_decay_rate",
     "limit_measure", "settling_time", "stability_sweep", "theorem_bound",

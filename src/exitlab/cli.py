@@ -46,7 +46,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a scenario (registry name or JSON file)")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", help="output root (default $EXITLAB_OUT or ./runs)")
-    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--tol", type=float)
     p_run.add_argument("--max-iter", type=int)
 
@@ -61,7 +60,6 @@ def main(argv=None):
                          metavar="PATH=V1,V2,...",
                          help="dotted config path and comma-separated values")
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--tol", type=float)
     p_sweep.add_argument("--max-iter", type=int)
 
@@ -77,8 +75,7 @@ def main(argv=None):
 
     if args.command == "run":
         run_dir = _run_dir_for(args.scenario, _out_root(args))
-        result = runner.run(args.scenario, run_dir, seed=args.seed, tol=args.tol,
-                            max_iter=args.max_iter)
+        result = runner.run(args.scenario, run_dir, tol=args.tol, max_iter=args.max_iter)
         if result.error:
             print(result.error, file=sys.stderr)
         else:
@@ -111,8 +108,8 @@ def main(argv=None):
                 return runner.STATUS_VALIDATION
             params[path] = [_parse_param_value(v) for v in values.split(",")]
         out_root = args.out or os.path.join(_out_root(args), "sweep")
-        aggregate = runner.sweep(args.scenario, params, out_root, seed=args.seed,
-                                 tol=args.tol, max_iter=args.max_iter)
+        aggregate = runner.sweep(args.scenario, params, out_root, tol=args.tol,
+                                 max_iter=args.max_iter)
         print(f"sweep directory: {out_root} ({len(aggregate['members'])} members)")
         return 0
 

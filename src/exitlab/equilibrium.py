@@ -169,7 +169,7 @@ def realized_costs(ensemble, cost, cap=None):
     exited = ensemble.exit_indices >= 0
     nodes = ensemble.exit_nodes
     g = np.where(nodes >= 0, cost.node_table()[nodes], np.inf)
-    out = (ensemble.exit_indices - ensemble.start_indices) * ensemble.dt + g
+    out = ensemble.exit_indices * ensemble.dt + g
     out[~exited] = np.inf if cap is None else cap
     return out, int(np.count_nonzero(~exited))
 
@@ -193,8 +193,7 @@ def admissibility_excess(ensemble, speed, slack):
     return worst
 
 
-def exploitability(ensemble, kernel, domain, cost, config=None, cap=None,
-                   field=None, phi=None):
+def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=None):
     """Weighted optimality gap of an ensemble against its own induced field.
 
     epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))). Returns (epsilon,
@@ -213,9 +212,8 @@ def exploitability(ensemble, kernel, domain, cost, config=None, cap=None,
     if excess > 1e-9:
         raise CertificationError(
             f"ensemble leaves its own admissible class: step excess {excess:.3g} beyond slack")
-    if cap is None:
-        r_max = float(np.max(ensemble.time_marginal(0.0).origin_distances()))
-        cap = 10.0 * horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
+    r_max = float(np.max(ensemble.time_marginal(0.0).origin_distances()))
+    cap = 10.0 * horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
     costs, capped = realized_costs(ensemble, cost, cap=cap)
     starts = ensemble.samples[:, 0]
     base = phi.at_points(0, starts)
@@ -287,9 +285,9 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
     for n in range(config.max_iterations):
         iterations = n + 1
         # best response of every atom of m0 to the current field
-        samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, m0.points, 0.0)
+        samples, exit_idx, exit_node = synthesize_batch(phi, field, m0.points)
         candidate = TrajectoryEnsemble(domain, dt, samples, m0.weights.copy(),
-                                       np.full(m0.n_atoms, j0), exit_idx, exit_node,
+                                       exit_indices=exit_idx, exit_nodes=exit_node,
                                        validate=False)
         if mixture is None:
             mixture = candidate

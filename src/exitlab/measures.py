@@ -53,15 +53,15 @@ def _mix64(x):
     return x ^ (x >> np.uint64(31))
 
 
-def trajectory_keys(start_indices, exit_indices, samples):
-    """64-bit key per trajectory over its start index, exit index and sample bits.
+def trajectory_keys(exit_indices, samples):
+    """64-bit key per trajectory over its exit index and sample bits.
 
     Rows that are equal bit for bit get equal keys, so -0.0 and 0.0 differ.
     Distinct rows may collide; TrajectoryEnsemble merges check every grouped
     row against its group's first row and regroup exactly on a mismatch.
     """
-    n = len(start_indices)
-    words = np.column_stack([start_indices, exit_indices,
+    n = len(exit_indices)
+    words = np.column_stack([exit_indices,
                              np.ascontiguousarray(samples).reshape(n, -1).view(np.int64)])
     salt = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN
     return _mix64(np.bitwise_xor.reduce(_mix64(words.view(np.uint64) + salt), axis=1))
@@ -155,84 +155,29 @@ def wasserstein_lp(dist, wx, wy, p=1):
     return max(res.fun, 0.0) ** (1.0 / p)
 
 
-def sample_from_density(domain, density, n, seed, mode="auto"):
-    """Build an n-atom measure from a nonnegative node density.
-
-    On the interval backend the default is deterministic quantization: the
-    density is read as piecewise-constant over node-centered cells (isolated
-    single-node spikes count as point masses) and atoms sit at the
-    (i + 1/2)/n quantiles with equal weights. Other backends draw seeded
-    i.i.d. node samples proportional to cell mass.
-    """
-    coords = domain.node_coords()
-    if callable(density):
-        d = np.array([density(c) for c in coords], dtype=float)
-    else:
-        d = np.asarray(density, dtype=float)
-    if np.any(d < 0):
-        raise MeasureError("density must be nonnegative")
-    if d.sum() <= 0:
-        raise MeasureError("density has zero total mass")
-    if domain.kind == "interval" and mode in ("auto", "quantile"):
-        return _quantize_1d(domain, d, n)
-    rng = np.random.default_rng(seed)
-    mass = d / d.sum()
-    idx = rng.choice(domain.n_nodes, size=n, p=mass)
-    pts = domain.points_of_nodes(idx)
-    return ParticleMeasure(domain, pts, np.full(n, 1.0 / n)).merged()
-
-
-def _quantize_1d(domain, d, n):
-    xs = domain.node_coords()
-    nn = len(xs)
-    dx = domain.dx
-    half = dx / 2.0
-    pos = d > 0
-    isolated = pos & ~np.roll(pos, 1) & ~np.roll(pos, -1)
-    if nn > 1:
-        isolated[0] = pos[0] and not pos[1]
-        isolated[-1] = pos[-1] and not pos[-2]
-    # cell extents clipped to the domain
-    left = np.maximum(xs - half, xs[0])
-    right = np.minimum(xs + half, xs[-1])
-    width = right - left
-    mass = np.where(isolated, d, d * width)
-    mass = mass / mass.sum()
-    cdf = np.cumsum(mass)
-    q = (np.arange(n) + 0.5) / n
-    cell = np.searchsorted(cdf, q, side="left")
-    cell = np.minimum(cell, nn - 1)
-    prev = np.where(cell > 0, cdf[cell - 1], 0.0)
-    frac = np.where(mass[cell] > 0, (q - prev) / mass[cell], 0.5)
-    pts = np.where(isolated[cell], xs[cell], left[cell] + frac * width[cell])
-    return ParticleMeasure(domain, pts, np.full(n, 1.0 / n))
-
-
 class TrajectoryEnsemble:
     """Weighted set of timed trajectories sampled on a uniform time grid.
 
     samples has shape (n_traj, n_steps + 1) on the interval backend and
-    (n_traj, n_steps + 1, point_dim) otherwise. Trajectories are constant
-    before start_index and after exit_index (-1 marks a non-exiting path).
-    exit_nodes holds the target node hit at exit (-1 when there is none);
-    when omitted it is read off the exit positions by snapping them to the
-    target set. Two more per-row fields are caches of the samples, computed
+    (n_traj, n_steps + 1, point_dim) otherwise. Every trajectory starts at
+    slice 0 (time 0) and is constant after exit_index (-1 marks a
+    non-exiting path). exit_nodes holds the target node hit at exit (-1 when
+    there is none); when omitted it is read off the exit positions by
+    snapping them to the target set. The per-row fields after weights are
+    keyword-only. Two more per-row fields are caches of the samples, computed
     when omitted and carried by merged, pruned and mix: node_indices, the
     int32 nearest node of every sample, and row_keys, the trajectory_keys()
     of every trajectory. settled_slice is derived from the samples once per
     ensemble object and is not carried.
     """
 
-    def __init__(self, domain, dt, samples, weights, start_indices=None,
-                 exit_indices=None, exit_nodes=None, validate=True,
-                 node_indices=None, row_keys=None):
+    def __init__(self, domain, dt, samples, weights, *, exit_indices=None,
+                 exit_nodes=None, validate=True, node_indices=None, row_keys=None):
         self.domain = domain
         self.dt = float(dt)
         self.samples = np.asarray(samples, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         n = self.samples.shape[0]
-        self.start_indices = (np.zeros(n, dtype=int) if start_indices is None
-                              else np.asarray(start_indices, dtype=int))
         self.exit_indices = (np.full(n, -1, dtype=int) if exit_indices is None
                              else np.asarray(exit_indices, dtype=int))
         if exit_nodes is None:
@@ -246,7 +191,7 @@ class TrajectoryEnsemble:
             node_indices = domain.nearest_nodes(self.samples).astype(np.int32)
         self.node_indices = node_indices
         if row_keys is None:
-            row_keys = trajectory_keys(self.start_indices, self.exit_indices, self.samples)
+            row_keys = trajectory_keys(self.exit_indices, self.samples)
         self.row_keys = row_keys
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
             raise MeasureError("trajectory weights must sum to 1")
@@ -316,7 +261,7 @@ class TrajectoryEnsemble:
         return float(np.max(drift[after], initial=0.0))
 
     def merged(self):
-        """Merge trajectories with equal start index, exit index and sample bits.
+        """Merge trajectories with equal exit index and sample bits.
 
         Groups keep first-seen order and add their weights in row order.
         """
@@ -345,8 +290,7 @@ class TrajectoryEnsemble:
 
 
 # the per-row fields of TrajectoryEnsemble, in constructor keyword form
-ROW_FIELDS = ("samples", "start_indices", "exit_indices", "exit_nodes", "node_indices",
-              "row_keys")
+ROW_FIELDS = ("samples", "exit_indices", "exit_nodes", "node_indices", "row_keys")
 
 
 def _kept(weights, threshold):
@@ -384,7 +328,7 @@ def _merged_rows(parts, weights):
     """First-seen representative rows of the concatenated parts and the group weights.
 
     Rows are grouped by row key. Every row of a group is then checked bit for
-    bit against the group's first row (start, exit, samples); on any mismatch,
+    bit against the group's first row (exit, samples); on any mismatch,
     a key collision, the rows are regrouped exactly on their bits.
     """
     keys = np.concatenate([p.row_keys for p in parts])
@@ -397,10 +341,10 @@ def _merged_rows(parts, weights):
 
 
 def _bit_rows(parts, rows):
-    """(start, exit, sample bits) of the given rows (ascending), one int64 row each."""
-    starts, exits, samples = (_take([getattr(p, name) for p in parts], rows)
-                              for name in ("start_indices", "exit_indices", "samples"))
-    return np.column_stack([starts, exits, samples.reshape(len(rows), -1).view(np.int64)])
+    """(exit, sample bits) of the given rows (ascending), one int64 row each."""
+    exits, samples = (_take([getattr(p, name) for p in parts], rows)
+                      for name in ("exit_indices", "samples"))
+    return np.column_stack([exits, samples.reshape(len(rows), -1).view(np.int64)])
 
 
 def _rows_equal(parts, a, b):

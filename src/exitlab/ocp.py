@@ -62,12 +62,6 @@ class SpeedField:
     def horizon(self):
         return self.n_steps * self.dt
 
-    def time_index(self, t):
-        j = int(round(t / self.dt))
-        if t < -self.dt / 2 or j > self.n_steps:
-            raise OcpError(f"time {t} outside the field horizon {self.horizon}")
-        return max(j, 0)
-
     def at_nodes(self, j):
         return self.values[min(j, self.n_steps)]
 
@@ -245,17 +239,16 @@ def _select_candidates(vals, disp):
     return best_slot, vals[np.arange(len(vals)), best_slot]
 
 
-def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
-    """Greedy semi-Lagrangian descent for a batch of start points at time t0.
+def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
+    """Greedy semi-Lagrangian descent for a batch of start points at time 0.
 
-    Returns (samples, start_index, exit_indices, exit_nodes). Exit positions
-    snap to the hit target node; paths extend constantly before t0 and after
-    exit.
+    Returns (samples, exit_indices, exit_nodes); every path starts at slice
+    0. Exit positions snap to the hit target node; paths extend constantly
+    after exit.
     """
     domain = phi.domain
     dt = phi.dt
     n_steps = phi.n_steps
-    j0 = speed.time_index(t0)
     pts = domain.as_points(start_points)
     m = len(pts)
     samples = np.empty((m, n_steps + 1) + pts.shape[1:])
@@ -264,13 +257,13 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
 
     pos, tgt = domain.snap_to_target(pts)
     hit = tgt >= 0
-    exit_idx[hit] = j0
+    exit_idx[hit] = 0
     exit_node[hit] = tgt[hit]
-    samples[:, :j0 + 1] = pos[:, None]
+    samples[:, 0] = pos
 
     # one plan serves every step: no step's budget exceeds r_max
     place = domain.reach_plan(float(np.max(speed.values)) * dt)
-    for j in range(j0, n_steps):
+    for j in range(n_steps):
         active = np.flatnonzero(exit_idx < 0)
         if len(active) == 0:
             samples[:, j + 1:] = samples[:, j][:, None]
@@ -296,34 +289,28 @@ def synthesize_batch(phi, speed, start_points, t0=0.0, raise_on_stall=True):
             raise SynthesisStall(
                 f"synthesis stall: trajectory from {pts[k]} never reached "
                 f"the target within the horizon (stall position {pos[k]})")
-    return samples, j0, exit_idx, exit_node
+    return samples, exit_idx, exit_node
 
 
-def check_dpp(phi, samples, start_indices, exit_indices):
-    """Residuals of phi(t0+h, gamma(t0+h)) + h >= phi(t0, x0) along each row.
+def check_dpp(phi, samples, exit_indices):
+    """Residuals of phi(h, gamma(h)) + h >= phi(0, gamma(0)) along each row.
 
     samples holds one path per row (an ensemble's rows, or synthesize_batch's
-    output, whose single start index serves every row). Each row is read from
-    its start index up to its exit index, or to its last slice when it never
-    exits, with one interpolation per slice over the rows read there. Returns
-    per-row arrays of the worst inequality violation (positive when the
-    inequality fails) and the worst equality residual.
+    output), each starting at slice 0. Each row is read up to its exit
+    index, or to its last slice when it never exits, with one interpolation
+    per slice over the rows read there. Returns per-row arrays of the worst
+    inequality violation (positive when the inequality fails) and the worst
+    equality residual.
     """
     m = len(samples)
-    start = np.broadcast_to(np.asarray(start_indices, dtype=int), (m,))
     exit_idx = np.asarray(exit_indices, dtype=int)
     end = np.where(exit_idx >= 0, exit_idx, samples.shape[1] - 1)
-    base = np.empty(m)
+    base = phi.at_points(0, samples[:, 0])
     worst_ineq = np.zeros(m)
     worst_eq = np.zeros(m)
-    for j in range(int(np.min(start, initial=0)), int(np.max(end, initial=-1)) + 1):
-        rows = np.flatnonzero((start <= j) & (j <= end))
-        if len(rows) == 0:
-            continue
-        at_j = phi.at_points(j, samples[rows, j])
-        first = start[rows] == j
-        base[rows[first]] = at_j[first]
-        val = at_j + (j - start[rows]) * phi.dt - base[rows]
+    for j in range(1, int(np.max(end, initial=0)) + 1):
+        rows = np.flatnonzero(j <= end)
+        val = phi.at_points(j, samples[rows, j]) + j * phi.dt - base[rows]
         # replace only on a strict increase, as max(worst, new) does
         worst_ineq[rows] = np.where(-val > worst_ineq[rows], -val, worst_ineq[rows])
         worst_eq[rows] = np.where(np.abs(val) > worst_eq[rows], np.abs(val), worst_eq[rows])

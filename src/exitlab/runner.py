@@ -58,10 +58,8 @@ def set_by_path(cfg, dotted, value):
     node[parts[-1]] = value
 
 
-def apply_overrides(cfg, seed=None, tol=None, max_iter=None, params=None):
+def apply_overrides(cfg, tol=None, max_iter=None, params=None):
     cfg = copy.deepcopy(cfg)
-    if seed is not None:
-        cfg["seed"] = int(seed)
     if tol is not None:
         cfg["equilibrium"]["tolerance"] = float(tol)
     if max_iter is not None:
@@ -195,8 +193,7 @@ def _assemble_checks(bundle):
     # equality case of the DPP along (near-)optimal paths: probe the three
     # heaviest atoms, which are the most recently re-synthesized ones
     top = np.argsort(ens.weights)[::-1][:3]
-    res = check_dpp(report.final_phi, ens.samples[top], ens.start_indices[top],
-                    ens.exit_indices[top])
+    res = check_dpp(report.final_phi, ens.samples[top], ens.exit_indices[top])
     worst_eq = float(np.max(res["max_equality_residual"], initial=0.0))
     dpp_cap = report.tol + tol_dpp
     checks.append({"name": "dpp_equality_spot_check",
@@ -336,8 +333,7 @@ def persist(bundle, run_dir):
         files.append("trajectories.csv")
 
         costs, _ = eq.realized_costs(ens, bundle["cost"], cap=None)
-        exit_time = np.where(ens.exit_indices >= 0,
-                             (ens.exit_indices - ens.start_indices) * ens.dt, np.nan)
+        exit_time = np.where(ens.exit_indices >= 0, ens.exit_indices * ens.dt, np.nan)
         _write_table(os.path.join(run_dir, "trajectory_summary.csv"),
                      ["particle_id", "weight"] + [f"start_{c}" for c in coord_cols]
                      + ["exit_time", "realized_cost"],
@@ -410,11 +406,11 @@ class RunResult:
         self.error = error
 
 
-def run(source, out_dir, seed=None, tol=None, max_iter=None, params=None):
+def run(source, out_dir, tol=None, max_iter=None, params=None):
     """Execute a scenario and persist the run directory."""
     try:
         cfg = sc.load_scenario(source)
-        cfg = apply_overrides(cfg, seed=seed, tol=tol, max_iter=max_iter, params=params)
+        cfg = apply_overrides(cfg, tol=tol, max_iter=max_iter, params=params)
         bundle = execute(cfg)
     except sc.ScenarioError as err:
         return RunResult(STATUS_VALIDATION, None, None, str(err))
@@ -480,7 +476,7 @@ def verify(run_dir, tol=None):
     return VerifyResult(len(differences) == 0, differences)
 
 
-def sweep(source, param_values, out_root, seed=None, tol=None, max_iter=None):
+def sweep(source, param_values, out_root, tol=None, max_iter=None):
     """Run a scenario template over the cartesian product of parameter lists.
 
     param_values maps dotted config paths to value lists. Per-member failures
@@ -497,8 +493,7 @@ def sweep(source, param_values, out_root, seed=None, tol=None, max_iter=None):
     for i, combo in enumerate(combos):
         label = "_".join(f"{n.split('.')[-1]}={v}" for n, v in combo) or f"member_{i}"
         member_dir = os.path.join(out_root, f"{i:03d}_{label}")
-        result = run(source, member_dir, seed=seed, tol=tol, max_iter=max_iter,
-                     params=dict(combo))
+        result = run(source, member_dir, tol=tol, max_iter=max_iter, params=dict(combo))
         entry = {"index": i, "params": {n: v for n, v in combo},
                  "status": result.status, "dir": member_dir}
         if result.ledger is not None:

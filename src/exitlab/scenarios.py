@@ -262,8 +262,12 @@ def validate_config(cfg):
         if fit["window"][0] >= fit["window"][1]:
             raise ScenarioError(f"asymptotics.rate_fit.window must be increasing, "
                                 f"got {fit['window']!r}")
-        _require_number(fit.get("tail_dimension", 1), "asymptotics.rate_fit.tail_dimension",
-                        integer=True, positive=True)
+        if "tail_dimension" in fit:
+            if fit["mode"] != "exponential":  # fit_decay_rate reads it only there
+                raise ScenarioError(f"asymptotics.rate_fit.tail_dimension is read only with "
+                                    f"mode 'exponential', got mode {fit['mode']!r}")
+            _require_number(fit["tail_dimension"], "asymptotics.rate_fit.tail_dimension",
+                            integer=True, positive=True)
     return out
 
 
@@ -302,7 +306,13 @@ def build_cost(domain, cfg):
             return ExitCost.zero(domain)
         if cost["kind"] == "constant":
             return ExitCost.constant(domain, cost["value"])
-        values = {domain.node_at(key): float(value) for key, value in cost["entries"]}
+        values, entry_of = {}, {}
+        for k, (key, value) in enumerate(cost["entries"]):
+            node = domain.node_at(key)
+            if node in entry_of:  # a later entry would silently replace the earlier cost
+                raise ScenarioError(f"exit_cost.entries[{k}][0]: {key!r} is node {node}, "
+                                    f"already priced by exit_cost.entries[{entry_of[node]}]")
+            values[node], entry_of[node] = float(value), k
         return ExitCost(domain, values, cost.get("lipschitz"))
     except DomainError as err:
         path = "exit_cost.value" if cost["kind"] == "constant" else "exit_cost.entries"
@@ -366,8 +376,8 @@ def _as_point(domain, loc):
 def build_initial_measure(domain, cfg):
     """(measure, flags) from the initial-measure block.
 
-    Every family quantizes deterministically (inverse-CDF atoms); seeded
-    sampling only enters through the generic sample_from_density op.
+    Every family is deterministic (given atoms or inverse-CDF quantiles): no
+    builder reads the scenario's seed.
     """
     block = cfg["initial_measure"]
     flags = []
@@ -499,8 +509,7 @@ def scenario_registry():
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "log", "start": 0.25,
                                          "stop": 14.0, "count": 33},
-                        "rate_fit": {"mode": "power", "window": [1.0, 5.0],
-                                     "tail_dimension": 1}},
+                        "rate_fit": {"mode": "power", "window": [1.0, 5.0]}},
     }
 
     reg["exp_tail_cor56b"] = copy.deepcopy(reg["power_tail_cor56a"])

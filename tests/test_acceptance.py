@@ -193,8 +193,8 @@ def test_criterion_7_ocp_suite():
     for trial in range(50):
         field, cost = _random_ocp_instance(rng, dom)
         phi = solve_value(dom, cost, field)
-        samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, dom.coords, 0.0)
-        realized = (exit_idx - j0) * field.dt + np.array(
+        samples, exit_idx, exit_node = synthesize_batch(phi, field, dom.coords)
+        realized = exit_idx * field.dt + np.array(
             [cost.at_node(n) for n in exit_node])
         gaps = np.abs(realized - phi.at_points(0, dom.coords))
         worst_gap = max(worst_gap, float(np.max(gaps)))

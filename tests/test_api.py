@@ -1,17 +1,82 @@
 """The public names, and every name the benchmark tracer patches, resolve."""
+import ast
+import glob
 import os
 
+import numpy as np
 import pytest
 
 import exitlab
+from exitlab import cli, runner
+from exitlab.domain import ExitCost, IntervalDomain
+from exitlab.measures import TrajectoryEnsemble
+from exitlab.ocp import SpeedField, check_dpp, solve_value, synthesize_batch
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def test_every_public_name_resolves():
     assert len(exitlab.__all__) == len(set(exitlab.__all__))
     for name in exitlab.__all__:
         assert getattr(exitlab, name) is not None, name
+
+
+def referenced_names(path):
+    """Names a module reads (as a name or an attribute), outside the definitions so named."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that neither the package nor a demo uses has no caller."""
+    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(ROOT, "demos", "*.py"))
+    used = set().union(*map(referenced_names, paths))
+    assert sorted(set(exitlab.__all__) - used) == []
+
+
+def test_the_removed_start_slots_raise_type_error():
+    """Every path starts at slice 0: a call that still passes a start slot fails."""
+    dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])
+    field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
+    phi = solve_value(dom, ExitCost.zero(dom), field)
+    with pytest.raises(TypeError):
+        synthesize_batch(phi, field, [0.5], 0.0)  # t0
+    samples, exits, nodes = synthesize_batch(phi, field, [0.5])
+    starts = np.zeros(1, dtype=int)
+    with pytest.raises(TypeError):
+        TrajectoryEnsemble(dom, dom.dx, samples, [1.0], starts, exits)
+    with pytest.raises(TypeError):
+        check_dpp(phi, samples, starts, exits)
+
+
+def test_the_removed_seed_override_is_rejected(tmp_path, capsys):
+    for command in (["run", "remark_5_3"], ["sweep", "remark_5_3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--out", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for call in (lambda: runner.run("remark_5_3", str(tmp_path), seed=1),
+                 lambda: runner.sweep("remark_5_3", {}, str(tmp_path), seed=1),
+                 lambda: runner.apply_overrides({}, seed=1)):
+        with pytest.raises(TypeError):
+            call()
+    assert not os.listdir(tmp_path)
 
 
 @pytest.fixture

@@ -33,8 +33,7 @@ def two_sided_ensemble(dom, alpha, dt=0.005, n_steps=140):
     left, el = line_path(dom, dt, 0.5, 0.0, n_steps)
     right, er = line_path(dom, dt, 0.5, 1.0, n_steps)
     return TrajectoryEnsemble(dom, dt, np.stack([left, right]),
-                              np.array([alpha, 1 - alpha]),
-                              np.zeros(2, dtype=int), np.array([el, er]))
+                              np.array([alpha, 1 - alpha]), exit_indices=np.array([el, er]))
 
 
 def test_limit_measure_examples():
@@ -62,7 +61,7 @@ def test_convergence_curve_matches_line_formula():
     dom, _, _ = remark_game()
     path, e = line_path(dom, 0.005, 0.5, 0.0, 140)
     ens = TrajectoryEnsemble(dom, 0.005, path[None, :], np.array([1.0]),
-                             np.zeros(1, dtype=int), np.array([e]))
+                             exit_indices=np.array([e]))
     times = np.arange(0, 0.7, 0.05)
     curve = convergence_curve(ens, times, 1)
     expected = np.maximum(0.5 - times, 0.0)

@@ -12,9 +12,9 @@ from exitlab.scenarios import validate_config
 
 def synthesize_one(phi, field, cost, x0):
     """(exit node, realized cost) of the path synthesized from x0 at t = 0."""
-    samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, phi.domain.as_points(x0))
-    ens = TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1), np.array([j0]),
-                             exit_idx, exit_node)
+    samples, exit_idx, exit_node = synthesize_batch(phi, field, phi.domain.as_points(x0))
+    ens = TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1),
+                             exit_indices=exit_idx, exit_nodes=exit_node)
     return int(ens.exit_nodes[0]), float(realized_costs(ens, cost)[0][0])
 
 

@@ -76,7 +76,7 @@ def test_exploitability_rejects_speeding_after_exit():
     t = np.arange(61) * dt
     path = np.minimum(np.maximum(5.0 * (t - 0.2), 0.0), 0.9)  # at the exit, then speed 5
     ens = TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
-                             np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+                             exit_indices=np.zeros(1, dtype=int))
     assert ens.exit_indices[0] == 0 and ens.exit_nodes[0] == 0
     with pytest.raises(CertificationError, match="admissible"):
         exploitability(ens, kernel, dom, ExitCost.zero(dom))

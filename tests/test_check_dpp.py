@@ -1,7 +1,7 @@
 """The batched DPP check against the per-path loop it replaced.
 
-check_dpp reads each row from its start index to its exit index (to its
-last slice when it never exits) with one interpolation per slice over the
+check_dpp reads each row from slice 0 to its exit index (to its last
+slice when it never exits) with one interpolation per slice over the
 rows read there. The reference below is a kept copy of the loop that read one
 path at a time, one point per slice; every comparison is bit for bit.
 """
@@ -14,15 +14,14 @@ from exitlab.ocp import SpeedField, check_dpp, solve_value, synthesize_batch
 K_MIN, K_MAX = 0.4, 1.0
 
 
-def check_dpp_reference(phi, samples, start_index, exit_index):
+def check_dpp_reference(phi, samples, exit_index):
     """check_dpp before batching, on one path."""
-    j0 = start_index
     j_end = exit_index if exit_index >= 0 else samples.shape[0] - 1
-    base = float(phi.at_points(j0, samples[j0:j0 + 1])[0])
+    base = float(phi.at_points(0, samples[0:1])[0])
     worst_ineq = 0.0
     worst_eq = 0.0
-    for j in range(j0, j_end + 1):
-        val = float(phi.at_points(j, samples[j:j + 1])[0]) + (j - j0) * phi.dt - base
+    for j in range(j_end + 1):
+        val = float(phi.at_points(j, samples[j:j + 1])[0]) + j * phi.dt - base
         worst_ineq = max(worst_ineq, -val)
         worst_eq = max(worst_eq, abs(val))
     return worst_ineq, worst_eq
@@ -43,11 +42,11 @@ def graph():
 
 
 def rows(domain, rng, n_slices=90):
-    """phi under a random field, and rows with varied start and exit indices.
+    """phi under a random field, and rows with varied exit indices.
 
-    Synthesized rows start at three different slices; a time-reversed path
-    walks away from the target and never exits; a constant path starts late
-    and never exits; a path that starts on the target exits at its start.
+    Synthesized rows start at twelve random nodes; a time-reversed path
+    walks away from the target and never exits; a constant path never
+    exits; a path that starts on the target exits at slice 0.
     """
     dt = domain.dx / K_MAX
     speed = SpeedField(domain, dt, rng.uniform(K_MIN, K_MAX, (n_slices, domain.n_nodes)),
@@ -55,18 +54,13 @@ def rows(domain, rng, n_slices=90):
     phi = solve_value(domain, ExitCost.zero(domain), speed)
     nodes = domain.node_points()
     away = np.setdiff1d(np.arange(domain.n_nodes), domain.targets)
-    parts = []
-    for j0 in (0, 3, 11):
-        samples, start, exits, _ = synthesize_batch(
-            phi, speed, nodes[rng.choice(away, 4)], j0 * dt, raise_on_stall=False)
-        parts.append((samples, np.full(len(exits), start), exits))
-    reversed_path = parts[0][0][0][::-1]
+    samples, exits, _ = synthesize_batch(phi, speed, nodes[rng.choice(away, 12)],
+                                         raise_on_stall=False)
+    reversed_path = samples[0][::-1]
     constant = np.repeat(nodes[away[:1]], n_slices, axis=0)
     on_target = np.repeat(nodes[domain.targets[:1]], n_slices, axis=0)
-    parts.append((np.stack([reversed_path, constant, on_target]),
-                  np.array([0, 7, 5]), np.array([-1, -1, 5])))
-    samples = np.concatenate([p[0] for p in parts])
-    return phi, samples, np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts])
+    samples = np.concatenate([samples, np.stack([reversed_path, constant, on_target])])
+    return phi, samples, np.concatenate([exits, [-1, -1, 0]])
 
 
 def wrong_direction_rows():
@@ -77,14 +71,13 @@ def wrong_direction_rows():
     n = field.n_steps
     wrong = np.minimum(0.3 + np.arange(n + 1) * field.dt, 1.0)
     exit_idx = int(np.searchsorted(wrong, 1.0 - 1e-12))
-    samples, j0, exits, _ = synthesize_batch(phi, field, np.array([0.3, 0.5, 0.8]))
-    return (phi, np.concatenate([wrong[None], samples]), np.concatenate([[0], np.full(3, j0)]),
-            np.concatenate([[exit_idx], exits]))
+    samples, exits, _ = synthesize_batch(phi, field, np.array([0.3, 0.5, 0.8]))
+    return phi, np.concatenate([wrong[None], samples]), np.concatenate([[exit_idx], exits])
 
 
-def assert_matches_reference(phi, samples, start, exits):
-    res = check_dpp(phi, samples, start, exits)
-    ref = np.array([check_dpp_reference(phi, samples[k], int(start[k]), int(exits[k]))
+def assert_matches_reference(phi, samples, exits):
+    res = check_dpp(phi, samples, exits)
+    ref = np.array([check_dpp_reference(phi, samples[k], int(exits[k]))
                     for k in range(len(samples))])
     assert np.array_equal(res["max_inequality_violation"].view(np.int64),
                           ref[:, 0].view(np.int64))
@@ -96,9 +89,9 @@ def assert_matches_reference(phi, samples, start, exits):
 @pytest.mark.parametrize("make", [interval, grid2d, graph])
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_check_equals_the_per_path_loop(make, seed):
-    phi, samples, start, exits = rows(make(), np.random.default_rng(seed))
-    assert len(set(start.tolist())) >= 4 and np.any(exits < 0) and np.any(exits == start)
-    res = assert_matches_reference(phi, samples, start, exits)
+    phi, samples, exits = rows(make(), np.random.default_rng(seed))
+    assert len(set(exits.tolist())) >= 4 and np.any(exits < 0) and np.any(exits == 0)
+    res = assert_matches_reference(phi, samples, exits)
     # waiting never beats the value (the null step), and a path that starts
     # on the target reads one slice
     assert res["max_inequality_violation"][-2] <= 1e-9
@@ -110,22 +103,12 @@ def test_wrong_direction_path_equals_the_per_path_loop():
     assert res["max_equality_residual"][0] == pytest.approx(0.4, abs=0.03)
 
 
-def test_one_start_index_serves_every_row():
-    phi, samples, start, exits = wrong_direction_rows()
-    both = [check_dpp(phi, samples[1:], idx, exits[1:]) for idx in (start[1], start[1:])]
-    for key in both[0]:
-        assert np.array_equal(both[0][key].view(np.int64), both[1][key].view(np.int64))
-
-
 def test_slices_are_read_once_over_the_rows_in_their_window(monkeypatch):
-    phi, samples, start, exits = rows(interval(), np.random.default_rng(0))
+    phi, samples, exits = rows(interval(), np.random.default_rng(0))
     read = []
     at_points = phi.at_points
     monkeypatch.setattr(phi, "at_points",
                         lambda j, pts: read.append((j, len(pts))) or at_points(j, pts))
-    check_dpp(phi, samples, start, exits)
+    check_dpp(phi, samples, exits)
     end = np.where(exits >= 0, exits, samples.shape[1] - 1)
-    counts = [(j, int(np.count_nonzero((start <= j) & (j <= end))))
-              for j in range(int(start.min()), int(end.max()) + 1)]
-    expected = [(j, c) for j, c in counts if c > 0]
-    assert read == expected
+    assert read == [(j, int(np.count_nonzero(j <= end))) for j in range(int(end.max()) + 1)]

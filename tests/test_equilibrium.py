@@ -38,8 +38,8 @@ def build_line_ensemble(dom, dt, start, target_coord, n_steps, speed=1.0):
                    max(start, target_coord))
     exit_idx = int(np.argmax(path == target_coord))
     return TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
-                              np.zeros(1, dtype=int), np.array([exit_idx]),
-                              np.array([dom.node_at(target_coord)]))
+                              exit_indices=np.array([exit_idx]),
+                              exit_nodes=np.array([dom.node_at(target_coord)]))
 
 
 def best_response(m0, dom, cost, kernel):
@@ -88,7 +88,7 @@ def test_best_response_is_optimal_for_its_field():
     m0 = ParticleMeasure(dom, pts, np.full(30, 1 / 30))
     ens, phi, dt = best_response(m0, dom, cost, kernel)
     tol = default_dpp_tol(dom, dt)
-    realized = (ens.exit_indices - ens.start_indices) * dt
+    realized = ens.exit_indices * dt
     gaps = realized - phi.at_points(0, ens.samples[:, 0])
     assert np.max(gaps) <= tol
 
@@ -113,8 +113,7 @@ def test_exploitability_of_optimal_mixture():
         mix = TrajectoryEnsemble(
             dom, dt, np.concatenate([left.samples, right.samples]),
             np.array([alpha, 1 - alpha]),
-            np.zeros(2, dtype=int),
-            np.concatenate([left.exit_indices, right.exit_indices]))
+            exit_indices=np.concatenate([left.exit_indices, right.exit_indices]))
         eps, _ = exploitability(mix, kernel, dom, cost)
         assert abs(eps) <= default_dpp_tol(dom, dt)
 
@@ -185,8 +184,8 @@ def test_certify_rejects_suboptimal_mixture():
     bad = build_line_ensemble(dom, dt, 0.3, 1.0, n_steps)
     mix = TrajectoryEnsemble(
         dom, dt, np.concatenate([good.samples, bad.samples]),
-        np.array([0.5, 0.5]), np.zeros(2, dtype=int),
-        np.concatenate([good.exit_indices, bad.exit_indices]))
+        np.array([0.5, 0.5]),
+        exit_indices=np.concatenate([good.exit_indices, bad.exit_indices]))
     cert = certify(mix, kernel, dom, cost, tol=0.15)
     assert not cert["weak"] and not cert["strong"]
     assert cert["agree"]
@@ -236,7 +235,7 @@ def test_exploitability_rejects_foreign_speeding():
     path = np.maximum(0.9 - 5.0 * t, 0.0)  # speed 5 against a cap of 1
     exit_idx = int(np.argmax(path == 0.0))
     ens = TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
-                             np.zeros(1, dtype=int), np.array([exit_idx]))
+                             exit_indices=np.array([exit_idx]))
     with pytest.raises(CertificationError, match="admissible"):
         exploitability(ens, kernel, dom, cost)
 

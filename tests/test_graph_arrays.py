@@ -251,8 +251,7 @@ def test_value_solve_and_synthesis_match_the_point_loops(seed, n, chords, monkey
     assert np.array_equal(bits(phi.values), bits(phi_ref.values))
     want = synthesize_batch(phi_ref, speed, starts, raise_on_stall=False)
     assert np.array_equal(bits(got[0]), bits(want[0]))  # move for move
-    assert got[1] == want[1]
-    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
     assert np.any(got[0][..., 0] != got[0][..., 1])  # some moves stop on an edge
 
 

@@ -1,4 +1,4 @@
-"""Particle measures: Wasserstein, moments, sampling, ensembles."""
+"""Particle measures: Wasserstein, moments, ensembles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from exitlab.domain import Grid2dDomain, IntervalDomain
 from exitlab.measures import (MeasureError, ParticleMeasure, TrajectoryEnsemble,
-                              sample_from_density, wasserstein, wasserstein_lp)
+                              wasserstein, wasserstein_lp)
 
 
 def make_domain(dx=0.01):
@@ -150,40 +150,6 @@ def test_weight_invariants():
     assert abs(merged.weights.sum() - 1.0) <= 1e-12
 
 
-def test_sample_from_density_indicator_is_dirac():
-    dom = make_domain()
-    d = np.zeros(dom.n_nodes)
-    d[dom.node_at(0.5)] = 3.0
-    for n in (1, 5, 17):
-        m = sample_from_density(dom, d, n, seed=0)
-        assert np.all(m.points == 0.5)
-
-
-def test_sample_from_density_uniform_quantiles():
-    dom = make_domain()
-    m = sample_from_density(dom, np.ones(dom.n_nodes), 4, seed=0)
-    assert np.allclose(m.points, [0.125, 0.375, 0.625, 0.875], atol=1e-12)
-    assert np.allclose(m.weights, 0.25)
-
-
-def test_sample_from_density_power_law_matches_inverse_cdf():
-    dom = IntervalDomain(1.0, 10.0, 0.01, targets=[1.0])
-    density = dom.coords ** -4.0
-    n = 64
-    m = sample_from_density(dom, density, n, seed=0)
-    # analytic inverse CDF of x^-4 truncated to [1, 10]
-    total = (1 - 10.0 ** -3) / 3
-    q = (np.arange(n) + 0.5) / n
-    exact = (1 - 3 * q * total) ** (-1 / 3)
-    assert np.max(np.abs(np.sort(m.points) - exact)) <= dom.dx
-
-
-def test_sample_zero_mass_errors():
-    dom = make_domain()
-    with pytest.raises(MeasureError):
-        sample_from_density(dom, np.zeros(dom.n_nodes), 5, seed=0)
-
-
 def make_gamma_r_ensemble(dom, dt=0.005, horizon=1.0):
     """Single trajectory min(1/2 + t, 1) sampled on the grid."""
     n = int(round(horizon / dt))
@@ -191,7 +157,7 @@ def make_gamma_r_ensemble(dom, dt=0.005, horizon=1.0):
     path = np.minimum(0.5 + t, 1.0)
     exit_idx = int(np.searchsorted(path, 1.0 - 1e-12))
     return TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
-                              np.zeros(1, dtype=int), np.array([exit_idx]))
+                              exit_indices=np.array([exit_idx]))
 
 
 def test_time_marginal_examples():
@@ -244,10 +210,10 @@ def test_mix_merges_and_preserves_mass():
     dom = make_domain()
     path = np.linspace(0.5, 0.0, 11)
     base = TrajectoryEnsemble(dom, 0.05, path[None, :], np.array([1.0]),
-                              np.zeros(1, dtype=int), np.array([10]))
+                              exit_indices=np.array([10]))
     other_path = np.linspace(0.5, 1.0, 11)
     other = TrajectoryEnsemble(dom, 0.05, other_path[None, :], np.array([1.0]),
-                               np.zeros(1, dtype=int), np.array([10]))
+                               exit_indices=np.array([10]))
     mixed = base.mix(other, 0.25)
     assert mixed.n_traj == 2
     assert mixed.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -270,10 +236,10 @@ def merged_points_reference(m):
 
 
 def merged_ensemble_reference(ens):
-    """Dict-based TrajectoryEnsemble.merged: keys are (start, exit, sample bytes)."""
+    """Dict-based TrajectoryEnsemble.merged: keys are (exit, sample bytes)."""
     seen = {}
     for k in range(ens.n_traj):
-        key = (int(ens.start_indices[k]), int(ens.exit_indices[k]), ens.samples[k].tobytes())
+        key = (int(ens.exit_indices[k]), ens.samples[k].tobytes())
         if key in seen:
             seen[key][1] += ens.weights[k]
         else:
@@ -319,17 +285,15 @@ def test_trajectory_merge_matches_dict_reference(dim):
                           [[0.5, 0.5], [0.5, 0.25], [0.5, 0.5]]])
     n = 80
     pick = rng.integers(0, len(paths), n)
-    starts = rng.integers(0, 2, n)
     exits = rng.choice([-1, 2], n)
     w = rng.uniform(0.1, 1.0, n)
-    ens = TrajectoryEnsemble(dom, 0.25, paths[pick], w / w.sum(), starts, exits,
-                             np.arange(n), validate=False)
+    ens = TrajectoryEnsemble(dom, 0.25, paths[pick], w / w.sum(), exit_indices=exits,
+                             exit_nodes=np.arange(n), validate=False)
     idx, ref_w = merged_ensemble_reference(ens)
     out = ens.merged()
     assert _same_bits(out.samples, ens.samples[idx])
     assert _same_bits(out.weights, ref_w)
-    assert np.array_equal(out.start_indices, ens.start_indices[idx])
     assert np.array_equal(out.exit_indices, ens.exit_indices[idx])
     assert np.array_equal(out.exit_nodes, idx)
-    # 3 paths x 2 starts x 2 exits: equal samples with another start or exit stay apart
-    assert out.n_traj == 12
+    # 3 paths x 2 exits: equal samples with another exit stay apart
+    assert out.n_traj == 6

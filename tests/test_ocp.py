@@ -20,15 +20,15 @@ def remark_setup(dx=0.005, k=1.0, horizon=0.7):
 def path(dom, dt, samples, exit_index=-1):
     """One timed path from slice 0 as a one-row ensemble."""
     return TrajectoryEnsemble(dom, dt, np.asarray(samples, dtype=float)[None], np.ones(1),
-                              np.zeros(1, dtype=int), np.array([exit_index]))
+                              exit_indices=np.array([exit_index]))
 
 
-def synthesize_one(phi, field, t0, x0, raise_on_stall=True):
-    """The synthesized path from (t0, x0) as a one-row ensemble."""
-    samples, j0, exit_idx, exit_node = synthesize_batch(
-        phi, field, phi.domain.as_points(x0), t0, raise_on_stall=raise_on_stall)
-    return TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1), np.array([j0]),
-                              exit_idx, exit_node)
+def synthesize_one(phi, field, x0, raise_on_stall=True):
+    """The synthesized path from (0, x0) as a one-row ensemble."""
+    samples, exit_idx, exit_node = synthesize_batch(
+        phi, field, phi.domain.as_points(x0), raise_on_stall=raise_on_stall)
+    return TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1),
+                              exit_indices=exit_idx, exit_nodes=exit_node)
 
 
 def realized(ens, cost):
@@ -37,7 +37,7 @@ def realized(ens, cost):
 
 
 def dpp_residuals(phi, ens):
-    res = check_dpp(phi, ens.samples, ens.start_indices, ens.exit_indices)
+    res = check_dpp(phi, ens.samples, ens.exit_indices)
     return {k: float(v[0]) for k, v in res.items()}
 
 
@@ -90,8 +90,8 @@ def test_exit_time_examples():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     # with a zero exit cost the realized cost is the exit time
-    assert realized(synthesize_one(phi, field, 0.0, 0.5), cost) == pytest.approx(0.5, abs=2 * dom.dx)
-    assert realized(synthesize_one(phi, field, 0.0, 0.0), cost) == 0.0
+    assert realized(synthesize_one(phi, field, 0.5), cost) == pytest.approx(0.5, abs=2 * dom.dx)
+    assert realized(synthesize_one(phi, field, 0.0), cost) == 0.0
     const = path(dom, field.dt, np.full(field.n_steps + 1, 0.5))
     assert realized(const, cost) == np.inf
 
@@ -125,11 +125,11 @@ def test_admissibility_excess_examples():
 def test_synthesize_left_exit_and_target_start():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    ens = synthesize_one(phi, field, 0.0, 0.3)
+    ens = synthesize_one(phi, field, 0.3)
     assert ens.exit_nodes[0] == dom.node_at(0.0)
     assert realized(ens, cost) == pytest.approx(0.3, abs=2 * dom.dx)
-    at_target = synthesize_one(phi, field, 0.0, 1.0)
-    assert at_target.exit_indices[0] == at_target.start_indices[0]
+    at_target = synthesize_one(phi, field, 1.0)
+    assert at_target.exit_indices[0] == 0
     assert realized(at_target, cost) == 0.0
     assert np.all(at_target.samples == 1.0)
 
@@ -137,7 +137,7 @@ def test_synthesize_left_exit_and_target_start():
 def test_synthesize_tie_break_is_deterministic():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    runs = [synthesize_one(phi, field, 0.0, 0.5) for _ in range(3)]
+    runs = [synthesize_one(phi, field, 0.5) for _ in range(3)]
     sides = {int(ens.exit_nodes[0]) for ens in runs}
     assert len(sides) == 1
     assert realized(runs[0], cost) == pytest.approx(0.5, abs=2 * dom.dx)
@@ -163,7 +163,7 @@ def test_check_dpp_on_optimal_and_adversarial_paths():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     tol = default_dpp_tol(dom, field.dt)
-    res = dpp_residuals(phi, synthesize_one(phi, field, 0.0, 0.3))
+    res = dpp_residuals(phi, synthesize_one(phi, field, 0.3))
     assert res["max_equality_residual"] <= tol
     assert res["max_inequality_violation"] <= 1e-9
 
@@ -215,22 +215,28 @@ def test_speed_monotonicity_of_value(seed):
 
 
 def test_restriction_optimality():
-    """Re-synthesizing from a mid-trajectory state reproduces the tail cost."""
-    rng = np.random.default_rng(4)
+    """Time consistency: the problem restarted at t1 is the tail of the original.
+
+    The field shifted by t1 slices, solved and synthesized from t = 0 at the
+    path's slice-t1 state, gives the original value rows from t1 on and the
+    original path's tail, bit for bit.
+    """
     dom = IntervalDomain(0.0, 1.0, 0.02, targets=[0.0, 1.0], origin=0.0)
     cost = ExitCost.zero(dom)
     k_lo, k_hi = 0.4, 1.0
     dt = dom.dx / k_hi
     horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
-    field = random_smooth_field(dom, rng, k_lo, k_hi, dt, horizon)
-    phi = solve_value(dom, cost, field)
-    tol = default_dpp_tol(dom, dt)
-    ens = synthesize_one(phi, field, 0.0, 0.52)
-    t1_idx = max(int(ens.exit_indices[0]) // 2, 1)
-    x1 = ens.samples[0, t1_idx]
-    tail = synthesize_one(phi, field, t1_idx * dt, x1)
-    tail_cost_original = realized(ens, cost) - t1_idx * dt
-    assert realized(tail, cost) == pytest.approx(tail_cost_original, abs=tol)
+    for seed in range(6):
+        field = random_smooth_field(dom, np.random.default_rng(seed), k_lo, k_hi, dt, horizon)
+        phi = solve_value(dom, cost, field)
+        ens = synthesize_one(phi, field, 0.52)
+        t1 = max(int(ens.exit_indices[0]) // 2, 1)
+        shifted = SpeedField(dom, dt, field.values[t1:], (k_lo, k_hi))
+        phi_tail = solve_value(dom, cost, shifted)
+        assert np.array_equal(phi_tail.values.view(np.int64), phi.values[t1:].view(np.int64))
+        tail = synthesize_one(phi_tail, shifted, ens.samples[0, t1])
+        assert np.array_equal(tail.samples[0].view(np.int64), ens.samples[0, t1:].view(np.int64))
+        assert tail.exit_indices[0] == ens.exit_indices[0] - t1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -290,8 +296,8 @@ def test_synthesis_stall_reports_position():
     field = SpeedField.constant(dom, 1.0, 0.01, 0.1)  # horizon far too short
     phi = solve_value(dom, cost, field)
     with pytest.raises(SynthesisStall, match="stall position"):
-        synthesize_one(phi, field, 0.0, 0.9)
-    ens = synthesize_one(phi, field, 0.0, 0.9, raise_on_stall=False)
+        synthesize_one(phi, field, 0.9)
+    ens = synthesize_one(phi, field, 0.9, raise_on_stall=False)
     assert ens.exit_indices[0] == -1 and realized(ens, cost) == np.inf
 
 
@@ -300,10 +306,9 @@ def test_synthesized_batch_matches_single():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     starts = np.array([0.1, 0.33, 0.5, 0.77])
-    samples, j0, exit_idx, exit_node = synthesize_batch(phi, field, starts, 0.0)
+    samples, exit_idx, exit_node = synthesize_batch(phi, field, starts)
     for k, x0 in enumerate(starts):
-        one, j0_one, exit_one, node_one = synthesize_batch(phi, field, starts[k:k + 1], 0.0)
-        assert j0_one == j0
+        one, exit_one, node_one = synthesize_batch(phi, field, starts[k:k + 1])
         assert np.array_equal(samples[k].view(np.int64), one[0].view(np.int64))
         assert exit_idx[k] == exit_one[0] and exit_node[k] == node_one[0]
 

@@ -215,6 +215,15 @@ def test_validation_failure_status(tmp_path):
                  id="exit_cost-constant_with_entries"),
     pytest.param("equilibrium.damping", {"rule": "fictitious_play", "value": 0.3},
                  id="equilibrium.damping-fictitious_play_with_value"),
+    pytest.param("asymptotics.rate_fit", {"mode": "power", "window": [1.0, 5.0],
+                                          "tail_dimension": 1},
+                 id="asymptotics.rate_fit-power_with_tail_dimension"),
+    # a second entry for one target node used to replace the first silently
+    pytest.param("exit_cost", {"kind": "table", "entries": [[0.0, 0.3], [1.0, 0.0], [0.0, 0.0]]},
+                 id="exit_cost-duplicate_entry"),
+    pytest.param("exit_cost", {"kind": "table",
+                               "entries": [[0.0, 0.3], [1.0, 0.0], [0.001, 0.0]]},
+                 id="exit_cost-entry_on_the_same_node"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -230,6 +239,8 @@ def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
      "initial_measure.support: point outside interval domain"),
     ({"exit_cost": {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0], [0.5, 5.0]]}},
      "exit_cost.entries: exit cost on non-target nodes [100]"),
+    ({"exit_cost": {"kind": "table", "entries": [[0.0, 0.3], [1.0, 0.0], [0.001, 0.0]]}},
+     "exit_cost.entries[2][0]: 0.001 is node 0, already priced by exit_cost.entries[0]"),
 ])
 def test_off_domain_support_and_off_target_cost_name_their_paths(tmp_path, block, path):
     cfg = load_scenario("remark_5_3")
@@ -386,11 +397,11 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_overrides_change_the_config(tmp_path):
-    result = runner.run("remark_5_3", str(tmp_path / "o"), seed=7, tol=0.005,
+    result = runner.run("remark_5_3", str(tmp_path / "o"), tol=0.005,
                         params={"initial_measure.location": 0.25})
     assert result.status == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["seed"] == 7
+    assert manifest["seed"] == 0  # the scenario's label, recorded as given
     assert manifest["config"]["initial_measure"]["location"] == 0.25
     assert manifest["config"]["equilibrium"]["tolerance"] == 0.005
     # started left of the midpoint, so the limit is the left exit

@@ -52,10 +52,10 @@ def first_seen_groups_reference(keys):
     return first[order], rank[inverse.ravel()]
 
 
-def merged_reference(samples, weights, starts, exits):
+def merged_reference(samples, weights, exits):
     """TrajectoryEnsemble.merged before row keys: (representative rows, weights)."""
     n = len(samples)
-    keys = np.column_stack([starts, exits, samples.reshape(n, -1).view(np.int64)])
+    keys = np.column_stack([exits, samples.reshape(n, -1).view(np.int64)])
     idx, label = first_seen_groups_reference(keys)
     return idx, np.bincount(label, weights=weights, minlength=len(idx))
 
@@ -64,9 +64,8 @@ def mix_reference(a, b, lam, prune):
     """concatenate, merged, pruned: (rows of the concatenation, weights)."""
     samples = np.concatenate([a.samples, b.samples])
     weights = np.concatenate([(1 - lam) * a.weights, lam * b.weights])
-    starts = np.concatenate([a.start_indices, b.start_indices])
     exits = np.concatenate([a.exit_indices, b.exit_indices])
-    idx, w = merged_reference(samples, weights, starts, exits)
+    idx, w = merged_reference(samples, weights, exits)
     keep = w >= prune
     w = w[keep]
     return idx[keep], w / w.sum()
@@ -80,11 +79,10 @@ def histogram_reference(domain, positions, weights):
     return hist
 
 
-def synthesize_reference(phi, speed, start_points, t0=0.0):
+def synthesize_reference(phi, speed, start_points):
     """synthesize_batch before the plan: reach_candidates and a masked interp per step."""
     domain = phi.domain
     dt, n_steps = phi.dt, phi.n_steps
-    j0 = speed.time_index(t0)
     pts = domain.as_points(start_points)
     m = len(pts)
     samples = np.empty((m, n_steps + 1) + pts.shape[1:])
@@ -92,10 +90,10 @@ def synthesize_reference(phi, speed, start_points, t0=0.0):
     exit_node = np.full(m, -1, dtype=int)
     pos, tgt = domain.snap_to_target(pts)
     hit = tgt >= 0
-    exit_idx[hit] = j0
+    exit_idx[hit] = 0
     exit_node[hit] = tgt[hit]
-    samples[:, :j0 + 1] = pos[:, None]
-    for j in range(j0, n_steps):
+    samples[:, 0] = pos
+    for j in range(n_steps):
         active = np.flatnonzero(exit_idx < 0)
         if len(active) == 0:
             samples[:, j + 1:] = samples[:, j][:, None]
@@ -113,7 +111,7 @@ def synthesize_reference(phi, speed, start_points, t0=0.0):
         exit_idx[active[hit]] = j + 1
         exit_node[active[hit]] = tgt[hit]
         samples[:, j + 1] = pos
-    return samples, j0, exit_idx, exit_node
+    return samples, exit_idx, exit_node
 
 
 # ---- ensembles with repeated rows -----------------------------------------
@@ -145,14 +143,13 @@ def node_paths(domain, rng, n_paths, n_steps):
 
 
 def repeated_ensemble(domain, rng, n=60, n_paths=4, n_steps=5):
-    """Rows drawn from a few paths, starts and exits: many bit-equal repeats."""
+    """Rows drawn from a few paths and exits: many bit-equal repeats."""
     paths = node_paths(domain, rng, n_paths, n_steps)
     pick = rng.integers(0, n_paths, n)
-    starts = rng.integers(0, 2, n)
     exits = rng.choice([-1, n_steps], n)
     w = rng.uniform(0.1, 1.0, n)
-    return TrajectoryEnsemble(domain, 0.1, paths[pick], w / w.sum(), starts, exits,
-                              np.arange(n), validate=False)
+    return TrajectoryEnsemble(domain, 0.1, paths[pick], w / w.sum(), exit_indices=exits,
+                              exit_nodes=np.arange(n), validate=False)
 
 
 def assert_rows_of(out, parts, rows, weights):
@@ -168,11 +165,11 @@ def assert_rows_of(out, parts, rows, weights):
 def test_merged_matches_void_view_grouping(make):
     dom = make()
     ens = repeated_ensemble(dom, np.random.default_rng(3))
-    idx, w = merged_reference(ens.samples, ens.weights, ens.start_indices, ens.exit_indices)
+    idx, w = merged_reference(ens.samples, ens.weights, ens.exit_indices)
     out = ens.merged()
     assert_rows_of(out, [ens], idx, w)
-    # 4 paths (one a -0.0 twin of another) x 2 starts x 2 exits, all drawn
-    assert out.n_traj == 16
+    # 4 paths (one a -0.0 twin of another) x 2 exits, all drawn
+    assert out.n_traj == 8
 
 
 @pytest.mark.parametrize("make", BACKENDS)
@@ -197,13 +194,13 @@ def test_key_collision_takes_the_exact_fallback(monkeypatch):
         calls.append(keys.shape)
         return exact(keys)
 
-    monkeypatch.setattr(measures, "trajectory_keys", lambda s, e, x: np.zeros(len(s), np.uint64))
+    monkeypatch.setattr(measures, "trajectory_keys", lambda e, x: np.zeros(len(e), np.uint64))
     monkeypatch.setattr(measures, "_first_seen_groups", spy)
     rng = np.random.default_rng(2)
     a = repeated_ensemble(interval(), rng)
     b = repeated_ensemble(interval(), rng, n=30)
     assert not np.any(a.row_keys)  # every row collides
-    idx, w = merged_reference(a.samples, a.weights, a.start_indices, a.exit_indices)
+    idx, w = merged_reference(a.samples, a.weights, a.exit_indices)
     assert_rows_of(a.merged(), [a], idx, w)
     assert len(calls) == 1
     rows, w = mix_reference(a, b, 0.3, 0.01)
@@ -222,13 +219,13 @@ def test_unmerged_and_unpruned_rows_are_not_copied():
     assert ens.pruned(1e-9).weights is not ens.weights
 
 
-def test_row_keys_depend_on_start_exit_and_sign_of_zero():
+def test_row_keys_depend_on_exit_and_sign_of_zero():
     samples = np.zeros((4, 3))
     samples[1, 2] = -0.0
-    keys = measures.trajectory_keys(np.array([0, 0, 1, 0]), np.array([2, 2, 2, -1]), samples)
+    keys = measures.trajectory_keys(np.array([2, 2, 1, -1]), samples)
     assert keys.dtype == np.uint64
     assert len(set(keys.tolist())) == 4
-    again = measures.trajectory_keys(np.array([0]), np.array([2]), samples[:1].copy())
+    again = measures.trajectory_keys(np.array([2]), samples[:1].copy())
     assert again[0] == keys[0]
 
 
@@ -317,12 +314,11 @@ def test_synthesis_plan_matches_per_step_candidates(make, levels):
     speed = random_speed(dom, dt, n_slices, rng)
     phi = ValueField(dom, dt, tied_value(dom, n_slices, rng, levels))
     pts = start_points(dom, rng)
-    got = synthesize_batch(phi, speed, pts, 0.0, raise_on_stall=False)
+    got = synthesize_batch(phi, speed, pts, raise_on_stall=False)
     want = synthesize_reference(phi, speed, pts)
     assert _bits(got[0]) == _bits(want[0])
-    assert got[1] == want[1]
-    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-    assert np.any(got[2] > 0)
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert np.any(got[1] > 0)
 
 
 @pytest.mark.parametrize("make", [interval, grid])

@@ -379,10 +379,10 @@ def synthesized_ensemble(domain, rng, n_slices=80):
         pts = domain.coords[rng.integers(0, domain.n_nodes, 12)]
     else:
         pts = domain.node_points()[[0, 1, 3, 0, 1]]
-    samples, j0, exits, nodes = synthesize_batch(phi, speed, pts)
+    samples, exits, nodes = synthesize_batch(phi, speed, pts)
     w = rng.uniform(0.1, 1.0, len(exits))
-    return TrajectoryEnsemble(domain, dt, samples, w / w.sum(), np.full(len(exits), j0),
-                              exits, nodes), speed
+    return TrajectoryEnsemble(domain, dt, samples, w / w.sum(), exit_indices=exits,
+                              exit_nodes=nodes), speed
 
 
 def ensembles(domain, rng):
@@ -398,20 +398,19 @@ def ensembles(domain, rng):
     out = {
         "synthesized": ens,
         "moves after exit": TrajectoryEnsemble(domain, ens.dt, late, ens.weights,
-                                               ens.start_indices, ens.exit_indices),
+                                               exit_indices=ens.exit_indices),
         "not exiting": TrajectoryEnsemble(domain, ens.dt, ens.samples, ens.weights,
-                                          ens.start_indices, np.full(n, -1)),
+                                          exit_indices=np.full(n, -1)),
         "sign of zero": TrajectoryEnsemble(domain, ens.dt, zero, ens.weights,
-                                           ens.start_indices, ens.exit_indices),
+                                           exit_indices=ens.exit_indices),
         "constant": TrajectoryEnsemble(domain, ens.dt,
                                        ens.samples[:, :1].repeat(ens.n_steps + 1, axis=1),
-                                       ens.weights, ens.start_indices,
-                                       np.zeros(n, dtype=int)),
+                                       ens.weights, exit_indices=np.zeros(n, dtype=int)),
         # the row with the latest exit index stopped moving earlier
         "late exit record": TrajectoryEnsemble(domain, ens.dt, ens.samples, ens.weights,
-                                               ens.start_indices,
-                                               np.where(np.arange(n) == 0, ens.n_steps,
-                                                        ens.exit_indices)),
+                                               exit_indices=np.where(np.arange(n) == 0,
+                                                                     ens.n_steps,
+                                                                     ens.exit_indices)),
     }
     return out, speed
 
@@ -443,7 +442,7 @@ def test_admissibility_stops_at_the_settled_slice(make):
     # the last moving step decides the excess here, so stopping early is seen
     ens = found["moves after exit"]
     early = TrajectoryEnsemble(dom, ens.dt, ens.samples[:, :ens.settled_slice], ens.weights,
-                               ens.start_indices, np.full(ens.n_traj, -1))
+                               exit_indices=np.full(ens.n_traj, -1))
     assert admissibility_reference(early, slow, 0.0) < admissibility_reference(ens, slow, 0.0)
 
 

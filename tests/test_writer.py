@@ -68,7 +68,7 @@ def persist_csvs_reference(bundle, run_dir):
 
     costs, _ = eq.realized_costs(ens, bundle["cost"], cap=None)
     rows = [[k, float(ens.weights[k])] + _point_row(domain, ens.samples[k, 0])
-            + [float((ens.exit_indices[k] - ens.start_indices[k]) * ens.dt)
+            + [float(ens.exit_indices[k] * ens.dt)
                if ens.exit_indices[k] >= 0 else float("nan"),
                float(costs[k]) if np.isfinite(costs[k]) else float("nan")]
             for k in range(ens.n_traj)]
