@@ -10,12 +10,11 @@ import tempfile
 
 from exitlab import runner
 
-out = os.path.join(tempfile.mkdtemp(prefix="exitlab_demo_"), "corridor")
-result = runner.run("congested_corridor", out)
+with tempfile.TemporaryDirectory(prefix="exitlab_demo_") as root:
+    result = runner.run("congested_corridor", os.path.join(root, "corridor"))
 
 eq = result.ledger["equilibrium"]
 cert = result.ledger["certification"]
-print(f"run directory: {result.path}")
 print(f"converged in {eq['iterations']} iterations "
       f"(exploitability {eq['exploitability']:.4g}, max atom gap {eq['max_gap']:.4g})")
 print(f"certified: weak={cert['weak']} strong={cert['strong']} at tol {cert['tol']}")
@@ -23,5 +22,6 @@ print(f"population settles at t* = {result.ledger['settling_time']}")
 print("ledger checks:")
 for check in result.ledger["checks"]:
     print(f"  {'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
-print("\nper-iteration residuals are in exploitability_history.csv; the")
-print("marginal flow and the value field are in marginals.csv / value_function.csv.")
+print("\n`exitlab run congested_corridor` keeps the run directory: per-iteration")
+print("residuals in exploitability_history.csv, the marginal flow and the value")
+print("field in marginals.csv / value_function.csv.")

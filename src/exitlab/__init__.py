@@ -11,7 +11,7 @@ from .equilibrium import (EquilibriumConfig, EquilibriumReport, exploitability,
                           induced_speed_field, solve_equilibrium)
 from .asymptotics import (ConvergenceCurve, RateFit, convergence_curve,
                           fit_decay_rate, limit_measure, settling_time,
-                          stability_sweep, theorem_bound)
+                          theorem_bound)
 from .scenarios import load_scenario, scenario_registry
 from . import runner
 
@@ -26,6 +26,6 @@ __all__ = [
     "EquilibriumConfig", "EquilibriumReport",
     "exploitability", "induced_speed_field", "solve_equilibrium",
     "ConvergenceCurve", "RateFit", "convergence_curve", "fit_decay_rate",
-    "limit_measure", "settling_time", "stability_sweep", "theorem_bound",
+    "limit_measure", "settling_time", "theorem_bound",
     "load_scenario", "scenario_registry", "runner",
 ]

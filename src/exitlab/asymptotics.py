@@ -1,5 +1,5 @@
 """Long-time behavior of equilibria: limit measures, convergence curves,
-tail-driven decay bounds and rates, and stability under the initial measure.
+tail-driven decay bounds and rates.
 
 The limit is extracted at the horizon end behind a settling guard; the decay
 bound instantiates the tail estimate with alpha = K_min / D and
@@ -96,6 +96,15 @@ def _project_to_nodes(measure):
     return ParticleMeasure(domain, pts, measure.weights.copy(), validate=False).merged()
 
 
+def transport_distance(mu, nu, p):
+    """(W_p(mu, nu), projected): a support over the transport LP's cap is
+    first projected to grid cells, and projected says so."""
+    try:
+        return wasserstein(mu, nu, p), False
+    except MeasureError:
+        return wasserstein(_project_to_nodes(mu), _project_to_nodes(nu), p), True
+
+
 def convergence_curve(ensemble, times, p, m0=None, domain=None, cost=None,
                       bounds=None, m_inf=None):
     """W_p(m_t, m_inf) at the requested times, with the tail bound alongside
@@ -107,15 +116,11 @@ def convergence_curve(ensemble, times, p, m0=None, domain=None, cost=None,
     flags = []
     values = np.empty(len(times))
     for i, t in enumerate(times):
-        marginal = ensemble.time_marginal(t, merge=True)
-        try:
-            values[i] = wasserstein(marginal, m_inf, p)
-        except MeasureError:
-            values[i] = wasserstein(_project_to_nodes(marginal),
-                                    _project_to_nodes(m_inf), p)
-            if not flags:
-                flags.append("marginals projected to grid cells for the "
-                             "transport LP (support cap)")
+        values[i], projected = transport_distance(ensemble.time_marginal(t, merge=True),
+                                                  m_inf, p)
+        if projected and not flags:
+            flags.append("marginals projected to grid cells for the "
+                         "transport LP (support cap)")
     bound_vals = np.full(len(times), np.nan)
     if m0 is not None and domain is not None and cost is not None and bounds is not None:
         alpha, t0 = decay_constants(domain, cost, bounds)
@@ -176,87 +181,3 @@ def p_moment_excess(ensemble, m0, domain, cost, bounds, times, p):
         m = ensemble.time_marginal(t)
         worst = max(worst, m.p_moment(p) - ceiling)
     return worst
-
-
-@dataclass
-class StabilityMember:
-    perturbation: float          # W_1(m_0_member, m_0_base)
-    converged: bool
-    exploitability: float
-    limit_distance: float        # W_1 to the nearest recorded base limit
-    cross_exploitability: float  # gaps measured against the base run's value field
-
-
-@dataclass
-class StabilityReport:
-    base_limits: list
-    members: list = field(default_factory=list)
-    schedule_monotone: bool = True
-    closed_graph_probe: dict | None = None
-
-    def as_dict(self):
-        return {
-            "members": [{
-                "perturbation": m.perturbation,
-                "converged": m.converged,
-                "exploitability": m.exploitability,
-                "limit_distance": m.limit_distance,
-                "cross_exploitability": m.cross_exploitability,
-            } for m in self.members],
-            "schedule_monotone": self.schedule_monotone,
-            "closed_graph_probe": self.closed_graph_probe,
-        }
-
-
-def cross_exploitability(ensemble, cost, base_phi, cap):
-    """Weighted gap of an ensemble's realized costs against another run's value."""
-    from .equilibrium import realized_costs
-
-    costs, _ = realized_costs(ensemble, cost, cap=cap)
-    base = base_phi.at_points(0, ensemble.samples[:, 0])
-    return float(np.sum(ensemble.weights * (costs - base)))
-
-
-def stability_sweep(base_m0, perturbed_m0s, kernel, domain, cost, config=None,
-                    base_limits=None):
-    """Solve the game for a family of perturbed initial measures and report
-    limit-set distances, cross-exploitability, and a closed-graph probe for
-    the member closest to the base."""
-    from .equilibrium import solve_equilibrium, EquilibriumConfig
-
-    config = config or EquilibriumConfig()
-    base_report = solve_equilibrium(base_m0, kernel, domain, cost, config)
-    if base_limits is None:
-        base_limits = [base_report.m_infinity] if base_report.m_infinity is not None else []
-    cap = 10.0 * base_report.t_bound
-
-    report = StabilityReport(base_limits=base_limits)
-    perturbations = []
-    closest = None
-    for m0n in perturbed_m0s:
-        w1 = wasserstein(m0n, base_m0, 1)
-        perturbations.append(w1)
-        member_report = solve_equilibrium(m0n, kernel, domain, cost, config)
-        if member_report.m_infinity is not None and base_limits:
-            dlim = min(wasserstein(member_report.m_infinity, b, 1) for b in base_limits)
-        else:
-            dlim = np.nan
-        cross = cross_exploitability(member_report.final_ensemble, cost,
-                                     base_report.final_phi, cap)
-        member = StabilityMember(w1, member_report.converged,
-                                 member_report.exploitability, dlim, cross)
-        report.members.append(member)
-        if closest is None or w1 < closest[0]:
-            closest = (w1, member, member_report)
-    report.schedule_monotone = bool(
-        all(a >= b - 1e-12 for a, b in zip(perturbations[:-1], perturbations[1:])))
-    if closest is not None:
-        from .ocp import default_dpp_tol
-        tol_probe = config.exploitability_tol + default_dpp_tol(domain, base_report.dt)
-        report.closed_graph_probe = {
-            "perturbation": closest[0],
-            "cross_exploitability": closest[1].cross_exploitability,
-            "tolerance": tol_probe,
-            "passed": bool(closest[1].cross_exploitability <= tol_probe),
-        }
-    return report, base_report

@@ -35,7 +35,6 @@ class Kappa:
 
     def __init__(self, family, **params):
         self.family = family
-        self.params = params
         if family == "constant":
             self.value = float(params["value"])
             if self.value <= 0:
@@ -83,7 +82,6 @@ class Chi:
 
     def __init__(self, family, **params):
         self.family = family
-        self.params = params
         self.amplitude = float(params.get("amplitude", params.get("value", 1.0)))
         if self.amplitude < 0:
             raise HypothesisViolation("chi must be nonnegative")
@@ -128,7 +126,6 @@ class Eta:
 
     def __init__(self, family, **params):
         self.family = family
-        self.params = params
         if family == "constant":
             self.value = float(params.get("value", 1.0))
             if self.value < 0:

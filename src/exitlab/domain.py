@@ -83,9 +83,6 @@ class SpatialDomain:
 
     # ---- node-level API -------------------------------------------------
 
-    def node_coords(self):
-        return self.coords
-
     def _check_node(self, i, key=None):
         """Index of node id i, which must be a whole number (3 or 3.0) below n_nodes."""
         try:
@@ -566,9 +563,6 @@ class GraphDomain(SpatialDomain):
         self._dm = dijkstra(self.adjacency)
         self.targets = np.array(sorted(set(self._resolve_nodes(targets, "targets"))), dtype=int)
         self.origin = self._resolve_nodes([origin], "origin")[0]
-
-    def node_coords(self):
-        return np.arange(self.n_nodes, dtype=float)
 
     def node_at(self, node_id):
         return self._check_node(node_id)

@@ -165,7 +165,7 @@ class TrajectoryEnsemble:
     there is none); when omitted it is read off the exit positions by
     snapping them to the target set. The per-row fields after weights are
     keyword-only. Two more per-row fields are caches of the samples, computed
-    when omitted and carried by merged, pruned and mix: node_indices, the
+    when omitted and carried by mix: node_indices, the
     int32 nearest node of every sample, and row_keys, the trajectory_keys()
     of every trajectory. settled_slice is derived from the samples once per
     ensemble object and is not carried.
@@ -260,31 +260,22 @@ class TrajectoryEnsemble:
         after = (np.arange(self.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
         return float(np.max(drift[after], initial=0.0))
 
-    def merged(self):
-        """Merge trajectories with equal exit index and sample bits.
-
-        Groups keep first-seen order and add their weights in row order.
-        """
-        rows, w = _merged_rows((self,), self.weights)
-        return _ensemble_of_rows((self,), rows, w)
-
-    def pruned(self, threshold=1e-9):
-        keep = _kept(self.weights, threshold)
-        w = self.weights[keep]
-        return _ensemble_of_rows((self,), np.flatnonzero(keep), w / w.sum())
-
     def mix(self, other, lam, prune=1e-9):
         """Fictitious-play style weighted union (1-lam)*self + lam*other.
 
-        Equal to concatenating the two, then merged(), then pruned(prune);
-        only the surviving rows are copied, once.
+        Equal to concatenating the two, merging trajectories with equal exit
+        index and sample bits (groups keep first-seen order and add their
+        weights in row order), then dropping weights below prune and
+        renormalizing; only the surviving rows are copied, once.
         """
         if other.samples.shape[1:] != self.samples.shape[1:] or other.dt != self.dt:
             raise MeasureError("cannot mix ensembles on different grids")
         parts = (self, other)
         rows, w = _merged_rows(parts, np.concatenate([(1 - lam) * self.weights,
                                                       lam * other.weights]))
-        keep = _kept(w, prune)
+        keep = w >= prune
+        if not np.any(keep):
+            raise MeasureError("pruning removed all trajectories")
         w = w[keep]
         return _ensemble_of_rows(parts, rows[keep], w / w.sum())
 
@@ -293,17 +284,8 @@ class TrajectoryEnsemble:
 ROW_FIELDS = ("samples", "exit_indices", "exit_nodes", "node_indices", "row_keys")
 
 
-def _kept(weights, threshold):
-    keep = weights >= threshold
-    if not np.any(keep):
-        raise MeasureError("pruning removed all trajectories")
-    return keep
-
-
 def _take(arrays, rows):
     """Rows (ascending) of the concatenation of arrays, without building it."""
-    if len(arrays) == 1:
-        return arrays[0][rows]
     out = np.empty((len(rows),) + arrays[0].shape[1:], dtype=arrays[0].dtype)
     split = np.searchsorted(rows, np.cumsum([len(a) for a in arrays[:-1]]))
     lo = offset = 0
@@ -317,10 +299,7 @@ def _take(arrays, rows):
 def _ensemble_of_rows(parts, rows, weights):
     """Ensemble of the given rows (ascending) of the concatenated parts."""
     first = parts[0]
-    if len(parts) == 1 and len(rows) == first.n_traj:
-        fields = {name: getattr(first, name) for name in ROW_FIELDS}  # every row: no copy
-    else:
-        fields = {name: _take([getattr(p, name) for p in parts], rows) for name in ROW_FIELDS}
+    fields = {name: _take([getattr(p, name) for p in parts], rows) for name in ROW_FIELDS}
     return TrajectoryEnsemble(first.domain, first.dt, weights=weights, validate=False, **fields)
 
 

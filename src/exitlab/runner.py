@@ -20,6 +20,7 @@ from . import asymptotics as asy
 from . import equilibrium as eq
 from . import scenarios as sc
 from .domain import validate_hypotheses
+from .measures import ParticleMeasure
 # not called here; kept because perfbench/tracer.py patches exitlab.runner.wasserstein
 from .measures import wasserstein  # noqa: F401
 from .ocp import check_dpp, default_dpp_tol
@@ -408,17 +409,22 @@ class RunResult:
 
 def run(source, out_dir, tol=None, max_iter=None, params=None):
     """Execute a scenario and persist the run directory."""
+    return _run(source, out_dir, tol, max_iter, params)[0]
+
+
+def _run(source, out_dir, tol, max_iter, params):
+    """run, also returning the in-memory bundle (None when nothing executed)."""
     try:
         cfg = sc.load_scenario(source)
         cfg = apply_overrides(cfg, tol=tol, max_iter=max_iter, params=params)
         bundle = execute(cfg)
     except sc.ScenarioError as err:
-        return RunResult(STATUS_VALIDATION, None, None, str(err))
+        return RunResult(STATUS_VALIDATION, None, None, str(err)), None
     except Exception as err:
         return RunResult(STATUS_INTERNAL, None, None,
-                         f"{err}\n{traceback.format_exc()}")
+                         f"{err}\n{traceback.format_exc()}"), None
     persist(bundle, out_dir)
-    return RunResult(bundle["status"], out_dir, build_ledger(bundle))
+    return RunResult(bundle["status"], out_dir, build_ledger(bundle)), bundle
 
 
 class VerifyResult:
@@ -480,7 +486,10 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
     """Run a scenario template over the cartesian product of parameter lists.
 
     param_values maps dotted config paths to value lists. Per-member failures
-    are recorded in the aggregate; the sweep keeps going.
+    are recorded in the aggregate; the sweep keeps going. When every swept
+    path lies under initial_measure., the unswept template also runs as the
+    reference (run directory reference/), and stability_report.json holds
+    each member's stability quantities against it.
     """
     os.makedirs(out_root, exist_ok=True)
     names = sorted(param_values)
@@ -489,11 +498,17 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
         combos = [c + ((name, v),) for c in combos for v in param_values[name]]
     if not param_values:
         combos = []
+    stability = bool(names) and all(n.startswith("initial_measure.") for n in names)
+    if stability:
+        ref_result, ref = _run(source, os.path.join(out_root, "reference"), tol, max_iter, None)
+        if ref is not None and "equilibrium" not in ref:
+            ref = None
+        rows = []
     members = []
     for i, combo in enumerate(combos):
         label = "_".join(f"{n.split('.')[-1]}={v}" for n, v in combo) or f"member_{i}"
         member_dir = os.path.join(out_root, f"{i:03d}_{label}")
-        result = run(source, member_dir, tol=tol, max_iter=max_iter, params=dict(combo))
+        result, bundle = _run(source, member_dir, tol, max_iter, dict(combo))
         entry = {"index": i, "params": {n: v for n, v in combo},
                  "status": result.status, "dir": member_dir}
         if result.ledger is not None:
@@ -505,19 +520,78 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
         else:
             entry["error"] = result.error
         members.append(entry)
+        if stability:
+            row = {"index": i, "params": entry["params"], "status": result.status}
+            if ref is not None and bundle is not None and "equilibrium" in bundle:
+                row.update(_stability_quantities(bundle, ref))
+            rows.append(row)
     aggregate = {"source": source if isinstance(source, str) else "inline",
                  "params": {n: list(v) for n, v in param_values.items()},
                  "members": members}
-    with open(os.path.join(out_root, "sweep_report.json"), "w") as fh:
-        json.dump(aggregate, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    if any(n.startswith("initial_measure") for n in names):
-        # an initial-measure sweep doubles as a stability experiment
-        stability = {"limit_table": [
-            {"params": m["params"], "m_infinity": m.get("m_infinity"),
-             "converged": m.get("converged"), "status": m["status"],
-             "exploitability": m.get("exploitability")} for m in members]}
-        with open(os.path.join(out_root, "stability_report.json"), "w") as fh:
-            json.dump(stability, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    _write_json(os.path.join(out_root, "sweep_report.json"), aggregate)
+    if stability:
+        _write_json(os.path.join(out_root, "stability_report.json"),
+                    _stability_table(ref_result, ref, rows))
     return aggregate
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _on_domain(domain, measure):
+    """The measure's atoms read on another domain object with the same grid."""
+    return ParticleMeasure(domain, measure.points, measure.weights, validate=False)
+
+
+def _stability_quantities(bundle, ref):
+    """A member's W1 distances, cross-exploitability and certificate against
+    the reference run, both given as execute bundles."""
+    report, ref_report = bundle["equilibrium"], ref["equilibrium"]
+    domain = ref["domain"]
+    ens = report.final_ensemble
+    limit_distance = np.nan
+    if report.m_infinity is not None and ref_report.m_infinity is not None:
+        limit_distance, _ = asy.transport_distance(
+            _on_domain(domain, report.m_infinity), ref_report.m_infinity, 1)
+    # realized costs against the reference's value at the member's starts
+    costs, _ = eq.realized_costs(ens, bundle["cost"], cap=10.0 * ref_report.t_bound)
+    base = ref_report.final_phi.at_points(0, ens.samples[:, 0])
+    return {
+        "perturbation": asy.transport_distance(_on_domain(domain, bundle["m0"]),
+                                               ref["m0"], 1)[0],
+        "limit_distance": limit_distance,
+        "cross_exploitability": float(np.sum(ens.weights * (costs - base))),
+        "converged": report.converged,
+        "exploitability": report.exploitability,
+    }
+
+
+def _stability_table(ref_result, ref, rows):
+    """stability_report.json: the rows, whether the perturbations shrink along
+    the sweep, and the closed-graph probe at the member nearest the reference
+    (its cross-exploitability within the reference's tolerance plus the
+    scheme's 4(dt + dx))."""
+    measured = [r for r in rows if "perturbation" in r]
+    pert = [r["perturbation"] for r in measured]
+    probe = None
+    if measured:
+        nearest = min(measured, key=lambda r: r["perturbation"])
+        ref_report = ref["equilibrium"]
+        tol = ref_report.tol + default_dpp_tol(ref["domain"], ref_report.dt)
+        cross = nearest["cross_exploitability"]
+        probe = {"perturbation": _r12(nearest["perturbation"]),
+                 "cross_exploitability": _r12(cross), "tolerance": _r12(tol),
+                 "passed": bool(cross <= tol)}
+    reference = {"status": ref_result.status}
+    if ref_result.error is not None:
+        reference["error"] = ref_result.error
+    return {
+        "reference": reference,
+        "members": [{k: (_r12(v) if isinstance(v, float) else v) for k, v in r.items()}
+                    for r in rows],
+        "schedule_monotone": all(a >= b - 1e-12 for a, b in zip(pert[:-1], pert[1:])),
+        "closed_graph_probe": probe,
+    }

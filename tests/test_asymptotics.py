@@ -1,16 +1,20 @@
 """Limit extraction, convergence curves, decay bounds and rates, stability."""
+import json
+
 import numpy as np
 import pytest
 
+from exitlab import runner
 from exitlab.asymptotics import (ConvergenceCurve, ShrinkWindowError,
                                  convergence_curve, curve_bound_excess,
                                  decay_constants, fit_decay_rate, limit_measure,
                                  p_moment_excess, psi_function, settling_time,
-                                 stability_sweep, theorem_bound)
+                                 theorem_bound)
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import EquilibriumConfig, solve_equilibrium
-from exitlab.measures import MeasureError, ParticleMeasure, TrajectoryEnsemble
+from exitlab.measures import MeasureError, ParticleMeasure, TrajectoryEnsemble, wasserstein
+from exitlab.scenarios import load_scenario
 
 
 def remark_game(dx=0.005):
@@ -271,10 +275,21 @@ def test_curve_bound_and_moment_checks_on_solved_game():
     assert p_moment_excess(ens, m0, dom, cost, bounds, times, 1) <= 1e-9
 
 
-def test_stability_sweep_remark_case_table():
+def stability_sweep(tmp_path, location, members):
+    """runner.sweep of remark_5_13 from a template at location over the
+    member locations: (sweep_report, stability_report, reference ledger)."""
+    cfg = load_scenario("remark_5_13")
+    cfg["initial_measure"]["location"] = location
+    out = tmp_path / "sweep"
+    aggregate = runner.sweep(cfg, {"initial_measure.location": members}, str(out))
+    table = json.loads((out / "stability_report.json").read_text())
+    reference = json.loads((out / "reference" / "report.json").read_text())
+    return aggregate, table, reference
+
+
+def test_stability_sweep_remark_case_table(tmp_path):
     dom, cost, kernel = remark_game()
     config = EquilibriumConfig(exploitability_tol=0.01)
-    base = ParticleMeasure.dirac(dom, 0.5)
     # limits flip across a = 1/2: delta_1 above, delta_0 below
     limits = []
     for a in (0.7, 0.55, 0.45, 0.3):
@@ -283,35 +298,48 @@ def test_stability_sweep_remark_case_table():
         limits.append(float(member_rep.m_infinity.points[0]))
     assert limits == [1.0, 1.0, 0.0, 0.0]
     # a decreasing perturbation schedule toward the base
-    members = [ParticleMeasure.dirac(dom, a) for a in (0.7, 0.55, 0.52)]
-    report, base_report = stability_sweep(base, members, kernel, dom, cost, config)
-    assert base_report.converged
-    assert report.schedule_monotone
-    assert report.closed_graph_probe is not None
+    _, table, reference = stability_sweep(tmp_path, 0.5, [0.7, 0.55, 0.52])
+    assert reference["equilibrium"]["converged"]
+    assert table["reference"] == {"status": 0}
+    rows = table["members"]
+    assert [r["perturbation"] for r in rows] == [0.2, 0.05, 0.02]
+    assert [r["limit_distance"] for r in rows] == [0.0, 0.0, 0.0]
+    assert all(abs(r["cross_exploitability"]) <= 1e-15 for r in rows)
+    assert all(r["converged"] and r["status"] == 0 for r in rows)
+    assert table["schedule_monotone"]
+    assert table["closed_graph_probe"] == {
+        "perturbation": 0.02, "cross_exploitability": 1.11022302463e-16,
+        "tolerance": 0.05, "passed": True}
 
 
-def test_stability_zero_perturbation_matches_base():
-    dom, cost, kernel = remark_game()
-    config = EquilibriumConfig(exploitability_tol=0.01)
-    base = ParticleMeasure.dirac(dom, 0.3)
-    report, base_report = stability_sweep(base, [ParticleMeasure.dirac(dom, 0.3)],
-                                          kernel, dom, cost, config)
-    member = report.members[0]
-    assert member.perturbation == 0.0
-    assert member.limit_distance == 0.0
-    assert member.exploitability == base_report.exploitability
+def test_stability_zero_perturbation_matches_base(tmp_path):
+    _, table, reference = stability_sweep(tmp_path, 0.3, [0.3])
+    member = table["members"][0]
+    assert member["perturbation"] == 0.0
+    assert member["limit_distance"] == 0.0
+    assert member["exploitability"] == reference["equilibrium"]["exploitability"]
+    assert member["cross_exploitability"] == member["exploitability"]
 
 
-def test_stability_convergent_family_containment():
-    """Members a_n = 1/2 - 1/n all limit to delta_0, which the base limit set
-    at a = 1/2 contains."""
-    dom, cost, kernel = remark_game()
-    config = EquilibriumConfig(exploitability_tol=0.01)
-    base = ParticleMeasure.dirac(dom, 0.5)
-    family = [ParticleMeasure.dirac(dom, 0.5 - 1.0 / n) for n in (4, 8, 16, 32)]
-    base_limits = [ParticleMeasure.dirac(dom, 0.0), ParticleMeasure.dirac(dom, 1.0)]
-    report, _ = stability_sweep(base, family, kernel, dom, cost, config,
-                                base_limits=base_limits)
-    for member in report.members:
-        assert member.limit_distance <= 1e-9
-    assert report.closed_graph_probe["passed"]
+def test_stability_convergent_family_containment(tmp_path):
+    """Members a_n = 1/2 - 1/n all limit to delta_0, which the limit set
+    {delta_0, delta_1} of the game at a = 1/2 contains, although the solver's
+    own pick at 1/2 is delta_1."""
+    dom, _, _ = remark_game()
+    aggregate, table, reference = stability_sweep(
+        tmp_path, 0.5, [0.5 - 1.0 / n for n in (4, 8, 16, 32)])
+    assert reference["m_infinity"] == [[1.0, 1.0]]
+    limit_set = [ParticleMeasure.dirac(dom, 0.0), ParticleMeasure.dirac(dom, 1.0)]
+    for member in aggregate["members"]:
+        atoms = np.array(member["m_infinity"])
+        m_inf = ParticleMeasure(dom, atoms[:, 0], atoms[:, 1])
+        assert min(wasserstein(m_inf, b, 1) for b in limit_set) <= 1e-9
+        assert member["m_infinity"] == [[0.0, 1.0]]
+    rows = table["members"]
+    assert [r["perturbation"] for r in rows] == [0.25, 0.125, 0.0625, 0.03125]
+    assert [r["limit_distance"] for r in rows] == [1.0, 1.0, 1.0, 1.0]
+    assert [r["cross_exploitability"] for r in rows] == [
+        2.77555756156e-17, 5.55111512313e-17, -0.0025, 0.00125]
+    probe = table["closed_graph_probe"]
+    assert probe["perturbation"] == 0.03125 and probe["tolerance"] == 0.05
+    assert probe["passed"]

