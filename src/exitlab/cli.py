@@ -3,7 +3,8 @@
 Exit statuses of `run`: 0 converged and all ledger checks pass, 2 validation
 failure, 3 non-convergence or failed checks (artifacts still written),
 4 internal error. `verify` returns 0 on pass, 1 on failure. `sweep` returns
-2 when it has no --param or a --param without PATH=V1,V2,...
+2 when it has no --param, a --param without PATH=V1,V2,..., or an --out
+directory that is not empty.
 """
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def _parse_param_value(raw):
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
+
+
+def _parse_param_values(values):
+    """The values of --param PATH=V1,V2,...: a JSON list when "[" + values + "]"
+    parses (so a value may itself be a JSON list), else each comma-separated
+    value on its own."""
+    try:
+        return json.loads("[" + values + "]")
+    except json.JSONDecodeError:
+        return [_parse_param_value(v) for v in values.split(",")]
 
 
 def _run_dir_for(source, root):
@@ -59,7 +70,8 @@ def main(argv=None):
     p_sweep.add_argument("--param", action="append", default=[],
                          metavar="PATH=V1,V2,...",
                          help="dotted config path and comma-separated values")
-    p_sweep.add_argument("--out")
+    p_sweep.add_argument("--out", help="an empty or new output directory "
+                                       "(default: a fresh sweep directory under $EXITLAB_OUT or ./runs)")
     p_sweep.add_argument("--tol", type=float)
     p_sweep.add_argument("--max-iter", type=int)
 
@@ -106,10 +118,14 @@ def main(argv=None):
             if not values:
                 print(f"bad --param {spec!r}; expected PATH=V1,V2,...", file=sys.stderr)
                 return runner.STATUS_VALIDATION
-            params[path] = [_parse_param_value(v) for v in values.split(",")]
-        out_root = args.out or os.path.join(_out_root(args), "sweep")
-        aggregate = runner.sweep(args.scenario, params, out_root, tol=args.tol,
-                                 max_iter=args.max_iter)
+            params[path] = _parse_param_values(values)
+        out_root = args.out or _run_dir_for("sweep", _out_root(args))
+        try:
+            aggregate = runner.sweep(args.scenario, params, out_root, tol=args.tol,
+                                     max_iter=args.max_iter)
+        except FileExistsError as err:
+            print(err, file=sys.stderr)
+            return runner.STATUS_VALIDATION
         print(f"sweep directory: {out_root} ({len(aggregate['members'])} members)")
         return 0
 

@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 SQRT2 = float(np.sqrt(2.0))
 BIG = 1e30  # value of an inadmissible candidate move
+STENCIL_ROWS = 64  # budget rows per reach_stencil bind: bounds a placed block's temporaries
 
 
 class DomainError(ValueError):
@@ -169,42 +170,53 @@ class SpatialDomain:
     def reach_stencil(self, r_max):
         """Reach-ball minimum over every node, for budgets up to r_max.
 
-        Returns bind(r) for a per-node budget array r <= r_max: bind places
-        reach_plan(r_max)'s moves at the node points once, and
-        bind(r)(node_values) is the least value the plan evaluates per node.
-        An override (a precomputed node stencil) must return the same minima,
-        bit for bit.
+        Returns bind(rows) for a (B, n_nodes) block of per-node budget rows
+        <= r_max, B <= STENCIL_ROWS: bind places reach_plan(r_max)'s moves at
+        the node points of every row at once and yields one ball_min per
+        row, in row order; ball_min(node_values) is the least value the plan
+        evaluates per node under that row, and serves until the next bind.
+        A slice's reach-ball geometry depends only on its budget row, never
+        on the value, so a block of rows can be placed before any of its
+        values is known. An override (a precomputed node stencil) must
+        return the same minima, bit for bit; it may place its rows one at a
+        time, as they are drawn.
         """
         place = self.reach_plan(r_max)
         pts = self.node_points()
+        n = self.n_nodes
 
-        def bind(r):
-            evaluate = place(pts, r)
-            # the plan may reuse its arrays on its next call: reduce them at once
-            return lambda node_values: np.min(evaluate(node_values)[1], axis=1)
+        def bind(rows):
+            rows = np.asarray(rows, dtype=float)
+            evaluate = place(np.concatenate([pts] * len(rows)), rows.ravel())
+            for b in range(len(rows)):
+                # the plan may reuse its arrays on its next call: reduce them at once
+                yield lambda node_values, part=slice(b * n, (b + 1) * n): np.minimum.reduce(
+                    evaluate(node_values, part)[1], axis=0)
         return bind
 
     def reach_plan(self, r_max):
         """Candidate evaluation for greedy descent and the reach-ball minimum.
 
         Returns place(ps, r) for budgets r <= r_max: it places the moves of
-        reach_candidates(ps, r) and returns evaluate(node_values) -> (cand,
-        vals, disp), the moves, the node field at each (BIG at invalid slots)
-        and the displacements (infinite there), for any number of fields.
-        Backends override this with a slot layout fixed from r_max, which may
-        hold further invalid slots; the first slot with the least (value,
-        displacement) must hold the same move, with the same bits, as in
-        reach_candidates. An override may reuse its arrays at its next
-        placement or evaluation: an evaluate serves until the next placement.
+        reach_candidates(ps, r) and returns evaluate(node_values, part) ->
+        (cand, vals, disp) for the points ps[part] (default: all of them),
+        slot-major: the moves, the node field at each (BIG at invalid slots)
+        and the displacements (infinite there), each with the slot on axis
+        0, for any number of fields. Backends override this with a slot
+        layout fixed from r_max, which may hold further invalid slots; the
+        first slot with the least (value, displacement) must hold the same
+        move, with the same bits, as in reach_candidates. An override may
+        reuse its arrays at its next placement or evaluation: an evaluate
+        serves until the next placement.
         """
         def place(ps, r):
-            cand, disp, valid = self.reach_candidates(ps, r)
-            at = cand[valid]
+            cand, disp, valid = (np.swapaxes(a, 0, 1) for a in self.reach_candidates(ps, r))
 
-            def evaluate(node_values):
-                vals = np.full(valid.shape, BIG)
-                vals[valid] = self.interp(node_values, at)
-                return cand, vals, disp
+            def evaluate(node_values, part=slice(None)):
+                at, ok = cand[:, part], valid[:, part]
+                vals = np.full(ok.shape, BIG)
+                vals[ok] = self.interp(node_values, at[ok])
+                return at, vals, disp[:, part]
             return evaluate
         return place
 
@@ -286,46 +298,51 @@ class IntervalDomain(SpatialDomain):
         budget that overshoots r_max in its last bits (node slots past a
         ball's last node are invalid). One np.interp call evaluates the first
         three slots; node slots gather the node values, which is what np.interp
-        returns at a node coordinate. The arrays returned are (m, S) views.
+        returns at a node coordinate. The node arrays are padded with one
+        cell on each side, an infinite coordinate and the value BIG: a node
+        slot outside the grid gathers a pad cell (the gather clips its
+        index), and a slot past the ball's last node is sent to one, so an
+        invalid node slot has an infinite displacement and the value BIG.
         """
         n_ball = int(np.floor(r_max / self.dx + 1e-6)) * 2 + 2
         n_slot = 3 + n_ball
         offsets = np.arange(n_ball)[:, None]
-        signs = np.array([[-1.0], [1.0]])
+        cells = offsets + 1  # node i_lo + k is padded cell i_lo + k + 1
+        shifts = np.array([[-1e-9], [1e-9]])
+        coords = np.concatenate([[np.inf], self.coords, [np.inf]])
+        padded = np.full(self.n_nodes + 2, BIG)  # BIG, the node field, BIG
         buffers = []
 
         def place(ps, r):
             m = len(ps)
             if not buffers or buffers[0].size < n_slot * m:
-                buffers[:] = [np.empty(n_slot * m) for _ in range(3)] + [np.empty(n_slot * m, bool)]
-            cand, vals, disp, valid = (b[:n_slot * m].reshape(n_slot, m) for b in buffers)
+                buffers[:] = [np.empty(n_slot * m) for _ in range(3)]
+            cand, vals, disp = (b[:n_slot * m].reshape(n_slot, m) for b in buffers)
             cand[0] = ps
-            valid[0] = True
-            # sphere endpoints, left before right: -r + ps and r + ps are ps - r
-            # and ps + r to the bit
+            # sphere endpoints, left before right
             ends = cand[1:3]
-            np.multiply(signs, r, out=ends)
-            ends += ps
-            valid[1:3] = (ends >= self.lo - 1e-12) & (ends <= self.hi + 1e-12)
-            # nodes inside the closed ball, as reach_candidates computes them
+            np.subtract(ps, r, out=ends[0])
+            np.add(ps, r, out=ends[1])
+            ends_out = (ends < self.lo - 1e-12) | (ends > self.hi + 1e-12)
+            # nodes i_lo .. i_hi inside the closed ball, as reach_candidates
+            # computes them (adding -1e-9 is subtracting 1e-9, to the bit)
             f = (ends - self.lo) / self.dx
-            i_lo = np.ceil(f[0] - 1e-9).astype(int)
-            i_hi = np.floor(f[1] + 1e-9).astype(int)
-            np.clip(ends, self.lo, self.hi, out=ends)
-            idx = i_lo + offsets
-            safe = np.minimum(np.maximum(idx, 0), self.n_nodes - 1)
-            np.equal(safe, idx, out=valid[3:])
-            valid[3:] &= idx <= i_hi
-            cand[3:] = self.coords[safe]
-            invalid = ~valid
+            f += shifts
+            i_lo = np.ceil(f[0])
+            span = np.floor(f[1]) - i_lo  # i_hi - i_lo, exact on whole numbers
+            gather = np.where(offsets <= span, i_lo.astype(int) + cells, 0)
+            np.minimum(np.maximum(ends, self.lo, out=ends), self.hi, out=ends)  # np.clip
+            coords.take(gather, out=cand[3:], mode="clip")
             np.abs(np.subtract(cand, ps, out=disp), out=disp)
-            np.copyto(disp, np.inf, where=invalid)
+            np.copyto(disp[1:3], np.inf, where=ends_out)
 
-            def evaluate(node_values):
-                vals[:3] = self.interp(node_values, cand[:3])
-                vals[3:] = node_values[safe]
-                np.copyto(vals, BIG, where=invalid)
-                return cand.T, vals.T, disp.T
+            def evaluate(node_values, part=slice(None)):
+                out = vals[:, part]
+                out[:3] = self.interp(node_values, cand[:3, part])
+                np.copyto(out[1:3], BIG, where=ends_out[:, part])
+                padded[1:-1] = node_values
+                padded.take(gather[:, part], out=out[3:], mode="clip")
+                return cand[:, part], out, disp[:, part]
             return evaluate
         return place
 
@@ -333,8 +350,8 @@ class IntervalDomain(SpatialDomain):
         ps = np.asarray(ps, dtype=float).copy()
         tc = self.coords[self.targets]
         d = np.abs(ps[:, None] - tc[None, :])
-        j = np.argmin(d, axis=1)
-        hit = d[np.arange(len(ps)), j] <= self.dx / 2 + 1e-12
+        j = d.argmin(axis=1)
+        hit = np.minimum.reduce(d, axis=1) <= self.dx / 2 + 1e-12  # the distance at j
         ps[hit] = tc[j[hit]]
         out = np.where(hit, self.targets[j], -1)
         return ps, out
@@ -466,8 +483,10 @@ class Grid2dDomain(SpatialDomain):
         value and displacement. Short rows are padded with the node's own
         slot (displacement 0, always valid), so the node slots, their
         bilinear plan and their displacements are fixed (K, n_nodes) arrays;
-        bind(r) only places the (n_dir, n_nodes) sphere endpoints and plans
-        their interpolation in one batch.
+        a row's bind only places the (n_dir, n_nodes) sphere endpoints and
+        plans their interpolation in one batch. bind places each row of a
+        block as it is drawn: a placed row's endpoint plan takes about 0.9 MB
+        on a 1,681-node grid, so a whole block's would raise peak memory.
         """
         x = self.coords
         q, inside = self._window_nodes(x, r_max)
@@ -480,8 +499,7 @@ class Grid2dDomain(SpatialDomain):
         disp = self._metric(q - x[None, :, :])
         node_plan = self._bilinear_plan(q.reshape(-1, 2))
 
-        def bind(r):
-            r = np.broadcast_to(np.asarray(r, dtype=float), (self.n_nodes,))
+        def bind_row(r):
             node_out = disp > r + 1e-12
             ends = self._sphere_endpoints(x, r)
             end_out = ~self._in_box(ends)
@@ -495,7 +513,7 @@ class Grid2dDomain(SpatialDomain):
                 return np.minimum(np.minimum.reduce(node_vals, axis=0),
                                   np.minimum.reduce(end_vals, axis=0))
             return ball_min
-        return bind
+        return lambda rows: map(bind_row, np.asarray(rows, dtype=float))
 
     def reach_candidates(self, ps, r):
         ps = np.asarray(ps, dtype=float)

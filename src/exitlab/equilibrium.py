@@ -199,6 +199,8 @@ def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=
     epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))). Returns (epsilon,
     details) with per-atom extremes; raises CertificationError when some
     trajectory is inadmissible (beyond the dx slack) under its own field.
+    This is the standalone gate; solve_equilibrium measures every iteration
+    with optimality_gaps and gates only the mixture it returns.
     """
     config = config or EquilibriumConfig()
     if field is None:
@@ -206,12 +208,29 @@ def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=
         field = induced_speed_field(ensemble, kernel, binned)
     if phi is None:
         phi = solve_value(domain, cost, field)
+    excess = _admissibility_gate(ensemble, field, domain.dx)
+    eps, details = optimality_gaps(ensemble, kernel, domain, cost, phi)
+    details["admissibility_excess"] = excess
+    return eps, details
+
+
+def _admissibility_gate(ensemble, field, dx):
+    """admissibility_excess under the scheme's slack; raises CertificationError past it."""
     # scheme-legitimate steps reach k_max dt + dx/2 (unit CFL move plus target
     # snap), so the admissibility gate allows 1.5 dx of slack
-    excess = admissibility_excess(ensemble, field, 1.5 * domain.dx)
+    excess = admissibility_excess(ensemble, field, 1.5 * dx)
     if excess > 1e-9:
         raise CertificationError(
             f"ensemble leaves its own admissible class: step excess {excess:.3g} beyond slack")
+    return excess
+
+
+def optimality_gaps(ensemble, kernel, domain, cost, phi):
+    """Per-trajectory optimality gaps against phi, without the admissibility gate.
+
+    Returns (epsilon, details) as exploitability does, less its
+    "admissibility_excess" entry.
+    """
     r_max = float(np.max(ensemble.time_marginal(0.0).origin_distances()))
     cap = 10.0 * horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
     costs, capped = realized_costs(ensemble, cost, cap=cap)
@@ -224,7 +243,6 @@ def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=
         "max_gap": float(np.max(gaps)),
         "min_gap": float(np.min(gaps)),
         "capped_trajectories": capped,
-        "admissibility_excess": excess,
         "phi": phi,
         "gaps": gaps,
     }
@@ -265,9 +283,12 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
 
     The damping state Q_n is the weighted union of past best responses
     (Q_{n+1} = (1 - lam_n) Q_n + lam_n BR(Q_n), merged and pruned); each
-    iteration measures Q_n's exploitability against its own induced field
+    iteration measures Q_n's optimality gaps against its own induced field
     and stops once every positive-weight atom's gap is below the tolerance.
-    Non-convergence is reported, not raised.
+    Non-convergence is reported, not raised. The admissibility gate runs
+    once, after the loop, on the returned mixture and its own field (the
+    last gap pass's arguments): it raises CertificationError when some
+    trajectory of that mixture is inadmissible.
     """
     config = config or EquilibriumConfig()
     dt, n_steps, r_max, t_bound = run_grid(domain, kernel, cost, m0)
@@ -299,8 +320,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         # speed and value rows unchanged: the solve copies them
         field = induced_speed_field(mixture, kernel, binned)
         phi = solve_value(domain, cost, field, reuse=phi)
-        eps, det = exploitability(mixture, kernel, domain, cost, config=config,
-                                  field=field, phi=phi)
+        eps, det = optimality_gaps(mixture, kernel, domain, cost, phi)
         history.append({
             "iteration": n,
             "exploitability": eps,
@@ -314,6 +334,9 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
             converged = True
             break
 
+    # the one admissibility gate, on the returned mixture and its own field:
+    # the arguments of the last gap pass
+    _admissibility_gate(mixture, field, domain.dx)
     if binned_any:
         flags.append(f"marginal binning active (speed error bound "
                      f"{kernel.binning_error_bound():.6g})")

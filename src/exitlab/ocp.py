@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import BIG
+from .domain import BIG, STENCIL_ROWS
 
 STATIONARY_TOL = 1e-10  # sup-norm sweep change that ends the terminal stationary solve
 
@@ -170,18 +170,23 @@ def solve_value(domain, cost, speed, reuse=None):
     if start > n_steps:
         start = n_steps
         values[n_steps] = _stationary_slice(domain, cost, speed, stencil)
-    # rebind only where the speed slice changes (frozen fields and emptied
-    # late slices repeat); copy a row once its frozen run reaches a fixed point
+    # a new ball minimum only where the speed slice changes (frozen fields and
+    # emptied late slices repeat): row start - 1 and every changed row below
+    # it are bound, a block of rows per placement, and each row in between
+    # shares the speed row bound last. A row is copied once its frozen run
+    # reaches a fixed point.
     bits = speed.values.view(np.int64)
     changed = np.any(bits[:-1] != bits[1:], axis=1)
+    bound = np.concatenate([[start - 1], np.flatnonzero(changed[:start - 1])[::-1]])
+    ball_mins = (ball_min for lo in range(0, len(bound), STENCIL_ROWS)
+                 for ball_min in stencil(speed.values[bound[lo:lo + STENCIL_ROWS]] * dt))
     words = values.view(np.int64)
-    ball_min = None
     for j in range(start - 1, -1, -1):
+        if j == start - 1 or changed[j]:
+            ball_min = next(ball_mins)
         if not changed[j] and j + 2 <= n_steps and np.array_equal(words[j + 1], words[j + 2]):
             values[j] = values[j + 1]
             continue
-        if ball_min is None or changed[j]:
-            ball_min = stencil(speed.values[j] * dt)
         values[j] = dt + ball_min(values[j + 1])
         values[j][targets] = g_t
     return ValueField(domain, dt, values, cost, speed)
@@ -213,7 +218,7 @@ def _stationary_slice(domain, cost, speed, stencil):
     dt = speed.dt
     targets = domain.targets
     g_t = cost.node_table()[targets]
-    ball_min = stencil(speed.at_nodes(speed.n_steps) * dt)
+    (ball_min,) = stencil(speed.at_nodes(speed.n_steps)[None] * dt)
     tdist = domain.target_node_distances()
     if not np.all(np.isfinite(tdist)):
         raise OcpError("some nodes cannot reach the target; domain may be disconnected")
@@ -232,11 +237,14 @@ def _stationary_slice(domain, cost, speed, stencil):
 
 
 def _select_candidates(vals, disp):
-    """Argmin by (value, displacement, slot order); slots are direction-ordered."""
-    tie = vals == np.min(vals, axis=1)[:, None]
-    tie &= disp == np.min(np.where(tie, disp, np.inf), axis=1)[:, None]
-    best_slot = np.argmax(tie, axis=1)
-    return best_slot, vals[np.arange(len(vals)), best_slot]
+    """Argmin by (value, displacement, slot order) over slot-major (S, m) arrays.
+
+    Slots are direction-ordered. Returns each column's slot and its value.
+    """
+    tie = vals == np.minimum.reduce(vals, axis=0)
+    tie &= disp == np.minimum.reduce(np.where(tie, disp, np.inf), axis=0)
+    best_slot = tie.argmax(axis=0)
+    return best_slot, vals[best_slot, np.arange(vals.shape[1])]
 
 
 def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
@@ -244,7 +252,8 @@ def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
 
     Returns (samples, exit_indices, exit_nodes); every path starts at slice
     0. Exit positions snap to the hit target node; paths extend constantly
-    after exit.
+    after exit. Each step moves only the paths still active, and the
+    constant tails are filled once at the end.
     """
     domain = phi.domain
     dt = phi.dt
@@ -260,35 +269,35 @@ def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
     exit_idx[hit] = 0
     exit_node[hit] = tgt[hit]
     samples[:, 0] = pos
+    act = np.flatnonzero(~hit)
+    cur = pos[act]
 
     # one plan serves every step: no step's budget exceeds r_max
     place = domain.reach_plan(float(np.max(speed.values)) * dt)
     for j in range(n_steps):
-        active = np.flatnonzero(exit_idx < 0)
-        if len(active) == 0:
-            samples[:, j + 1:] = samples[:, j][:, None]
+        if len(act) == 0:
             break
-        cur = pos[active]
         r = speed.at_points(j, cur) * dt
         cand, vals, disp = place(cur, r)(phi.values[j + 1])
         slot, best_val = _select_candidates(vals, disp)
-        if np.any(best_val >= BIG / 2):
-            k = active[int(np.flatnonzero(best_val >= BIG / 2)[0])]
-            raise SynthesisStall(f"no admissible move from {pos[k]} at step {j}")
-        new = cand[np.arange(len(active)), slot]
-        snapped, tgt = domain.snap_to_target(new)
-        pos[active] = snapped
+        stalled = best_val >= BIG / 2
+        if stalled.any():
+            raise SynthesisStall(f"no admissible move from {cur[stalled.argmax()]} at step {j}")
+        cur, tgt = domain.snap_to_target(cand[slot, np.arange(len(act))])
+        samples[act, j + 1] = cur
         hit = tgt >= 0
-        exit_idx[active[hit]] = j + 1
-        exit_node[active[hit]] = tgt[hit]
-        samples[:, j + 1] = pos
-    if raise_on_stall:
-        stuck = np.flatnonzero(exit_idx < 0)
-        if len(stuck) > 0:
-            k = int(stuck[0])
-            raise SynthesisStall(
-                f"synthesis stall: trajectory from {pts[k]} never reached "
-                f"the target within the horizon (stall position {pos[k]})")
+        if hit.any():
+            exit_idx[act[hit]] = j + 1
+            exit_node[act[hit]] = tgt[hit]
+            act, cur = act[~hit], cur[~hit]
+    if raise_on_stall and len(act) > 0:
+        raise SynthesisStall(
+            f"synthesis stall: trajectory from {pts[act[0]]} never reached "
+            f"the target within the horizon (stall position {cur[0]})")
+    # after exit a path stays at its exit position
+    last = np.where(exit_idx >= 0, exit_idx, n_steps)
+    tail = (np.arange(n_steps + 1) > last[:, None]).reshape((m, n_steps + 1) + (1,) * (pts.ndim - 1))
+    np.copyto(samples, samples[np.arange(m), last][:, None], where=tail)
     return samples, exit_idx, exit_node
 
 

@@ -490,7 +490,12 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
     path lies under initial_measure., the unswept template also runs as the
     reference (run directory reference/), and stability_report.json holds
     each member's stability quantities against it.
+
+    out_root must be absent or empty: a sweep refuses, with FileExistsError,
+    to write beside the directories of another run.
     """
+    if os.path.isdir(out_root) and os.listdir(out_root):
+        raise FileExistsError(f"sweep output directory {out_root} is not empty")
     os.makedirs(out_root, exist_ok=True)
     names = sorted(param_values)
     combos = [()]

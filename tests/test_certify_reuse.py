@@ -136,28 +136,57 @@ def test_moving_step_excess_matches_full_scan(backend):
 
 
 def test_execute_measures_the_final_mixture_once(monkeypatch):
-    """The ledger's certificate is the loop's last exploitability pass; only
-    the Lipschitz check reads the final ensemble's step lengths."""
+    """The loop measures gaps only; the ledger's certificate is its last gap
+    pass, the one admissibility gate reads the returned mixture on its own
+    field, and only the Lipschitz check reads its step lengths."""
     from exitlab import equilibrium as eq, runner
     from exitlab.scenarios import load_scenario
 
-    passes, scans = [], []
-    plain_exploitability, plain_steps = eq.exploitability, TrajectoryEnsemble.step_lengths
+    passes, gates, scans = [], [], []
+    plain_gaps, plain_gate = eq.optimality_gaps, eq.admissibility_excess
+    plain_steps = TrajectoryEnsemble.step_lengths
 
-    def counted_exploitability(*args, **kwargs):
+    def counted_gaps(*args, **kwargs):
         passes.append(args[0])
-        return plain_exploitability(*args, **kwargs)
+        return plain_gaps(*args, **kwargs)
+
+    def counted_gate(ensemble, speed, slack):
+        gates.append((ensemble, speed))
+        return plain_gate(ensemble, speed, slack)
 
     def counted_steps(self):
         scans.append(self)
         return plain_steps(self)
 
-    monkeypatch.setattr(eq, "exploitability", counted_exploitability)
+    monkeypatch.setattr(eq, "optimality_gaps", counted_gaps)
+    monkeypatch.setattr(eq, "admissibility_excess", counted_gate)
     monkeypatch.setattr(TrajectoryEnsemble, "step_lengths", counted_steps)
     bundle = runner.execute(load_scenario("congested_corridor") | {"equilibrium": {
         "max_iterations": 3, "damping": {"rule": "constant", "value": 0.4}}})
     report = bundle["equilibrium"]
     assert report.iterations == 3 and len(passes) == 3 and passes[-1] is report.final_ensemble
+    assert len(gates) == 1
+    assert gates[0][0] is report.final_ensemble and gates[0][1] is report.final_phi.speed
     assert scans == [report.final_ensemble]
     assert bundle["certification"] is report.certification
     assert report.certification["epsilon"] == report.exploitability
+
+
+def test_a_speeding_best_response_fails_the_solve(monkeypatch):
+    """A candidate that jumps to the exit in one step stays in the returned
+    mixture, and the gate after the loop rejects it."""
+    from exitlab import equilibrium as eq
+
+    dom, cost, kernel, m0, extra = interval_game()
+    plain = eq.synthesize_batch
+
+    def speeding(phi, speed, start_points):
+        samples, exits, nodes = plain(phi, speed, start_points)
+        samples[0, 1:] = dom.coords[dom.targets[0]]
+        exits[0], nodes[0] = 1, dom.targets[0]
+        return samples, exits, nodes
+
+    monkeypatch.setattr(eq, "synthesize_batch", speeding)
+    config = EquilibriumConfig(damping="constant", damping_value=0.4, max_iterations=3, **extra)
+    with pytest.raises(CertificationError, match="leaves its own admissible class"):
+        solve_equilibrium(m0, kernel, dom, cost, config)

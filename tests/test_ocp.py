@@ -341,7 +341,7 @@ def test_select_candidates_matches_sequential_loop(seed):
     invalid[:8] = True  # rows with no valid slot at all
     vals[invalid] = BIG
     disp[invalid] = np.inf
-    slot, best = _select_candidates(vals, disp)
+    slot, best = _select_candidates(vals.T, disp.T)  # slot-major, as plans return them
     ref_slot, ref_best = sequential_select(vals, disp)
     assert np.array_equal(slot, ref_slot)
     assert np.array_equal(best.view(np.int64), ref_best.view(np.int64))

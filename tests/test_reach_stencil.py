@@ -10,7 +10,7 @@ also reproduce.
 import numpy as np
 import pytest
 
-from exitlab.domain import BIG, GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.domain import BIG, STENCIL_ROWS, GraphDomain, Grid2dDomain, IntervalDomain
 
 K_MIN, K_MAX = 0.2, 1.0
 
@@ -37,7 +37,7 @@ def check_stencil(domain, border, cfl, seed):
     stencil = domain.reach_stencil(K_MAX * dt)
     for _ in range(3):
         r = budgets(domain, dt, rng, border)
-        ball_min = stencil(r)
+        (ball_min,) = stencil(r[None])
         # one bound stencil serves several fields; three levels make ties
         for values in (rng.uniform(0.0, 2.0, domain.n_nodes),
                        rng.uniform(0.0, 2.0, domain.n_nodes),
@@ -111,3 +111,36 @@ def test_graph_default_stencil_matches_candidates():
     dom = GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)],
                       targets=[2, 4], origin=0)
     check_stencil(dom, [0, 4], 1.0, seed=3)
+
+
+BLOCK_DOMAINS = {
+    "interval": lambda: IntervalDomain(0.0, 1.0, 0.008, targets=[1.0], origin=0.0),
+    "grid4": lambda: grid(4),
+    "grid8": lambda: grid(8),
+    "graph": lambda: GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)],
+                                 targets=[2, 4], origin=0),
+}
+
+
+@pytest.mark.parametrize("cfl", [1.0, 2.5])
+@pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
+def test_a_block_bind_equals_per_row_binds(name, cfl):
+    """bind over a block of budget rows, some repeated, yields each row's ball
+    minimum as a bind of that row alone does."""
+    dom = BLOCK_DOMAINS[name]()
+    rng = np.random.default_rng(len(name) + int(10 * cfl))
+    dt = cfl * dom.dx / K_MAX
+    stencil = dom.reach_stencil(K_MAX * dt)
+    fields = (rng.uniform(0.0, 2.0, dom.n_nodes), rng.choice([0.0, 0.5, 1.0], dom.n_nodes))
+    for n_rows in (1, 5, STENCIL_ROWS):
+        rows = rng.uniform(K_MIN * dt, K_MAX * dt, (n_rows, dom.n_nodes))
+        rows[rng.random(rows.shape) < 0.2] = K_MAX * dt
+        block = rows[np.sort(rng.integers(0, n_rows, n_rows))]  # runs of repeated rows
+        # a ball_min serves until the next bind: evaluate each as it is drawn
+        got = [[ball_min(v) for v in fields] for ball_min in stencil(block)]
+        assert len(got) == n_rows
+        for row, mins in zip(block, got):
+            (ball_min,) = stencil(row[None])
+            for values, block_min in zip(fields, mins):
+                want = ball_min(values)
+                assert np.array_equal(block_min.view(np.int64), want.view(np.int64))

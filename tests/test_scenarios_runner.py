@@ -546,6 +546,49 @@ def test_cli_sweep_param_parsing(tmp_path):
     assert len(report["members"]) == 2
 
 
+def test_cli_sweep_param_takes_json_lists(tmp_path):
+    """A value list that parses as JSON keeps its commas inside list values."""
+    cfg = load_scenario("remark_5_13")
+    cfg["initial_measure"] = {"kind": "uniform", "support": [0.1, 0.2], "count": 3}
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "sw"),
+                     "--param", "initial_measure.support=[0.1,0.2],[0.7,0.8]"])
+    assert code == 0
+    members = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())["members"]
+    assert [m["params"]["initial_measure.support"] for m in members] == [[0.1, 0.2], [0.7, 0.8]]
+    assert [m["status"] for m in members] == [0, 0]
+    assert [m["m_infinity"] for m in members] == [[[0.0, 1.0]], [[1.0, 1.0]]]
+    # a list that is no JSON is split at every comma, as before
+    assert cli._parse_param_values("0.3,abc") == [0.3, "abc"]
+
+
+def test_sweep_refuses_a_non_empty_output_directory(tmp_path, capsys):
+    out = tmp_path / "sw"
+    out.mkdir()  # an existing empty directory is accepted
+    runner.sweep("remark_5_13", {"initial_measure.location": [0.3]}, str(out))
+    before = sorted(os.listdir(out))
+    with pytest.raises(FileExistsError, match=f"{out} is not empty"):
+        runner.sweep("remark_5_13", {"equilibrium.tolerance": [0.02]}, str(out))
+    assert sorted(os.listdir(out)) == before
+    code = cli.main(["sweep", "remark_5_13", "--out", str(out),
+                     "--param", "equilibrium.tolerance=0.02"])
+    assert code == runner.STATUS_VALIDATION
+    assert f"{out} is not empty" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == before
+
+
+def test_cli_sweep_default_output_is_a_fresh_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EXITLAB_OUT", str(tmp_path))
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "stale.txt").write_text("an earlier sweep")
+    for want in ("sweep-2", "sweep-3"):
+        assert cli.main(["sweep", "remark_5_13", "--param", "initial_measure.location=0.3"]) == 0
+        assert f"sweep directory: {tmp_path / want} (1 members)" in capsys.readouterr().out
+        assert (tmp_path / want / "sweep_report.json").exists()
+    assert os.listdir(tmp_path / "sweep") == ["stale.txt"]
+
+
 @pytest.mark.parametrize("params, expected", [
     (["--param", "equilibrium.tolerance"], "bad --param 'equilibrium.tolerance'"),
     ([], "at least one --param"),

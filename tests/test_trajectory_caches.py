@@ -2,10 +2,11 @@
 
 TrajectoryEnsemble carries node_indices and row_keys through mix; the binned
 field reads the node indices in one np.bincount per block of slices;
-synthesize_batch evaluates candidate moves through the backend's reach_plan.
-Each reference below is a kept copy of the code before these caches, and
-every comparison is bit for bit. merged and pruned below define mix:
-concatenate, then merge, then prune.
+synthesize_batch evaluates candidate moves through the backend's reach_plan,
+slot-major, and moves only the paths still active. Each reference below is
+a kept copy of the code before these changes, and every comparison is bit
+for bit. merged and pruned below define mix: concatenate, then merge, then
+prune.
 """
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from exitlab.congestion import CongestionKernel, Eta, Kappa, Chi
 from exitlab.domain import BIG, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import _slice_histograms, field_from_marginals
 from exitlab.measures import TrajectoryEnsemble
-from exitlab.ocp import SpeedField, ValueField, _select_candidates, synthesize_batch
+from exitlab.ocp import (SpeedField, SynthesisStall, ValueField, _select_candidates,
+                         synthesize_batch)
 
 
 def interval():
@@ -80,6 +82,14 @@ def histogram_reference(domain, positions, weights):
     return hist
 
 
+def select_rows_reference(vals, disp):
+    """_select_candidates before slot-major plans: argmin over (m, S) rows."""
+    tie = vals == np.min(vals, axis=1)[:, None]
+    tie &= disp == np.min(np.where(tie, disp, np.inf), axis=1)[:, None]
+    best_slot = np.argmax(tie, axis=1)
+    return best_slot, vals[np.arange(len(vals)), best_slot]
+
+
 def synthesize_reference(phi, speed, start_points):
     """synthesize_batch before the plan: reach_candidates and a masked interp per step."""
     domain = phi.domain
@@ -104,7 +114,7 @@ def synthesize_reference(phi, speed, start_points):
         cand, disp, valid = domain.reach_candidates(cur, r)
         vals = np.full(valid.shape, BIG)
         vals[valid] = domain.interp(phi.values[j + 1], cand[valid])
-        slot, _ = _select_candidates(vals, disp)
+        slot, _ = select_rows_reference(vals, disp)
         new = cand[np.arange(len(active)), slot]
         snapped, tgt = domain.snap_to_target(new)
         pos[active] = snapped
@@ -112,6 +122,51 @@ def synthesize_reference(phi, speed, start_points):
         exit_idx[active[hit]] = j + 1
         exit_node[active[hit]] = tgt[hit]
         samples[:, j + 1] = pos
+    return samples, exit_idx, exit_node
+
+
+def synthesize_loop_reference(phi, speed, start_points, raise_on_stall=True):
+    """synthesize_batch before the compact active set: every row written every
+    step, (m, S) candidate arrays, masked writes for the exited rows."""
+    domain = phi.domain
+    dt, n_steps = phi.dt, phi.n_steps
+    pts = domain.as_points(start_points)
+    m = len(pts)
+    samples = np.empty((m, n_steps + 1) + pts.shape[1:])
+    exit_idx = np.full(m, -1, dtype=int)
+    exit_node = np.full(m, -1, dtype=int)
+    pos, tgt = domain.snap_to_target(pts)
+    hit = tgt >= 0
+    exit_idx[hit] = 0
+    exit_node[hit] = tgt[hit]
+    samples[:, 0] = pos
+    place = domain.reach_plan(float(np.max(speed.values)) * dt)
+    for j in range(n_steps):
+        active = np.flatnonzero(exit_idx < 0)
+        if len(active) == 0:
+            samples[:, j + 1:] = samples[:, j][:, None]
+            break
+        cur = pos[active]
+        r = speed.at_points(j, cur) * dt
+        cand, vals, disp = (np.swapaxes(a, 0, 1) for a in place(cur, r)(phi.values[j + 1]))
+        slot, best_val = select_rows_reference(vals, disp)
+        if np.any(best_val >= BIG / 2):
+            k = active[int(np.flatnonzero(best_val >= BIG / 2)[0])]
+            raise SynthesisStall(f"no admissible move from {pos[k]} at step {j}")
+        new = cand[np.arange(len(active)), slot]
+        snapped, tgt = domain.snap_to_target(new)
+        pos[active] = snapped
+        hit = tgt >= 0
+        exit_idx[active[hit]] = j + 1
+        exit_node[active[hit]] = tgt[hit]
+        samples[:, j + 1] = pos
+    if raise_on_stall:
+        stuck = np.flatnonzero(exit_idx < 0)
+        if len(stuck) > 0:
+            k = int(stuck[0])
+            raise SynthesisStall(
+                f"synthesis stall: trajectory from {pts[k]} never reached "
+                f"the target within the horizon (stall position {pos[k]})")
     return samples, exit_idx, exit_node
 
 
@@ -342,6 +397,44 @@ def test_synthesis_plan_matches_per_step_candidates(make, levels):
     assert np.any(got[1] > 0)
 
 
+def synthesized_or_stall(synthesize, phi, speed, pts, raise_on_stall):
+    try:
+        return synthesize(phi, speed, pts, raise_on_stall=raise_on_stall)
+    except SynthesisStall as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n_slices", [40, 4])
+@pytest.mark.parametrize("make", BACKENDS)
+def test_synthesis_equals_the_full_width_loop(make, n_slices):
+    """The compact active set and slot-major selection change no bit, and
+    stall where the full-width loop stalls, with its message."""
+    dom = make()
+    rng = np.random.default_rng(n_slices)
+    dt = dom.dx
+    speed = random_speed(dom, dt, n_slices, rng)
+    pts = start_points(dom, rng)
+    fields = {levels: tied_value(dom, n_slices, rng, levels) for levels in (3, 1000)}
+    fields["inadmissible"] = np.full((n_slices, dom.n_nodes), BIG)  # no move is admissible
+    stalls = []
+    for values in fields.values():
+        phi = ValueField(dom, dt, values)
+        for raise_on_stall in (True, False):
+            got = synthesized_or_stall(synthesize_batch, phi, speed, pts, raise_on_stall)
+            want = synthesized_or_stall(synthesize_loop_reference, phi, speed, pts,
+                                        raise_on_stall)
+            if isinstance(want, str):
+                stalls.append(want)
+                assert got == want
+                continue
+            assert _bits(got[0]) == _bits(want[0])
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    # every backend stalls on the inadmissible field; the short horizon also
+    # leaves paths short of the target
+    assert any(m.startswith("no admissible move") for m in stalls)
+    assert n_slices > 4 or any(m.startswith("synthesis stall") for m in stalls)
+
+
 @pytest.mark.parametrize("make", [interval, grid])
 def test_reach_plan_selects_the_reach_candidates_move(make):
     dom = make()
@@ -353,16 +446,16 @@ def test_reach_plan_selects_the_reach_candidates_move(make):
     # budgets from near zero to r_max, and r_max overshot in its last bit
     for r in (rng.uniform(0.0, r_max, len(pts)), np.full(len(pts), r_max),
               np.full(len(pts), np.nextafter(r_max, np.inf)), np.full(len(pts), 0.2 * dom.dx)):
-        cand, vals, disp = place(pts, r)(node_values)
+        cand, vals, disp = place(pts, r)(node_values)  # slot-major
         slot, best = _select_candidates(vals, disp)
         ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
         ref_vals = np.full(valid.shape, BIG)
         ref_vals[valid] = dom.interp(node_values, ref_cand[valid])
-        ref_slot, ref_best = _select_candidates(ref_vals, ref_disp)
+        ref_slot, ref_best = select_rows_reference(ref_vals, ref_disp)
         rows = np.arange(len(pts))
-        assert _bits(cand[rows, slot]) == _bits(ref_cand[rows, ref_slot])
+        assert _bits(cand[slot, rows]) == _bits(ref_cand[rows, ref_slot])
         assert _bits(best) == _bits(ref_best)
-        assert _bits(disp[rows, slot]) == _bits(ref_disp[rows, ref_slot])
+        assert _bits(disp[slot, rows]) == _bits(ref_disp[rows, ref_slot])
         assert np.array_equal(np.isinf(disp), vals == BIG)
 
 
@@ -382,11 +475,11 @@ def test_interval_plan_has_room_for_a_budget_one_ulp_over_r_max():
     cand, vals, disp = dom.reach_plan(r_max)(pts, r)(node_values)
     slot, _ = _select_candidates(vals, disp)
     ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
-    ref_slot, _ = _select_candidates(np.where(valid, dom.interp(node_values, ref_cand), BIG),
-                                     ref_disp)
+    ref_slot, _ = select_rows_reference(np.where(valid, dom.interp(node_values, ref_cand), BIG),
+                                        ref_disp)
     rows = np.arange(len(pts))
-    assert _bits(cand[rows, slot]) == _bits(ref_cand[rows, ref_slot])
+    assert _bits(cand[slot, rows]) == _bits(ref_cand[rows, ref_slot])
     # the right neighbour sits in the third node slot, and wins, for some points
     right = valid[:, 5] & (ref_slot == 5)
     assert ref_cand.shape[1] == 7 and np.any(right)
-    assert np.array_equal(cand[right, slot[right]], dom.coords[2:][right])
+    assert np.array_equal(cand[slot[right], rows[right]], dom.coords[2:][right])

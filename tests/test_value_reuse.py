@@ -13,7 +13,7 @@ import pytest
 
 from exitlab import equilibrium as eq
 from exitlab.congestion import CongestionKernel, Chi, Eta, Kappa
-from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.domain import STENCIL_ROWS, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
 from exitlab.ocp import SpeedField, ValueField, solve_value, synthesize_batch
 
@@ -58,7 +58,7 @@ def solve_value_reference(domain, cost, speed):
     g_t = cost.node_table()[targets]
     stencil = domain.reach_stencil(float(np.max(speed.values)) * dt)
     k_bound = speed.at_nodes(n_steps)
-    ball_min = stencil(k_bound * dt)
+    (ball_min,) = stencil((k_bound * dt)[None])
     tdist = domain.target_node_distances()
     phi = tdist * domain.geodesic_constant / speed.k_min + cost.max_cost
     phi[targets] = g_t
@@ -76,7 +76,7 @@ def solve_value_reference(domain, cost, speed):
     for j in range(n_steps - 1, -1, -1):
         if not np.array_equal(speed.at_nodes(j), k_bound):
             k_bound = speed.at_nodes(j)
-            ball_min = stencil(k_bound * dt)
+            (ball_min,) = stencil((k_bound * dt)[None])
         values[j] = dt + ball_min(values[j + 1])
         values[j][targets] = g_t
     return values
@@ -126,21 +126,25 @@ def field(domain, values, dt=None, k_min=K_MIN):
     return SpeedField(domain, dt, values, (k_min, K_MAX))
 
 
-def count_ball_mins(domain, monkeypatch):
-    """Count the reach-ball minima domain's stencils evaluate from now on."""
+def count_ball_mins(domain, monkeypatch, binds=None):
+    """Count the reach-ball minima domain's stencils evaluate from now on.
+
+    binds, when given, receives the number of rows of every bind.
+    """
     calls = []
     make = domain.reach_stencil
 
     def reach_stencil(r_max):
         bind = make(r_max)
 
-        def counted_bind(r):
-            ball_min = bind(r)
-
-            def counted(node_values):
-                calls.append(1)
-                return ball_min(node_values)
-            return counted
+        def counted_bind(rows):
+            if binds is not None:
+                binds.append(len(rows))
+            for ball_min in bind(rows):
+                def counted(node_values, ball_min=ball_min):
+                    calls.append(1)
+                    return ball_min(node_values)
+                yield counted
         return counted_bind
 
     monkeypatch.setattr(domain, "reach_stencil", reach_stencil)
@@ -241,6 +245,23 @@ def test_no_reuse_across_dt_k_min_cost_or_shape(make, monkeypatch):
         del calls[:]
         assert_bits_equal(solve_value(dom, cost, base, reuse=reuse).values, old.values)
         assert len(calls) > base.n_steps
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_changed_rows_are_placed_a_block_at_a_time(make, monkeypatch):
+    dom = make()
+    cost = ExitCost.zero(dom)
+    speed = field(dom, speed_values(dom, np.random.default_rng(15), n_slices=150))
+    fresh = solve_value_reference(dom, cost, speed)
+    binds = []
+    count_ball_mins(dom, monkeypatch, binds)
+    assert_bits_equal(solve_value(dom, cost, speed).values, fresh)
+    # the stationary row alone, then the first recursion row and every row
+    # whose speed differs from the row above, STENCIL_ROWS at a time
+    bits = speed.values.view(np.int64)
+    rows = 1 + int(np.count_nonzero(np.any(bits[:-2] != bits[1:-1], axis=1)))
+    assert rows == 143
+    assert binds == [1, STENCIL_ROWS, STENCIL_ROWS, rows - 2 * STENCIL_ROWS]
 
 
 # ---- fixed-point rows -----------------------------------------------------
