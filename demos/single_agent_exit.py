@@ -33,7 +33,7 @@ starts = np.array([0.15, 0.5, 0.85])
 samples, exit_idx, exit_node = synthesize_batch(phi, field, starts)
 paths = TrajectoryEnsemble(domain, dt, samples, np.full(len(starts), 1 / len(starts)),
                            exit_indices=exit_idx, exit_nodes=exit_node)
-realized, _ = realized_costs(paths, cost)
+realized = realized_costs(paths, cost)
 residual = check_dpp(phi, samples, exit_idx)["max_equality_residual"]
 for k, x0 in enumerate(starts):
     print(f"start {x0:.2f}: exit at {domain.coords[exit_node[k]]:.0f} "

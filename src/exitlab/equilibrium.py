@@ -34,7 +34,6 @@ class EquilibriumConfig:
     damping: str = "fictitious_play"  # or "constant"
     damping_value: float = 0.5
     exploitability_tol: float = 0.02
-    marginal_binning: str = "auto"  # "on" | "off" | "auto"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -139,11 +138,8 @@ def _slice_histograms(nodes, weights, n_nodes, last=None):
     return hist
 
 
-def _use_binning(config, n_traj, n_slices, n_nodes):
-    if config.marginal_binning == "on":
-        return True
-    if config.marginal_binning == "off":
-        return False
+def _use_binning(n_traj, n_slices, n_nodes):
+    """The size rule: bin the marginals when n_traj * n_slices * n_nodes > BINNING_WORK_CAP."""
     return n_traj * n_slices * n_nodes > BINNING_WORK_CAP
 
 
@@ -164,14 +160,11 @@ def frozen_field(m0, kernel, dt, n_steps):
     return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
 
 
-def realized_costs(ensemble, cost, cap=None):
-    """Exit time plus exit cost per trajectory; non-exits get capped + flagged."""
-    exited = ensemble.exit_indices >= 0
+def realized_costs(ensemble, cost):
+    """Exit time plus exit cost per trajectory; +inf where a trajectory never exits."""
     nodes = ensemble.exit_nodes
     g = np.where(nodes >= 0, cost.node_table()[nodes], np.inf)
-    out = ensemble.exit_indices * ensemble.dt + g
-    out[~exited] = np.inf if cap is None else cap
-    return out, int(np.count_nonzero(~exited))
+    return np.where(ensemble.exit_indices >= 0, ensemble.exit_indices * ensemble.dt + g, np.inf)
 
 
 def admissibility_excess(ensemble, speed, slack):
@@ -193,7 +186,7 @@ def admissibility_excess(ensemble, speed, slack):
     return worst
 
 
-def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=None):
+def exploitability(ensemble, kernel, domain, cost):
     """Weighted optimality gap of an ensemble against its own induced field.
 
     epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))). Returns (epsilon,
@@ -202,14 +195,11 @@ def exploitability(ensemble, kernel, domain, cost, config=None, field=None, phi=
     This is the standalone gate; solve_equilibrium measures every iteration
     with optimality_gaps and gates only the mixture it returns.
     """
-    config = config or EquilibriumConfig()
-    if field is None:
-        binned = _use_binning(config, ensemble.n_traj, ensemble.n_steps + 1, domain.n_nodes)
-        field = induced_speed_field(ensemble, kernel, binned)
-    if phi is None:
-        phi = solve_value(domain, cost, field)
+    binned = _use_binning(ensemble.n_traj, ensemble.n_steps + 1, domain.n_nodes)
+    field = induced_speed_field(ensemble, kernel, binned)
+    phi = solve_value(domain, cost, field)
     excess = _admissibility_gate(ensemble, field, domain.dx)
-    eps, details = optimality_gaps(ensemble, kernel, domain, cost, phi)
+    eps, details = optimality_gaps(ensemble, cost, phi)
     details["admissibility_excess"] = excess
     return eps, details
 
@@ -225,24 +215,21 @@ def _admissibility_gate(ensemble, field, dx):
     return excess
 
 
-def optimality_gaps(ensemble, kernel, domain, cost, phi):
+def optimality_gaps(ensemble, cost, phi):
     """Per-trajectory optimality gaps against phi, without the admissibility gate.
 
     Returns (epsilon, details) as exploitability does, less its
-    "admissibility_excess" entry.
+    "admissibility_excess" entry. A trajectory that never exits has gap +inf,
+    so a positive weight on it fails the certificate.
     """
-    r_max = float(np.max(ensemble.time_marginal(0.0).origin_distances()))
-    cap = 10.0 * horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
-    costs, capped = realized_costs(ensemble, cost, cap=cap)
-    starts = ensemble.samples[:, 0]
-    base = phi.at_points(0, starts)
-    gaps = costs - base
-    eps = float(np.sum(ensemble.weights * gaps))
+    gaps = realized_costs(ensemble, cost) - phi.at_points(0, ensemble.samples[:, 0])
+    w = ensemble.weights
+    # a zero-weight row adds nothing to epsilon, also when its gap is +inf
+    eps = float(np.sum(np.multiply(w, gaps, out=np.zeros_like(gaps), where=w > 0)))
     details = {
         "epsilon": eps,
         "max_gap": float(np.max(gaps)),
         "min_gap": float(np.min(gaps)),
-        "capped_trajectories": capped,
         "phi": phi,
         "gaps": gaps,
     }
@@ -262,11 +249,10 @@ def _certificate(weights, details, tol):
         "max_gap": max_gap,
         "min_gap": details["min_gap"],
         "tol": tol,
-        "capped_trajectories": details["capped_trajectories"],
     }
 
 
-def certify(ensemble, kernel, domain, cost, tol, config=None):
+def certify(ensemble, kernel, domain, cost, tol):
     """Weak / strong equilibrium flags at tolerance tol.
 
     weak: weighted exploitability <= tol. strong: every positive-weight
@@ -274,7 +260,7 @@ def certify(ensemble, kernel, domain, cost, tol, config=None):
     designed to coincide at the solver's stopping rule. solve_equilibrium
     builds the same flags from its last iteration (EquilibriumReport.certification).
     """
-    _, details = exploitability(ensemble, kernel, domain, cost, config=config)
+    _, details = exploitability(ensemble, kernel, domain, cost)
     return _certificate(ensemble.weights, details, tol)
 
 
@@ -314,13 +300,13 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
             mixture = candidate
         else:
             mixture = mixture.mix(candidate, config.weight(n), PRUNE_DEFAULT)
-        binned = _use_binning(config, mixture.n_traj, n_steps + 1, domain.n_nodes)
+        binned = _use_binning(mixture.n_traj, n_steps + 1, domain.n_nodes)
         binned_any = binned_any or binned
         # the mixture's settled tail leaves the previous solve's trailing
         # speed and value rows unchanged: the solve copies them
         field = induced_speed_field(mixture, kernel, binned)
         phi = solve_value(domain, cost, field, reuse=phi)
-        eps, det = optimality_gaps(mixture, kernel, domain, cost, phi)
+        eps, det = optimality_gaps(mixture, cost, phi)
         history.append({
             "iteration": n,
             "exploitability": eps,
@@ -340,9 +326,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
     if binned_any:
         flags.append(f"marginal binning active (speed error bound "
                      f"{kernel.binning_error_bound():.6g})")
-    if det["capped_trajectories"]:
-        flags.append(f"{det['capped_trajectories']} non-exiting trajectories "
-                     f"capped at 10*T(R_max)")
 
     report = EquilibriumReport(
         final_ensemble=mixture,

@@ -333,7 +333,7 @@ def persist(bundle, run_dir):
                       ((0 <= e) & (e <= t_idx)).ravel().astype(int)])
         files.append("trajectories.csv")
 
-        costs, _ = eq.realized_costs(ens, bundle["cost"], cap=None)
+        costs = eq.realized_costs(ens, bundle["cost"])
         exit_time = np.where(ens.exit_indices >= 0, ens.exit_indices * ens.dt, np.nan)
         _write_table(os.path.join(run_dir, "trajectory_summary.csv"),
                      ["particle_id", "weight"] + [f"start_{c}" for c in coord_cols]
@@ -562,7 +562,7 @@ def _stability_quantities(bundle, ref):
         limit_distance, _ = asy.transport_distance(
             _on_domain(domain, report.m_infinity), ref_report.m_infinity, 1)
     # realized costs against the reference's value at the member's starts
-    costs, _ = eq.realized_costs(ens, bundle["cost"], cap=10.0 * ref_report.t_bound)
+    costs = eq.realized_costs(ens, bundle["cost"])
     base = ref_report.final_phi.at_points(0, ens.samples[:, 0])
     return {
         "perturbation": asy.transport_distance(_on_domain(domain, bundle["m0"]),

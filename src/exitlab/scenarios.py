@@ -24,8 +24,10 @@ KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
 # the parameters a kernel family reads with a default, besides its required ones
 KERNEL_DEFAULTED = {"chi": {family: ("amplitude", "value") for family in Chi.required},
                     "eta": {"constant": ("value",)}}
-# the exit-cost keys besides kind and lipschitz that each kind reads
+# the exit-cost keys besides kind that each kind reads
 COST_READS = {"zero": set(), "constant": {"value"}, "table": {"entries"}}
+# the report-time keys besides kind that each grid kind reads
+REPORT_TIME_READS = {"linear": {"start", "stop", "step"}, "log": {"start", "stop", "count"}}
 
 
 class ScenarioError(ValueError):
@@ -131,10 +133,10 @@ def validate_config(cfg):
         _require_number(dom.get("dx"), "domain.dx", positive=True)
 
     cost = out.setdefault("exit_cost", {"kind": "zero"})
-    _require(cost, {"kind", "value", "entries", "lipschitz"}, "exit_cost")
+    _require(cost, {"kind", "value", "entries"}, "exit_cost")
     if cost.get("kind") not in COST_READS:
         raise ScenarioError(f"unknown exit_cost kind {cost.get('kind')!r}")
-    unread = sorted(set(cost) - {"kind", "lipschitz"} - COST_READS[cost["kind"]])
+    unread = sorted(set(cost) - {"kind"} - COST_READS[cost["kind"]])
     if unread:
         raise ScenarioError(f"exit_cost.{unread[0]} is not read with kind {cost['kind']!r}")
     if cost["kind"] == "constant":
@@ -148,14 +150,6 @@ def validate_config(cfg):
         for k, (node, value) in enumerate(entries):
             _require_node(node, dom["kind"], f"exit_cost.entries[{k}][0]")
             _require_number(value, f"exit_cost.entries[{k}][1]")
-    if cost.get("lipschitz") is not None:
-        if cost["kind"] != "table":  # the other kinds derive their constant
-            raise ScenarioError(f"exit_cost.lipschitz is read only with kind 'table', "
-                                f"got kind {cost['kind']!r}")
-        _require_number(cost["lipschitz"], "exit_cost.lipschitz")
-        if cost["lipschitz"] < 0:
-            raise ScenarioError(f"exit_cost.lipschitz must not be negative, "
-                                f"got {cost['lipschitz']!r}")
 
     ker = out.get("kernel")
     if not isinstance(ker, dict):
@@ -213,7 +207,6 @@ def validate_config(cfg):
     eq.setdefault("damping", {"rule": "fictitious_play"})
     _require(eq["damping"], {"rule", "value"}, "equilibrium.damping")
     eq.setdefault("tolerance", 0.02)
-    eq.setdefault("marginal_binning", "auto")
     _require_number(eq["max_iterations"], "equilibrium.max_iterations", integer=True, positive=True)
     _require_number(eq["tolerance"], "equilibrium.tolerance", positive=True)
     _require_choice(eq["damping"].get("rule"), ("fictitious_play", "constant"),
@@ -226,7 +219,8 @@ def validate_config(cfg):
     elif "value" in eq["damping"]:
         raise ScenarioError(f"equilibrium.damping.value is read only with rule 'constant', "
                             f"got rule {eq['damping']['rule']!r}")
-    _require_choice(eq["marginal_binning"], ("auto", "on", "off"), "equilibrium.marginal_binning")
+    if "marginal_binning" in eq:  # binning is the size rule; "auto" is its only name
+        _require_choice(eq["marginal_binning"], ("auto",), "equilibrium.marginal_binning")
 
     asym = out.setdefault("asymptotics", {})
     _require(asym, {"p", "report_times", "rate_fit"}, "asymptotics")
@@ -236,7 +230,12 @@ def validate_config(cfg):
     rt = asym["report_times"]
     if isinstance(rt, dict):
         _require(rt, {"kind", "start", "stop", "step", "count"}, "asymptotics.report_times")
-        _require_choice(rt.get("kind", "linear"), ("linear", "log"), "asymptotics.report_times.kind")
+        kind = rt.get("kind", "linear")
+        _require_choice(kind, tuple(REPORT_TIME_READS), "asymptotics.report_times.kind")
+        unread = sorted(set(rt) - {"kind"} - REPORT_TIME_READS[kind])
+        if unread:
+            raise ScenarioError(f"asymptotics.report_times.{unread[0]} is not read "
+                                f"with kind {kind!r}")
         for key in ("start", "stop", "step", "count"):
             if rt.get(key) is not None:
                 _require_number(rt[key], f"asymptotics.report_times.{key}",
@@ -245,7 +244,7 @@ def validate_config(cfg):
         stop = rt.get("stop")
         if start < 0:
             raise ScenarioError(f"asymptotics.report_times.start must not be negative, got {start!r}")
-        if stop is not None and (stop < start or (rt.get("kind") == "log" and stop <= 0)):
+        if stop is not None and (stop < start or (kind == "log" and stop <= 0)):
             raise ScenarioError(f"asymptotics.report_times.stop must be at least start "
                                 f"({start!r}) and positive on a log grid, got {stop!r}")
     elif isinstance(rt, list):
@@ -313,7 +312,7 @@ def build_cost(domain, cfg):
                 raise ScenarioError(f"exit_cost.entries[{k}][0]: {key!r} is node {node}, "
                                     f"already priced by exit_cost.entries[{entry_of[node]}]")
             values[node], entry_of[node] = float(value), k
-        return ExitCost(domain, values, cost.get("lipschitz"))
+        return ExitCost(domain, values)
     except DomainError as err:
         path = "exit_cost.value" if cost["kind"] == "constant" else "exit_cost.entries"
         raise ScenarioError(f"{path}: {err}") from None
@@ -417,7 +416,6 @@ def build_equilibrium_config(cfg):
         damping=damping["rule"],
         damping_value=float(damping.get("value", 0.5)),
         exploitability_tol=float(eq["tolerance"]),
-        marginal_binning=eq["marginal_binning"],
     )
 
 
@@ -456,8 +454,7 @@ def scenario_registry():
                    "eta": {"family": "constant", "value": 1.0}},
         "initial_measure": {"kind": "dirac", "location": 0.5},
         "equilibrium": {"max_iterations": 40, "tolerance": 0.01,
-                        "damping": {"rule": "fictitious_play"},
-                        "marginal_binning": "auto"},
+                        "damping": {"rule": "fictitious_play"}},
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "linear", "start": 0.0,
                                          "stop": None, "step": 0.05},
@@ -483,8 +480,7 @@ def scenario_registry():
                    "eta": {"family": "taper", "distance": 0.1}},
         "initial_measure": {"kind": "uniform", "support": [0.0, 0.2], "count": 200},
         "equilibrium": {"max_iterations": 80, "tolerance": 0.15,
-                        "damping": {"rule": "constant", "value": 0.4},
-                        "marginal_binning": "auto"},
+                        "damping": {"rule": "constant", "value": 0.4}},
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "linear", "start": 0.0,
                                          "stop": None, "step": 0.25},
@@ -504,8 +500,7 @@ def scenario_registry():
         "initial_measure": {"kind": "power_tail", "shoulder": 1.0,
                             "exponent": 4.0, "count": 4000},
         "equilibrium": {"max_iterations": 5, "tolerance": 0.05,
-                        "damping": {"rule": "fictitious_play"},
-                        "marginal_binning": "auto"},
+                        "damping": {"rule": "fictitious_play"}},
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "log", "start": 0.25,
                                          "stop": 14.0, "count": 33},

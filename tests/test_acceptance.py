@@ -172,7 +172,8 @@ def _random_ocp_instance(rng, dom):
         for b in range(len(tc)):
             cap = cost_vals[int(dom.targets[a])] + l_g * abs(tc[a] - tc[b])
             cost_vals[int(dom.targets[b])] = min(cost_vals[int(dom.targets[b])], cap)
-    cost = ExitCost(dom, cost_vals, l_g)
+    cost = ExitCost(dom, cost_vals)
+    assert cost.lipschitz_constant <= l_g
     horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
     n_steps = int(np.ceil(horizon / dt))
     t = np.arange(n_steps + 1)[:, None] * dt

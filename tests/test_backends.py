@@ -15,7 +15,7 @@ def synthesize_one(phi, field, cost, x0):
     samples, exit_idx, exit_node = synthesize_batch(phi, field, phi.domain.as_points(x0))
     ens = TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1),
                              exit_indices=exit_idx, exit_nodes=exit_node)
-    return int(ens.exit_nodes[0]), float(realized_costs(ens, cost)[0][0])
+    return int(ens.exit_nodes[0]), float(realized_costs(ens, cost)[0])
 
 
 def test_grid2d_value_and_synthesis_constant_speed():
@@ -60,8 +60,7 @@ def grid2d_scenario():
                             "points": [[0.3, 0.4], [0.5, 0.2]],
                             "weights": [0.5, 0.5]},
         "equilibrium": {"max_iterations": 10, "tolerance": 0.25,
-                        "damping": {"rule": "fictitious_play"},
-                        "marginal_binning": "auto"},
+                        "damping": {"rule": "fictitious_play"}},
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "linear", "start": 0.0,
                                          "stop": None, "step": 0.2},
@@ -94,8 +93,7 @@ def graph_scenario():
         "initial_measure": {"kind": "atoms", "points": [0, 3],
                             "weights": [0.5, 0.5]},
         "equilibrium": {"max_iterations": 10, "tolerance": 0.6,
-                        "damping": {"rule": "fictitious_play"},
-                        "marginal_binning": "off"},
+                        "damping": {"rule": "fictitious_play"}},
         "asymptotics": {"p": 1,
                         "report_times": {"kind": "linear", "start": 0.0,
                                          "stop": None, "step": 0.4},

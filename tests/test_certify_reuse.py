@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+from exitlab import equilibrium
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import (CertificationError, EquilibriumConfig, _use_binning,
                                  admissibility_excess, certify, exploitability,
-                                 induced_speed_field, solve_equilibrium)
+                                 induced_speed_field, realized_costs, solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
 from exitlab.ocp import SpeedField
 
@@ -36,33 +37,38 @@ def grid2d_game():
     return dom, ExitCost.zero(dom), kernel, m0, dict(exploitability_tol=0.05, max_iterations=4)
 
 
+# the work cap that forces a path: None keeps the size rule, -1 bins every
+# field and 10**18 none
 GAMES = [
-    pytest.param(interval_game, "auto", id="interval"),
-    pytest.param(grid2d_game, "off", id="grid2d-unbinned"),
-    pytest.param(grid2d_game, "on", id="grid2d-binned"),
+    pytest.param(interval_game, None, id="interval"),
+    pytest.param(grid2d_game, 10**18, id="grid2d-unbinned"),
+    pytest.param(grid2d_game, -1, id="grid2d-binned"),
 ]
 
 
-def solved(game, binning):
+def solved(game, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(equilibrium, "BINNING_WORK_CAP", cap)
     dom, cost, kernel, m0, extra = game()
-    config = EquilibriumConfig(damping="constant", damping_value=0.4,
-                               marginal_binning=binning, **extra)
-    return dom, cost, kernel, config, solve_equilibrium(m0, kernel, dom, cost, config)
+    config = EquilibriumConfig(damping="constant", damping_value=0.4, **extra)
+    return dom, cost, kernel, solve_equilibrium(m0, kernel, dom, cost, config)
 
 
-@pytest.mark.parametrize("game, binning", GAMES)
-def test_report_certification_equals_fresh_certify(game, binning):
-    dom, cost, kernel, config, report = solved(game, binning)
+@pytest.mark.parametrize("game, cap", GAMES)
+def test_report_certification_equals_fresh_certify(game, cap, monkeypatch):
+    dom, cost, kernel, report = solved(game, cap, monkeypatch)
     assert report.iterations > 1
-    fresh = certify(report.final_ensemble, kernel, dom, cost, report.tol, config)
+    fresh = certify(report.final_ensemble, kernel, dom, cost, report.tol)
     assert report.certification == fresh
 
 
-@pytest.mark.parametrize("game, binning", GAMES)
-def test_final_field_is_the_final_ensembles_induced_field(game, binning):
-    dom, _, kernel, config, report = solved(game, binning)
+@pytest.mark.parametrize("game, cap", GAMES)
+def test_final_field_is_the_final_ensembles_induced_field(game, cap, monkeypatch):
+    dom, _, kernel, report = solved(game, cap, monkeypatch)
     ens = report.final_ensemble
-    binned = _use_binning(config, ens.n_traj, ens.n_steps + 1, dom.n_nodes)
+    binned = _use_binning(ens.n_traj, ens.n_steps + 1, dom.n_nodes)
+    if cap is not None:
+        assert binned == (cap == -1)
     again = induced_speed_field(ens, kernel, binned).values
     assert np.array_equal(report.final_phi.speed.values.view(np.int64), again.view(np.int64))
 
@@ -80,6 +86,38 @@ def test_exploitability_rejects_speeding_after_exit():
     assert ens.exit_indices[0] == 0 and ens.exit_nodes[0] == 0
     with pytest.raises(CertificationError, match="admissible"):
         exploitability(ens, kernel, dom, ExitCost.zero(dom))
+
+
+def exit_and_stay_ensemble(weights):
+    """Row 0 walks from 0.3 to the exit at 0 at unit speed; row 1 stays at 0.5."""
+    dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0], origin=0.0)
+    kernel = CongestionKernel(dom, Kappa("constant", value=1.0),
+                              Chi("constant", value=0.0), Eta("constant", value=1.0))
+    t = np.arange(61) * 0.01
+    samples = np.stack([np.maximum(0.3 - t, 0.0), np.full_like(t, 0.5)])
+    ens = TrajectoryEnsemble(dom, 0.01, samples, np.array(weights), exit_indices=[30, -1])
+    assert samples[0, 30] == 0.0 and list(ens.exit_nodes) == [0, -1]
+    return dom, kernel, ens
+
+
+def test_a_non_exiting_row_fails_the_certificate():
+    """A trajectory that never exits costs +inf, not a capped stand-in."""
+    dom, kernel, ens = exit_and_stay_ensemble([0.5, 0.5])
+    cost = ExitCost.zero(dom)
+    assert realized_costs(ens, cost)[1] == np.inf
+    cert = certify(ens, kernel, dom, cost, tol=0.15)
+    assert not cert["strong"] and not cert["weak"] and cert["agree"]
+    assert cert["max_gap"] == np.inf and cert["epsilon"] == np.inf
+
+
+def test_a_zero_weight_non_exiting_row_adds_nothing():
+    dom, kernel, ens = exit_and_stay_ensemble([1.0, 0.0])
+    cost = ExitCost.zero(dom)
+    eps, details = exploitability(ens, kernel, dom, cost)
+    assert np.isfinite(eps) and abs(eps) <= 0.02
+    assert details["max_gap"] == np.inf
+    cert = certify(ens, kernel, dom, cost, tol=0.15)
+    assert cert["strong"] and cert["weak"] and cert["max_gap"] == eps
 
 
 def full_scan_excess(ensemble, speed, slack):

@@ -125,10 +125,11 @@ def test_check_smallness():
     dom = make_domain()
     kernel = make_kernel(dom)
     assert kernel.check_smallness(ExitCost.zero(dom))
-    half = ExitCost(dom, {t: 0.0 for t in dom.targets}, lipschitz_constant=0.5)
-    assert kernel.check_smallness(half)
-    big = ExitCost(dom, {t: 0.0 for t in dom.targets}, lipschitz_constant=1.2)
-    assert not kernel.check_smallness(big)
+    # targets 0 and 1 a unit apart: the tightest L_g is the cost difference
+    half = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(1.0): 0.5})
+    assert half.lipschitz_constant == 0.5 and kernel.check_smallness(half)
+    big = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(1.0): 1.2})
+    assert big.lipschitz_constant == 1.2 and not kernel.check_smallness(big)
 
 
 @pytest.mark.parametrize("seed", range(6))

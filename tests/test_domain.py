@@ -278,15 +278,13 @@ def test_validate_hypotheses_empty_target_fails_h2():
     assert not h2.passed
 
 
-def test_exit_cost_lipschitz_violation_witness():
+def test_h3_holds_by_construction_with_the_tightest_constant():
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[0.0, 0.1])
-    cost = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(0.1): 0.5},
-                    lipschitz_constant=0.1)
-    worst = cost.lipschitz_violation()
-    assert worst is not None
+    cost = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(0.1): 0.5})
+    assert cost.lipschitz_constant == pytest.approx(5.0, rel=1e-12)
     report = validate_hypotheses(dom, cost)
     h3 = [c for c in report.checks if c.name == "H3"][0]
-    assert not h3.passed and "witness" in h3.detail
+    assert h3.passed and "by construction" in h3.detail
 
 
 def test_exit_cost_requires_all_targets_and_nonnegative():
@@ -319,16 +317,16 @@ def tightest_lipschitz_reference(cost):
     return best
 
 
-def lipschitz_violation_reference(cost):
+def worst_lipschitz_excess(cost):
+    """max over target pairs of |g(a) - g(b)| - L_g d(a, b), or -inf without pairs."""
     tgt = cost.domain.targets
-    worst = None
+    worst = -np.inf
     for a in range(len(tgt)):
         for b in range(a + 1, len(tgt)):
             d = node_distance_reference(cost.domain, tgt[a], tgt[b])
-            gap = abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])])
-            excess = gap - cost.lipschitz_constant * d - 1e-12
-            if excess > 0 and (worst is None or excess > worst[2]):
-                worst = (int(tgt[a]), int(tgt[b]), excess)
+            if np.isfinite(d):
+                gap = abs(cost.values[int(tgt[a])] - cost.values[int(tgt[b])])
+                worst = max(worst, gap - cost.lipschitz_constant * d)
     return worst
 
 
@@ -349,32 +347,26 @@ def test_exit_cost_lipschitz_pairs_match_the_pair_loops(dom):
         values = {int(t): float(rng.uniform(0.0, 1.0)) for t in dom.targets}
         cost = ExitCost(dom, values)
         assert cost.lipschitz_constant == tightest_lipschitz_reference(cost)
-        assert cost.lipschitz_violation() is None
-        for lip in (0.0, 0.5 * cost.lipschitz_constant):
-            loose = ExitCost(dom, values, lip)
-            assert loose.lipschitz_violation() == lipschitz_violation_reference(loose)
-    # tied excesses: every pair with one end at the first target has the same gap
-    t = dom.targets
-    tied = ExitCost(dom, {int(k): (1.0 if k == t[0] else 0.0) for k in t}, 0.0)
-    want = lipschitz_violation_reference(tied)
-    assert tied.lipschitz_violation() == want == (int(t[0]), int(t[1]), want[2])
+        assert worst_lipschitz_excess(cost) <= 1e-12
 
 
 def test_exit_cost_with_a_single_target():
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])
     cost = ExitCost(dom, {dom.node_at(1.0): 0.7})
     assert cost.lipschitz_constant == 0.0 == tightest_lipschitz_reference(cost)
-    assert cost.lipschitz_violation() is None is lipschitz_violation_reference(cost)
+    assert worst_lipschitz_excess(cost) == -np.inf
     graph = GraphDomain(3, [(0, 1, 1.0), (1, 2, 0.5)], targets=[2])
-    assert ExitCost(graph, {2: 0.4}).lipschitz_violation() is None
+    assert ExitCost(graph, {2: 0.4}).lipschitz_constant == 0.0
 
 
 def test_exit_cost_pairs_in_different_components_bound_nothing():
     dom = GraphDomain(4, [(0, 1, 1.0), (2, 3, 1.0)], targets=[0, 1, 3])
     cost = ExitCost(dom, {0: 0.0, 1: 0.5, 3: 2.0})
     assert cost.lipschitz_constant == 0.5 == tightest_lipschitz_reference(cost)
-    zero = ExitCost(dom, {0: 0.0, 1: 0.0, 3: 2.0}, 0.0)
-    assert zero.lipschitz_violation() is None is lipschitz_violation_reference(zero)
+    assert worst_lipschitz_excess(cost) <= 1e-12
+    zero = ExitCost(dom, {0: 0.0, 1: 0.0, 3: 2.0})
+    assert zero.lipschitz_constant == 0.0 == tightest_lipschitz_reference(zero)
+    assert worst_lipschitz_excess(zero) == 0.0
 
 
 def test_target_snapping_within_half_cell():

@@ -149,7 +149,7 @@ def test_congested_solve_certifies_and_flags_agree():
     report = solve_equilibrium(m0, kernel, dom, cost, config)
     assert report.converged
     assert report.iterations > 1  # genuine congestion feedback
-    cert = certify(report.final_ensemble, kernel, dom, cost, report.tol, config)
+    cert = certify(report.final_ensemble, kernel, dom, cost, report.tol)
     assert cert["weak"] and cert["strong"] and cert["agree"]
     assert all(c["passed"] for c in report.bound_checks)
 
@@ -196,9 +196,9 @@ def test_certification_is_seed_stable():
     m0 = ParticleMeasure.dirac(dom, 0.3)
     config = EquilibriumConfig(exploitability_tol=0.01)
     report = solve_equilibrium(m0, kernel, dom, cost, config)
-    base = certify(report.final_ensemble, kernel, dom, cost, 0.01, config)
+    base = certify(report.final_ensemble, kernel, dom, cost, 0.01)
     for _ in range(3):
-        again = certify(report.final_ensemble, kernel, dom, cost, 0.01, config)
+        again = certify(report.final_ensemble, kernel, dom, cost, 0.01)
         assert again["epsilon"] == base["epsilon"]
 
 

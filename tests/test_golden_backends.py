@@ -4,9 +4,11 @@ Every registry scenario is an interval, so tests/golden_sha256.json does not
 cover the grid2d or graph mixture loop. tests/golden_backends_sha256.json
 holds the digests of five further scenarios, run for several iterations
 with congestion: a binned grid2d room, and a small metric graph and a
-60-node random graph, each with binning on and off. Every file of each run directory except manifest.json
-is compared. The room2d benchmark workload's seed 0 is checked against the
-hash pinned in perfbench/pinned_report_sha256.json, which is only read here.
+60-node random graph, each binned and unbinned. Each run forces its binning
+through exitlab.equilibrium.BINNING_WORK_CAP, whatever the size rule would
+pick. Every file of each run directory except manifest.json is compared.
+The room2d benchmark workload's seed 0 is checked against the hash pinned
+in perfbench/pinned_report_sha256.json, which is only read here.
 """
 import hashlib
 import importlib.util
@@ -16,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from exitlab import runner
+from exitlab import equilibrium, runner
 from exitlab.scenarios import validate_config
 
 HERE = os.path.dirname(__file__)
@@ -46,8 +48,7 @@ def room2d_binned():
             "initial_measure": {"kind": "atoms", "points": points,
                                 "weights": [1.0 / 40] * 40},
             "equilibrium": {"max_iterations": 20, "tolerance": 0.02,
-                            "damping": {"rule": "constant", "value": 0.4},
-                            "marginal_binning": "on"},
+                            "damping": {"rule": "constant", "value": 0.4}},
             "asymptotics": {"p": 1,
                             "report_times": {"kind": "linear", "start": 0.0,
                                              "stop": None, "step": 0.25},
@@ -66,8 +67,7 @@ def graph_congested(binning):
             "kernel": kernel,
             "initial_measure": {"kind": "atoms", "points": [0, 3], "weights": [0.5, 0.5]},
             "equilibrium": {"max_iterations": 10, "tolerance": 0.05,
-                            "damping": {"rule": "fictitious_play"},
-                            "marginal_binning": binning},
+                            "damping": {"rule": "fictitious_play"}},
             "asymptotics": {"p": 1,
                             "report_times": {"kind": "linear", "start": 0.0,
                                              "stop": None, "step": 0.4},
@@ -96,18 +96,20 @@ def graph_random(binning):
             "initial_measure": {"kind": "atoms", "points": starts,
                                 "weights": [1.0 / len(starts)] * len(starts)},
             "equilibrium": {"max_iterations": 6, "tolerance": 1e-6,
-                            "damping": {"rule": "fictitious_play"},
-                            "marginal_binning": binning},
+                            "damping": {"rule": "fictitious_play"}},
             "asymptotics": {"p": 1,
                             "report_times": {"kind": "linear", "start": 0.0,
                                              "stop": None, "step": 0.5},
                             "rate_fit": None}}
 
 
-# all five stop at max_iterations without meeting the tolerance (status 3)
-SCENARIOS = {cfg["name"]: cfg for cfg in
-             (room2d_binned(), graph_congested("on"), graph_congested("off"),
-              graph_random("on"), graph_random("off"))}
+# all five stop at max_iterations without meeting the tolerance (status 3);
+# each with the work cap that forces the binning its digests were recorded
+# with: -1 bins every field, and 10**18 none
+SCENARIOS = {cfg["name"]: (cfg, cap) for cfg, cap in
+             ((room2d_binned(), -1), (graph_congested("on"), -1),
+              (graph_congested("off"), 10**18), (graph_random("on"), -1),
+              (graph_random("off"), 10**18))}
 
 
 def _digest(path):
@@ -116,9 +118,11 @@ def _digest(path):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_backend_artifacts_match_golden_digests(tmp_path, name):
+def test_backend_artifacts_match_golden_digests(tmp_path, monkeypatch, name):
+    cfg, cap = SCENARIOS[name]
+    monkeypatch.setattr(equilibrium, "BINNING_WORK_CAP", cap)
     run_dir = str(tmp_path / name)
-    result = runner.run(validate_config(SCENARIOS[name]), run_dir)
+    result = runner.run(validate_config(cfg), run_dir)
     assert result.status == runner.STATUS_NOT_CONVERGED, result.error
     got = {f"{name}/{f}": _digest(os.path.join(run_dir, f))
            for f in sorted(os.listdir(run_dir)) if f != "manifest.json"}

@@ -33,7 +33,7 @@ def synthesize_one(phi, field, x0, raise_on_stall=True):
 
 def realized(ens, cost):
     """Exit time plus exit cost of a one-row ensemble (inf when it never exits)."""
-    return float(realized_costs(ens, cost)[0][0])
+    return float(realized_costs(ens, cost)[0])
 
 
 def dpp_residuals(phi, ens):
@@ -254,8 +254,8 @@ def test_exit_cost_monotonicity_along_lipschitz_paths(seed):
             gap = l_g * abs(tc[a] - tc[b])
             values[dom.targets[b]] = min(values[dom.targets[b]],
                                          values[dom.targets[a]] + gap)
-    cost = ExitCost(dom, values, l_g)
-    assert cost.lipschitz_violation() is None
+    cost = ExitCost(dom, values)
+    assert cost.lipschitz_constant <= l_g
     # a path through two target nodes at speed <= k_max
     dt = 0.01
     a_node, b_node = rng.choice(dom.targets, 2, replace=False)
@@ -284,7 +284,9 @@ def test_value_regularity_on_nonautonomous_fields(seed):
 
 def test_smallness_refusal():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
-    bad_cost = ExitCost(dom, {t: 0.0 for t in dom.targets}, lipschitz_constant=1.2)
+    # costs 0 and 1.2 at targets a unit apart: the tightest L_g is 1.2
+    bad_cost = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(1.0): 1.2})
+    assert bad_cost.lipschitz_constant == 1.2
     field = SpeedField.constant(dom, 1.0, 0.01, 1.5)
     with pytest.raises(OcpError, match="smallness"):
         solve_value(dom, bad_cost, field)

@@ -159,7 +159,7 @@ def horizon_bound_reference(domain, cost, bounds, r):
 @pytest.mark.parametrize("make", [interval, grid, graph])
 def test_array_bounds_bit_equal_to_scalar_calls(make):
     dom = make()
-    cost = ExitCost(dom, {int(t): 0.1 + 0.07 * k for k, t in enumerate(dom.targets)}, 0.3)
+    cost = ExitCost(dom, {int(t): 0.1 + 0.07 * k for k, t in enumerate(dom.targets)})
     bounds = (0.37, 1.9)
     rng = np.random.default_rng(2)
     radii = np.concatenate([rng.uniform(0.0, 3.0, 2000), dom.origin_node_distances(), [0.0]])

@@ -141,7 +141,8 @@ def test_validation_failure_status(tmp_path):
     ("asymptotics.p", 3),
     ("equilibrium.damping.rule", "secant"),
     ("equilibrium.damping.value", 1.5),
-    ("equilibrium.marginal_binning", "maybe"),
+    pytest.param("exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.5]],
+                               "lipschitz": 0.5}, id="exit_cost-table_lipschitz"),
     ("initial_measure.location", 2.0),
     pytest.param("initial_measure", {"kind": "atoms", "points": [0.5, 3.0],
                                      "weights": [0.5, 0.5]}, id="initial_measure-atoms_outside"),
@@ -206,6 +207,7 @@ def test_validation_failure_status(tmp_path):
                  id="kernel.chi-constant_with_width"),
     pytest.param("kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
                  id="kernel.eta-taper_with_value"),
+    # every kind derives the tightest L_g, so no kind reads a declared one
     pytest.param("exit_cost", {"kind": "zero", "lipschitz": -1.0}, id="exit_cost-zero_lipschitz"),
     pytest.param("exit_cost", {"kind": "constant", "value": 0.0, "lipschitz": 5.0},
                  id="exit_cost-constant_lipschitz"),
@@ -226,6 +228,14 @@ def test_validation_failure_status(tmp_path):
     pytest.param("exit_cost", {"kind": "table",
                                "entries": [[0.0, 0.3], [1.0, 0.0], [0.001, 0.0]]},
                  id="exit_cost-entry_on_the_same_node"),
+    # report-time keys that the grid kind does not read used to be dropped
+    pytest.param("asymptotics.report_times", {"kind": "linear", "step": 0.05, "count": 3},
+                 id="asymptotics.report_times-linear_with_count"),
+    pytest.param("asymptotics.report_times", {"step": 0.05, "count": 3},
+                 id="asymptotics.report_times-default_kind_with_count"),
+    pytest.param("asymptotics.report_times", {"kind": "log", "start": 0.1, "count": 5,
+                                              "step": 0.2},
+                 id="asymptotics.report_times-log_with_step"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -326,11 +336,11 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     (interval_scenario, "domain.dx", 5.0, "domain.dx: "),
     (grid2d_scenario, "domain.dx", 5.0, "domain.dx: "),
     (grid2d_scenario, "domain.dx", 0.3, "domain.dx: "),
-    (interval_scenario, "exit_cost", {"kind": "zero", "lipschitz": -1.0},
-     "exit_cost.lipschitz is read only with kind 'table', got kind 'zero'"),
-    (interval_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.0]],
-                                      "lipschitz": -1.0},
-     "exit_cost.lipschitz must not be negative"),
+    (interval_scenario, "exit_cost", {"kind": "zero", "lipschitz": 0.0},
+     "unknown keys ['lipschitz'] in exit_cost"),
+    (interval_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.5]],
+                                      "lipschitz": 0.5},
+     "unknown keys ['lipschitz'] in exit_cost"),
     (graph_scenario, "kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
      "unknown keys ['value'] in kernel.eta (family 'taper')"),
     (interval_scenario, "exit_cost", {"kind": "zero", "value": 5.0},
@@ -342,6 +352,15 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
      "exit_cost.value is not read with kind 'table'"),
     (interval_scenario, "equilibrium.damping", {"rule": "fictitious_play", "value": 0.3},
      "equilibrium.damping.value is read only with rule 'constant', got rule 'fictitious_play'"),
+    (interval_scenario, "exit_cost", {"kind": "constant", "value": 0.2, "lipschitz": 0.0},
+     "unknown keys ['lipschitz'] in exit_cost"),
+    (interval_scenario, "asymptotics.report_times", {"kind": "linear", "step": 0.05, "count": 3},
+     "asymptotics.report_times.count is not read with kind 'linear'"),
+    (interval_scenario, "asymptotics.report_times", {"count": 3},
+     "asymptotics.report_times.count is not read with kind 'linear'"),
+    (interval_scenario, "asymptotics.report_times",
+     {"kind": "log", "start": 0.1, "count": 5, "step": 0.2},
+     "asymptotics.report_times.step is not read with kind 'log'"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()
@@ -349,6 +368,19 @@ def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION, result.error
     assert result.error.startswith(named), result.error
+
+
+@pytest.mark.parametrize("value", ["on", "off", "maybe", True])
+def test_marginal_binning_accepts_only_auto(tmp_path, value):
+    """Binning is the size rule; "auto", its name, is the one accepted value."""
+    cfg = load_scenario("remark_5_3")
+    assert "marginal_binning" not in cfg["equilibrium"]
+    cfg["equilibrium"]["marginal_binning"] = value
+    result = runner.run(cfg, str(tmp_path / "bad"))
+    assert result.status == runner.STATUS_VALIDATION, result.error
+    assert result.error.startswith("equilibrium.marginal_binning must be one of ['auto']")
+    cfg["equilibrium"]["marginal_binning"] = "auto"
+    assert validate_config(cfg)["equilibrium"]["marginal_binning"] == "auto"
 
 
 def test_whole_number_graph_ids_written_as_floats_still_run(tmp_path):
@@ -507,7 +539,7 @@ def test_stability_rows_measure_members_against_the_reference_run(tmp_path):
     ref = runner.execute(cfg)
     member = runner.execute(runner.apply_overrides(cfg, params=shifted))
     ens = member["equilibrium"].final_ensemble
-    costs, _ = realized_costs(ens, member["cost"], cap=10 * ref["equilibrium"].t_bound)
+    costs = realized_costs(ens, member["cost"])
     base = ref["equilibrium"].final_phi.at_points(0, ens.samples[:, 0])
     cross = runner._r12(np.sum(ens.weights * (costs - base)))
     assert row["cross_exploitability"] == cross

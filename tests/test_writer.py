@@ -66,7 +66,7 @@ def persist_csvs_reference(bundle, run_dir):
     write_csv_reference(os.path.join(run_dir, "trajectories.csv"),
                         ["particle_id", "t"] + coord_cols + ["exited_flag"], rows)
 
-    costs, _ = eq.realized_costs(ens, bundle["cost"], cap=None)
+    costs = eq.realized_costs(ens, bundle["cost"])
     rows = [[k, float(ens.weights[k])] + _point_row(domain, ens.samples[k, 0])
             + [float(ens.exit_indices[k] * ens.dt)
                if ens.exit_indices[k] >= 0 else float("nan"),
