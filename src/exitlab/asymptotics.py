@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ParticleMeasure, wasserstein, MeasureError
+from .measures import MeasureError, ParticleMeasure, SupportCapError, wasserstein
 from .ocp import horizon_bound, trajectory_bound
 
 
@@ -98,10 +98,11 @@ def _project_to_nodes(measure):
 
 def transport_distance(mu, nu, p):
     """(W_p(mu, nu), projected): a support over the transport LP's cap is
-    first projected to grid cells, and projected says so."""
+    first projected to grid cells, and projected says so. Any other failure,
+    such as a failed LP, is raised."""
     try:
         return wasserstein(mu, nu, p), False
-    except MeasureError:
+    except SupportCapError:
         return wasserstein(_project_to_nodes(mu), _project_to_nodes(nu), p), True
 
 

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 E_MINUS_HALF = float(np.exp(-0.5))
-# rows of the node interaction matrix built per distance evaluation: the
-# (n, n[, dim]) temporaries of a one-shot build dwarf the matrix itself
-NODE_MATRIX_ROW_BLOCK = 128
 
 
 class HypothesisViolation(ValueError):
@@ -197,13 +194,8 @@ class CongestionKernel:
     def node_interaction_matrix(self):
         """Precomputed chi(x_i, x_c) * eta(x_c) over node pairs, for binned evals."""
         if self._node_matrix is None:
-            nodes = self.domain.node_points()
-            eta = self._eta_at_points(nodes)
-            out = np.empty((len(nodes), len(nodes)))
-            for lo in range(0, len(nodes), NODE_MATRIX_ROW_BLOCK):
-                d = self.domain.point_distance_matrix(nodes[lo:lo + NODE_MATRIX_ROW_BLOCK], nodes)
-                out[lo:lo + len(d)] = self.chi(d) * eta[None, :]
-            self._node_matrix = out
+            self._node_matrix = self.domain.node_kernel_matrix(
+                self.chi, self._eta_at_points(self.domain.node_points()))
         return self._node_matrix
 
     def binning_error_bound(self):

@@ -19,6 +19,9 @@ from scipy.sparse.csgraph import dijkstra
 SQRT2 = float(np.sqrt(2.0))
 BIG = 1e30  # value of an inadmissible candidate move
 STENCIL_ROWS = 64  # budget rows per reach_stencil bind: bounds a placed block's temporaries
+# rows of a node kernel matrix built per distance evaluation: the (n, n[, dim])
+# temporaries of a one-shot build dwarf the matrix itself
+NODE_MATRIX_ROW_BLOCK = 128
 
 
 class DomainError(ValueError):
@@ -63,6 +66,14 @@ def _node_count(extent, dx):
     if n < 2 or abs(extent / (n - 1) - dx) > 1e-9 * max(1.0, dx):
         raise DomainError(f"extent {extent} is not a multiple of dx = {dx}", "dx")
     return n
+
+
+def _axis_offsets(coords):
+    """Distinct |c_i - c_k| over one axis's node coordinates, and each pair's index into them."""
+    gaps = np.abs(coords[:, None] - coords[None, :])
+    values, inverse = np.unique(gaps, return_inverse=True)
+    # the inverse's shape changed across numpy 2.x releases: reshape it explicitly
+    return values, inverse.reshape(gaps.shape)
 
 
 class SpatialDomain:
@@ -143,6 +154,20 @@ class SpatialDomain:
     def point_distance_matrix(self, ps, qs):
         """Distance from every point of batch ps to every point of batch qs."""
         return self.point_distance(np.asarray(ps)[:, None], np.asarray(qs)[None, :])
+
+    def node_kernel_matrix(self, f, col_weights):
+        """f(d(x_i, x_c)) * col_weights[c] over every node pair i, c.
+
+        f maps an array of distances to an array of the same shape,
+        elementwise. Built NODE_MATRIX_ROW_BLOCK rows per distance
+        evaluation. An override must return the same matrix, bit for bit.
+        """
+        nodes = self.node_points()
+        out = np.empty((self.n_nodes, self.n_nodes))
+        for lo in range(0, self.n_nodes, NODE_MATRIX_ROW_BLOCK):
+            d = self.point_distance_matrix(nodes[lo:lo + NODE_MATRIX_ROW_BLOCK], nodes)
+            out[lo:lo + len(d)] = f(d) * col_weights[None, :]
+        return out
 
     def point_origin_distance(self, ps):
         """Distance of each point to the origin node, for any leading batch shape."""
@@ -413,6 +438,33 @@ class Grid2dDomain(SpatialDomain):
         lo = np.minimum(ax, ay)
         return np.maximum(ax, ay) + (SQRT2 - 1.0) * lo
 
+    def node_kernel_matrix(self, f, col_weights):
+        """The row-block build's matrix, bit for bit, from per-axis offset tables.
+
+        A node pair's metric depends only on |x_i - x_c| and |y_i - y_c|, and
+        each takes few distinct values on a grid (a few bit patterns per
+        lattice offset: linspace coordinates are not exactly uniform). So the
+        metric and f run once on the table over those value pairs, and each
+        x row of nodes gathers its (ny, nx, ny) block of the matrix whole.
+        """
+        nx, ny = self.shape
+        ux, ix = _axis_offsets(self.xs)
+        uy, iy = _axis_offsets(self.ys)
+        # the metric's output is a fresh contiguous array, as in the row-block
+        # build: a strided input could take numpy's scalar exp path in f and
+        # differ from it by an ulp
+        table = f(self._metric(np.stack(np.meshgrid(ux, uy, indexing="ij"), axis=-1)))
+        # [row y, x offset value, column y]: one gather along axis 1 per x row
+        by_row_y = np.ascontiguousarray(table[:, iy].transpose(1, 0, 2))
+        weights = np.asarray(col_weights, dtype=float).reshape(nx, ny)
+        out = np.empty((self.n_nodes, self.n_nodes))
+        blocks = out.reshape(nx, ny, nx, ny)  # [row x, row y, column x, column y]
+        for a in range(nx):
+            # mode="clip" writes straight into out (every index is in range)
+            np.take(by_row_y, ix[a], axis=1, out=blocks[a], mode="clip")
+            blocks[a] *= weights
+        return out
+
     def nearest_nodes(self, ps):
         ps = np.asarray(ps, dtype=float)
         ix = np.clip(np.round((ps[..., 0] - self.lo[0]) / self.dx).astype(int), 0, self.shape[0] - 1)
@@ -449,7 +501,9 @@ class Grid2dDomain(SpatialDomain):
         return self._bilinear(node_values, self._bilinear_plan(np.asarray(ps, dtype=float)))
 
     def _in_box(self, q):
-        return np.all((q >= self.lo - 1e-12) & (q <= self.hi + 1e-12), axis=-1)
+        x, y = q[..., 0], q[..., 1]
+        (lo_x, lo_y), (hi_x, hi_y) = self.lo - 1e-12, self.hi + 1e-12
+        return (x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y)
 
     def _sphere_endpoints(self, ps, r):
         """Points at metric distance r from ps along each lattice direction, (n_dir, m, 2)."""

@@ -20,6 +20,10 @@ class MeasureError(ValueError):
     pass
 
 
+class SupportCapError(MeasureError):
+    """A support exceeds the exact transport LP's cap of MAX_LP_SUPPORT atoms."""
+
+
 def _first_seen_groups(keys):
     """Group equal rows of a 2d array in the order each row first appears.
 
@@ -110,7 +114,9 @@ def wasserstein(mu, nu, p=1):
     """Exact W_p between two particle measures on the same domain.
 
     Interval backend uses the sorted quantile coupling; other backends solve
-    the transport LP on the supports (capped at MAX_LP_SUPPORT atoms each).
+    the transport LP on the supports (capped at MAX_LP_SUPPORT atoms each),
+    except between bit-identical measures (same point and weight bits),
+    which are 0 apart with no LP. The cap holds for those too.
     """
     if p not in (1, 2):
         raise MeasureError("p must be 1 or 2")
@@ -118,6 +124,10 @@ def wasserstein(mu, nu, p=1):
         raise MeasureError("measures live on different domains")
     if mu.domain.kind == "interval":
         return _wasserstein_quantile_1d(mu.points, mu.weights, nu.points, nu.weights, p)
+    _check_lp_support(mu.n_atoms, nu.n_atoms)
+    if (mu.points.shape == nu.points.shape and mu.points.tobytes() == nu.points.tobytes()
+            and mu.weights.tobytes() == nu.weights.tobytes()):
+        return 0.0
     return wasserstein_lp(mu.domain.point_distance_matrix(mu.points, nu.points),
                           mu.weights, nu.weights, p)
 
@@ -136,13 +146,17 @@ def _wasserstein_quantile_1d(xs, wx, ys, wy, p):
     return float(np.sum(seg * np.abs(a - b) ** p)) ** (1.0 / p)
 
 
+def _check_lp_support(n, m):
+    if n > MAX_LP_SUPPORT or m > MAX_LP_SUPPORT:
+        raise SupportCapError(
+            f"support {n}x{m} exceeds the exact-LP cap {MAX_LP_SUPPORT}: "
+            "reduce support or project to histogram")
+
+
 def wasserstein_lp(dist, wx, wy, p=1):
     """Optimal transport cost^(1/p) by exact linear programming."""
     n, m = dist.shape
-    if n > MAX_LP_SUPPORT or m > MAX_LP_SUPPORT:
-        raise MeasureError(
-            f"support {n}x{m} exceeds the exact-LP cap {MAX_LP_SUPPORT}: "
-            "reduce support or project to histogram")
+    _check_lp_support(n, m)
     c = (np.asarray(dist, dtype=float) ** p).ravel()
     # column k = i * m + j couples source i (row i) and sink j (row n + j)
     k = np.arange(n * m)

@@ -9,12 +9,13 @@ from exitlab.asymptotics import (ConvergenceCurve, ShrinkWindowError,
                                  convergence_curve, curve_bound_excess,
                                  decay_constants, fit_decay_rate, limit_measure,
                                  p_moment_excess, psi_function, settling_time,
-                                 theorem_bound)
+                                 theorem_bound, transport_distance)
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import EquilibriumConfig, solve_equilibrium
 from exitlab.measures import MeasureError, ParticleMeasure, TrajectoryEnsemble, wasserstein
 from exitlab.scenarios import load_scenario
+from test_measures import failing_linprog
 
 
 def remark_game(dx=0.005):
@@ -74,6 +75,38 @@ def test_convergence_curve_matches_line_formula():
     sym = two_sided_ensemble(dom, 0.5)
     curve2 = convergence_curve(sym, times, 1)
     assert np.max(np.abs(curve2.values - expected)) <= 1e-9
+
+
+def test_transport_distance_projects_an_over_cap_identical_pair(monkeypatch):
+    monkeypatch.setattr("exitlab.measures.linprog", failing_linprog)
+    dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.5, targets=[[0.0, 0.0]])
+    pts = np.tile(dom.coords, (60, 1))[:600]
+    mu = ParticleMeasure(dom, pts, np.full(len(pts), 1.0 / len(pts)), validate=False)
+    assert transport_distance(mu, mu, 1) == (0.0, True)
+
+
+def test_a_failed_transport_lp_raises_and_is_not_projected(monkeypatch):
+    """Only the first LP fails: a retry on node-projected measures would succeed."""
+    from scipy.optimize import OptimizeResult
+
+    import exitlab.measures as measures
+
+    calls = []
+    lp = measures.linprog
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return OptimizeResult(success=False, status=4, message="forced failure", fun=None)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", fail_once)
+    dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.5, targets=[[0.0, 0.0]])
+    mu = ParticleMeasure(dom, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    nu = ParticleMeasure.dirac(dom, [0.5, 0.5])
+    with pytest.raises(MeasureError, match="transport LP failed: forced failure"):
+        transport_distance(mu, nu, 1)
+    assert len(calls) == 1
 
 
 def test_settling_time_examples():

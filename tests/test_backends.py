@@ -78,6 +78,21 @@ def test_grid2d_pipeline_end_to_end(tmp_path):
     assert check.passed
 
 
+def test_grid2d_run_solves_one_transport_lp_per_unsettled_report_time(monkeypatch):
+    """Marginals from the settled slice on are the limit measure, bit for bit: no LP."""
+    import exitlab.measures as measures
+
+    calls = []
+    lp = measures.linprog
+    monkeypatch.setattr(measures, "linprog", lambda *args, **kwargs: calls.append(1) or lp(
+        *args, **kwargs))
+    bundle = runner.execute(grid2d_scenario())
+    ens = bundle["equilibrium"].final_ensemble
+    unsettled = sum(ens.time_index(t) < ens.settled_slice for t in bundle["report_grid"])
+    assert 0 < unsettled < len(bundle["report_grid"])
+    assert len(calls) == unsettled
+
+
 def graph_scenario():
     return validate_config({
         "schema": 1,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from exitlab import congestion
+from exitlab import domain as domain_module
 from exitlab.congestion import (Chi, CongestionKernel, Eta, HypothesisViolation,
                                 Kappa, MeasurePreconditionError)
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
@@ -243,19 +243,41 @@ def test_node_interaction_matrix_blocks_match_one_shot(backend, monkeypatch):
     elif backend == "grid2d":  # 273 nodes
         dom = Grid2dDomain([0.0, 0.0], [1.0, 0.6], 0.05, targets=[[1.0, 0.3]])
     else:  # 12 nodes in blocks of 5
-        monkeypatch.setattr(congestion, "NODE_MATRIX_ROW_BLOCK", 5)
+        monkeypatch.setattr(domain_module, "NODE_MATRIX_ROW_BLOCK", 5)
         edges = [(i, i + 1, 0.05 + 0.01 * (i % 3)) for i in range(11)] + [(2, 7, 0.12)]
         dom = GraphDomain(12, edges, targets=[11], origin=0)
     kernel = congested_kernel(dom)
     got = kernel.node_interaction_matrix()
-    assert dom.n_nodes > congestion.NODE_MATRIX_ROW_BLOCK
+    assert dom.n_nodes > domain_module.NODE_MATRIX_ROW_BLOCK
     assert np.array_equal(got.view(np.int64), one_shot_node_matrix(kernel).view(np.int64))
 
 
-def test_node_interaction_matrix_build_peak_stays_near_its_size():
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("chi", [Chi("gaussian", width=0.15, amplitude=0.6),
+                                 Chi("ball", radius=0.1), Chi("constant", value=0.7)],
+                         ids=lambda c: c.family)
+@pytest.mark.parametrize("eta", [Eta("taper", distance=0.1), Eta("constant", value=0.5)],
+                         ids=lambda e: e.family)
+@pytest.mark.parametrize("box", [([0.0, 0.0], [1.0, 0.6], 0.05),       # 21 x 13
+                                 ([0.1, -0.3], [0.73, 0.9], 0.03)],  # 22 x 41
+                         ids=["21x13", "22x41"])
+def test_grid2d_interaction_matrix_from_offset_tables_matches_row_blocks(connectivity, chi,
+                                                                         eta, box):
+    lo, hi, dx = box
+    dom = Grid2dDomain(lo, hi, dx, targets=[hi], connectivity=connectivity)
+    kernel = make_kernel(dom, chi=chi, eta=eta)
+    got = kernel.node_interaction_matrix()
+    eta_nodes = kernel._eta_at_points(dom.node_points())
+    want = domain_module.SpatialDomain.node_kernel_matrix(dom, chi, eta_nodes)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_node_interaction_matrix_build_peak_stays_near_its_size(connectivity):
     import tracemalloc
 
-    dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.025, targets=[[1.0, 0.5]])  # 41 x 41
+    dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.025, targets=[[1.0, 0.5]],
+                       connectivity=connectivity)  # 41 x 41
     kernel = congested_kernel(dom)
     tracemalloc.start()
     try:

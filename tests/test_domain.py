@@ -379,6 +379,22 @@ def test_target_snapping_within_half_cell():
     assert hit[3] == -1
 
 
+def test_grid2d_in_box_matches_the_all_axes_formula():
+    dom = Grid2dDomain([0.1, -0.3], [0.73, 0.9], 0.03, targets=[[0.73, 0.9]])
+
+    def axis_values(lo, hi):
+        edges = [lo - 1e-12, lo, hi, hi + 1e-12]
+        return np.unique([np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+                         + edges + [(lo + hi) / 2])
+
+    xs, ys = axis_values(dom.lo[0], dom.hi[0]), axis_values(dom.lo[1], dom.hi[1])
+    q = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)  # a 2d batch of points
+    want = np.all((q >= dom.lo - 1e-12) & (q <= dom.hi + 1e-12), axis=-1)
+    got = dom._in_box(q)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
 def test_reach_candidates_respect_domain_bounds():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0])
     pts = np.array([0.0, 0.005, 0.995])

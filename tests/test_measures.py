@@ -4,8 +4,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from exitlab.domain import Grid2dDomain, IntervalDomain
-from exitlab.measures import (MeasureError, ParticleMeasure, TrajectoryEnsemble,
+from exitlab.domain import GraphDomain, Grid2dDomain, IntervalDomain
+from exitlab.measures import (MeasureError, ParticleMeasure, SupportCapError, TrajectoryEnsemble,
                               wasserstein, wasserstein_lp)
 from test_trajectory_caches import merged
 
@@ -86,8 +86,35 @@ def test_lp_support_cap():
     pts = np.tile(dom.coords, (60, 1))[:600]
     w = np.full(len(pts), 1.0 / len(pts))
     mu = ParticleMeasure(dom, pts, w, validate=False)
-    with pytest.raises(MeasureError, match="reduce support"):
+    with pytest.raises(SupportCapError, match="reduce support"):
         wasserstein(mu, mu, 1)
+    assert issubclass(SupportCapError, MeasureError)
+
+
+def failing_linprog(*args, **kwargs):
+    raise AssertionError("the transport LP was called")
+
+
+@pytest.mark.parametrize("kind", ["interval", "grid2d", "graph"])
+def test_wasserstein_of_bit_identical_measures_is_zero_without_an_lp(kind, monkeypatch):
+    monkeypatch.setattr("exitlab.measures.linprog", failing_linprog)
+    if kind == "interval":
+        dom, pts = make_domain(), [0.2, 0.5, 0.7]
+    elif kind == "grid2d":
+        dom = Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.25, targets=[[0.0, 0.0]])
+        pts = [[0.1, 0.3], [0.5, 0.5], [1.0, 0.2]]
+    else:
+        dom = GraphDomain(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], targets=[3], origin=0)
+        pts = [(0.0, 1.0, 0.25), (1.0, 2.0, 0.5), (3.0, 3.0, 0.0)]
+    mu = ParticleMeasure(dom, pts, [0.2, 0.3, 0.5])
+    twin = ParticleMeasure(dom, mu.points.copy(), mu.weights.copy())
+    for p in (1, 2):
+        assert wasserstein(mu, mu, p) == 0.0
+        assert wasserstein(mu, twin, p) == 0.0
+    if kind != "interval":  # one weight ulp apart is not bit-identical: the LP runs
+        twin.weights[0] = np.nextafter(twin.weights[0], 1.0)
+        with pytest.raises(AssertionError, match="transport LP was called"):
+            wasserstein(mu, twin, 1)
 
 
 def transport_constraints_reference(n, m):
