@@ -26,9 +26,10 @@ class MeasurePreconditionError(ValueError):
 class Kappa:
     """Nonincreasing positive speed profile kappa(s)."""
 
-    # every family, with the parameters it reads without a default
+    # the parameters each family reads without a default, and those it reads with one
     required = {"constant": ("value",), "affine_clamped": ("intercept", "slope", "floor"),
                 "exponential": ("scale", "rate")}
+    defaulted = {}
 
     def __init__(self, family, **params):
         self.family = family
@@ -76,6 +77,7 @@ class Chi:
     """Interaction kernel chi(x, y) as a function of distance."""
 
     required = {"constant": (), "ball": ("radius",), "gaussian": ("width",)}
+    defaulted = {family: ("amplitude", "value") for family in required}
 
     def __init__(self, family, **params):
         self.family = family
@@ -120,6 +122,7 @@ class Eta:
     """Weight / cut-off on the population, possibly vanishing at the target."""
 
     required = {"constant": (), "taper": ("distance",)}
+    defaulted = {"constant": ("value",)}
 
     def __init__(self, family, **params):
         self.family = family

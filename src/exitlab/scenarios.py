@@ -1,9 +1,15 @@
 """Scenario schema, strict validation, builders, and the built-in registry.
 
-A scenario is a JSON document with a versioned "schema" field; unknown keys
-are rejected so that persisted runs stay reproducible. The registry ships
-the oracle setups used by the acceptance suite: the two worked interval
-games, the congested corridor, and the two tail-decay experiments.
+A scenario is a JSON document with a versioned "schema" field, checked
+against one table per domain kind (a node reference is a coordinate on the
+interval, an [x, y] pair on the grid and a node id on the graph). A block
+maps each key it reads to (check, default); a tagged block also reads the
+keys of the variant that its `kind`, `family`, `rule` or `mode` names. One
+walker builds the resolved copy and rejects every key that is not read, so
+persisted runs stay reproducible; each message starts with a dotted path.
+The registry ships the oracle setups used by the acceptance suite: the two
+worked interval games, the congested corridor, and the two tail-decay
+experiments.
 """
 from __future__ import annotations
 
@@ -20,253 +26,203 @@ from .equilibrium import EquilibriumConfig
 from .measures import MeasureError, ParticleMeasure
 
 SCHEMA_VERSION = 1
-KERNEL_PARTS = {"kappa": Kappa, "chi": Chi, "eta": Eta}
-# the parameters a kernel family reads with a default, besides its required ones
-KERNEL_DEFAULTED = {"chi": {family: ("amplitude", "value") for family in Chi.required},
-                    "eta": {"constant": ("value",)}}
-# the exit-cost keys besides kind that each kind reads
-COST_READS = {"zero": set(), "constant": {"value"}, "table": {"entries"}}
-# the report-time keys besides kind that each grid kind reads
-REPORT_TIME_READS = {"linear": {"start", "stop", "step"}, "log": {"start", "stop", "count"}}
+# the default of a key that must be given, and of one that may be left out and stays out
+REQUIRED, ABSENT = object(), object()
 
 
 class ScenarioError(ValueError):
     pass
 
 
-def _require(block, allowed, context):
-    """Reject a block that is not an object, or that holds keys outside `allowed`."""
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{context} must be an object, got {block!r}")
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown keys {sorted(unknown)} in {context}")
+def _number(integer=False, above=None, least=None, most=None):
+    """Check of a finite number, or an integer, within the given bounds."""
+    kind, type_ = (("an integer", numbers.Integral) if integer
+                   else ("a finite number", numbers.Real))
+    bounds = " and ".join(f"{op} {bound}" for op, bound in ((">", above), (">=", least),
+                                                            ("<=", most)) if bound is not None)
+
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, type_) or not math.isfinite(value):
+            raise ScenarioError(f"{path} must be {kind}, got {value!r}")
+        if ((above is not None and value <= above) or (least is not None and value < least)
+                or (most is not None and value > most)):
+            raise ScenarioError(f"{path} must be {bounds}, got {value!r}")
+        return value
+    return check
 
 
-def _require_number(value, path, integer=False, positive=False):
-    """Reject non-numbers, booleans, non-finite and non-positive values at a dotted path."""
-    kind = "an integer" if integer else "a finite number"
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)
-            or not math.isfinite(value)):
-        raise ScenarioError(f"{path} must be {kind}, got {value!r}")
-    if positive and value <= 0:
-        raise ScenarioError(f"{path} must be positive, got {value!r}")
+def _choice(*choices):
+    def check(value, path):
+        if isinstance(value, bool) or value not in choices:
+            raise ScenarioError(f"{path} must be one of {list(choices)}, got {value!r}")
+        return value
+    return check
 
 
-def _require_numbers(value, count, path):
-    """Reject anything but a list of `count` finite numbers (of any length if count is None)."""
-    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
-        what = "numbers" if count is None else f"{count} numbers"
-        raise ScenarioError(f"{path} must be a list of {what}, got {value!r}")
-    for k, v in enumerate(value):
-        _require_number(v, f"{path}[{k}]")
+def _string(value, path):
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path} must be a string, got {value!r}")
+    return value
 
 
-def _require_node(value, kind, path):
-    """Reject anything but a node reference of a domain kind: [x, y] on grid2d, else a number."""
-    if kind == "grid2d":
-        _require_numbers(value, 2, path)
-    else:
-        _require_number(value, path)
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
 
 
-def _require_choice(value, choices, path):
-    if isinstance(value, bool) or value not in choices:
-        raise ScenarioError(f"{path} must be one of {list(choices)}, got {value!r}")
+def _list(item):
+    """Check of a list of any length, each entry passing `item`."""
+    def check(value, path):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path} must be a list, got {value!r}")
+        return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
+    return check
+
+
+def _entries(*items):
+    """Check of a list with one entry per check in `items`."""
+    def check(value, path):
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ScenarioError(f"{path} must be a list of {len(items)} entries, got {value!r}")
+        return [item(v, f"{path}[{k}]") for k, (item, v) in enumerate(zip(items, value))]
+    return check
+
+
+def _object_or_list(obj, lst):
+    return lambda value, path: (obj if isinstance(value, dict) else lst)(value, path)
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _block(keys, tag=None, variants=None, implied=None):
+    """Check of an object whose keys map to (check, default) in `keys`.
+
+    A tagged block also reads the keys of the variant that its `tag` names,
+    or that `implied` names when the tag is left out (it then stays out).
+    Returns the resolved copy: every key checked, every default filled in.
+    """
+    tag_check = _choice(*variants) if tag else None
+    reads = ({None: keys} if tag is None else
+             {name: {tag: (tag_check, REQUIRED if implied is None else ABSENT), **keys, **extra}
+              for name, extra in variants.items()})
+
+    def check(value, path):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{path} must be an object, got {value!r}")
+        variant = tag_check(value.get(tag, implied), f"{path}.{tag}") if tag else None
+        table = reads[variant]
+        for key in value:
+            if key not in table:
+                read_with = f" with {tag} {variant!r}" if tag else ""
+                raise ScenarioError(f"{_join(path, key)} is not read{read_with}")
+        out = {}
+        for key, (check_key, default) in table.items():
+            raw = value.get(key, default)
+            if raw is not ABSENT:  # a missing required key fails its check as None
+                out[key] = check_key(None if raw is REQUIRED else raw, _join(path, key))
+        return out
+    return check
+
+
+NUMBER, POSITIVE, COUNT = _number(), _number(above=0), _number(integer=True, above=0)
+PAIR = _entries(NUMBER, NUMBER)
+
+DOMAIN = _block({}, "kind", {
+    "interval": {"lo": (NUMBER, REQUIRED), "hi": (NUMBER, REQUIRED), "dx": (POSITIVE, REQUIRED),
+                 "targets": (_object_or_list(_block({"intervals": (_list(PAIR), ABSENT)}),
+                                             _list(NUMBER)), REQUIRED),
+                 "origin": (_optional(NUMBER), ABSENT)},
+    "grid2d": {"lo": (PAIR, REQUIRED), "hi": (PAIR, REQUIRED), "dx": (POSITIVE, REQUIRED),
+               "targets": (_list(PAIR), REQUIRED), "origin": (_optional(PAIR), ABSENT),
+               "connectivity": (_choice(4, 8), ABSENT)},
+    "graph": {"n_nodes": (COUNT, REQUIRED),
+              "edges": (_list(_entries(NUMBER, NUMBER, NUMBER)), REQUIRED),
+              "targets": (_list(NUMBER), REQUIRED), "origin": (_optional(NUMBER), ABSENT)},
+})
+
+
+def _kernel_part(cls):
+    """Check of a kernel part: the parameters its family reads, as congestion.py lists them."""
+    return _block({}, "family", {
+        family: {**{param: (NUMBER, REQUIRED) for param in required},
+                 **{param: (NUMBER, ABSENT) for param in cls.defaulted.get(family, ())}}
+        for family, required in cls.required.items()})
+
+
+KERNEL = _block({"kappa": (_kernel_part(Kappa), REQUIRED), "chi": (_kernel_part(Chi), REQUIRED),
+                 "eta": (_kernel_part(Eta), REQUIRED)})
+
+EQUILIBRIUM = _block({
+    "max_iterations": (COUNT, 60),
+    "damping": (_block({}, "rule", {"fictitious_play": {}, "constant": {
+        "value": (_number(above=0, most=1), ABSENT)}}), {"rule": "fictitious_play"}),
+    "tolerance": (POSITIVE, 0.02),
+    # binning is the size rule; "auto" is its only name
+    "marginal_binning": (_choice("auto"), ABSENT),
+})
+
+TIME = _number(least=0)
+ASYMPTOTICS = _block({
+    "p": (_choice(1, 2), 1),
+    "report_times": (_object_or_list(
+        _block({"start": (_optional(TIME), ABSENT), "stop": (_optional(NUMBER), ABSENT)}, "kind",
+               {"linear": {"step": (_optional(POSITIVE), ABSENT)},
+                "log": {"count": (_optional(COUNT), ABSENT)}}, implied="linear"),
+        _list(TIME)), {"kind": "linear", "start": 0.0, "stop": None, "step": None}),
+    "rate_fit": (_optional(_block({"window": (PAIR, REQUIRED)}, "mode", {
+        "power": {}, "exponential": {"tail_dimension": (COUNT, ABSENT)}})), None),
+})
+
+
+def _scenario_table(kind):
+    """The check of a whole scenario on a domain of `kind`."""
+    node = PAIR if kind == "grid2d" else NUMBER
+    measures = {"dirac": {"location": (node, REQUIRED)},
+                "atoms": {"points": (_list(node), REQUIRED), "weights": (_list(NUMBER), REQUIRED)}}
+    if kind == "interval":  # the quantile families place their atoms on a line
+        count = {"count": (COUNT, REQUIRED)}
+        measures.update(
+            uniform={"support": (PAIR, REQUIRED), **count},
+            power_tail={"shoulder": (NUMBER, REQUIRED), "exponent": (_number(above=1), REQUIRED),
+                        **count},
+            exp_tail={"shoulder": (NUMBER, REQUIRED), "rate": (POSITIVE, REQUIRED), **count})
+    return _block({
+        "schema": (_choice(SCHEMA_VERSION), REQUIRED),
+        "name": (_string, "unnamed"),
+        "seed": (_number(integer=True), 0),
+        "domain": (DOMAIN, REQUIRED),
+        "exit_cost": (_block({}, "kind", {
+            "zero": {}, "constant": {"value": (NUMBER, REQUIRED)},
+            "table": {"entries": (_list(_entries(node, NUMBER)), REQUIRED)}}), {"kind": "zero"}),
+        "kernel": (KERNEL, REQUIRED),
+        "initial_measure": (_block({}, "kind", measures), REQUIRED),
+        "equilibrium": (EQUILIBRIUM, {}),
+        "asymptotics": (ASYMPTOTICS, {}),
+    })
+
+
+SCENARIO_TABLES = {kind: _scenario_table(kind) for kind in ("interval", "grid2d", "graph")}
 
 
 def validate_config(cfg):
-    """Strict structural validation; returns a resolved copy with defaults."""
+    """Strict validation; returns a resolved copy with defaults, sharing nothing with cfg."""
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _require(cfg, {"schema", "name", "seed", "domain", "exit_cost", "kernel",
-                   "initial_measure", "equilibrium", "asymptotics"}, "scenario")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError(f"schema must be {SCHEMA_VERSION}, got {cfg.get('schema')}")
-    out = copy.deepcopy(cfg)
-    out.setdefault("name", "unnamed")
-    out.setdefault("seed", 0)
-    _require_number(out["seed"], "seed", integer=True)
-
-    dom = out.get("domain")
-    if not isinstance(dom, dict) or "kind" not in dom:
-        raise ScenarioError("domain block with a 'kind' is required")
-    if dom["kind"] == "interval":
-        _require(dom, {"kind", "lo", "hi", "dx", "targets", "origin"}, "domain")
-    elif dom["kind"] == "grid2d":
-        _require(dom, {"kind", "lo", "hi", "dx", "targets", "origin", "connectivity"}, "domain")
-    elif dom["kind"] == "graph":
-        _require(dom, {"kind", "n_nodes", "edges", "targets", "origin"}, "domain")
-    else:
-        raise ScenarioError(f"unknown domain kind {dom['kind']!r}")
-    if dom["kind"] == "interval":
-        _require_number(dom.get("lo"), "domain.lo")
-        _require_number(dom.get("hi"), "domain.hi")
-    elif dom["kind"] == "grid2d":
-        _require_numbers(dom.get("lo"), 2, "domain.lo")
-        _require_numbers(dom.get("hi"), 2, "domain.hi")
-    else:
-        _require_number(dom.get("n_nodes"), "domain.n_nodes", integer=True, positive=True)
-        edges = dom.get("edges")
-        if not isinstance(edges, list):
-            raise ScenarioError(f"domain.edges must be a list of [u, v, length] triples, got {edges!r}")
-        for k, edge in enumerate(edges):
-            _require_numbers(edge, 3, f"domain.edges[{k}]")
-    targets = dom.get("targets")
-    if isinstance(targets, dict) and dom["kind"] == "interval":
-        _require(targets, {"intervals"}, "domain.targets")
-        intervals = targets.get("intervals", [])
-        if not isinstance(intervals, list):
-            raise ScenarioError(f"domain.targets.intervals must be a list of [a, b] pairs, "
-                                f"got {intervals!r}")
-        for k, pair in enumerate(intervals):
-            _require_numbers(pair, 2, f"domain.targets.intervals[{k}]")
-    elif isinstance(targets, list):
-        for k, target in enumerate(targets):
-            _require_node(target, dom["kind"], f"domain.targets[{k}]")
-    else:
-        also = " or an intervals object" if dom["kind"] == "interval" else ""
-        raise ScenarioError(f"domain.targets must be a list{also}, got {targets!r}")
-    if dom.get("origin") is not None:
-        _require_node(dom["origin"], dom["kind"], "domain.origin")
-    if dom["kind"] != "graph":
-        _require_number(dom.get("dx"), "domain.dx", positive=True)
-
-    cost = out.setdefault("exit_cost", {"kind": "zero"})
-    _require(cost, {"kind", "value", "entries"}, "exit_cost")
-    if cost.get("kind") not in COST_READS:
-        raise ScenarioError(f"unknown exit_cost kind {cost.get('kind')!r}")
-    unread = sorted(set(cost) - {"kind"} - COST_READS[cost["kind"]])
-    if unread:
-        raise ScenarioError(f"exit_cost.{unread[0]} is not read with kind {cost['kind']!r}")
-    if cost["kind"] == "constant":
-        _require_number(cost.get("value"), "exit_cost.value")
-    if cost["kind"] == "table":
-        entries = cost.get("entries")
-        if not isinstance(entries, list) or not all(
-                isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
-            raise ScenarioError(f"exit_cost.entries must be a list of [target, cost] pairs, "
-                                f"got {entries!r}")
-        for k, (node, value) in enumerate(entries):
-            _require_node(node, dom["kind"], f"exit_cost.entries[{k}][0]")
-            _require_number(value, f"exit_cost.entries[{k}][1]")
-
-    ker = out.get("kernel")
-    if not isinstance(ker, dict):
-        raise ScenarioError("kernel block is required")
-    _require(ker, {"kappa", "chi", "eta"}, "kernel")
-    for part, cls in KERNEL_PARTS.items():
-        if not isinstance(ker.get(part), dict) or "family" not in ker[part]:
-            raise ScenarioError(f"kernel.{part} must be an object with a 'family', "
-                                f"got {ker.get(part)!r}")
-        family = ker[part]["family"]
-        _require_choice(family, tuple(cls.required), f"kernel.{part}.family")
-        for param in cls.required[family]:
-            if param not in ker[part]:
-                raise ScenarioError(
-                    f"kernel.{part}.{param} is required for family {family!r}")
-        _require(ker[part], {"family", *cls.required[family],
-                             *KERNEL_DEFAULTED.get(part, {}).get(family, ())},
-                 f"kernel.{part} (family {family!r})")
-        for param, value in ker[part].items():
-            if param != "family":
-                _require_number(value, f"kernel.{part}.{param}")
-
-    m0 = out.get("initial_measure")
-    if not isinstance(m0, dict) or "kind" not in m0:
-        raise ScenarioError("initial_measure block with a 'kind' is required")
-    allowed = {
-        "dirac": {"kind", "location"},
-        "uniform": {"kind", "support", "count"},
-        "power_tail": {"kind", "shoulder", "exponent", "count"},
-        "exp_tail": {"kind", "shoulder", "rate", "count"},
-        "atoms": {"kind", "points", "weights"},
-    }
-    if m0["kind"] not in allowed:
-        raise ScenarioError(f"unknown initial_measure kind {m0['kind']!r}")
-    _require(m0, allowed[m0["kind"]], "initial_measure")
-    if m0["kind"] == "dirac":
-        _require_node(m0.get("location"), dom["kind"], "initial_measure.location")
-    if m0["kind"] == "uniform":
-        _require_numbers(m0.get("support"), 2, "initial_measure.support")
-    if m0["kind"] == "atoms":
-        points = m0.get("points")
-        if not isinstance(points, list):
-            raise ScenarioError(f"initial_measure.points must be a list, got {points!r}")
-        for k, point in enumerate(points):
-            _require_node(point, dom["kind"], f"initial_measure.points[{k}]")
-        _require_numbers(m0.get("weights"), None, "initial_measure.weights")
-    for key in ("shoulder", "exponent", "rate", "count"):
-        if key in allowed[m0["kind"]]:
-            _require_number(m0.get(key), f"initial_measure.{key}",
-                            integer=key == "count", positive=key == "count")
-
-    eq = out.setdefault("equilibrium", {})
-    _require(eq, {"max_iterations", "damping", "tolerance", "marginal_binning"}, "equilibrium")
-    eq.setdefault("max_iterations", 60)
-    eq.setdefault("damping", {"rule": "fictitious_play"})
-    _require(eq["damping"], {"rule", "value"}, "equilibrium.damping")
-    eq.setdefault("tolerance", 0.02)
-    _require_number(eq["max_iterations"], "equilibrium.max_iterations", integer=True, positive=True)
-    _require_number(eq["tolerance"], "equilibrium.tolerance", positive=True)
-    _require_choice(eq["damping"].get("rule"), ("fictitious_play", "constant"),
-                    "equilibrium.damping.rule")
-    if eq["damping"]["rule"] == "constant":
-        value = eq["damping"].get("value", 0.5)
-        _require_number(value, "equilibrium.damping.value", positive=True)
-        if value > 1:
-            raise ScenarioError(f"equilibrium.damping.value must lie in (0, 1], got {value!r}")
-    elif "value" in eq["damping"]:
-        raise ScenarioError(f"equilibrium.damping.value is read only with rule 'constant', "
-                            f"got rule {eq['damping']['rule']!r}")
-    if "marginal_binning" in eq:  # binning is the size rule; "auto" is its only name
-        _require_choice(eq["marginal_binning"], ("auto",), "equilibrium.marginal_binning")
-
-    asym = out.setdefault("asymptotics", {})
-    _require(asym, {"p", "report_times", "rate_fit"}, "asymptotics")
-    asym.setdefault("p", 1)
-    _require_choice(asym["p"], (1, 2), "asymptotics.p")
-    asym.setdefault("report_times", {"kind": "linear", "start": 0.0, "stop": None, "step": None})
-    rt = asym["report_times"]
+    kind = cfg["domain"].get("kind") if isinstance(cfg.get("domain"), dict) else None
+    # any table rejects an unknown kind at domain.kind
+    out = SCENARIO_TABLES.get(kind if isinstance(kind, str) else None,
+                              SCENARIO_TABLES["interval"])(cfg, "")
+    fit = out["asymptotics"]["rate_fit"]
+    if fit is not None and fit["window"][0] >= fit["window"][1]:
+        raise ScenarioError(f"asymptotics.rate_fit.window must be increasing, "
+                            f"got {fit['window']!r}")
+    rt = out["asymptotics"]["report_times"]
     if isinstance(rt, dict):
-        _require(rt, {"kind", "start", "stop", "step", "count"}, "asymptotics.report_times")
-        kind = rt.get("kind", "linear")
-        _require_choice(kind, tuple(REPORT_TIME_READS), "asymptotics.report_times.kind")
-        unread = sorted(set(rt) - {"kind"} - REPORT_TIME_READS[kind])
-        if unread:
-            raise ScenarioError(f"asymptotics.report_times.{unread[0]} is not read "
-                                f"with kind {kind!r}")
-        for key in ("start", "stop", "step", "count"):
-            if rt.get(key) is not None:
-                _require_number(rt[key], f"asymptotics.report_times.{key}",
-                                integer=key == "count", positive=key in ("step", "count"))
-        start = 0.0 if rt.get("start") is None else rt["start"]
-        stop = rt.get("stop")
-        if start < 0:
-            raise ScenarioError(f"asymptotics.report_times.start must not be negative, got {start!r}")
-        if stop is not None and (stop < start or (kind == "log" and stop <= 0)):
+        start, stop = rt.get("start") or 0.0, rt.get("stop")
+        if stop is not None and (stop < start or (rt.get("kind") == "log" and stop <= 0)):
             raise ScenarioError(f"asymptotics.report_times.stop must be at least start "
                                 f"({start!r}) and positive on a log grid, got {stop!r}")
-    elif isinstance(rt, list):
-        _require_numbers(rt, None, "asymptotics.report_times")
-        if any(t < 0 for t in rt):
-            raise ScenarioError(f"asymptotics.report_times must not hold negative times, got {rt!r}")
-    else:
-        raise ScenarioError(f"asymptotics.report_times must be an object or a list, got {rt!r}")
-    fit = asym.setdefault("rate_fit", None)
-    if fit is not None:
-        _require(fit, {"mode", "window", "tail_dimension"}, "asymptotics.rate_fit")
-        _require_choice(fit.get("mode"), ("power", "exponential"), "asymptotics.rate_fit.mode")
-        _require_numbers(fit.get("window"), 2, "asymptotics.rate_fit.window")
-        if fit["window"][0] >= fit["window"][1]:
-            raise ScenarioError(f"asymptotics.rate_fit.window must be increasing, "
-                                f"got {fit['window']!r}")
-        if "tail_dimension" in fit:
-            if fit["mode"] != "exponential":  # fit_decay_rate reads it only there
-                raise ScenarioError(f"asymptotics.rate_fit.tail_dimension is read only with "
-                                    f"mode 'exponential', got mode {fit['mode']!r}")
-            _require_number(fit["tail_dimension"], "asymptotics.rate_fit.tail_dimension",
-                            integer=True, positive=True)
     return out
 
 
@@ -320,10 +276,7 @@ def build_cost(domain, cfg):
 
 def build_kernel(domain, cfg):
     ker = cfg["kernel"]
-    kappa = Kappa(ker["kappa"]["family"], **{k: v for k, v in ker["kappa"].items() if k != "family"})
-    chi = Chi(ker["chi"]["family"], **{k: v for k, v in ker["chi"].items() if k != "family"})
-    eta = Eta(ker["eta"]["family"], **{k: v for k, v in ker["eta"].items() if k != "family"})
-    return CongestionKernel(domain, kappa, chi, eta)
+    return CongestionKernel(domain, Kappa(**ker["kappa"]), Chi(**ker["chi"]), Eta(**ker["eta"]))
 
 
 def _tail_atoms(domain, kind, shoulder, param, n):
@@ -335,12 +288,11 @@ def _tail_atoms(domain, kind, shoulder, param, n):
     """
     lo, hi = domain.lo, domain.hi
     if not (lo < shoulder < hi):
-        raise ScenarioError("tail shoulder must lie inside the domain")
+        raise ScenarioError(f"initial_measure.shoulder must lie inside the domain "
+                            f"({lo}, {hi}), got {shoulder!r}")
     plateau = shoulder - lo
     if kind == "power_tail":
         beta = float(param)
-        if beta <= 1:
-            raise ScenarioError("power tail needs exponent > 1")
         def tail_mass(x):
             return shoulder / (beta - 1) * (1.0 - (x / shoulder) ** (1.0 - beta))
         def tail_inv(q):
@@ -348,8 +300,6 @@ def _tail_atoms(domain, kind, shoulder, param, n):
         full_tail = shoulder / (beta - 1)
     else:
         rate = float(param)
-        if rate <= 0:
-            raise ScenarioError("exp tail needs positive rate")
         def tail_mass(x):
             return (1.0 - np.exp(-rate * (x - shoulder))) / rate
         def tail_inv(q):
@@ -387,7 +337,7 @@ def build_initial_measure(domain, cfg):
         if kind == "atoms":
             pts = [_as_point(domain, p) for p in block["points"]]
             return ParticleMeasure(domain, pts, block["weights"]), flags
-        if kind == "uniform" and domain.kind == "interval":
+        if kind == "uniform":
             n = int(block["count"])
             a, b = block["support"]
             q = (np.arange(n) + 0.5) / n
@@ -398,8 +348,6 @@ def build_initial_measure(domain, cfg):
     except ValueError as err:  # a point outside the domain, or not a number
         path = {"dirac": "location", "atoms": "points"}.get(kind, "support")
         raise ScenarioError(f"initial_measure.{path}: {err}") from None
-    if domain.kind != "interval":
-        raise ScenarioError(f"initial_measure kind {kind!r} needs the interval backend")
     n = int(block["count"])
     param = block["exponent"] if kind == "power_tail" else block["rate"]
     m0, truncated = _tail_atoms(domain, kind, float(block["shoulder"]), param, n)
@@ -428,7 +376,7 @@ def report_times(cfg, horizon):
     stop = rt.get("stop")
     stop = horizon if stop is None else min(float(stop), horizon)
     if kind == "log":
-        count = int(rt.get("count", 20))
+        count = int(rt.get("count") or 20)
         lo = max(start, 1e-6)
         if lo > stop:  # the grid starts beyond the solved horizon
             return np.empty(0)
@@ -532,4 +480,6 @@ def load_scenario(source):
         raise ScenarioError(
             f"{source!r} is neither a registry scenario ({', '.join(sorted(reg))}) "
             "nor a readable file")
+    except (OSError, ValueError) as err:  # ValueError: not JSON, or not text
+        raise ScenarioError(f"{source!r} is not a readable JSON scenario: {err}") from None
     return validate_config(cfg)

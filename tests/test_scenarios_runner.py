@@ -26,7 +26,7 @@ def test_registry_names_resolve_and_validate():
 def test_unknown_keys_rejected():
     cfg = load_scenario("remark_5_3")
     cfg["extra"] = 1
-    with pytest.raises(ScenarioError, match="unknown keys"):
+    with pytest.raises(ScenarioError, match="^extra is not read$"):
         validate_config(cfg)
     cfg2 = load_scenario("remark_5_3")
     cfg2["domain"]["typo"] = 1
@@ -52,6 +52,68 @@ def test_scenario_file_round_trip(tmp_path):
     path.write_text(json.dumps(cfg))
     loaded = load_scenario(str(path))
     assert loaded == cfg
+
+
+def test_minimal_scenario_resolves_every_default():
+    """Defaults are filled in; origin, report-time kind and binning stay absent when absent."""
+    minimal = {"schema": 1,
+               "domain": {"kind": "interval", "lo": 0.0, "hi": 1.0, "dx": 0.1, "targets": [1.0]},
+               "kernel": {"kappa": {"family": "constant", "value": 1.0},
+                          "chi": {"family": "constant"}, "eta": {"family": "constant"}},
+               "initial_measure": {"kind": "dirac", "location": 0.5}}
+    assert validate_config(minimal) == {
+        "schema": 1, "name": "unnamed", "seed": 0,
+        "domain": {"kind": "interval", "lo": 0.0, "hi": 1.0, "dx": 0.1, "targets": [1.0]},
+        "exit_cost": {"kind": "zero"},
+        "kernel": {"kappa": {"family": "constant", "value": 1.0},
+                   "chi": {"family": "constant"}, "eta": {"family": "constant"}},
+        "initial_measure": {"kind": "dirac", "location": 0.5},
+        "equilibrium": {"max_iterations": 60, "damping": {"rule": "fictitious_play"},
+                        "tolerance": 0.02},
+        "asymptotics": {"p": 1, "rate_fit": None,
+                        "report_times": {"kind": "linear", "start": 0.0, "stop": None,
+                                         "step": None}}}
+    cfg = dict(minimal, asymptotics={"report_times": {"step": 0.1}})
+    assert validate_config(cfg)["asymptotics"]["report_times"] == {"step": 0.1}
+
+
+@pytest.mark.parametrize("name", sorted(scenario_registry()))
+def test_validation_is_idempotent(name):
+    cfg = validate_config(scenario_registry()[name])
+    assert validate_config(cfg) == cfg
+
+
+def test_resolved_copy_shares_no_list_with_the_input():
+    raw = grid2d_scenario()
+    raw["exit_cost"] = {"kind": "table", "entries": [[[0.0, 0.0], 0.0]]}
+    cfg = validate_config(raw)
+    before = json.dumps(cfg, sort_keys=True)
+    for block in (raw["domain"]["lo"], raw["domain"]["targets"][0],
+                  raw["initial_measure"]["points"][0], raw["initial_measure"]["weights"],
+                  raw["exit_cost"]["entries"][0][0]):
+        block[0] = 99.0
+    raw["domain"]["targets"].append([0.5, 0.5])
+    raw["asymptotics"]["report_times"]["step"] = 7.0
+    assert json.dumps(cfg, sort_keys=True) == before
+
+
+@pytest.mark.parametrize("content", ['{"schema": 1,', "\xff\xfe", None])
+def test_unreadable_scenario_file_is_validation_failure(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content.encode("latin-1"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith(f"{str(path)!r} is not a readable JSON scenario")
+
+
+def test_null_log_count_reads_the_default_count():
+    """A null report-time key reads as an absent one; a null log count used to exit 4."""
+    from exitlab.scenarios import report_times
+    cfg = load_scenario("remark_5_3")
+    cfg["asymptotics"]["report_times"] = {"kind": "log", "start": 0.1, "count": None}
+    assert len(report_times(validate_config(cfg), 2.0)) == 20
 
 
 def test_tail_measures_flag_truncation():
@@ -236,6 +298,8 @@ def test_validation_failure_status(tmp_path):
     pytest.param("asymptotics.report_times", {"kind": "log", "start": 0.1, "count": 5,
                                               "step": 0.2},
                  id="asymptotics.report_times-log_with_step"),
+    # a name that is not a string used to run
+    ("name", 5),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -243,7 +307,7 @@ def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     runner.set_by_path(cfg, path, value)
     result = runner.run(cfg, str(tmp_path / "bad"))
     assert result.status == runner.STATUS_VALIDATION
-    assert path in result.error
+    assert result.error.startswith(path), result.error
 
 
 @pytest.mark.parametrize("block, path", [
@@ -280,6 +344,14 @@ def test_malformed_graph_edges_are_validation_failures(tmp_path, edges):
 
 def interval_scenario():
     return load_scenario("remark_5_3")
+
+
+def power_tail_scenario():
+    return load_scenario("power_tail_cor56a")
+
+
+def exp_tail_scenario():
+    return load_scenario("exp_tail_cor56b")
 
 
 GRAPH_EDGES = [[1, 2, 0.5], [1, 3, 0.7], [3, 4, 0.4]]
@@ -337,12 +409,12 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     (grid2d_scenario, "domain.dx", 5.0, "domain.dx: "),
     (grid2d_scenario, "domain.dx", 0.3, "domain.dx: "),
     (interval_scenario, "exit_cost", {"kind": "zero", "lipschitz": 0.0},
-     "unknown keys ['lipschitz'] in exit_cost"),
+     "exit_cost.lipschitz is not read with kind 'zero'"),
     (interval_scenario, "exit_cost", {"kind": "table", "entries": [[0.0, 0.0], [1.0, 0.5]],
                                       "lipschitz": 0.5},
-     "unknown keys ['lipschitz'] in exit_cost"),
+     "exit_cost.lipschitz is not read with kind 'table'"),
     (graph_scenario, "kernel.eta", {"family": "taper", "distance": 0.3, "value": 5.0},
-     "unknown keys ['value'] in kernel.eta (family 'taper')"),
+     "kernel.eta.value is not read with family 'taper'"),
     (interval_scenario, "exit_cost", {"kind": "zero", "value": 5.0},
      "exit_cost.value is not read with kind 'zero'"),
     (grid2d_scenario, "exit_cost", {"kind": "constant", "value": 0.0, "entries": [[1.0, 0.5]]},
@@ -351,9 +423,9 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
                                       "value": 1.0},
      "exit_cost.value is not read with kind 'table'"),
     (interval_scenario, "equilibrium.damping", {"rule": "fictitious_play", "value": 0.3},
-     "equilibrium.damping.value is read only with rule 'constant', got rule 'fictitious_play'"),
+     "equilibrium.damping.value is not read with rule 'fictitious_play'"),
     (interval_scenario, "exit_cost", {"kind": "constant", "value": 0.2, "lipschitz": 0.0},
-     "unknown keys ['lipschitz'] in exit_cost"),
+     "exit_cost.lipschitz is not read with kind 'constant'"),
     (interval_scenario, "asymptotics.report_times", {"kind": "linear", "step": 0.05, "count": 3},
      "asymptotics.report_times.count is not read with kind 'linear'"),
     (interval_scenario, "asymptotics.report_times", {"count": 3},
@@ -361,6 +433,15 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     (interval_scenario, "asymptotics.report_times",
      {"kind": "log", "start": 0.1, "count": 5, "step": 0.2},
      "asymptotics.report_times.step is not read with kind 'log'"),
+    # tail parameters and backends used to fail without naming their path
+    (power_tail_scenario, "initial_measure.shoulder", 40.0,
+     "initial_measure.shoulder must lie inside the domain (0.0, 30.0), got 40.0"),
+    (power_tail_scenario, "initial_measure.exponent", 0.5,
+     "initial_measure.exponent must be > 1, got 0.5"),
+    (exp_tail_scenario, "initial_measure.rate", -1.0,
+     "initial_measure.rate must be > 0, got -1.0"),
+    (grid2d_scenario, "initial_measure", {"kind": "uniform", "support": [0.0, 0.2], "count": 4},
+     "initial_measure.kind must be one of ['dirac', 'atoms'], got 'uniform'"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()
