@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import limit_measure
 from .measures import MeasureError, ParticleMeasure, TrajectoryEnsemble
 from .ocp import (SpeedField, horizon_bound, trajectory_bound, solve_value,
-                  synthesize_batch, default_dpp_tol)
+                  synthesize_batch, default_dpp_tol, origin_excursions)
 
 PRUNE_DEFAULT = 1e-9
 BINNING_WORK_CAP = 4_000_000
@@ -370,18 +370,7 @@ def _bound_checks(report, m0, kernel, domain, cost):
     checks.append({"name": "psi_ball_confinement", "passed": bool(exc <= slack),
                    "detail": f"max excursion excess over psi(R) = {exc:.6g}"})
 
-    # mass confinement (the compact-search-set property): for each tested R,
-    # the ensemble mass staying inside the psi(R)-ball must cover the
-    # m0-mass of the R-ball.
-    start_d = m0.origin_distances()
-    radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
-    psis = trajectory_bound(horizon_bound(domain, cost, bounds, radii), bounds[1], radii)
-    excursions = np.max(domain.point_origin_distance(ens.samples), axis=1)
-    worst = np.inf
-    for r, psi_r in zip(radii, psis):
-        lhs = float(np.sum(ens.weights[excursions <= psi_r + 1e-9]))
-        rhs = float(np.sum(m0.weights[start_d <= r + 1e-9]))
-        worst = min(worst, lhs - rhs)
+    worst = _mass_confinement_gap(ens, m0, domain, cost, bounds)
     checks.append({"name": "mass_confinement", "passed": bool(worst >= -1e-9),
                    "detail": f"min over tested R of Q(psi-ball) - m0(R-ball) = {worst:.6g}"})
 
@@ -393,3 +382,22 @@ def _bound_checks(report, m0, kernel, domain, cost):
     checks.append({"name": "constant_after_exit", "passed": bool(tail <= 1e-12),
                    "detail": f"max drift after exit = {tail:.6g}"})
     return checks
+
+
+def _mass_confinement_gap(ens, m0, domain, cost, bounds):
+    """min over tested R of Q(psi(R)-ball) - m0(R-ball).
+
+    Mass confinement, the compact-search-set property: for each tested R,
+    the ensemble mass staying inside the psi(R)-ball must cover the m0-mass
+    of the R-ball.
+    """
+    start_d = m0.origin_distances()
+    radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
+    psis = trajectory_bound(horizon_bound(domain, cost, bounds, radii), bounds[1], radii)
+    _, excursions = origin_excursions(ens.samples, domain)
+    worst = np.inf
+    for r, psi_r in zip(radii, psis):
+        lhs = float(np.sum(ens.weights[excursions <= psi_r + 1e-9]))
+        rhs = float(np.sum(m0.weights[start_d <= r + 1e-9]))
+        worst = min(worst, lhs - rhs)
+    return worst

@@ -6,6 +6,8 @@ paths; time marginals are the column clouds e_t#Q.
 """
 from __future__ import annotations
 
+import math
+import mmap
 from functools import cached_property
 
 import numpy as np
@@ -14,6 +16,9 @@ from scipy.optimize import linprog
 
 MAX_LP_SUPPORT = 512
 WEIGHT_TOL = 1e-12
+# trajectories per block in the row-blocked scans of an ensemble (the
+# certificate checks and the moves of mix): bounds their temporaries
+ROW_BLOCK = 256
 
 
 class MeasureError(ValueError):
@@ -65,8 +70,8 @@ def trajectory_keys(exit_indices, samples):
     row against its group's first row and regroup exactly on a mismatch.
     """
     n = len(exit_indices)
-    words = np.column_stack([exit_indices,
-                             np.ascontiguousarray(samples).reshape(n, -1).view(np.int64)])
+    words = np.column_stack([exit_indices, np.ascontiguousarray(samples).reshape(
+        n, math.prod(np.shape(samples)[1:])).view(np.int64)])
     salt = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN
     return _mix64(np.bitwise_xor.reduce(_mix64(words.view(np.uint64) + salt), axis=1))
 
@@ -179,10 +184,10 @@ class TrajectoryEnsemble:
     there is none); when omitted it is read off the exit positions by
     snapping them to the target set. The per-row fields after weights are
     keyword-only. Two more per-row fields are caches of the samples, computed
-    when omitted and carried by mix: node_indices, the
-    int32 nearest node of every sample, and row_keys, the trajectory_keys()
-    of every trajectory. settled_slice is derived from the samples once per
-    ensemble object and is not carried.
+    when omitted and carried by mix, which changes an ensemble in place:
+    node_indices, the int32 nearest node of every sample, and row_keys, the
+    trajectory_keys() of every trajectory. settled_slice is derived from the
+    samples and cached until the next mix.
     """
 
     def __init__(self, domain, dt, samples, weights, *, exit_indices=None,
@@ -207,6 +212,7 @@ class TrajectoryEnsemble:
         if row_keys is None:
             row_keys = trajectory_keys(self.exit_indices, self.samples)
         self.row_keys = row_keys
+        self._store = None  # mix's row buffers, with spare capacity
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
             raise MeasureError("trajectory weights must sum to 1")
 
@@ -258,40 +264,94 @@ class TrajectoryEnsemble:
         return m.merged() if merge else m
 
     def step_lengths(self):
-        d = self.domain.point_distance(self.samples[:, :-1], self.samples[:, 1:])
-        return np.reshape(d, (self.n_traj, self.n_steps))
+        """d(x_j, x_{j+1}) of every row and step, computed ROW_BLOCK rows at a time."""
+        out = np.empty((self.n_traj, self.n_steps))
+        for lo in range(0, self.n_traj, ROW_BLOCK):
+            rows = self.samples[lo:lo + ROW_BLOCK]
+            out[lo:lo + len(rows)] = np.reshape(
+                self.domain.point_distance(rows[:, :-1], rows[:, 1:]), (len(rows), self.n_steps))
+        return out
 
     def check_lipschitz(self, k_max):
         """Worst excess over the discrete Lipschitz bound k_max*dt + dx."""
-        excess = self.step_lengths() - (k_max * self.dt + self.domain.dx)
-        return float(np.max(excess, initial=-np.inf))
+        bound = k_max * self.dt + self.domain.dx
+        # rounding is monotone, so max(d) - bound is max(d - bound) to the bit
+        return float(np.max(self.step_lengths(), initial=-np.inf) - bound)
 
     def check_constant_after_exit(self):
         """Worst distance of a sample after the exit index from the exit sample."""
-        e = self.exit_indices
-        exit_pts = self.samples[np.arange(self.n_traj), np.maximum(e, 0)]
-        drift = self.domain.point_distance(self.samples, exit_pts[:, None])
-        after = (np.arange(self.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
-        return float(np.max(drift[after], initial=0.0))
+        worst = [0.0]
+        for lo in range(0, self.n_traj, ROW_BLOCK):
+            rows, e = self.samples[lo:lo + ROW_BLOCK], self.exit_indices[lo:lo + ROW_BLOCK]
+            exit_pts = rows[np.arange(len(rows)), np.maximum(e, 0)]
+            drift = self.domain.point_distance(rows, exit_pts[:, None])
+            after = (np.arange(self.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
+            worst.append(np.max(drift[after], initial=0.0))
+        return float(np.max(worst))
 
     def mix(self, other, lam, prune=1e-9):
-        """Fictitious-play style weighted union (1-lam)*self + lam*other.
+        """Fictitious-play style weighted union (1-lam)*self + lam*other, in place.
 
         Equal to concatenating the two, merging trajectories with equal exit
         index and sample bits (groups keep first-seen order and add their
         weights in row order), then dropping weights below prune and
-        renormalizing; only the surviving rows are copied, once.
+        renormalizing. The result replaces this ensemble's rows and weights,
+        and self is returned; other is only read, and may be self. Arrays
+        read from this ensemble before the call, and measures built on them,
+        may change with it.
+
+        From its first mix on the ensemble keeps its rows in buffers of its
+        own with geometric spare capacity. The surviving rows of self move
+        toward the front in ascending order, ROW_BLOCK rows at a time, and
+        the new rows of other follow them, so a mix that fits the buffers
+        holds no second copy of the samples: only other's new rows and one
+        block of self's at a time.
         """
         if other.samples.shape[1:] != self.samples.shape[1:] or other.dt != self.dt:
             raise MeasureError("cannot mix ensembles on different grids")
-        parts = (self, other)
-        rows, w = _merged_rows(parts, np.concatenate([(1 - lam) * self.weights,
-                                                      lam * other.weights]))
+        n = self.n_traj
+        rows, w = _merged_rows((self, other), np.concatenate([(1 - lam) * self.weights,
+                                                             lam * other.weights]))
         keep = w >= prune
         if not np.any(keep):
             raise MeasureError("pruning removed all trajectories")
-        w = w[keep]
-        return _ensemble_of_rows(parts, rows[keep], w / w.sum())
+        rows, w = rows[keep], w[keep]
+        mine = rows[rows < n]
+        fields = {name: getattr(self, name) for name in ROW_FIELDS}
+        # read before any row of self moves: other may share self's buffers
+        added = {name: getattr(other, name)[rows[len(mine):] - n] for name in ROW_FIELDS}
+        room = 0 if self._store is None else len(self._store["samples"])
+        if len(rows) > room:
+            cap = max(len(rows), 2 * max(room, n))
+            self._store = {name: _mapped((cap,) + a.shape[1:], a.dtype)
+                           for name, a in fields.items()}
+            start = 0
+        else:  # rows already in place lead: mine[i] - i is 0 there and never falls
+            start = int(np.searchsorted(mine - np.arange(len(mine)), 0, side="right"))
+        for name, src in fields.items():
+            dst = self._store[name]
+            # mine[i] >= i: a block reads only rows at or past its own, which
+            # no earlier block wrote
+            for lo in range(start, len(mine), ROW_BLOCK):
+                block = mine[lo:lo + ROW_BLOCK]
+                dst[lo:lo + len(block)] = src[block]
+            dst[len(mine):len(rows)] = added[name]
+            setattr(self, name, dst[:len(rows)])
+        self.weights = w / w.sum()
+        self.__dict__.pop("settled_slice", None)
+        return self
+
+
+def _mapped(shape, dtype):
+    """An empty array in an anonymous memory map of its own.
+
+    Pages take memory only once written, and all of them go back to the
+    system when the array is freed. A malloc'd buffer of this size may come
+    from the heap instead, where a freed buffer can stay resident as a hole.
+    """
+    count = math.prod(shape)
+    pages = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
 
 
 # the per-row fields of TrajectoryEnsemble, in constructor keyword form
@@ -308,13 +368,6 @@ def _take(arrays, rows):
         np.take(a, rows[lo:hi] - offset, axis=0, out=out[lo:hi], mode="clip")
         lo, offset = hi, offset + len(a)
     return out
-
-
-def _ensemble_of_rows(parts, rows, weights):
-    """Ensemble of the given rows (ascending) of the concatenated parts."""
-    first = parts[0]
-    fields = {name: _take([getattr(p, name) for p in parts], rows) for name in ROW_FIELDS}
-    return TrajectoryEnsemble(first.domain, first.dt, weights=weights, validate=False, **fields)
 
 
 def _merged_rows(parts, weights):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import BIG, STENCIL_ROWS
+from .measures import ROW_BLOCK
 
 STATIONARY_TOL = 1e-10  # sup-norm sweep change that ends the terminal stationary solve
 
@@ -332,9 +333,21 @@ def value_bound_excess(phi, domain, cost, bounds):
     return float(np.max(phi.values - limit[None, :]))
 
 
+def origin_excursions(samples, domain):
+    """Per row of samples: the origin distance of its first sample, and its largest.
+
+    Read ROW_BLOCK rows at a time, so no whole-ensemble distance array is built.
+    """
+    start, furthest = np.empty(len(samples)), np.empty(len(samples))
+    for lo in range(0, len(samples), ROW_BLOCK):
+        dists = domain.point_origin_distance(samples[lo:lo + ROW_BLOCK])
+        start[lo:lo + len(dists)] = dists[:, 0]
+        furthest[lo:lo + len(dists)] = np.max(dists, axis=1)
+    return start, furthest
+
+
 def confinement_excess(samples, domain, cost, bounds):
     """Worst excess of trajectory excursions over the psi(R)-ball radius."""
-    dists = domain.point_origin_distance(samples)
-    start_r = dists[:, 0]
+    start_r, furthest = origin_excursions(samples, domain)
     psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
-    return float(np.max(np.max(dists, axis=1) - psi_r, initial=-np.inf))
+    return float(np.max(furthest - psi_r, initial=-np.inf))

@@ -42,7 +42,14 @@ def _number(integer=False, above=None, least=None, most=None):
                                                             ("<=", most)) if bound is not None)
 
     def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, type_) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, type_):
+            raise ScenarioError(f"{path} must be {kind}, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float; its repr may be too long to print
+            raise ScenarioError(f"{path} must be {kind} within the float range, "
+                                f"got an integer of {int(value).bit_length()} bits") from None
+        if not finite:
             raise ScenarioError(f"{path} must be {kind}, got {value!r}")
         if ((above is not None and value <= above) or (least is not None and value < least)
                 or (most is not None and value > most)):

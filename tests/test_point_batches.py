@@ -1,5 +1,6 @@
 """The backend point-batch surface: as_points, nearest_nodes, batched distances,
-array-valued T(R) and psi(R), and the vectorized constant-after-exit check.
+array-valued T(R) and psi(R), the vectorized constant-after-exit check, and
+the certificate checks read ROW_BLOCK rows at a time.
 
 The references below are the per-item versions these functions replaced; each
 test asserts bit-equal results against them on all backends that apply.
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from exitlab.domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
-from exitlab.measures import TrajectoryEnsemble
-from exitlab.ocp import horizon_bound, trajectory_bound
+from exitlab import equilibrium as eq
+from exitlab.measures import ROW_BLOCK, ParticleMeasure, TrajectoryEnsemble
+from exitlab.ocp import (ValueField, confinement_excess, horizon_bound, origin_excursions,
+                         trajectory_bound)
 from test_domain import node_distance_reference
 from test_graph_arrays import edge_len_reference, pair_dist_reference, point_node_dist_reference
 
@@ -206,3 +209,105 @@ def test_check_constant_after_exit_matches_reference(make):
     got = ens.check_constant_after_exit()
     assert got > 0.0
     assert got == check_constant_after_exit_reference(ens)
+
+
+# ---- row-blocked certificate checks against the whole-array code ----------
+
+def check_lipschitz_whole(ens, k_max):
+    """check_lipschitz before row blocks: one step-length array, less the bound."""
+    d = ens.domain.point_distance(ens.samples[:, :-1], ens.samples[:, 1:])
+    excess = np.reshape(d, (ens.n_traj, ens.n_steps)) - (k_max * ens.dt + ens.domain.dx)
+    return float(np.max(excess, initial=-np.inf))
+
+
+def check_constant_after_exit_whole(ens):
+    """check_constant_after_exit before row blocks: one drift array over every sample."""
+    e = ens.exit_indices
+    exit_pts = ens.samples[np.arange(ens.n_traj), np.maximum(e, 0)]
+    drift = ens.domain.point_distance(ens.samples, exit_pts[:, None])
+    after = (np.arange(ens.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
+    return float(np.max(drift[after], initial=0.0))
+
+
+def confinement_excess_whole(samples, domain, cost, bounds):
+    """confinement_excess before row blocks."""
+    dists = domain.point_origin_distance(samples)
+    start_r = dists[:, 0]
+    psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
+    return float(np.max(np.max(dists, axis=1) - psi_r, initial=-np.inf))
+
+
+def excursions_whole(samples, domain):
+    """The mass check's per-row excursions before row blocks."""
+    return np.max(domain.point_origin_distance(samples), axis=1)
+
+
+def float_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def blocked_ensemble(domain, rng, n, steps):
+    """n rows that stay at their exit sample, never exit, or move after their recorded exit."""
+    samples = random_points(domain, rng, (n, steps + 1))
+    exits = rng.choice([-1, 0, 2, steps], n)
+    for k, e in enumerate(exits):
+        if e >= 0:
+            samples[k, e:] = samples[k, e]
+    moved = np.flatnonzero((exits >= 0) & (exits < steps))[::5]
+    samples[moved, -1] = random_points(domain, rng, (len(moved),))
+    return TrajectoryEnsemble(domain, 0.1, samples, np.full(n, 1.0 / max(n, 1)),
+                              exit_indices=exits, exit_nodes=np.zeros(n, dtype=int),
+                              validate=False)
+
+
+def exit_cost(domain):
+    return ExitCost(domain, {int(t): 0.1 + 0.07 * k for k, t in enumerate(domain.targets)})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * ROW_BLOCK + 37])
+@pytest.mark.parametrize("make", [interval, grid, graph])
+def test_row_blocked_checks_equal_the_whole_array_code(make, n):
+    dom = make()
+    ens = blocked_ensemble(dom, np.random.default_rng(n), n, steps=7)
+    cost = exit_cost(dom)
+    for k_max in (0.37, 1.9, 50.0):
+        assert float_bits(ens.check_lipschitz(k_max)) == float_bits(
+            check_lipschitz_whole(ens, k_max))
+        bounds = (0.37, k_max)
+        assert float_bits(confinement_excess(ens.samples, dom, cost, bounds)) == float_bits(
+            confinement_excess_whole(ens.samples, dom, cost, bounds))
+    got = ens.check_constant_after_exit()
+    assert float_bits(got) == float_bits(check_constant_after_exit_whole(ens))
+    assert got > 0.0 or n < 2  # the rows moved after their exit are seen
+    start, furthest = origin_excursions(ens.samples, dom)
+    assert np.array_equal(float_bits(furthest), float_bits(excursions_whole(ens.samples, dom)))
+    assert np.array_equal(float_bits(start),
+                          float_bits(dom.point_origin_distance(ens.samples[:, 0])))
+
+
+@pytest.mark.parametrize("make", [interval, grid, graph])
+def test_bound_checks_peak_stays_below_one_copy_of_the_samples(make):
+    """The a-priori bound checks read the final mixture ROW_BLOCK rows at a time.
+
+    What they hold at once is one (n_traj, n_steps) array, the Lipschitz
+    check's step_lengths read, or a few per-row vectors, with one block of
+    temporaries; the whole-array checks held two copies of the samples.
+    """
+    import tracemalloc
+    from types import SimpleNamespace
+
+    dom = make()
+    ens = blocked_ensemble(dom, np.random.default_rng(3), 40 * ROW_BLOCK + 37, steps=5)
+    phi = ValueField(dom, ens.dt, np.zeros((ens.n_steps + 1, dom.n_nodes)))
+    report = SimpleNamespace(final_ensemble=ens, final_phi=phi, dt=ens.dt)
+    m0 = ParticleMeasure(dom, ens.samples[:, 0], ens.weights, validate=False)
+    kernel = SimpleNamespace(k_min=0.37, k_max=1.9)
+    cost = exit_cost(dom)
+    tracemalloc.start()
+    try:
+        checks = eq._bound_checks(report, m0, kernel, dom, cost)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 5
+    assert peak < ens.samples.nbytes

@@ -300,6 +300,10 @@ def test_validation_failure_status(tmp_path):
                  id="asymptotics.report_times-log_with_step"),
     # a name that is not a string used to run
     ("name", 5),
+    # an integer too large for a float made math.isfinite raise OverflowError (status 4)
+    pytest.param("seed", 10 ** 400, id="seed-401_digits"),
+    pytest.param("equilibrium.max_iterations", 10 ** 400,
+                 id="equilibrium.max_iterations-401_digits"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")

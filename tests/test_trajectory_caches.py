@@ -180,20 +180,31 @@ def concatenated(a, b, lam):
     return TrajectoryEnsemble(a.domain, a.dt, weights=weights, validate=False, **fields)
 
 
+def rows_of(ens, rows, weights):
+    """The given rows of ens, in arrays of their own, with these weights."""
+    fields = {name: getattr(ens, name)[rows] for name in measures.ROW_FIELDS}
+    return TrajectoryEnsemble(ens.domain, ens.dt, weights=weights, validate=False, **fields)
+
+
+def copied(ens):
+    """ens in arrays of its own: mix changes its receiver in place."""
+    return rows_of(ens, np.arange(ens.n_traj), ens.weights.copy())
+
+
 def merged(ens):
     """Merge rows with equal exit index and sample bits.
 
     Groups keep first-seen order and add their weights in row order.
     """
     rows, w = measures._merged_rows((ens,), ens.weights)
-    return measures._ensemble_of_rows((ens,), rows, w)
+    return rows_of(ens, rows, w)
 
 
 def pruned(ens, threshold=1e-9):
     """Drop rows weighing less than threshold and renormalize."""
     keep = np.flatnonzero(ens.weights >= threshold)
     w = ens.weights[keep]
-    return measures._ensemble_of_rows((ens,), keep, w / w.sum())
+    return rows_of(ens, keep, w / w.sum())
 
 
 def mix_by_definition(a, b, lam, prune):
@@ -266,7 +277,7 @@ def test_mix_matches_concatenate_merge_prune(make):
     b = repeated_ensemble(dom, rng, n=30)
     for lam, prune in ((0.25, 1e-9), (0.5, 0.02), (0.9, 0.05)):
         rows, w = mix_reference(a, b, lam, prune)
-        out = a.mix(b, lam, prune)
+        out = copied(a).mix(b, lam, prune)  # a is read below
         assert_rows_of(out, [a, b], rows, w)
         assert_rows_of(out, [mix_by_definition(a, b, lam, prune)], slice(None), w)
         assert 0 < out.n_traj < a.n_traj + b.n_traj
@@ -291,8 +302,103 @@ def test_key_collision_takes_the_exact_fallback(monkeypatch):
     assert_rows_of(merged(a), [a], idx, w)
     assert len(calls) == 1
     rows, w = mix_reference(a, b, 0.3, 0.01)
-    assert_rows_of(a.mix(b, 0.3, 0.01), [a, b], rows, w)
+    assert_rows_of(copied(a).mix(b, 0.3, 0.01), [a, b], rows, w)
     assert len(calls) == 2
+
+
+def interior_pruned(rows, n):
+    """Whether a mix keeping these rows drops a receiver row (one of the first n)
+    that has a surviving receiver row after it."""
+    mine = rows[rows < n]
+    return len(mine) > 0 and mine[-1] != len(mine) - 1
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_mix_chain_matches_concatenate_merge_prune(make):
+    """55 in-place mixes at constant damping 0.4 against the reference chain.
+
+    The first candidate enters with weight 1 and later ones with 0.4, so
+    block 1 falls below the prune threshold before block 0, and blocks keep
+    leaving from the middle after that. Some candidates repeat a recent one
+    and merge; one mix is a self-mix; a copy of the receiver taken early is
+    mixed into after the receiver moved on, and is mixed into the receiver
+    late, when its rows have been pruned there.
+    """
+    from test_value_reuse import settled_reference
+
+    dom = make()
+    rng = np.random.default_rng(21)
+    paths = node_paths(dom, rng, 400, 5)  # rows repeat only where a candidate does
+
+    def candidate():
+        n = 5
+        w = rng.uniform(0.2, 1.0, n)
+        return TrajectoryEnsemble(dom, 0.1, paths[rng.integers(0, len(paths), n)], w / w.sum(),
+                                  exit_indices=rng.choice([-1, 2, 5], n),
+                                  exit_nodes=rng.integers(0, dom.n_nodes, n), validate=False)
+
+    lam, prune = 0.4, 1e-9
+    drawn = [candidate()]
+    mixture, want = copied(drawn[0]), copied(drawn[0])
+    early = early_want = None
+    interior, in_place = 0, 0
+    for k in range(55):
+        if k == 20:
+            other = mixture
+        elif k == 50:
+            other = early
+        elif k % 3 == 2:
+            other = drawn[-1 - rng.integers(0, min(3, len(drawn)))]
+        else:
+            other = candidate()
+            drawn.append(other)
+        ref_other = want if other is mixture else other
+        rows, w = mix_reference(want, ref_other, lam, prune)
+        interior += interior_pruned(rows, want.n_traj)
+        store = mixture._store
+        assert mixture.mix(other, lam, prune) is mixture
+        in_place += mixture._store is store
+        assert_rows_of(mixture, [want, ref_other], rows, w)
+        want = mix_by_definition(want, ref_other, lam, prune)
+        assert_rows_of(mixture, [want], slice(None), want.weights)
+        assert mixture.settled_slice == settled_reference(mixture.samples)
+        if k == 5:
+            early, early_want = copied(mixture), want
+        if k == 25:  # the receiver has moved on since the copy
+            other = candidate()
+            early_want = mix_by_definition(early_want, other, lam, prune)
+            assert_rows_of(early.mix(other, lam, prune), [early_want], slice(None),
+                           early_want.weights)
+            assert early.settled_slice == settled_reference(early.samples)
+    assert interior >= 10 and in_place >= 45
+
+
+def test_mix_into_spare_capacity_allocates_less_than_one_copy():
+    import tracemalloc
+
+    dom = interval()
+    rng = np.random.default_rng(22)
+    n = 4 * measures.ROW_BLOCK + 77
+    w = rng.uniform(0.5, 1.0, n)
+    w[n // 3:n // 2] = 1e-12  # an interior run of rows that the second mix prunes
+    receiver = TrajectoryEnsemble(dom, 0.1, rng.uniform(0.0, 1.0, (n, 60)), w / w.sum(),
+                                  exit_indices=np.full(n, -1), validate=False)
+    first = repeated_ensemble(dom, rng, n=40, n_steps=59)
+    mixture = receiver.mix(first, 0.4, prune=0.0)  # the first mix sets up spare capacity
+    second = rows_of(mixture, np.arange(0, 80, 2), np.full(40, 1 / 40))  # merges
+    rows, w = mix_reference(mixture, second, 0.4, 1e-9)
+    before = copied(mixture)
+    buffer = mixture.samples
+    tracemalloc.start()
+    try:
+        mixture.mix(second, 0.4, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffer.nbytes
+    assert np.shares_memory(mixture.samples, buffer)  # moved within its buffers
+    assert interior_pruned(rows, before.n_traj)
+    assert_rows_of(mixture, [before, second], rows, w)
 
 
 def test_row_keys_depend_on_exit_and_sign_of_zero():
@@ -314,7 +420,8 @@ def test_carried_node_indices_equal_nearest_nodes(make):
     a = repeated_ensemble(dom, rng)
     assert a.node_indices.dtype == np.int32
     b = repeated_ensemble(dom, rng, n=25)
-    for ens in (a, merged(a), pruned(a, 0.02), a.mix(b, 0.4), merged(a.mix(b, 0.4, 0.02))):
+    for ens in (a, merged(a), pruned(a, 0.02), copied(a).mix(b, 0.4),
+                merged(copied(a).mix(b, 0.4, 0.02))):
         assert np.array_equal(ens.node_indices, dom.nearest_nodes(ens.samples))
         assert ens.node_indices.dtype == np.int32
 

@@ -494,5 +494,5 @@ def test_settled_slice_is_computed_once_per_ensemble(monkeypatch):
     monkeypatch.setattr(ens, "samples", ens.samples[:, :1].repeat(ens.n_steps + 1, axis=1))
     assert ens.settled_slice == first
     merged = ens.mix(ens, 0.5)
-    assert "settled_slice" not in vars(merged)  # derived per object, not carried
+    assert "settled_slice" not in vars(merged)  # mix drops the cached slice
     assert merged.settled_slice == settled_reference(merged.samples)
