@@ -1,7 +1,8 @@
 """Command-line entry: run / verify / sweep / list-scenarios.
 
 Exit statuses of `run`: 0 converged and all ledger checks pass, 2 validation
-failure, 3 non-convergence or failed checks (artifacts still written),
+failure (a failed hypothesis is reported on stderr and its run directory is
+still written), 3 non-convergence or failed checks (artifacts still written),
 4 internal error. `verify` returns 0 on pass, 1 on failure. `sweep` returns
 2 when it has no --param, a --param without PATH=V1,V2,..., or an --out
 directory that is not empty.
@@ -90,7 +91,7 @@ def main(argv=None):
         result = runner.run(args.scenario, run_dir, tol=args.tol, max_iter=args.max_iter)
         if result.error:
             print(result.error, file=sys.stderr)
-        else:
+        if result.path:  # a run that fails a hypothesis is still written
             print(f"run directory: {result.path}")
             eq_part = (result.ledger or {}).get("equilibrium")
             if eq_part:

@@ -8,15 +8,18 @@ the speed bounds and Lipschitz constants are certified, not sampled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 E_MINUS_HALF = float(np.exp(-0.5))
 
 
 class HypothesisViolation(ValueError):
-    """A configured kernel breaks one of the structural speed hypotheses."""
+    """A configured kernel breaks a structural speed hypothesis; key names the
+    part at fault (kappa, chi or eta), or is None when the parts together do."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class MeasurePreconditionError(ValueError):
@@ -36,18 +39,18 @@ class Kappa:
         if family == "constant":
             self.value = float(params["value"])
             if self.value <= 0:
-                raise HypothesisViolation("constant kappa must be positive")
+                raise HypothesisViolation("constant kappa must be positive", "kappa")
         elif family == "affine_clamped":
             self.intercept = float(params["intercept"])
             self.slope = float(params["slope"])
             self.floor = float(params["floor"])
             if self.slope < 0:
-                raise HypothesisViolation("affine kappa must be nonincreasing")
+                raise HypothesisViolation("affine kappa must be nonincreasing", "kappa")
         elif family == "exponential":
             self.scale = float(params["scale"])
             self.rate = float(params["rate"])
             if self.scale <= 0 or self.rate < 0:
-                raise HypothesisViolation("exponential kappa needs scale > 0, rate >= 0")
+                raise HypothesisViolation("exponential kappa needs scale > 0, rate >= 0", "kappa")
         else:
             raise ValueError(f"unknown kappa family {family!r}")
 
@@ -83,13 +86,13 @@ class Chi:
         self.family = family
         self.amplitude = float(params.get("amplitude", params.get("value", 1.0)))
         if self.amplitude < 0:
-            raise HypothesisViolation("chi must be nonnegative")
+            raise HypothesisViolation("chi must be nonnegative", "chi")
         if family == "ball":
             self.radius = float(params["radius"])
         elif family == "gaussian":
             self.width = float(params["width"])
             if self.width <= 0:
-                raise HypothesisViolation("gaussian chi needs positive width")
+                raise HypothesisViolation("gaussian chi needs positive width", "chi")
         elif family != "constant":
             raise ValueError(f"unknown chi family {family!r}")
 
@@ -129,11 +132,11 @@ class Eta:
         if family == "constant":
             self.value = float(params.get("value", 1.0))
             if self.value < 0:
-                raise HypothesisViolation("eta must be nonnegative")
+                raise HypothesisViolation("eta must be nonnegative", "eta")
         elif family == "taper":
             self.distance = float(params["distance"])
             if self.distance <= 0:
-                raise HypothesisViolation("taper eta needs positive distance")
+                raise HypothesisViolation("taper eta needs positive distance", "eta")
         else:
             raise ValueError(f"unknown eta family {family!r}")
 
@@ -146,13 +149,6 @@ class Eta:
     @property
     def sup(self):
         return self.value if self.family == "constant" else 1.0
-
-
-@dataclass
-class LipschitzEstimate:
-    value: float
-    certified: bool
-    warning: str | None = None
 
 
 class CongestionKernel:
@@ -207,31 +203,29 @@ class CongestionKernel:
         return self.kappa.lipschitz() * lchi * self.eta.sup * (self.domain.dx / 2)
 
     def estimate_lipschitz(self):
-        """Certified spatial Lipschitz bound L_R for the speed field (H9)."""
+        """(L_R, certified): the spatial Lipschitz bound of the speed field (H9);
+        the indicator chi's is the uncertified grid surrogate amplitude/dx."""
         lchi, certified = self.chi.lipschitz(self.domain.dx)
-        value = self.kappa.lipschitz() * lchi * self.eta.sup
-        warning = None
-        if not certified and value > 0:
-            warning = ("indicator chi is not Lipschitz in the continuum; "
-                       "returning the grid-scale surrogate amplitude/dx")
-        return LipschitzEstimate(value, certified, warning)
+        return self.kappa.lipschitz() * lchi * self.eta.sup, certified
 
     def check_smallness(self, cost):
         """(H10): L_g * K_max < 1, required for exit-cost monotonicity."""
         return cost.lipschitz_constant * self.k_max < 1.0
 
-    def hypothesis_report(self, cost=None):
-        from .domain import HypothesisReport
-
-        report = HypothesisReport()
-        report.add("H8", self.k_min > 0,
-                   f"speed bounds [{self.k_min:.6g}, {self.k_max:.6g}] with k_min > 0")
-        est = self.estimate_lipschitz()
-        detail = f"L_R = {est.value:.6g}" + ("" if est.certified else f" ({est.warning})")
-        report.add("H9", True, detail)
-        if cost is not None:
-            ok = self.check_smallness(cost)
-            report.add("H10", ok,
-                       f"L_g * K_max = {cost.lipschitz_constant * self.k_max:.6g} "
-                       + ("< 1" if ok else ">= 1"))
-        return report
+    def hypothesis_report(self, cost):
+        """One {"name", "passed", "detail"} check for each of (H8)-(H10), then (H5)-(H7)."""
+        l_r, certified = self.estimate_lipschitz()
+        note = "" if certified or l_r == 0 else (
+            " (indicator chi is not Lipschitz in the continuum; "
+            "the grid-scale surrogate amplitude/dx)")
+        small = self.check_smallness(cost)
+        return [
+            {"name": "H8", "passed": self.k_min > 0,
+             "detail": f"speed bounds [{self.k_min:.6g}, {self.k_max:.6g}] with k_min > 0"},
+            {"name": "H9", "passed": True, "detail": f"L_R = {l_r:.6g}{note}"},
+            {"name": "H10", "passed": small,
+             "detail": f"L_g * K_max = {cost.lipschitz_constant * self.k_max:.6g} "
+                       + ("< 1" if small else ">= 1")},
+            {"name": "H5-H7", "passed": True,
+             "detail": "enforced at speed-field construction (bound clamp and smallness)"},
+        ]

@@ -10,7 +10,6 @@ distances and the geodesic constant is 1 by construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +21,9 @@ STENCIL_ROWS = 64  # budget rows per reach_stencil bind: bounds a placed block's
 # rows of a node kernel matrix built per distance evaluation: the (n, n[, dim])
 # temporaries of a one-shot build dwarf the matrix itself
 NODE_MATRIX_ROW_BLOCK = 128
+# the most nodes a domain may have: node ids are stored as int32
+# (TrajectoryEnsemble.node_indices)
+INDEX_MAX = 2**31 - 1
 
 
 class DomainError(ValueError):
@@ -35,34 +37,12 @@ class DomainError(ValueError):
         self.key = key
 
 
-@dataclass
-class HypothesisCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class HypothesisReport:
-    checks: list[HypothesisCheck] = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.checks.append(HypothesisCheck(name, bool(passed), detail))
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self):
-        return [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in self.checks
-        ]
-
-
 def _node_count(extent, dx):
     """Nodes along an axis of the given extent at spacing dx, which must divide it."""
-    n = int(round(extent / dx)) + 1
+    steps = extent / dx
+    if not steps <= INDEX_MAX - 0.5:  # round(steps) + 1 > INDEX_MAX nodes; steps may be inf
+        raise DomainError(f"extent {extent} at dx = {dx} has more than {INDEX_MAX} nodes", "dx")
+    n = int(round(steps)) + 1
     if n < 2 or abs(extent / (n - 1) - dx) > 1e-9 * max(1.0, dx):
         raise DomainError(f"extent {extent} is not a multiple of dx = {dx}", "dx")
     return n
@@ -407,6 +387,8 @@ class Grid2dDomain(SpatialDomain):
         self.lo, self.hi = lo, hi
         self.connectivity = int(connectivity)
         nx, ny = (_node_count(extent, dx) for extent in hi - lo)
+        if nx * ny > INDEX_MAX:
+            raise DomainError(f"{nx} x {ny} grid has more than {INDEX_MAX} nodes", "dx")
         self.shape = (nx, ny)
         self.dx = float((hi[0] - lo[0]) / (nx - 1))
         xs = np.linspace(lo[0], hi[0], nx)
@@ -783,29 +765,30 @@ class ExitCost:
         return max(self.values.values())
 
 
-def validate_hypotheses(domain, cost=None):
+def validate_hypotheses(domain, cost):
     """Check the structural hypotheses (H1)-(H4) on a domain and exit cost.
 
-    Failures are report entries, never raises. (H3) holds by construction:
-    ExitCost derives the tightest L_g.
+    Returns one {"name", "passed", "detail"} check per hypothesis: failures
+    are entries, never raises. (H3) holds by construction: ExitCost derives
+    the tightest L_g.
     """
-    report = HypothesisReport()
-
     lengths = domain.adjacency.data if domain.kind == "graph" else domain.dx
-    report.add("H1", domain.n_nodes > 0 and np.all((lengths > 0) & (lengths < np.inf)),
-               "finite node set with finite positive edge lengths: closed balls are compact")
-
-    tgt_ok = len(domain.targets) > 0 and np.all((domain.targets >= 0) & (domain.targets < domain.n_nodes))
-    report.add("H2", tgt_ok, "target set nonempty and contained in the node set"
-               if tgt_ok else "target set empty or has unknown nodes")
-
-    if cost is not None:
-        report.add("H3", True, f"L_g = {cost.lipschitz_constant:.6g}, the tightest constant "
-                   "over target pairs: holds by construction")
-
+    compact = bool(domain.n_nodes > 0 and np.all((lengths > 0) & (lengths < np.inf)))
+    targets_ok = bool(len(domain.targets) > 0 and np.all(
+        (domain.targets >= 0) & (domain.targets < domain.n_nodes)))
     # the metric is the graph's shortest-path metric, so every pair of nodes a
     # finite distance apart is joined by a path of exactly that length (D = 1)
     connected = domain.kind != "graph" or bool(np.all(np.isfinite(domain._dm)))
-    report.add("H4", connected, "graph is disconnected" if not connected else
-               f"shortest-path metric: geodesics realize distances (D = {domain.geodesic_constant})")
-    return report
+    return [
+        {"name": "H1", "passed": compact,
+         "detail": "finite node set with finite positive edge lengths: closed balls are compact"},
+        {"name": "H2", "passed": targets_ok,
+         "detail": ("target set nonempty and contained in the node set" if targets_ok
+                    else "target set empty or has unknown nodes")},
+        {"name": "H3", "passed": True,
+         "detail": f"L_g = {cost.lipschitz_constant:.6g}, the tightest constant over target "
+                   "pairs: holds by construction"},
+        {"name": "H4", "passed": connected,
+         "detail": ("graph is disconnected" if not connected else "shortest-path metric: "
+                    f"geodesics realize distances (D = {domain.geodesic_constant})")},
+    ]

@@ -61,7 +61,6 @@ class EquilibriumReport:
     history: list = field(default_factory=list)
     m_infinity: ParticleMeasure | None = None  # set when the horizon end is settled
     certification: dict = field(default_factory=dict)
-    bound_checks: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     tol: float = 0.0
     dt: float = 0.0
@@ -347,7 +346,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         report.m_infinity = limit_measure(mixture)
     except MeasureError:  # some trajectory still moves at the horizon end
         pass
-    report.bound_checks = _bound_checks(report, m0, kernel, domain, cost)
     return report
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import equilibrium as eq
 from . import scenarios as sc
+from .congestion import HypothesisViolation
 from .domain import validate_hypotheses
 from .measures import ParticleMeasure
 # not called here; kept because perfbench/tracer.py patches exitlab.runner.wasserstein
@@ -35,6 +36,10 @@ TRAJECTORY_ROW_CAP = 400_000
 # at once (a whole trajectories.csv held as text set the corridor's peak RSS)
 ROW_BLOCK = 16_384
 PACKAGE_VERSION = "0.1.0"
+# the config path each hypothesis reads: a failed one's error line starts with it
+HYPOTHESIS_PATHS = {"H1": "domain", "H2": "domain.targets", "H3": "exit_cost",
+                    "H4": "domain.edges", "H5-H7": "kernel", "H8": "kernel", "H9": "kernel",
+                    "H10": "exit_cost"}
 
 
 def _r12(x):
@@ -71,33 +76,37 @@ def apply_overrides(cfg, tol=None, max_iter=None, params=None):
 
 
 def execute(cfg):
-    """Run the full pipeline in memory; returns the artifact bundle."""
+    """Run the full pipeline in memory; returns the artifact bundle.
+
+    A run that fails a hypothesis stops with status 2 and bundle["error"],
+    one line per failed hypothesis that starts with the config path it reads.
+    """
     cfg = sc.validate_config(cfg)
     bundle = {"config": cfg, "status": STATUS_OK, "flags": [], "checks": []}
 
     domain = sc.build_domain(cfg)
     cost = sc.build_cost(domain, cfg)
+    hypotheses = validate_hypotheses(domain, cost)
+    paths = dict(HYPOTHESIS_PATHS)
     try:
         kernel = sc.build_kernel(domain, cfg)
-    except ValueError as err:  # a kernel parameter violates a hypothesis
-        bundle["hypotheses"] = validate_hypotheses(domain, cost).as_dict()
-        bundle["hypotheses"].append({"name": "H8", "passed": False, "detail": str(err)})
+    except HypothesisViolation as err:
+        hypotheses.append({"name": "H8", "passed": False, "detail": str(err)})
+        paths["H8"] = "kernel" if err.key is None else f"kernel.{err.key}"
+    else:
+        m0, m0_flags = sc.build_initial_measure(domain, cfg)
+        bundle["flags"] += m0_flags
+        if kernel.chi.family == "ball":
+            bundle["flags"].append(
+                "indicator chi: run is outside hypothesis coverage (speed field "
+                "not continuous in the population in the continuum limit)")
+        hypotheses += kernel.hypothesis_report(cost)
+    bundle["hypotheses"] = hypotheses
+    failed = [h for h in hypotheses if not h["passed"]]
+    if failed:
         bundle["status"] = STATUS_VALIDATION
-        return bundle
-    m0, m0_flags = sc.build_initial_measure(domain, cfg)
-    bundle["flags"] += m0_flags
-    if kernel.chi.family == "ball":
-        bundle["flags"].append(
-            "indicator chi: run is outside hypothesis coverage (speed field "
-            "not continuous in the population in the continuum limit)")
-
-    hyp = validate_hypotheses(domain, cost)
-    for entry in kernel.hypothesis_report(cost).checks:
-        hyp.checks.append(entry)
-    hyp.add("H5-H7", True, "enforced at speed-field construction (bound clamp and smallness)")
-    bundle["hypotheses"] = hyp.as_dict()
-    if not hyp.passed:
-        bundle["status"] = STATUS_VALIDATION
+        bundle["error"] = "\n".join(f"{paths[h['name']]}: {h['name']} fails: {h['detail']}"
+                                    for h in failed)
         return bundle
 
     config = sc.build_equilibrium_config(cfg)
@@ -148,7 +157,7 @@ def _assemble_checks(bundle):
     report = bundle["equilibrium"]
     domain, cost, kernel, m0 = (bundle[k] for k in ("domain", "cost", "kernel", "m0"))
     bounds = (kernel.k_min, kernel.k_max)
-    checks = list(report.bound_checks)
+    checks = eq._bound_checks(report, m0, kernel, domain, cost)
     cert = bundle["certification"]
     ens = report.final_ensemble
     tol_dpp = default_dpp_tol(domain, report.dt)
@@ -424,7 +433,7 @@ def _run(source, out_dir, tol, max_iter, params):
         return RunResult(STATUS_INTERNAL, None, None,
                          f"{err}\n{traceback.format_exc()}"), None
     persist(bundle, out_dir)
-    return RunResult(bundle["status"], out_dir, build_ledger(bundle)), bundle
+    return RunResult(bundle["status"], out_dir, build_ledger(bundle), bundle.get("error")), bundle
 
 
 class VerifyResult:

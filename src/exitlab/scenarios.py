@@ -21,7 +21,8 @@ import numbers
 import numpy as np
 
 from .congestion import CongestionKernel, Kappa, Chi, Eta
-from .domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
+from .domain import (INDEX_MAX, DomainError, ExitCost, GraphDomain, Grid2dDomain,
+                     IntervalDomain, _node_count)
 from .equilibrium import EquilibriumConfig
 from .measures import MeasureError, ParticleMeasure
 
@@ -132,7 +133,9 @@ def _block(keys, tag=None, variants=None, implied=None):
     return check
 
 
-NUMBER, POSITIVE, COUNT = _number(), _number(above=0), _number(integer=True, above=0)
+# a count, like a node count, stays within the range of the int32 node ids
+NUMBER, POSITIVE, COUNT = _number(), _number(above=0), _number(integer=True, above=0,
+                                                                 most=INDEX_MAX)
 PAIR = _entries(NUMBER, NUMBER)
 
 DOMAIN = _block({}, "kind", {
@@ -236,7 +239,9 @@ def validate_config(cfg):
 def _interval_targets(lo, hi, dx, spec):
     """Resolve a target list or an interval predicate into node coordinates."""
     if isinstance(spec, dict):
-        coords = np.arange(int(round((hi - lo) / dx)) + 1) * dx + lo
+        # the node count is checked before the grid is allocated; hi <= lo is
+        # left to IntervalDomain, which names domain.hi
+        coords = np.arange(_node_count(hi - lo, dx) if hi > lo else 0) * dx + lo
         keep = np.zeros(len(coords), dtype=bool)
         for a, b in spec.get("intervals", ()):
             keep |= (coords >= a - 1e-12) & (coords <= b + 1e-12)

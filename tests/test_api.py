@@ -41,13 +41,34 @@ def referenced_names(path):
     return found
 
 
-def test_every_public_name_has_a_caller():
-    """A public name that neither the package nor a demo uses has no caller."""
+def names_used_by_the_package_and_the_demos():
     paths = [p for p in glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))
              if os.path.basename(p) != "__init__.py"]
     paths += glob.glob(os.path.join(ROOT, "demos", "*.py"))
-    used = set().union(*map(referenced_names, paths))
-    assert sorted(set(exitlab.__all__) - used) == []
+    return set().union(*map(referenced_names, paths))
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that neither the package nor a demo uses has no caller."""
+    assert sorted(set(exitlab.__all__) - names_used_by_the_package_and_the_demos()) == []
+
+
+def test_every_definition_in_the_package_has_a_caller(tracer):
+    """A function, class or method that neither the package nor a demo uses
+    outside its own definition has no caller, unless the benchmark tracer
+    patches it. Dunder methods are called by the language."""
+    used = names_used_by_the_package_and_the_demos()
+    used |= {attr for _, owners in patch_targets(tracer) for _, attr in owners}
+    orphans = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                orphans.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
+    assert orphans == []
 
 
 def test_the_removed_start_slots_raise_type_error():

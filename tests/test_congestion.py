@@ -104,21 +104,22 @@ def test_kappa_reaching_zero_violates_h8():
 
 def test_lipschitz_estimates():
     dom = make_domain()
-    assert make_kernel(dom).estimate_lipschitz().value == 0.0
+    assert make_kernel(dom).estimate_lipschitz()[0] == 0.0
     sigma = 0.2
     k = make_kernel(dom, kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.1),
                     chi=Chi("gaussian", width=sigma))
-    est = k.estimate_lipschitz()
-    assert est.certified
-    assert est.value == pytest.approx(E_MINUS_HALF / sigma)
+    l_r, certified = k.estimate_lipschitz()
+    assert certified
+    assert l_r == pytest.approx(E_MINUS_HALF / sigma)
     k_eta0 = make_kernel(dom, kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.1),
                          chi=Chi("gaussian", width=sigma), eta=Eta("constant", value=0.0))
-    assert k_eta0.estimate_lipschitz().value == 0.0
+    assert k_eta0.estimate_lipschitz()[0] == 0.0
     k_ball = make_kernel(dom, kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.1),
                          chi=Chi("ball", radius=0.1))
-    est_ball = k_ball.estimate_lipschitz()
-    assert not est_ball.certified
-    assert "not Lipschitz" in est_ball.warning
+    _, certified = k_ball.estimate_lipschitz()
+    assert not certified
+    h9 = [c for c in k_ball.hypothesis_report(ExitCost.zero(dom)) if c["name"] == "H9"][0]
+    assert "not Lipschitz" in h9["detail"]
 
 
 def test_check_smallness():
@@ -198,7 +199,7 @@ def test_spatial_lipschitz_bound(seed):
     kernel = make_kernel(dom,
                          kappa=Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
                          chi=Chi("gaussian", width=0.1))
-    l_r = kernel.estimate_lipschitz().value
+    l_r, _ = kernel.estimate_lipschitz()
     pts = rng.uniform(0, 1, 15)
     mu = ParticleMeasure(dom, pts, np.full(15, 1 / 15))
     for _ in range(40):

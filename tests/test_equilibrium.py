@@ -4,7 +4,7 @@ import pytest
 
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, IntervalDomain
-from exitlab.equilibrium import (EquilibriumConfig, certify, exploitability,
+from exitlab.equilibrium import (EquilibriumConfig, _bound_checks, certify, exploitability,
                                  frozen_field, induced_speed_field, run_grid,
                                  solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
@@ -151,7 +151,7 @@ def test_congested_solve_certifies_and_flags_agree():
     assert report.iterations > 1  # genuine congestion feedback
     cert = certify(report.final_ensemble, kernel, dom, cost, report.tol)
     assert cert["weak"] and cert["strong"] and cert["agree"]
-    assert all(c["passed"] for c in report.bound_checks)
+    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, dom, cost))
 
 
 def test_two_exit_congestion_splits_the_crowd():
@@ -173,7 +173,7 @@ def test_two_exit_congestion_splits_the_crowd():
     exits = report.final_ensemble.samples[:, -1]
     left_mass = float(report.final_ensemble.weights[exits < 0.5].sum())
     assert 0.05 <= left_mass <= 0.5
-    assert all(c["passed"] for c in report.bound_checks)
+    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, dom, cost))
 
 
 def test_certify_rejects_suboptimal_mixture():
@@ -248,7 +248,7 @@ def test_induced_field_inherits_kernel_lipschitz():
     m0 = ParticleMeasure(dom, pts, np.full(25, 1 / 25))
     dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
     field = frozen_field(m0, kernel, dt, min(n_steps, 50))
-    l_r = kernel.estimate_lipschitz().value
+    l_r, _ = kernel.estimate_lipschitz()
     nodes = dom.node_points()
     dist = dom.point_distance_matrix(nodes, nodes)
     # (H6) over all node pairs of every distinct slice

@@ -304,6 +304,12 @@ def test_validation_failure_status(tmp_path):
     pytest.param("seed", 10 ** 400, id="seed-401_digits"),
     pytest.param("equilibrium.max_iterations", 10 ** 400,
                  id="equilibrium.max_iterations-401_digits"),
+    # counts past the int32 node ids used to exit 4 or to blame another key
+    pytest.param("domain", {"kind": "graph", "n_nodes": 10 ** 300, "edges": [], "targets": [0]},
+                 id="domain-graph_n_nodes_10e300"),
+    pytest.param("domain.dx", 1e-12, id="domain.dx-1e-12"),
+    pytest.param("initial_measure", {"kind": "uniform", "support": [0.2, 0.8], "count": 10 ** 300},
+                 id="initial_measure-count_10e300"),
 ])
 def test_malformed_scenario_is_validation_failure(tmp_path, path, value):
     cfg = load_scenario("remark_5_3")
@@ -446,6 +452,24 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
      "initial_measure.rate must be > 0, got -1.0"),
     (grid2d_scenario, "initial_measure", {"kind": "uniform", "support": [0.0, 0.2], "count": 4},
      "initial_measure.kind must be one of ['dirac', 'atoms'], got 'uniform'"),
+    # counts past the int32 node ids used to exit 4 from scipy.sparse or numpy,
+    # or to blame initial_measure.support
+    pytest.param(graph_scenario, "domain.n_nodes", 10 ** 300,
+                 "domain.n_nodes must be > 0 and <= 2147483647", id="graph-n_nodes_10e300"),
+    pytest.param(interval_scenario, "domain.dx", 1e-12,
+                 "domain.dx: extent 1.0 at dx = 1e-12 has more than ", id="interval-dx_1e-12"),
+    pytest.param(interval_scenario, "domain", {"kind": "interval", "lo": 0.0, "hi": 1.0,
+                                               "dx": 1e-12, "targets": {"intervals": [[0.9, 1.0]]}},
+                 "domain.dx: extent 1.0 at dx = 1e-12 has more than ",
+                 id="interval-dx_1e-12_target_intervals"),
+    pytest.param(interval_scenario, "domain", {"kind": "interval", "lo": 0.0, "hi": -1.0,
+                                               "dx": 0.1, "targets": {"intervals": [[0.9, 1.0]]}},
+                 "domain.hi: interval requires hi > lo", id="interval-hi_below_lo_target_intervals"),
+    pytest.param(grid2d_scenario, "domain.dx", 1e-6,
+                 "domain.dx: 500001 x 500001 grid has more than ", id="grid2d-dx_1e-6"),
+    pytest.param(interval_scenario, "initial_measure",
+                 {"kind": "uniform", "support": [0.2, 0.8], "count": 10 ** 300},
+                 "initial_measure.count must be ", id="interval-count_10e300"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()
@@ -499,6 +523,77 @@ def test_kernel_hypothesis_violation_is_validation_failure(tmp_path):
     report = json.loads((tmp_path / "h8" / "report.json").read_text())
     h8 = [h for h in report["hypotheses"] if h["name"] == "H8"][0]
     assert not h8["passed"]
+
+
+def with_targets_beyond_the_interval():
+    cfg = load_scenario("remark_5_3")
+    cfg["domain"]["targets"] = {"intervals": [[5, 6]]}
+    return cfg
+
+
+def with_a_disconnected_graph():
+    cfg = graph_scenario()
+    cfg["domain"]["n_nodes"] = 7  # nodes 5 and 6 have no edge
+    return cfg
+
+
+def with_kappa_reaching_zero():
+    cfg = load_scenario("congested_corridor")
+    cfg["kernel"]["kappa"].update(slope=2.0, floor=-0.5)
+    return cfg
+
+
+def with_a_steep_exit_cost():
+    cfg = load_scenario("remark_5_3")
+    cfg["exit_cost"] = {"kind": "table", "entries": [[0.0, 0.0], [1.0, 1.5]]}
+    return cfg
+
+
+FAILED_HYPOTHESES = [
+    (with_targets_beyond_the_interval, "domain.targets: H2 fails: target set empty"),
+    (with_a_disconnected_graph, "domain.edges: H4 fails: graph is disconnected"),
+    (with_kappa_reaching_zero, "kernel: H8 fails: kappa reaches -0.2 <= 0"),
+    (with_a_steep_exit_cost, "exit_cost: H10 fails: L_g * K_max = 1.5 >= 1"),
+]
+
+
+@pytest.mark.parametrize("make, message", FAILED_HYPOTHESES)
+def test_failed_hypothesis_names_its_path_and_reason(tmp_path, make, message):
+    out = tmp_path / "run"
+    result = runner.run(make(), str(out))
+    assert result.status == runner.STATUS_VALIDATION
+    assert result.error.startswith(message), result.error
+    assert result.path == str(out)
+    report = json.loads((out / "report.json").read_text())
+    assert report == result.ledger
+    assert any(not h["passed"] for h in report["hypotheses"])
+
+
+@pytest.mark.parametrize("make, message", FAILED_HYPOTHESES)
+def test_cli_run_prints_a_failed_hypothesis_and_the_run_directory(tmp_path, capsys, make,
+                                                                  message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make()))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message), captured.err
+    run_dir = tmp_path / "runs" / "scenario"
+    assert f"run directory: {run_dir}" in captured.out
+    assert (run_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("part, params, message", [
+    ("kappa", {"family": "constant", "value": 0.0}, "constant kappa must be positive"),
+    ("chi", {"family": "gaussian", "width": -1.0}, "gaussian chi needs positive width"),
+    ("eta", {"family": "taper", "distance": 0.0}, "taper eta needs positive distance"),
+])
+def test_a_kernel_part_that_breaks_h8_names_its_path(tmp_path, part, params, message):
+    cfg = load_scenario("congested_corridor")
+    cfg["kernel"][part] = params
+    result = runner.run(cfg, str(tmp_path / "run"))
+    assert result.status == runner.STATUS_VALIDATION
+    assert result.error == f"kernel.{part}: H8 fails: {message}"
+    assert [h["name"] for h in result.ledger["hypotheses"]] == ["H1", "H2", "H3", "H4", "H8"]
 
 
 def test_run_determinism_byte_identical(tmp_path):
