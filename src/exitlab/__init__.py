@@ -8,7 +8,7 @@ from .measures import ParticleMeasure, TrajectoryEnsemble, wasserstein
 from .ocp import (SpeedField, ValueField, check_dpp, horizon_bound, solve_value,
                   trajectory_bound)
 from .equilibrium import (EquilibriumConfig, EquilibriumReport, exploitability,
-                          induced_speed_field, solve_equilibrium)
+                          solve_equilibrium)
 from .asymptotics import (ConvergenceCurve, RateFit, convergence_curve,
                           fit_decay_rate, limit_measure, settling_time,
                           theorem_bound)
@@ -24,7 +24,7 @@ __all__ = [
     "SpeedField", "ValueField", "check_dpp", "horizon_bound", "solve_value",
     "trajectory_bound",
     "EquilibriumConfig", "EquilibriumReport",
-    "exploitability", "induced_speed_field", "solve_equilibrium",
+    "exploitability", "solve_equilibrium",
     "ConvergenceCurve", "RateFit", "convergence_curve", "fit_decay_rate",
     "limit_measure", "settling_time", "theorem_bound",
     "load_scenario", "scenario_registry", "runner",

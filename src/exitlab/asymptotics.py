@@ -4,7 +4,7 @@ tail-driven decay bounds and rates.
 The limit is extracted at the horizon end behind a settling guard; the decay
 bound instantiates the tail estimate with alpha = K_min / D and
 t_0 = G_0 + D d(0, y_0) / K_min, the explicit linear majorant of the exit
-bound T(R).
+bound T(R), where the geodesic constant D is 1 on every backend (H4).
 """
 from __future__ import annotations
 
@@ -63,10 +63,8 @@ def settling_time(ensemble):
 
 
 def decay_constants(domain, cost, bounds):
-    """(alpha, t_0) with T(R) <= R/alpha + t_0 from the explicit exit bound."""
-    alpha = bounds[0] / domain.geodesic_constant
-    t0 = horizon_bound(domain, cost, bounds, 0.0)
-    return alpha, t0
+    """(alpha, t_0) with T(R) <= R/alpha + t_0 from the explicit exit bound (alpha = K_min)."""
+    return bounds[0], horizon_bound(domain, cost, bounds, 0.0)
 
 
 def psi_function(domain, cost, bounds):
@@ -106,13 +104,10 @@ def transport_distance(mu, nu, p):
         return wasserstein(_project_to_nodes(mu), _project_to_nodes(nu), p), True
 
 
-def convergence_curve(ensemble, times, p, m0=None, domain=None, cost=None,
-                      bounds=None, m_inf=None):
-    """W_p(m_t, m_inf) at the requested times, with the tail bound alongside
-    whenever the game constants are supplied. Oversized supports on LP
+def convergence_curve(ensemble, times, p, m0, domain, cost, bounds, m_inf):
+    """W_p(m_t, m_inf) at the requested times, with m0's tail bound under the
+    game constants alongside (nan below t_0). Oversized supports on LP
     backends are auto-projected to grid cells and flagged."""
-    if m_inf is None:
-        m_inf = limit_measure(ensemble)
     times = np.asarray(times, dtype=float)
     flags = []
     values = np.empty(len(times))
@@ -123,12 +118,11 @@ def convergence_curve(ensemble, times, p, m0=None, domain=None, cost=None,
             flags.append("marginals projected to grid cells for the "
                          "transport LP (support cap)")
     bound_vals = np.full(len(times), np.nan)
-    if m0 is not None and domain is not None and cost is not None and bounds is not None:
-        alpha, t0 = decay_constants(domain, cost, bounds)
-        psi = psi_function(domain, cost, bounds)
-        for i, t in enumerate(times):
-            if t >= t0 - 1e-12:
-                bound_vals[i] = theorem_bound(m0, psi, alpha, t0, t, p)
+    alpha, t0 = decay_constants(domain, cost, bounds)
+    psi = psi_function(domain, cost, bounds)
+    for i, t in enumerate(times):
+        if t >= t0 - 1e-12:
+            bound_vals[i] = theorem_bound(m0, psi, alpha, t0, t, p)
     return ConvergenceCurve(times, values, bound_vals, p, flags)
 
 
@@ -140,7 +134,7 @@ def curve_bound_excess(curve, slack):
     return float(np.max(curve.values[have] ** curve.p - curve.bounds[have] - slack))
 
 
-def fit_decay_rate(curve, window, mode="power", tail_dimension=1):
+def fit_decay_rate(curve, window, mode, tail_dimension):
     """Least-squares decay fit of the curve on a time window.
 
     power: slope of log W_p^p against log t (the decay exponent).

@@ -80,11 +80,12 @@ class Chi:
     """Interaction kernel chi(x, y) as a function of distance."""
 
     required = {"constant": (), "ball": ("radius",), "gaussian": ("width",)}
-    defaulted = {family: ("amplitude", "value") for family in required}
+    # the constant kernel's amplitude is its value
+    defaulted = {"constant": ("value",), "ball": ("amplitude",), "gaussian": ("amplitude",)}
 
     def __init__(self, family, **params):
         self.family = family
-        self.amplitude = float(params.get("amplitude", params.get("value", 1.0)))
+        self.amplitude = float(params.get("value" if family == "constant" else "amplitude", 1.0))
         if self.amplitude < 0:
             raise HypothesisViolation("chi must be nonnegative", "chi")
         if family == "ball":

@@ -66,12 +66,11 @@ class SpatialDomain:
       dx              grid spacing (min edge length on graphs)
       origin          index of the distinguished node
       targets         sorted array of target node indices
-      geodesic_constant  D in the geodesic-length bound (1 on these backends)
+    Every metric is a shortest-path metric: the geodesic constant D of (H4) is 1.
     """
 
     kind = "abstract"
     coord_names = ()
-    geodesic_constant = 1.0
 
     # ---- node-level API -------------------------------------------------
 
@@ -790,5 +789,5 @@ def validate_hypotheses(domain, cost):
                    "pairs: holds by construction"},
         {"name": "H4", "passed": connected,
          "detail": ("graph is disconnected" if not connected else "shortest-path metric: "
-                    f"geodesics realize distances (D = {domain.geodesic_constant})")},
+                    "geodesics realize distances (D = 1)")},
     ]

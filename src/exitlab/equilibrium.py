@@ -78,51 +78,46 @@ def run_grid(domain, kernel, cost, m0):
     return dt, n_steps, r_max, t_bound
 
 
-def field_from_marginals(kernel, positions, weights, dt, binned, nodes=None, settled=None):
-    """Speed field k(t_j, x_i) from per-slice particle positions.
+def field_from_marginals(kernel, ensemble, binned):
+    """Speed field k_Q(t_j, x_i) = K(e_{t_j}#Q, x_i) on the ensemble's grid.
 
-    positions has shape (n_traj, n_slices[, dim]); slice j of the field is
-    the kernel evaluated against the weighted cloud at slice j, optionally
-    histogram-binned to grid cells. nodes, when given, is
-    domain.nearest_nodes(positions) (an ensemble's node_indices). settled,
-    when given, is a slice after which every slice of positions is bit-equal
-    to it (an ensemble's settled_slice): the clouds, and so their histogram
-    rows or speed rows, are computed up to it and copied after it.
+    Slice j of the field is the kernel evaluated against the weighted cloud
+    of the ensemble's samples at slice j, histogram-binned to grid cells (on
+    the ensemble's node_indices) when binned. Every slice after the
+    ensemble's settled_slice is bit-equal to it, so the clouds, and so their
+    histogram rows or speed rows, are computed up to it and copied after it.
     """
     domain = kernel.domain
-    n_slices = positions.shape[1]
+    n_slices = ensemble.n_steps + 1
     if kernel.kappa.family == "constant":
         values = np.full((n_slices, domain.n_nodes), kernel.kappa.value)
-        return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
+        return SpeedField(domain, ensemble.dt, values, (kernel.k_min, kernel.k_max))
     values = np.empty((n_slices, domain.n_nodes))
-    last = n_slices - 1 if settled is None else settled
+    last = ensemble.settled_slice
     if binned:
-        if nodes is None:
-            nodes = domain.nearest_nodes(positions)
-        hist = _slice_histograms(nodes, weights, domain.n_nodes, last)
+        hist = _slice_histograms(ensemble.node_indices, ensemble.weights, domain.n_nodes, last)
         # the product runs over every row, so BLAS blocking sees the same matrix
         density = hist @ kernel.node_interaction_matrix().T
         values[:] = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
     else:
         for j in range(last + 1):
-            mu = ParticleMeasure(domain, positions[:, j], weights, validate=False)
+            mu = ParticleMeasure(domain, ensemble.samples[:, j], ensemble.weights,
+                                 validate=False)
             values[j] = kernel.node_speeds(mu)
         values[last + 1:] = values[last]
-    return SpeedField(domain, dt, values, (kernel.k_min, kernel.k_max))
+    return SpeedField(domain, ensemble.dt, values, (kernel.k_min, kernel.k_max))
 
 
-def _slice_histograms(nodes, weights, n_nodes, last=None):
+def _slice_histograms(nodes, weights, n_nodes, last):
     """hist[j, i]: the weight of the trajectories whose slice-j node is i.
 
     One np.bincount over the bins j * n_nodes + nodes per block of slices,
     read row by row. Each bin belongs to one slice and np.bincount adds in
     array order, so every bin sums its weights in trajectory order, as
     np.add.at per slice does: the histogram is the same to the bit. Slices
-    after last (default: the last slice) repeat slice last's nodes, so they
-    copy its row.
+    after last repeat slice last's nodes, so they copy its row.
     """
     n_slices = nodes.shape[1]
-    last = n_slices - 1 if last is None else last
     hist = np.empty((n_slices, n_nodes))
     repeated = None
     for lo in range(0, last + 1, HIST_SLICE_BLOCK):
@@ -140,13 +135,6 @@ def _slice_histograms(nodes, weights, n_nodes, last=None):
 def _use_binning(n_traj, n_slices, n_nodes):
     """The size rule: bin the marginals when n_traj * n_slices * n_nodes > BINNING_WORK_CAP."""
     return n_traj * n_slices * n_nodes > BINNING_WORK_CAP
-
-
-def induced_speed_field(ensemble, kernel, binned=False):
-    """k_Q(t, x) = K(e_t#Q, x) on the ensemble's grid."""
-    return field_from_marginals(kernel, ensemble.samples, ensemble.weights,
-                                ensemble.dt, binned, ensemble.node_indices,
-                                ensemble.settled_slice)
 
 
 def frozen_field(m0, kernel, dt, n_steps):
@@ -195,7 +183,7 @@ def exploitability(ensemble, kernel, domain, cost):
     with optimality_gaps and gates only the mixture it returns.
     """
     binned = _use_binning(ensemble.n_traj, ensemble.n_steps + 1, domain.n_nodes)
-    field = induced_speed_field(ensemble, kernel, binned)
+    field = field_from_marginals(kernel, ensemble, binned)
     phi = solve_value(domain, cost, field)
     excess = _admissibility_gate(ensemble, field, domain.dx)
     eps, details = optimality_gaps(ensemble, cost, phi)
@@ -263,7 +251,7 @@ def certify(ensemble, kernel, domain, cost, tol):
     return _certificate(ensemble.weights, details, tol)
 
 
-def solve_equilibrium(m0, kernel, domain, cost, config=None):
+def solve_equilibrium(m0, kernel, domain, cost, config):
     """Damped best-response iteration for MFG equilibria.
 
     The damping state Q_n is the weighted union of past best responses
@@ -275,7 +263,6 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
     last gap pass's arguments): it raises CertificationError when some
     trajectory of that mixture is inadmissible.
     """
-    config = config or EquilibriumConfig()
     dt, n_steps, r_max, t_bound = run_grid(domain, kernel, cost, m0)
     tol = config.exploitability_tol
     flags = []
@@ -303,7 +290,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config=None):
         binned_any = binned_any or binned
         # the mixture's settled tail leaves the previous solve's trailing
         # speed and value rows unchanged: the solve copies them
-        field = induced_speed_field(mixture, kernel, binned)
+        field = field_from_marginals(kernel, mixture, binned)
         phi = solve_value(domain, cost, field, reuse=phi)
         eps, det = optimality_gaps(mixture, cost, phi)
         history.append({

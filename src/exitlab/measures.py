@@ -115,7 +115,7 @@ class ParticleMeasure:
         return self.domain.point_origin_distance(self.points)
 
 
-def wasserstein(mu, nu, p=1):
+def wasserstein(mu, nu, p):
     """Exact W_p between two particle measures on the same domain.
 
     Interval backend uses the sorted quantile coupling; other backends solve
@@ -158,7 +158,7 @@ def _check_lp_support(n, m):
             "reduce support or project to histogram")
 
 
-def wasserstein_lp(dist, wx, wy, p=1):
+def wasserstein_lp(dist, wx, wy, p):
     """Optimal transport cost^(1/p) by exact linear programming."""
     n, m = dist.shape
     _check_lp_support(n, m)
@@ -184,14 +184,14 @@ class TrajectoryEnsemble:
     there is none); when omitted it is read off the exit positions by
     snapping them to the target set. The per-row fields after weights are
     keyword-only. Two more per-row fields are caches of the samples, computed
-    when omitted and carried by mix, which changes an ensemble in place:
+    here and carried by mix, which changes an ensemble in place:
     node_indices, the int32 nearest node of every sample, and row_keys, the
     trajectory_keys() of every trajectory. settled_slice is derived from the
     samples and cached until the next mix.
     """
 
     def __init__(self, domain, dt, samples, weights, *, exit_indices=None,
-                 exit_nodes=None, validate=True, node_indices=None, row_keys=None):
+                 exit_nodes=None, validate=True):
         self.domain = domain
         self.dt = float(dt)
         self.samples = np.asarray(samples, dtype=float)
@@ -206,12 +206,8 @@ class TrajectoryEnsemble:
                 _, exit_nodes[exited] = domain.snap_to_target(
                     self.samples[exited, self.exit_indices[exited]])
         self.exit_nodes = np.asarray(exit_nodes, dtype=int)
-        if node_indices is None:
-            node_indices = domain.nearest_nodes(self.samples).astype(np.int32)
-        self.node_indices = node_indices
-        if row_keys is None:
-            row_keys = trajectory_keys(self.exit_indices, self.samples)
-        self.row_keys = row_keys
+        self.node_indices = domain.nearest_nodes(self.samples).astype(np.int32)
+        self.row_keys = trajectory_keys(self.exit_indices, self.samples)
         self._store = None  # mix's row buffers, with spare capacity
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
             raise MeasureError("trajectory weights must sum to 1")
@@ -263,20 +259,19 @@ class TrajectoryEnsemble:
                             validate=False)
         return m.merged() if merge else m
 
-    def step_lengths(self):
-        """d(x_j, x_{j+1}) of every row and step, computed ROW_BLOCK rows at a time."""
-        out = np.empty((self.n_traj, self.n_steps))
-        for lo in range(0, self.n_traj, ROW_BLOCK):
-            rows = self.samples[lo:lo + ROW_BLOCK]
-            out[lo:lo + len(rows)] = np.reshape(
-                self.domain.point_distance(rows[:, :-1], rows[:, 1:]), (len(rows), self.n_steps))
-        return out
+    def step_lengths(self, rows):
+        """d(x_j, x_{j+1}) of every step of the rows in the slice rows: (n_rows, n_steps)."""
+        block = self.samples[rows]
+        return np.reshape(self.domain.point_distance(block[:, :-1], block[:, 1:]),
+                          (len(block), self.n_steps))
 
     def check_lipschitz(self, k_max):
-        """Worst excess over the discrete Lipschitz bound k_max*dt + dx."""
+        """Worst excess over the Lipschitz bound k_max*dt + dx, read ROW_BLOCK rows at a time."""
         bound = k_max * self.dt + self.domain.dx
+        longest = max((np.max(self.step_lengths(slice(lo, lo + ROW_BLOCK)), initial=-np.inf)
+                       for lo in range(0, self.n_traj, ROW_BLOCK)), default=-np.inf)
         # rounding is monotone, so max(d) - bound is max(d - bound) to the bit
-        return float(np.max(self.step_lengths(), initial=-np.inf) - bound)
+        return float(longest - bound)
 
     def check_constant_after_exit(self):
         """Worst distance of a sample after the exit index from the exit sample."""
@@ -289,7 +284,7 @@ class TrajectoryEnsemble:
             worst.append(np.max(drift[after], initial=0.0))
         return float(np.max(worst))
 
-    def mix(self, other, lam, prune=1e-9):
+    def mix(self, other, lam, prune):
         """Fictitious-play style weighted union (1-lam)*self + lam*other, in place.
 
         Equal to concatenating the two, merging trajectories with equal exit
@@ -354,7 +349,7 @@ def _mapped(shape, dtype):
     return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
 
 
-# the per-row fields of TrajectoryEnsemble, in constructor keyword form
+# the per-row fields of TrajectoryEnsemble: the samples, the exit data and the two caches
 ROW_FIELDS = ("samples", "exit_indices", "exit_nodes", "node_indices", "row_keys")
 
 

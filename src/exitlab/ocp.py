@@ -103,7 +103,7 @@ class ValueField:
 
 
 def horizon_bound(domain, cost, bounds, r):
-    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min.
+    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min, with D = 1 (H4).
 
     r may be an array (one bound per radius); a scalar r gives a float. The
     terms are summed in this order on purpose: the ledger prints the bound,
@@ -116,9 +116,7 @@ def horizon_bound(domain, cost, bounds, r):
                               domain.points_of_nodes(domain.targets))
     k = int(np.argmin(d))  # y_0: the first nearest target
     g0 = cost.at_node(domain.targets[k])
-    d0 = d[k]
-    d_const = domain.geodesic_constant
-    t = g0 + d_const * d0 / k_min + d_const * np.asarray(r, dtype=float) / k_min
+    t = g0 + d[k] / k_min + np.asarray(r, dtype=float) / k_min
     return float(t) if t.ndim == 0 else t
 
 
@@ -223,7 +221,7 @@ def _stationary_slice(domain, cost, speed, stencil):
     tdist = domain.target_node_distances()
     if not np.all(np.isfinite(tdist)):
         raise OcpError("some nodes cannot reach the target; domain may be disconnected")
-    phi = tdist * domain.geodesic_constant / speed.k_min + cost.max_cost
+    phi = tdist / speed.k_min + cost.max_cost
     phi[targets] = g_t
     max_sweeps = int(3 * np.max(tdist) / (speed.k_min * dt)) + 200
     for _ in range(max_sweeps):

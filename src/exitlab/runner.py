@@ -416,9 +416,9 @@ class RunResult:
         self.error = error
 
 
-def run(source, out_dir, tol=None, max_iter=None, params=None):
+def run(source, out_dir, tol=None, max_iter=None):
     """Execute a scenario and persist the run directory."""
-    return _run(source, out_dir, tol, max_iter, params)[0]
+    return _run(source, out_dir, tol, max_iter, None)[0]
 
 
 def _run(source, out_dir, tol, max_iter, params):
@@ -464,17 +464,29 @@ def verify(run_dir, tol=None):
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         return VerifyResult(False, [], f"manifest.json is not valid JSON: {err}")
     for key in ("artifacts", "config"):
         if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
             return VerifyResult(False, [], f"manifest.json has no {key} object")
     for name, digest in manifest["artifacts"].items():
+        # an artifact is a file of the run directory: a path would be read outside it
+        if os.path.basename(name) != name:
+            return VerifyResult(False, [], f"manifest.json lists {name!r}, not a file name")
         path = os.path.join(run_dir, name)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             return VerifyResult(False, [], f"missing artifact {name}")
         if _sha256(path) != digest:
             return VerifyResult(False, [], f"artifact {name} is corrupted (hash mismatch)")
+    if "report.json" not in manifest["artifacts"]:
+        return VerifyResult(False, [], "manifest.json does not list report.json")
+    try:
+        with open(os.path.join(run_dir, "report.json")) as fh:
+            stored = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        return VerifyResult(False, [], f"report.json is not valid JSON: {err}")
+    if not isinstance(stored, dict):
+        return VerifyResult(False, [], "report.json is not a JSON object")
     cfg = manifest["config"]
     if tol is not None:
         cfg = apply_overrides(cfg, tol=tol)
@@ -483,8 +495,6 @@ def verify(run_dir, tol=None):
     except Exception as err:
         return VerifyResult(False, [], f"re-execution failed: {err}")
     fresh = build_ledger(bundle)
-    with open(os.path.join(run_dir, "report.json")) as fh:
-        stored = json.load(fh)
     differences = _dict_diffs(stored, fresh)
     if tol is not None:
         return VerifyResult(True, differences)

@@ -259,8 +259,10 @@ def build_domain(cfg):
         if dom["kind"] == "grid2d":
             return Grid2dDomain(dom["lo"], dom["hi"], dom["dx"], dom["targets"],
                                 dom.get("origin"), dom.get("connectivity", 8))
+        # a null origin reads as an absent one, node 0, as on the other backends
+        origin = dom.get("origin")
         return GraphDomain(dom["n_nodes"], dom["edges"], dom["targets"],
-                           dom.get("origin", 0))
+                           0 if origin is None else origin)
     except DomainError as err:
         path = "domain" if err.key is None else f"domain.{err.key}"
         raise ScenarioError(f"{path}: {err}") from None

@@ -71,6 +71,84 @@ def test_every_definition_in_the_package_has_a_caller(tracer):
     assert orphans == []
 
 
+# defaults that no call passes, kept for the reason given
+IDLE_DEFAULTS_KEPT = {
+    # raise_on_stall=False is the only way to read the rows of a stalled
+    # synthesis, which tests compare against reference implementations
+    ("synthesize_batch", "raise_on_stall"),
+}
+
+
+def defaulted_parameters(path):
+    """(name it is called by, parameter, position or None) of every parameter
+    with a default. A constructor is called by its class's name; a method's
+    positions do not count self or cls; None marks a keyword-only parameter."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None and "staticmethod" not in {
+                        getattr(d, "id", None) for d in child.decorator_list}:
+                    positional = positional[1:]
+                called = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((called, positional[k], k) for k in range(first, len(positional)))
+                found.extend((called, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                walk(child, None)
+            else:
+                walk(child, cls)
+
+    walk(tree, None)
+    return found
+
+
+def calls_by_name():
+    """Every call in the package, the demos and the benchmark, by the name it calls."""
+    paths = [path for where in (os.path.join(ROOT, "src", "exitlab"), os.path.join(ROOT, "demos"),
+                                PERFBENCH) for path in glob.glob(os.path.join(where, "*.py"))]
+    calls = {}
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(
+                    node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, param, position):
+    """Whether a call may pass param: by keyword or **kwargs, or by position or *args."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_passed_by_some_caller():
+    """A default that no call in the package, a demo or the benchmark ever
+    overrides is a setting with one value in use, which should be a constant.
+    Calls are resolved by name, as for the definitions above."""
+    calls = calls_by_name()
+    idle = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))):
+        for called, param, position in defaulted_parameters(path):
+            if (called, param) not in IDLE_DEFAULTS_KEPT and not any(
+                    passes(call, param, position) for call in calls.get(called, [])):
+                idle.append(f"{os.path.basename(path)}: {called}({param}=...)")
+    assert idle == []
+
+
 def test_the_removed_start_slots_raise_type_error():
     """Every path starts at slice 0: a call that still passes a start slot fails."""
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])

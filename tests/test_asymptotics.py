@@ -63,17 +63,22 @@ def test_limit_measure_requires_settling():
 
 
 def test_convergence_curve_matches_line_formula():
-    dom, _, _ = remark_game()
+    dom, cost, kernel = remark_game()
+
+    def w1_curve(ens, times):
+        return convergence_curve(ens, times, 1, ens.time_marginal(0.0), dom, cost,
+                                 (kernel.k_min, kernel.k_max), limit_measure(ens))
+
     path, e = line_path(dom, 0.005, 0.5, 0.0, 140)
     ens = TrajectoryEnsemble(dom, 0.005, path[None, :], np.array([1.0]),
                              exit_indices=np.array([e]))
     times = np.arange(0, 0.7, 0.05)
-    curve = convergence_curve(ens, times, 1)
+    curve = w1_curve(ens, times)
     expected = np.maximum(0.5 - times, 0.0)
     assert np.max(np.abs(curve.values - expected)) <= 1e-9
     # symmetric two-atom mixture: each atom is (0.5 - t) from its own exit
     sym = two_sided_ensemble(dom, 0.5)
-    curve2 = convergence_curve(sym, times, 1)
+    curve2 = w1_curve(sym, times)
     assert np.max(np.abs(curve2.values - expected)) <= 1e-9
 
 
@@ -142,7 +147,7 @@ def test_settling_time_uniform_band():
 
 def settling_time_by_steps(ens, tol=1e-12):
     """settling_time as it scanned every step length against tol."""
-    moving = ens.step_lengths() > tol
+    moving = ens.step_lengths(slice(None)) > tol
     if not moving.any():
         return 0.0
     last = int(np.max(np.nonzero(moving.any(axis=0))[0]))
@@ -151,7 +156,7 @@ def settling_time_by_steps(ens, tol=1e-12):
 
 def limit_guard_by_steps(ens, tol=1e-12):
     """The limit guard as it scanned the last two step lengths against tol."""
-    return bool(np.max(ens.step_lengths()[:, -2:], initial=0.0) <= tol)
+    return bool(np.max(ens.step_lengths(slice(None))[:, -2:], initial=0.0) <= tol)
 
 
 def has_limit(ens):
@@ -269,7 +274,7 @@ def test_theorem_bound_power_tail_decay():
 def test_fit_decay_rate_recovers_synthetic_models():
     times = np.geomspace(1.0, 20.0, 40)
     power = ConvergenceCurve(times, times ** -2.0, np.full(40, np.nan), 1)
-    fit = fit_decay_rate(power, (1.0, 20.0), "power")
+    fit = fit_decay_rate(power, (1.0, 20.0), "power", 1)
     assert fit.value == pytest.approx(-2.0, abs=1e-6)
     assert fit.residual <= 1e-9
 
@@ -285,14 +290,14 @@ def test_fit_decay_rate_window_errors():
     vals = np.maximum(5.0 - times, 0.0)
     curve = ConvergenceCurve(times, vals, np.full(10, np.nan), 1)
     with pytest.raises(ShrinkWindowError, match="zero"):
-        fit_decay_rate(curve, (1.0, 10.0), "power")
+        fit_decay_rate(curve, (1.0, 10.0), "power", 1)
     with pytest.raises(ShrinkWindowError, match="samples"):
-        fit_decay_rate(curve, (1.0, 1.5), "power")
+        fit_decay_rate(curve, (1.0, 1.5), "power", 1)
     # log t at t = 0 is -inf: the window is refused before any fit
     at_zero = ConvergenceCurve(np.linspace(0.0, 1.0, 5), np.full(5, 0.5), np.full(5, np.nan), 1)
     for mode in ("power", "exponential"):
         with pytest.raises(ShrinkWindowError, match="<= 0"):
-            fit_decay_rate(at_zero, (0.0, 1.0), mode)
+            fit_decay_rate(at_zero, (0.0, 1.0), mode, 1)
 
 
 def test_curve_bound_and_moment_checks_on_solved_game():
@@ -303,7 +308,8 @@ def test_curve_bound_and_moment_checks_on_solved_game():
     ens = report.final_ensemble
     bounds = (kernel.k_min, kernel.k_max)
     times = np.arange(0.0, ens.horizon, 0.05)
-    curve = convergence_curve(ens, times, 1, m0=m0, domain=dom, cost=cost, bounds=bounds)
+    curve = convergence_curve(ens, times, 1, m0=m0, domain=dom, cost=cost, bounds=bounds,
+                              m_inf=limit_measure(ens))
     assert curve_bound_excess(curve, 4 * (report.dt + dom.dx)) <= 1e-9
     assert p_moment_excess(ens, m0, dom, cost, bounds, times, 1) <= 1e-9
 

@@ -7,7 +7,7 @@ from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import (CertificationError, EquilibriumConfig, _use_binning,
                                  admissibility_excess, certify, exploitability,
-                                 induced_speed_field, realized_costs, solve_equilibrium)
+                                 field_from_marginals, realized_costs, solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
 from exitlab.ocp import SpeedField
 
@@ -69,7 +69,7 @@ def test_final_field_is_the_final_ensembles_induced_field(game, cap, monkeypatch
     binned = _use_binning(ens.n_traj, ens.n_steps + 1, dom.n_nodes)
     if cap is not None:
         assert binned == (cap == -1)
-    again = induced_speed_field(ens, kernel, binned).values
+    again = field_from_marginals(kernel, ens, binned).values
     assert np.array_equal(report.final_phi.speed.values.view(np.int64), again.view(np.int64))
 
 
@@ -176,7 +176,7 @@ def test_moving_step_excess_matches_full_scan(backend):
 def test_execute_measures_the_final_mixture_once(monkeypatch):
     """The loop measures gaps only; the ledger's certificate is its last gap
     pass, the one admissibility gate reads the returned mixture on its own
-    field, and only the Lipschitz check reads its step lengths."""
+    field, and only the Lipschitz check reads its step lengths, each row once."""
     from exitlab import equilibrium as eq, runner
     from exitlab.scenarios import load_scenario
 
@@ -192,9 +192,9 @@ def test_execute_measures_the_final_mixture_once(monkeypatch):
         gates.append((ensemble, speed))
         return plain_gate(ensemble, speed, slack)
 
-    def counted_steps(self):
-        scans.append(self)
-        return plain_steps(self)
+    def counted_steps(self, rows):
+        scans.append((self, rows))
+        return plain_steps(self, rows)
 
     monkeypatch.setattr(eq, "optimality_gaps", counted_gaps)
     monkeypatch.setattr(eq, "admissibility_excess", counted_gate)
@@ -205,7 +205,10 @@ def test_execute_measures_the_final_mixture_once(monkeypatch):
     assert report.iterations == 3 and len(passes) == 3 and passes[-1] is report.final_ensemble
     assert len(gates) == 1
     assert gates[0][0] is report.final_ensemble and gates[0][1] is report.final_phi.speed
-    assert scans == [report.final_ensemble]
+    final = report.final_ensemble
+    assert scans and all(ens is final for ens, _ in scans)
+    read = np.concatenate([np.arange(final.n_traj)[rows] for _, rows in scans])
+    assert np.array_equal(read, np.arange(final.n_traj))
     assert bundle["certification"] is report.certification
     assert report.certification["epsilon"] == report.exploitability
 

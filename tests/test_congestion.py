@@ -7,7 +7,7 @@ from exitlab.congestion import (Chi, CongestionKernel, Eta, HypothesisViolation,
                                 Kappa, MeasurePreconditionError)
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import field_from_marginals, frozen_field
-from exitlab.measures import ParticleMeasure, wasserstein
+from exitlab.measures import ParticleMeasure, TrajectoryEnsemble, wasserstein
 
 E_MINUS_HALF = float(np.exp(-0.5))
 
@@ -217,8 +217,9 @@ def test_binned_evaluation_error_within_bound():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, 50)
     mu = ParticleMeasure(dom, pts, np.full(50, 0.02))
-    exact = field_from_marginals(kernel, pts[:, None], mu.weights, dom.dx, binned=False)
-    binned = field_from_marginals(kernel, pts[:, None], mu.weights, dom.dx, binned=True)
+    ens = TrajectoryEnsemble(dom, dom.dx, pts[:, None], mu.weights)  # one slice: mu
+    exact = field_from_marginals(kernel, ens, binned=False)
+    binned = field_from_marginals(kernel, ens, binned=True)
     assert np.array_equal(exact.values[0], kernel.node_speeds(mu))
     assert np.max(np.abs(binned.values - exact.values)) <= kernel.binning_error_bound() + 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, IntervalDomain
 from exitlab.equilibrium import (EquilibriumConfig, _bound_checks, certify, exploitability,
-                                 frozen_field, induced_speed_field, run_grid,
+                                 field_from_marginals, frozen_field, run_grid,
                                  solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
 from exitlab.ocp import default_dpp_tol, solve_value
@@ -56,7 +56,7 @@ def best_response(m0, dom, cost, kernel):
 def test_induced_field_constant_kernel():
     dom, cost, kernel = remark_game()
     ens = build_line_ensemble(dom, 0.005, 0.5, 0.0, 120)
-    field = induced_speed_field(ens, kernel)
+    field = field_from_marginals(kernel, ens, False)
     assert np.all(field.values == 1.0)
 
 
@@ -65,7 +65,7 @@ def test_induced_field_far_cloud_ball_chi():
     kernel = CongestionKernel(dom, Kappa("affine_clamped", intercept=0.9, slope=1.0, floor=0.2),
                               Chi("ball", radius=0.05), Eta("constant", value=1.0))
     ens = build_line_ensemble(dom, 0.01, 0.9, 0.9, 10, speed=0.0)
-    field = induced_speed_field(ens, kernel)
+    field = field_from_marginals(kernel, ens, False)
     x_far = dom.node_at(0.2)
     assert np.allclose(field.values[:, x_far], 0.9)  # kappa(0)
     x_near = dom.node_at(0.9)

@@ -242,10 +242,10 @@ def test_mix_merges_and_preserves_mass():
     other_path = np.linspace(0.5, 1.0, 11)
     other = TrajectoryEnsemble(dom, 0.05, other_path[None, :], np.array([1.0]),
                                exit_indices=np.array([10]))
-    mixed = base.mix(other, 0.25)
+    mixed = base.mix(other, 0.25, 1e-9)
     assert mixed.n_traj == 2
     assert mixed.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    again = mixed.mix(other, 0.5)
+    again = mixed.mix(other, 0.5, 1e-9)
     assert again.n_traj == 2  # identical trajectory merged, not duplicated
     assert again.weights.sum() == pytest.approx(1.0, abs=1e-12)
 

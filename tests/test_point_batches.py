@@ -155,8 +155,7 @@ def horizon_bound_reference(domain, cost, bounds, r):
                                        for t in domain.targets])])
     g0 = cost.at_node(y0)
     d0 = node_distance_reference(domain, domain.origin, y0)
-    d_const = domain.geodesic_constant
-    return g0 + d_const * d0 / k_min + d_const * float(r) / k_min
+    return g0 + d0 / k_min + float(r) / k_min  # the geodesic constant D is 1
 
 
 @pytest.mark.parametrize("make", [interval, grid, graph])

@@ -174,6 +174,37 @@ def test_verify_fails_cleanly_on_a_malformed_manifest(tmp_path, capsys, case, ex
     assert f"FAIL: {check.error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("report unlisted", "manifest.json does not list report.json"),
+    ("report not an object", "report.json is not a JSON object"),
+    ("parent path", "manifest.json lists '../outside.csv', not a file name"),
+    ("absolute path", "outside.csv', not a file name"),
+])
+def test_verify_fails_cleanly_on_a_bad_report_or_artifact_name(tmp_path, capsys, case, expected):
+    """Each case used to raise from verify, or to read a file outside the run directory."""
+    out = tmp_path / "run"
+    runner.run("remark_5_3", str(out))
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    outside = tmp_path / "outside.csv"
+    outside.write_text("x\n")
+    if case == "report unlisted":
+        del manifest["artifacts"]["report.json"]
+        (out / "report.json").unlink()
+    elif case == "report not an object":
+        (out / "report.json").write_text("[1]\n")
+        manifest["artifacts"]["report.json"] = runner._sha256(out / "report.json")
+    else:
+        name = "../outside.csv" if case == "parent path" else str(outside)
+        manifest["artifacts"][name] = runner._sha256(outside)
+    path.write_text(json.dumps(manifest))
+    check = runner.verify(str(out))
+    assert (check.passed, check.differences) == (False, [])
+    assert expected in check.error, check.error
+    assert cli.main(["verify", str(out)]) == 1
+    assert f"FAIL: {check.error}" in capsys.readouterr().err
+
+
 def test_verify_with_tol_override_lists_differences(tmp_path):
     out = tmp_path / "run"
     runner.run("remark_5_3", str(out))
@@ -470,6 +501,13 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     pytest.param(interval_scenario, "initial_measure",
                  {"kind": "uniform", "support": [0.2, 0.8], "count": 10 ** 300},
                  "initial_measure.count must be ", id="interval-count_10e300"),
+    # chi reads one amplitude key per family: given both, one used to win silently
+    (interval_scenario, "kernel.chi", {"family": "constant", "value": 0.0, "amplitude": 5.0},
+     "kernel.chi.amplitude is not read with family 'constant'"),
+    (interval_scenario, "kernel.chi", {"family": "gaussian", "width": 0.05, "value": 0.6},
+     "kernel.chi.value is not read with family 'gaussian'"),
+    (interval_scenario, "kernel.chi", {"family": "ball", "radius": 0.1, "value": 0.5},
+     "kernel.chi.value is not read with family 'ball'"),
 ])
 def test_wrong_blocks_families_and_spacings_name_their_path(tmp_path, make, path, value, named):
     cfg = make()
@@ -490,6 +528,19 @@ def test_marginal_binning_accepts_only_auto(tmp_path, value):
     assert result.error.startswith("equilibrium.marginal_binning must be one of ['auto']")
     cfg["equilibrium"]["marginal_binning"] = "auto"
     assert validate_config(cfg)["equilibrium"]["marginal_binning"] == "auto"
+
+
+@pytest.mark.parametrize("make", [interval_scenario, grid2d_scenario, graph_scenario])
+def test_null_origin_reads_as_an_absent_one(tmp_path, make):
+    """A null domain.origin is the default origin; on a graph it used to exit 2."""
+    absent = make()
+    del absent["domain"]["origin"]
+    base = runner.run(absent, str(tmp_path / "absent"))
+    cfg = make()
+    cfg["domain"]["origin"] = None
+    result = runner.run(cfg, str(tmp_path / "null"))
+    assert result.status == base.status == 0, result.error
+    assert result.ledger == base.ledger
 
 
 def test_whole_number_graph_ids_written_as_floats_still_run(tmp_path):
@@ -605,8 +656,9 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_overrides_change_the_config(tmp_path):
-    result = runner.run("remark_5_3", str(tmp_path / "o"), tol=0.005,
-                        params={"initial_measure.location": 0.25})
+    cfg = runner.apply_overrides(load_scenario("remark_5_3"),
+                                 params={"initial_measure.location": 0.25})
+    result = runner.run(cfg, str(tmp_path / "o"), tol=0.005)
     assert result.status == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["seed"] == 0  # the scenario's label, recorded as given
@@ -682,8 +734,9 @@ def test_stability_report_is_byte_identical_and_its_runs_are_plain_runs(tmp_path
     assert runner.verify(str(reference)).passed
     runner.run("remark_5_13", str(tmp_path / "plain"), tol=0.02)
     assert_same_run_dirs(reference, tmp_path / "plain")
-    runner.run("remark_5_13", str(tmp_path / "plain_member"), tol=0.02,
-               params={"initial_measure.location": 0.7})
+    member = runner.apply_overrides(load_scenario("remark_5_13"),
+                                    params={"initial_measure.location": 0.7})
+    runner.run(member, str(tmp_path / "plain_member"), tol=0.02)
     assert_same_run_dirs(tmp_path / "s1" / "001_location=0.7", tmp_path / "plain_member")
 
 

@@ -1,6 +1,6 @@
 """The per-trajectory caches and the synthesis plan against the code they replaced.
 
-TrajectoryEnsemble carries node_indices and row_keys through mix; the binned
+TrajectoryEnsemble computes node_indices and row_keys and carries them through mix; the binned
 field reads the node indices in one np.bincount per block of slices;
 synthesize_batch evaluates candidate moves through the backend's reach_plan,
 slot-major, and moves only the paths still active. Each reference below is
@@ -172,17 +172,20 @@ def synthesize_loop_reference(phi, speed, start_points, raise_on_stall=True):
 
 # ---- mix by its definition: concatenate, then merge, then prune -----------
 
+# the per-row fields an ensemble is built from; it computes the two caches itself
+GIVEN = ("samples", "exit_indices", "exit_nodes")
+
+
 def concatenated(a, b, lam):
     """The union (1 - lam) * a + lam * b with every row kept."""
-    fields = {name: np.concatenate([getattr(a, name), getattr(b, name)])
-              for name in measures.ROW_FIELDS}
+    fields = {name: np.concatenate([getattr(a, name), getattr(b, name)]) for name in GIVEN}
     weights = np.concatenate([(1 - lam) * a.weights, lam * b.weights])
     return TrajectoryEnsemble(a.domain, a.dt, weights=weights, validate=False, **fields)
 
 
 def rows_of(ens, rows, weights):
     """The given rows of ens, in arrays of their own, with these weights."""
-    fields = {name: getattr(ens, name)[rows] for name in measures.ROW_FIELDS}
+    fields = {name: getattr(ens, name)[rows] for name in GIVEN}
     return TrajectoryEnsemble(ens.domain, ens.dt, weights=weights, validate=False, **fields)
 
 
@@ -420,7 +423,7 @@ def test_carried_node_indices_equal_nearest_nodes(make):
     a = repeated_ensemble(dom, rng)
     assert a.node_indices.dtype == np.int32
     b = repeated_ensemble(dom, rng, n=25)
-    for ens in (a, merged(a), pruned(a, 0.02), copied(a).mix(b, 0.4),
+    for ens in (a, merged(a), pruned(a, 0.02), copied(a).mix(b, 0.4, 1e-9),
                 merged(copied(a).mix(b, 0.4, 0.02))):
         assert np.array_equal(ens.node_indices, dom.nearest_nodes(ens.samples))
         assert ens.node_indices.dtype == np.int32
@@ -443,16 +446,17 @@ def test_bincount_histogram_and_field_equal_per_slice_add_at(make):
     w = rng.uniform(0.0, 1.0, 40) ** 4
     w /= w.sum()
     nodes = dom.nearest_nodes(paths).astype(np.int32)
-    hist = _slice_histograms(nodes, w, dom.n_nodes)
+    hist = _slice_histograms(nodes, w, dom.n_nodes, paths.shape[1] - 1)
     want = histogram_reference(dom, paths, w)
     assert np.array_equal(hist.view(np.int64), want.view(np.int64))
     kernel = congested_kernel(dom)
-    got = field_from_marginals(kernel, paths, w, 0.1, True, nodes).values
+    ens = TrajectoryEnsemble(dom, 0.1, paths, w)
+    got = field_from_marginals(kernel, ens, True).values
     density = want @ kernel.node_interaction_matrix().T
     ref = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    without = field_from_marginals(kernel, paths, w, 0.1, True).values
-    assert np.array_equal(got.view(np.int64), without.view(np.int64))
+    # the field bins the ensemble's cached node indices: the nearest nodes
+    assert np.array_equal(ens.node_indices, nodes)
 
 
 # ---- synthesis plan -------------------------------------------------------

@@ -60,7 +60,7 @@ def solve_value_reference(domain, cost, speed):
     k_bound = speed.at_nodes(n_steps)
     (ball_min,) = stencil((k_bound * dt)[None])
     tdist = domain.target_node_distances()
-    phi = tdist * domain.geodesic_constant / speed.k_min + cost.max_cost
+    phi = tdist / speed.k_min + cost.max_cost  # the geodesic constant D is 1
     phi[targets] = g_t
     max_sweeps = int(3 * np.max(tdist) / (speed.k_min * dt)) + 200
     for _ in range(max_sweeps):
@@ -477,10 +477,14 @@ def test_histograms_and_field_stop_at_the_settled_slice(make):
         want = histogram_reference(nodes, ens.weights, dom.n_nodes)
         assert_bits_equal(eq._slice_histograms(nodes, ens.weights, dom.n_nodes,
                                                ens.settled_slice), want)
+        # the same rows, with every slice read as if none had settled
+        unsettled = TrajectoryEnsemble(dom, ens.dt, ens.samples, ens.weights,
+                                       exit_indices=ens.exit_indices, exit_nodes=ens.exit_nodes,
+                                       validate=False)
+        unsettled.settled_slice = ens.n_steps
         for binned in (True, False):
-            got = eq.induced_speed_field(ens, kernel, binned).values
-            full = eq.field_from_marginals(kernel, ens.samples, ens.weights, ens.dt,
-                                           binned, nodes).values
+            got = eq.field_from_marginals(kernel, ens, binned).values
+            full = eq.field_from_marginals(kernel, unsettled, binned).values
             assert_bits_equal(got, full)
     # the settled slice's own row differs from the one before it
     ens = found["moves after exit"]
@@ -493,6 +497,6 @@ def test_settled_slice_is_computed_once_per_ensemble(monkeypatch):
     first = ens.settled_slice
     monkeypatch.setattr(ens, "samples", ens.samples[:, :1].repeat(ens.n_steps + 1, axis=1))
     assert ens.settled_slice == first
-    merged = ens.mix(ens, 0.5)
+    merged = ens.mix(ens, 0.5, 1e-9)
     assert "settled_slice" not in vars(merged)  # mix drops the cached slice
     assert merged.settled_slice == settled_reference(merged.samples)
