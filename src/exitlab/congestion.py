@@ -26,6 +26,14 @@ class MeasurePreconditionError(ValueError):
     pass
 
 
+def _unread(part, family, params):
+    """The error for the parameters left after a constructor popped those its family reads.
+
+    Worded as the scenario walker words an unread key.
+    """
+    return ValueError(f"{part}.{next(iter(params))} is not read with family {family!r}")
+
+
 class Kappa:
     """Nonincreasing positive speed profile kappa(s)."""
 
@@ -37,22 +45,24 @@ class Kappa:
     def __init__(self, family, **params):
         self.family = family
         if family == "constant":
-            self.value = float(params["value"])
+            self.value = float(params.pop("value"))
             if self.value <= 0:
                 raise HypothesisViolation("constant kappa must be positive", "kappa")
         elif family == "affine_clamped":
-            self.intercept = float(params["intercept"])
-            self.slope = float(params["slope"])
-            self.floor = float(params["floor"])
+            self.intercept = float(params.pop("intercept"))
+            self.slope = float(params.pop("slope"))
+            self.floor = float(params.pop("floor"))
             if self.slope < 0:
                 raise HypothesisViolation("affine kappa must be nonincreasing", "kappa")
         elif family == "exponential":
-            self.scale = float(params["scale"])
-            self.rate = float(params["rate"])
+            self.scale = float(params.pop("scale"))
+            self.rate = float(params.pop("rate"))
             if self.scale <= 0 or self.rate < 0:
                 raise HypothesisViolation("exponential kappa needs scale > 0, rate >= 0", "kappa")
         else:
             raise ValueError(f"unknown kappa family {family!r}")
+        if params:
+            raise _unread("kappa", family, params)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -85,17 +95,19 @@ class Chi:
 
     def __init__(self, family, **params):
         self.family = family
-        self.amplitude = float(params.get("value" if family == "constant" else "amplitude", 1.0))
+        self.amplitude = float(params.pop("value" if family == "constant" else "amplitude", 1.0))
         if self.amplitude < 0:
             raise HypothesisViolation("chi must be nonnegative", "chi")
         if family == "ball":
-            self.radius = float(params["radius"])
+            self.radius = float(params.pop("radius"))
         elif family == "gaussian":
-            self.width = float(params["width"])
+            self.width = float(params.pop("width"))
             if self.width <= 0:
                 raise HypothesisViolation("gaussian chi needs positive width", "chi")
         elif family != "constant":
             raise ValueError(f"unknown chi family {family!r}")
+        if params:
+            raise _unread("chi", family, params)
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -131,15 +143,17 @@ class Eta:
     def __init__(self, family, **params):
         self.family = family
         if family == "constant":
-            self.value = float(params.get("value", 1.0))
+            self.value = float(params.pop("value", 1.0))
             if self.value < 0:
                 raise HypothesisViolation("eta must be nonnegative", "eta")
         elif family == "taper":
-            self.distance = float(params["distance"])
+            self.distance = float(params.pop("distance"))
             if self.distance <= 0:
                 raise HypothesisViolation("taper eta needs positive distance", "eta")
         else:
             raise ValueError(f"unknown eta family {family!r}")
+        if params:
+            raise _unread("eta", family, params)
 
     def at_target_distance(self, d):
         d = np.asarray(d, dtype=float)

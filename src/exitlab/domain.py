@@ -307,6 +307,12 @@ class IntervalDomain(SpatialDomain):
         slot outside the grid gathers a pad cell (the gather clips its
         index), and a slot past the ball's last node is sent to one, so an
         invalid node slot has an infinite displacement and the value BIG.
+        A sphere endpoint past lo - 1e-12 or hi + 1e-12, which reach_candidates
+        marks invalid, is not masked: it clips to lo or hi, which np.linspace
+        makes coords[0] and coords[-1] exactly, and that node then sits in a
+        valid node slot with the same coordinate, value and displacement.
+        So the clipped endpoint moves neither the ball minimum nor the first
+        slot with the least (value, displacement): a later twin can hold it.
         """
         n_ball = int(np.floor(r_max / self.dx + 1e-6)) * 2 + 2
         n_slot = 3 + n_ball
@@ -327,7 +333,6 @@ class IntervalDomain(SpatialDomain):
             ends = cand[1:3]
             np.subtract(ps, r, out=ends[0])
             np.add(ps, r, out=ends[1])
-            ends_out = (ends < self.lo - 1e-12) | (ends > self.hi + 1e-12)
             # nodes i_lo .. i_hi inside the closed ball, as reach_candidates
             # computes them (adding -1e-9 is subtracting 1e-9, to the bit)
             f = (ends - self.lo) / self.dx
@@ -338,12 +343,10 @@ class IntervalDomain(SpatialDomain):
             np.minimum(np.maximum(ends, self.lo, out=ends), self.hi, out=ends)  # np.clip
             coords.take(gather, out=cand[3:], mode="clip")
             np.abs(np.subtract(cand, ps, out=disp), out=disp)
-            np.copyto(disp[1:3], np.inf, where=ends_out)
 
             def evaluate(node_values, part=slice(None)):
                 out = vals[:, part]
                 out[:3] = self.interp(node_values, cand[:3, part])
-                np.copyto(out[1:3], BIG, where=ends_out[:, part])
                 padded[1:-1] = node_values
                 padded.take(gather[:, part], out=out[3:], mode="clip")
                 return cand[:, part], out, disp[:, part]
@@ -351,13 +354,15 @@ class IntervalDomain(SpatialDomain):
         return place
 
     def snap_to_target(self, ps):
-        ps = np.asarray(ps, dtype=float).copy()
+        ps = np.array(ps, dtype=float)
         tc = self.coords[self.targets]
-        d = np.abs(ps[:, None] - tc[None, :])
-        j = d.argmin(axis=1)
-        hit = np.minimum.reduce(d, axis=1) <= self.dx / 2 + 1e-12  # the distance at j
-        ps[hit] = tc[j[hit]]
-        out = np.where(hit, self.targets[j], -1)
+        d = np.abs(ps[:, None] - tc)
+        # the nearest target's distance first: only rows within dx/2 need its index
+        hit = np.flatnonzero(np.minimum.reduce(d, axis=1) <= self.dx / 2 + 1e-12)
+        j = d[hit].argmin(axis=1)
+        ps[hit] = tc[j]
+        out = np.full(len(ps), -1)
+        out[hit] = self.targets[j]
         return ps, out
 
     def validate_points(self, ps):

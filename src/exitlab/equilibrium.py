@@ -20,8 +20,6 @@ from .ocp import (SpeedField, horizon_bound, trajectory_bound, solve_value,
 
 PRUNE_DEFAULT = 1e-9
 BINNING_WORK_CAP = 4_000_000
-# slices per np.bincount in the binned field: bounds its bin and weight temporaries
-HIST_SLICE_BLOCK = 64
 
 
 class CertificationError(RuntimeError):
@@ -111,23 +109,17 @@ def field_from_marginals(kernel, ensemble, binned):
 def _slice_histograms(nodes, weights, n_nodes, last):
     """hist[j, i]: the weight of the trajectories whose slice-j node is i.
 
-    One np.bincount over the bins j * n_nodes + nodes per block of slices,
-    read row by row. Each bin belongs to one slice and np.bincount adds in
-    array order, so every bin sums its weights in trajectory order, as
-    np.add.at per slice does: the histogram is the same to the bit. Slices
-    after last repeat slice last's nodes, so they copy its row.
+    Slices 0..last are copied once into a slice-major slab, so each slice's
+    nodes are one contiguous row, and one np.bincount per row bins them.
+    np.bincount adds in array order, so every bin sums its weights in
+    trajectory order, as np.add.at per slice does: the histogram is the
+    same to the bit. Slices after last repeat slice last's nodes, so they
+    copy its row.
     """
-    n_slices = nodes.shape[1]
-    hist = np.empty((n_slices, n_nodes))
-    repeated = None
-    for lo in range(0, last + 1, HIST_SLICE_BLOCK):
-        block = nodes[:, lo:min(lo + HIST_SLICE_BLOCK, last + 1)]
-        width = block.shape[1]
-        if repeated is None or len(repeated) != block.size:
-            repeated = np.repeat(weights, width)  # row k's weight on each of its bins
-        bins = (block + np.arange(width) * n_nodes).ravel()
-        hist[lo:lo + width] = np.bincount(bins, weights=repeated,
-                                          minlength=width * n_nodes).reshape(width, n_nodes)
+    hist = np.empty((nodes.shape[1], n_nodes))
+    slab = np.ascontiguousarray(nodes[:, :last + 1].T)
+    for j, row in enumerate(slab):
+        hist[j] = np.bincount(row, weights=weights, minlength=n_nodes)
     hist[last + 1:] = hist[last]
     return hist
 

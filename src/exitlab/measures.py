@@ -187,7 +187,7 @@ class TrajectoryEnsemble:
     here and carried by mix, which changes an ensemble in place:
     node_indices, the int32 nearest node of every sample, and row_keys, the
     trajectory_keys() of every trajectory. settled_slice is derived from the
-    samples and cached until the next mix.
+    samples once, and mix carries it.
     """
 
     def __init__(self, domain, dt, samples, weights, *, exit_indices=None,
@@ -236,16 +236,18 @@ class TrajectoryEnsemble:
         first slice in one comparison; should some row move after its
         recorded exit, the slices are compared one by one from the end.
         """
-        bits = self.samples.reshape(self.n_traj, self.n_steps + 1, -1).view(np.int64)
+        bits = self._sample_bits()
         exits = self.exit_indices
         last = self.n_steps
         if len(exits) and np.all(exits >= 0):
             hint = int(np.max(exits))
             if np.all(bits[:, hint:] == bits[:, hint:hint + 1]):
                 last = hint
-        while last > 0 and np.array_equal(bits[:, last], bits[:, last - 1]):
-            last -= 1
-        return last
+        return _last_change(bits, last)
+
+    def _sample_bits(self):
+        """The samples as int64 words, (n_traj, n_steps + 1, words per point)."""
+        return self.samples.reshape(self.n_traj, self.n_steps + 1, -1).view(np.int64)
 
     def time_index(self, t):
         j = int(round(t / self.dt))
@@ -301,6 +303,10 @@ class TrajectoryEnsemble:
         the new rows of other follow them, so a mix that fits the buffers
         holds no second copy of the samples: only other's new rows and one
         block of self's at a time.
+
+        Every kept row is constant from its own ensemble's settled slice on,
+        so the result's settled slice is found by walking back from the
+        larger of the two, one slice at a time.
         """
         if other.samples.shape[1:] != self.samples.shape[1:] or other.dt != self.dt:
             raise MeasureError("cannot mix ensembles on different grids")
@@ -315,6 +321,7 @@ class TrajectoryEnsemble:
         fields = {name: getattr(self, name) for name in ROW_FIELDS}
         # read before any row of self moves: other may share self's buffers
         added = {name: getattr(other, name)[rows[len(mine):] - n] for name in ROW_FIELDS}
+        settled = max(self.settled_slice, other.settled_slice)
         room = 0 if self._store is None else len(self._store["samples"])
         if len(rows) > room:
             cap = max(len(rows), 2 * max(room, n))
@@ -333,8 +340,18 @@ class TrajectoryEnsemble:
             dst[len(mine):len(rows)] = added[name]
             setattr(self, name, dst[:len(rows)])
         self.weights = w / w.sum()
-        self.__dict__.pop("settled_slice", None)
+        self.settled_slice = _last_change(self._sample_bits(), settled)
         return self
+
+
+def _last_change(bits, last):
+    """The last slice up to last whose bits differ from the slice before it (0 when none).
+
+    Every slice after last must be bit-equal to slice last.
+    """
+    while last > 0 and np.array_equal(bits[:, last], bits[:, last - 1]):
+        last -= 1
+    return last
 
 
 def _mapped(shape, dtype):

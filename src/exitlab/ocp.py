@@ -239,10 +239,13 @@ def _select_candidates(vals, disp):
     """Argmin by (value, displacement, slot order) over slot-major (S, m) arrays.
 
     Slots are direction-ordered. Returns each column's slot and its value.
+    argmin takes the first least displacement among the value ties, which is
+    the slot-order tie-break; a column whose ties all have an infinite
+    displacement (no valid slot) gets slot 0, its first tie.
     """
-    tie = vals == np.minimum.reduce(vals, axis=0)
-    tie &= disp == np.minimum.reduce(np.where(tie, disp, np.inf), axis=0)
-    best_slot = tie.argmax(axis=0)
+    best = np.minimum.reduce(vals, axis=0)
+    best_slot = np.where(vals == best, disp, np.inf).argmin(axis=0)
+    # the chosen slot's own value: a tie of 0.0 and -0.0 keeps that slot's sign
     return best_slot, vals[best_slot, np.arange(vals.shape[1])]
 
 
@@ -279,8 +282,8 @@ def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
         r = speed.at_points(j, cur) * dt
         cand, vals, disp = place(cur, r)(phi.values[j + 1])
         slot, best_val = _select_candidates(vals, disp)
-        stalled = best_val >= BIG / 2
-        if stalled.any():
+        if best_val.max() >= BIG / 2:
+            stalled = best_val >= BIG / 2
             raise SynthesisStall(f"no admissible move from {cur[stalled.argmax()]} at step {j}")
         cur, tgt = domain.snap_to_target(cand[slot, np.arange(len(act))])
         samples[act, j + 1] = cur

@@ -102,6 +102,17 @@ def test_kappa_reaching_zero_violates_h8():
                     chi=Chi("constant", value=1.0))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Chi("constant", amplitude=5.0), "chi.amplitude is not read with family 'constant'"),
+    (lambda: Chi("gaussian", width=0.1, value=5.0),
+     "chi.value is not read with family 'gaussian'"),
+    (lambda: Eta("taper", distance=0.2, value=3.0), "eta.value is not read with family 'taper'"),
+])
+def test_a_parameter_the_family_does_not_read_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_lipschitz_estimates():
     dom = make_domain()
     assert make_kernel(dom).estimate_lipschitz()[0] == 0.0

@@ -347,3 +347,74 @@ def test_select_candidates_matches_sequential_loop(seed):
     ref_slot, ref_best = sequential_select(vals, disp)
     assert np.array_equal(slot, ref_slot)
     assert np.array_equal(best.view(np.int64), ref_best.view(np.int64))
+
+
+def synthesize_sequential(phi, speed, start_points):
+    """Interval greedy descent by its definition: reach_candidates, sequential_select
+    and the nearest-target snap, one step of every active path at a time.
+
+    Also counts the moves onto lo or hi taken where that side's sphere
+    endpoint lies past it (by more than 1e-12), which reach_candidates
+    marks invalid.
+    """
+    dom, dt = phi.domain, phi.dt
+    tc = dom.coords[dom.targets]
+
+    def snap(x):
+        d = np.abs(x[:, None] - tc[None, :])
+        j = d.argmin(axis=1)
+        hit = d[np.arange(len(x)), j] <= dom.dx / 2 + 1e-12
+        return np.where(hit, tc[j], x), np.where(hit, dom.targets[j], -1)
+
+    pos, exit_node = snap(np.asarray(start_points, dtype=float))
+    exit_idx = np.where(exit_node >= 0, 0, -1)
+    samples = np.empty((len(pos), phi.n_steps + 1))
+    samples[:, 0] = pos
+    clipped = 0
+    for j in range(phi.n_steps):
+        act = np.flatnonzero(exit_idx < 0)
+        cur = pos[act]
+        r = speed.at_points(j, cur) * dt
+        cand, disp, valid = dom.reach_candidates(cur, r)
+        slot, _ = sequential_select(np.where(valid, dom.interp(phi.values[j + 1], cand), BIG),
+                                    disp)
+        new = cand[np.arange(len(act)), slot]
+        clipped += np.sum((slot > 0) & (((cur - r < dom.lo - 1e-12) & (new == dom.lo))
+                                        | ((cur + r > dom.hi + 1e-12) & (new == dom.hi))))
+        pos[act], tgt = snap(new)
+        exit_idx[act[tgt >= 0]] = j + 1
+        exit_node[act] = tgt
+        samples[:, j + 1] = pos
+    return samples, exit_idx, exit_node, clipped
+
+
+@pytest.mark.parametrize("target", [0.0, 0.5, 1.0])
+def test_interval_endpoints_past_the_bounds_match_the_sequential_loop(target):
+    """Sphere endpoints past lo - 1e-12 and hi + 1e-12 give the definition's points and minima.
+
+    The plan does not mask such an endpoint: it clips to lo or hi, where a
+    node slot holds the same coordinate, value and displacement.
+    """
+    dom = IntervalDomain(0.0, 1.0, 0.05, targets=[target])
+    rng = np.random.default_rng(3)
+    dt = 2.5 * dom.dx  # budgets up to 2.5 cells at speed 1
+    values = rng.uniform(0.2, 1.0, (60, dom.n_nodes))
+    speed = SpeedField(dom, dt, values, (0.2, 1.0))
+    phi = solve_value(dom, ExitCost.zero(dom), speed)
+    rows = values[:4] * dt
+    rows[:, [0, 1, -2, -1]] = np.max(values) * dt
+    for row, ball_min in zip(rows, dom.reach_stencil(np.max(values) * dt)(rows)):
+        cand, disp, valid = dom.reach_candidates(dom.node_points(), row)
+        assert not valid[0, 1] and not valid[-1, 2]  # past lo - 1e-12 and hi + 1e-12
+        for node_values in (phi.values[1], phi.values[30], rng.choice([0.0, 0.5, 1.0], dom.n_nodes)):
+            _, best = sequential_select(np.where(valid, dom.interp(node_values, cand), BIG), disp)
+            assert np.array_equal(ball_min(node_values).view(np.int64), best.view(np.int64))
+    # starts at both ends, within 1e-13 of them, a cell's fifth inside and across the interval
+    starts = np.concatenate([[0.0, 1.0, 1e-13, 1 - 1e-13, 0.01, 0.99], rng.uniform(0.0, 1.0, 20)])
+    got = synthesize_batch(phi, speed, starts)
+    *want, clipped = synthesize_sequential(phi, speed, starts)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert np.all(got[1] >= 0)
+    # some moves onto lo or hi are taken where that endpoint lies past it
+    assert clipped > 0

@@ -498,5 +498,45 @@ def test_settled_slice_is_computed_once_per_ensemble(monkeypatch):
     monkeypatch.setattr(ens, "samples", ens.samples[:, :1].repeat(ens.n_steps + 1, axis=1))
     assert ens.settled_slice == first
     merged = ens.mix(ens, 0.5, 1e-9)
-    assert "settled_slice" not in vars(merged)  # mix drops the cached slice
+    assert "settled_slice" in vars(merged)  # mix carries the slice: no scan follows
     assert merged.settled_slice == settled_reference(merged.samples)
+
+
+def rebuilt(ens):
+    """A fresh ensemble of ens's rows, whose settled slice is scanned, not carried."""
+    return TrajectoryEnsemble(ens.domain, ens.dt, ens.samples.copy(), ens.weights,
+                              exit_indices=ens.exit_indices, exit_nodes=ens.exit_nodes)
+
+
+def assert_carried(merged):
+    assert "settled_slice" in vars(merged)
+    assert merged.settled_slice == rebuilt(merged).settled_slice
+    assert merged.settled_slice == settled_reference(merged.samples)
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_mix_carries_the_settled_slice(make):
+    dom = make()
+
+    def variants():
+        return ensembles(dom, np.random.default_rng(9))[0]
+
+    # pruning drops the row that moves after its exit, which set the larger
+    # slice: the carried slice walks back past it
+    found = variants()
+    late, syn = found["moves after exit"], found["synthesized"]
+    bound = max(late.settled_slice, syn.settled_slice)
+    w = late.weights.copy()
+    w[0] = 1e-12
+    late.weights = w / w.sum()
+    merged = late.mix(syn, 0.5, 1e-9)
+    assert merged.settled_slice == syn.settled_slice < bound
+    assert_carried(merged)
+    # every variant, the hand-built ones whose rows move after their recorded
+    # exit or never exit among them, mixed with itself and with the others
+    for name in variants():
+        found = variants()
+        ens = found.pop(name)
+        assert_carried(ens.mix(ens, 0.5, 1e-9))
+        for other in found.values():
+            assert_carried(ens.mix(other, 0.3, 1e-9))
