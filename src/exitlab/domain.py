@@ -24,6 +24,9 @@ NODE_MATRIX_ROW_BLOCK = 128
 # the most nodes a domain may have: node ids are stored as int32
 # (TrajectoryEnsemble.node_indices)
 INDEX_MAX = 2**31 - 1
+# a graph's two dense n x n float64 tables (edge lengths, all-pairs
+# distances) take 16 n^2 bytes and stay within this: at most 8,192 nodes
+GRAPH_TABLE_BYTES = 2**30
 
 
 class DomainError(ValueError):
@@ -598,6 +601,9 @@ class GraphDomain(SpatialDomain):
         self.n_nodes = int(n_nodes)
         if self.n_nodes < 1:
             raise DomainError("graph needs at least one node", "n_nodes")
+        if 16 * self.n_nodes**2 > GRAPH_TABLE_BYTES:
+            raise DomainError(f"{self.n_nodes} nodes need {16 * self.n_nodes**2} bytes of "
+                              f"dense n x n tables, more than {GRAPH_TABLE_BYTES}", "n_nodes")
         rows, cols, vals = [], [], []
         seen = set()
         for u, v, length in edges:

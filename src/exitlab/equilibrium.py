@@ -1,11 +1,11 @@
 """Equilibrium computation as a damped fixed-point iteration of best response.
 
 The damping state is a fictitious-play mixture of past best responses; each
-iteration best-responds to the speed field induced by the mixture and then
-measures the candidate's exploitability against the field induced by the
-candidate itself. Convergence is declared when every atom's optimality gap
-falls below the tolerance, which makes the weak and strong certification
-flags coincide on the returned ensemble.
+iteration best-responds to the speed field induced by the mixture, mixes the
+candidate in, and then measures the new mixture's optimality gaps against
+the field induced by that mixture. Convergence is declared when every atom's
+optimality gap falls below the tolerance, which makes the weak and strong
+certification flags coincide on the returned ensemble.
 """
 from __future__ import annotations
 

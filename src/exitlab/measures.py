@@ -224,9 +224,6 @@ class TrajectoryEnsemble:
     def horizon(self):
         return self.n_steps * self.dt
 
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
-
     @cached_property
     def settled_slice(self):
         """The last slice at which any sample changes bits (0 when none does).

@@ -1,7 +1,8 @@
 """Run orchestration and persistence: validate -> solve -> certify -> asymptotics.
 
 A run directory holds report.json (the re-checkable ledger), manifest.json
-(resolved config, seed, artifact hashes), and CSV companions. All floats in
+(resolved config, seed, artifact hashes), the final mixture's paths as
+trajectories.npy, and CSV companions. All floats in the JSON and CSV
 artifacts are printed with 12 significant digits so reruns are byte-stable;
 verify re-executes the pipeline from the manifest and compares ledgers.
 """
@@ -31,10 +32,6 @@ STATUS_VALIDATION = 2
 STATUS_NOT_CONVERGED = 3
 STATUS_INTERNAL = 4
 
-TRAJECTORY_ROW_CAP = 400_000
-# rows formatted and written per write call: bounds the text held in memory
-# at once (a whole trajectories.csv held as text set the corridor's peak RSS)
-ROW_BLOCK = 16_384
 PACKAGE_VERSION = "0.1.0"
 # the config path each hypothesis reads: a failed one's error line starts with it
 HYPOTHESIS_PATHS = {"H1": "domain", "H2": "domain.targets", "H3": "exit_cost",
@@ -280,14 +277,17 @@ def _cells(col):
 
 
 def _write_table(path, header, columns):
-    """Write a CSV from equal-length 1d columns, ROW_BLOCK rows per write."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    """Write a CSV from equal-length 1d columns."""
+    rows = zip(*(_cells(np.asarray(c)) for c in columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, ROW_BLOCK):
-            cells = [_cells(c[lo:lo + ROW_BLOCK]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _point_columns(points):
@@ -308,11 +308,7 @@ def persist(bundle, run_dir):
     os.makedirs(run_dir, exist_ok=True)
     files = []
 
-    ledger = build_ledger(bundle)
-    report_path = os.path.join(run_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(ledger, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "report.json"), build_ledger(bundle))
     files.append("report.json")
 
     if "equilibrium" in bundle:
@@ -330,24 +326,17 @@ def persist(bundle, run_dir):
                      + [np.array([h["mixture_support"] for h in hist], dtype=int)])
         files.append("exploitability_history.csv")
 
-        n = ens.n_traj
-        stride = max(1, int(np.ceil(n * (ens.n_steps + 1) / TRAJECTORY_ROW_CAP)))
-        t_idx = np.union1d(np.arange(0, ens.n_steps + 1, stride), [ens.n_steps])
-        e = ens.exit_indices[:, None]
-        _write_table(os.path.join(run_dir, "trajectories.csv"),
-                     ["particle_id", "t"] + coord_cols + ["exited_flag"],
-                     [np.repeat(np.arange(n), len(t_idx)), np.tile(ens.times()[t_idx], n),
-                      *_point_columns(ens.samples[:, t_idx].reshape(
-                          (n * len(t_idx),) + ens.samples.shape[2:])),
-                      ((0 <= e) & (e <= t_idx)).ravel().astype(int)])
-        files.append("trajectories.csv")
+        # the final mixture's paths, every bit: row k is particle_id k of
+        # trajectory_summary.csv and slice j is time j * dt
+        np.save(os.path.join(run_dir, "trajectories.npy"), ens.samples, allow_pickle=False)
+        files.append("trajectories.npy")
 
         costs = eq.realized_costs(ens, bundle["cost"])
         exit_time = np.where(ens.exit_indices >= 0, ens.exit_indices * ens.dt, np.nan)
         _write_table(os.path.join(run_dir, "trajectory_summary.csv"),
                      ["particle_id", "weight"] + [f"start_{c}" for c in coord_cols]
                      + ["exit_time", "realized_cost"],
-                     [np.arange(n), ens.weights, *_point_columns(ens.samples[:, 0]),
+                     [np.arange(ens.n_traj), ens.weights, *_point_columns(ens.samples[:, 0]),
                       exit_time, costs])
         files.append("trajectory_summary.csv")
 
@@ -385,10 +374,9 @@ def persist(bundle, run_dir):
 
         fit = bundle.get("rate_fit")
         if fit is not None:
-            with open(os.path.join(run_dir, "rate_fit.json"), "w") as fh:
-                json.dump({k: (_r12(v) if isinstance(v, float) else v)
-                           for k, v in fit.as_dict().items()}, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(run_dir, "rate_fit.json"),
+                        {k: (_r12(v) if isinstance(v, float) else v)
+                         for k, v in fit.as_dict().items()})
             files.append("rate_fit.json")
 
     config_json = json.dumps(bundle["config"], sort_keys=True)
@@ -402,9 +390,7 @@ def persist(bundle, run_dir):
         "status": bundle["status"],
         "artifacts": {name: _sha256(os.path.join(run_dir, name)) for name in files},
     }
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
     return run_dir
 
 
@@ -557,12 +543,6 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
         _write_json(os.path.join(out_root, "stability_report.json"),
                     _stability_table(ref_result, ref, rows))
     return aggregate
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _on_domain(domain, measure):

@@ -137,6 +137,9 @@ def _block(keys, tag=None, variants=None, implied=None):
 NUMBER, POSITIVE, COUNT = _number(), _number(above=0), _number(integer=True, above=0,
                                                                  most=INDEX_MAX)
 PAIR = _entries(NUMBER, NUMBER)
+# the most report times a log count or a linear step may ask for; the
+# registry's largest grid has 33
+REPORT_TIMES_MAX = 10_000
 
 DOMAIN = _block({}, "kind", {
     "interval": {"lo": (NUMBER, REQUIRED), "hi": (NUMBER, REQUIRED), "dx": (POSITIVE, REQUIRED),
@@ -178,7 +181,9 @@ ASYMPTOTICS = _block({
     "report_times": (_object_or_list(
         _block({"start": (_optional(TIME), ABSENT), "stop": (_optional(NUMBER), ABSENT)}, "kind",
                {"linear": {"step": (_optional(POSITIVE), ABSENT)},
-                "log": {"count": (_optional(COUNT), ABSENT)}}, implied="linear"),
+                "log": {"count": (_optional(_number(integer=True, above=0,
+                                                    most=REPORT_TIMES_MAX)), ABSENT)}},
+               implied="linear"),
         _list(TIME)), {"kind": "linear", "start": 0.0, "stop": None, "step": None}),
     "rate_fit": (_optional(_block({"window": (PAIR, REQUIRED)}, "mode", {
         "power": {}, "exponential": {"tail_dimension": (COUNT, ABSENT)}})), None),
@@ -398,6 +403,11 @@ def report_times(cfg, horizon):
     step = rt.get("step")
     if step is None:
         step = max((stop - start) / 24.0, 1e-9)
+    # the point count is checked before the grid is allocated
+    if (stop + 1e-9 - start) / step > REPORT_TIMES_MAX:
+        raise ScenarioError(f"asymptotics.report_times.step must give at most "
+                            f"{REPORT_TIMES_MAX} report times in [{start:.6g}, {stop:.6g}], "
+                            f"got {step!r}")
     return np.arange(start, stop + 1e-9, float(step))
 
 

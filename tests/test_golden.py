@@ -28,3 +28,15 @@ def test_registry_artifacts_match_golden_digests(registry_runs, name):
            for f in sorted(os.listdir(run_dir)) if f != "manifest.json"}
     want = {k: v for k, v in GOLDEN.items() if k.split("/")[0] == name}
     assert got == want
+
+
+def test_pinned_benchmark_reports_match_the_golden_ledgers():
+    """Every registry name pinned by the benchmark has the same report.json
+    digest here, so the two golden files cannot drift apart."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench",
+                        "pinned_report_sha256.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    names = sorted(set(pinned) & set(scenario_registry()))
+    assert names
+    assert {n: GOLDEN[f"{n}/report.json"] for n in names} == {n: pinned[n] for n in names}

@@ -2,6 +2,7 @@
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_run_writes_artifacts_and_passes_verify(tmp_path):
     result = runner.run("remark_5_3", str(out))
     assert result.status == 0
     expected = {"manifest.json", "report.json", "exploitability_history.csv",
-                "trajectories.csv", "trajectory_summary.csv", "marginals.csv",
+                "trajectories.npy", "trajectory_summary.csv", "marginals.csv",
                 "initial_measure.csv", "value_function.csv", "convergence_curve.csv"}
     assert expected <= set(os.listdir(out))
     check = runner.verify(str(out))
@@ -140,12 +141,12 @@ def test_run_writes_artifacts_and_passes_verify(tmp_path):
 def test_verify_names_corrupted_artifact(tmp_path):
     out = tmp_path / "run"
     runner.run("remark_5_3", str(out))
-    path = out / "trajectories.csv"
-    data = path.read_text().splitlines()
-    path.write_text("\n".join(data[:-5]))
+    path = out / "trajectories.npy"
+    data = path.read_bytes()
+    path.write_bytes(data[:-40])
     check = runner.verify(str(out))
     assert not check.passed
-    assert "trajectories.csv" in check.error
+    assert "trajectories.npy" in check.error
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -501,6 +502,18 @@ def test_malformed_node_reference_names_its_path(tmp_path, make, path, value, na
     pytest.param(interval_scenario, "initial_measure",
                  {"kind": "uniform", "support": [0.2, 0.8], "count": 10 ** 300},
                  "initial_measure.count must be ", id="interval-count_10e300"),
+    # dense n x n graph tables and report grids past their bound used to exit 4
+    # from numpy ("Unable to allocate 7.28 TiB", 16 GiB for the log grid)
+    pytest.param(graph_scenario, "domain.n_nodes", 10 ** 6,
+                 "domain.n_nodes: 1000000 nodes need 16000000000000 bytes of dense n x n tables",
+                 id="graph-n_nodes_10e6"),
+    pytest.param(interval_scenario, "asymptotics.report_times",
+                 {"kind": "log", "start": 0.1, "count": 2**31 - 1},
+                 "asymptotics.report_times.count must be > 0 and <= 10000, got 2147483647",
+                 id="interval-log_count_2e31"),
+    pytest.param(interval_scenario, "asymptotics.report_times.step", 1e-300,
+                 "asymptotics.report_times.step must give at most 10000 report times",
+                 id="interval-linear_step_1e-300"),
     # chi reads one amplitude key per family: given both, one used to win silently
     (interval_scenario, "kernel.chi", {"family": "constant", "value": 0.0, "amplitude": 5.0},
      "kernel.chi.amplitude is not read with family 'constant'"),
@@ -880,6 +893,29 @@ def test_report_times_grid():
     assert times[0] == 0.0 and times[-1] <= 0.51 + 1e-9
     cfg["asymptotics"]["report_times"] = [0.0, 0.3, 0.9]
     assert list(report_times(cfg, 0.51)) == [0.0, 0.3]
+
+
+def test_report_grid_is_bounded_before_it_is_allocated():
+    """A log count or a linear step past REPORT_TIMES_MAX fails before the grid
+    is allocated; the largest grids at the bound are still built."""
+    from exitlab.scenarios import REPORT_TIMES_MAX, report_times
+    cfg = load_scenario("remark_5_3")
+    tracemalloc.start()
+    try:
+        cfg["asymptotics"]["report_times"] = {"kind": "log", "start": 0.1, "count": 2**31 - 1}
+        with pytest.raises(ScenarioError, match=r"^asymptotics\.report_times\.count "):
+            validate_config(cfg)
+        cfg["asymptotics"]["report_times"] = {"kind": "linear", "step": 1e-300}
+        with pytest.raises(ScenarioError, match=r"^asymptotics\.report_times\.step "):
+            report_times(validate_config(cfg), 0.51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    cfg["asymptotics"]["report_times"] = {"kind": "log", "start": 0.1, "count": REPORT_TIMES_MAX}
+    assert len(report_times(validate_config(cfg), 1.0)) == REPORT_TIMES_MAX
+    cfg["asymptotics"]["report_times"] = {"kind": "linear", "step": 1 / (REPORT_TIMES_MAX - 1)}
+    assert len(report_times(validate_config(cfg), 1.0)) == REPORT_TIMES_MAX
 
 
 def test_report_times_null_start_is_zero(tmp_path):

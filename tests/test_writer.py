@@ -3,7 +3,7 @@
 The reference functions below are the row-by-row writer the run artifacts
 were first produced with: every cell formatted on its own by `_fmt`, every
 row joined and written on its own. The writer formats each distinct 64-bit
-pattern of a block once, so repeated values, signed zeros and NaN payloads
+pattern of a column once, so repeated values, signed zeros and NaN payloads
 are checked against the per-cell formatting too. tests/golden_sha256.json
 pins only the interval scenarios, so the grid2d and graph artifacts are
 checked here.
@@ -53,18 +53,6 @@ def persist_csvs_reference(bundle, run_dir):
         ["iteration", "exploitability", "max_gap", "min_gap", "mixture_support"],
         [[h["iteration"], float(h["exploitability"]), float(h["max_gap"]),
           float(h["min_gap"]), h["mixture_support"]] for h in report.history])
-
-    times = ens.times()
-    stride = max(1, int(np.ceil(ens.n_traj * (ens.n_steps + 1) / runner.TRAJECTORY_ROW_CAP)))
-    t_idx = sorted(set(range(0, ens.n_steps + 1, stride)) | {ens.n_steps})
-    rows = []
-    for k in range(ens.n_traj):
-        e = ens.exit_indices[k]
-        for j in t_idx:
-            rows.append([k, float(times[j])] + _point_row(domain, ens.samples[k, j])
-                        + [int(0 <= e <= j)])
-    write_csv_reference(os.path.join(run_dir, "trajectories.csv"),
-                        ["particle_id", "t"] + coord_cols + ["exited_flag"], rows)
 
     costs = eq.realized_costs(ens, bundle["cost"])
     rows = [[k, float(ens.weights[k])] + _point_row(domain, ens.samples[k, 0])
@@ -140,9 +128,9 @@ def test_header_only_table_writes_reference_bytes(tmp_path):
 
 
 def test_random_bit_patterns_across_row_blocks(tmp_path):
-    """Every float64 bit pattern class, over more rows than two write blocks."""
+    """Every float64 bit pattern class, over 32,773 rows."""
     rng = np.random.default_rng(0)
-    n = 2 * runner.ROW_BLOCK + 5
+    n = 32_773
     bits = rng.integers(0, 2**63, n, dtype=np.int64).view(np.float64)
     bits[::7] = -bits[::7]
     ids = np.arange(n)
@@ -157,7 +145,7 @@ def _nan(bits):
 
 REPEATED_BLOCKS = {
     "heavy repetition": np.random.default_rng(1).choice(
-        [0.25, -0.0, 0.0, 1e-300, 0.1 + 0.2, 7.0], 3 * runner.ROW_BLOCK // 2),
+        [0.25, -0.0, 0.0, 1e-300, 0.1 + 0.2, 7.0], 24_576),
     "signed zeros": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
     "signed zeros, minus first": np.array([-0.0, 0.0, 0.0, -0.0]),
     "nan payloads and infinities": np.array([_nan(0x7FF8000000000000), 1.5,
@@ -174,7 +162,7 @@ REPEATED_BLOCKS = {
 
 @pytest.mark.parametrize("name", list(REPEATED_BLOCKS))
 def test_cells_grouped_by_bit_pattern_equal_per_cell_text(name):
-    """_cells groups a block by 64-bit pattern, not by value: -0.0 is not 0.0."""
+    """_cells groups a column by 64-bit pattern, not by value: -0.0 is not 0.0."""
     col = REPEATED_BLOCKS[name]
     assert runner._cells(col) == [_fmt(v) if isinstance(v, float) else str(v)
                                   for v in col.tolist()]
@@ -200,7 +188,31 @@ def test_persisted_csvs_match_reference_writer(tmp_path, make_cfg):
     runner.persist(bundle, str(tmp_path / "new"))
     persist_csvs_reference(bundle, str(tmp_path / "ref"))
     names = sorted(os.listdir(tmp_path / "ref"))
-    assert len(names) == 7
+    assert len(names) == 6
     for name in names:
         assert filecmp.cmp(tmp_path / "ref" / name, tmp_path / "new" / name,
                            shallow=False), name
+
+
+@pytest.mark.parametrize("make_cfg", [lambda: load_scenario("remark_5_3"),
+                                      grid2d_scenario, graph_scenario],
+                         ids=["interval", "grid2d", "graph"])
+def test_trajectories_npy_holds_the_final_mixture_bit_for_bit(tmp_path, make_cfg):
+    """trajectories.npy is the final mixture's samples, row k particle_id k of
+    trajectory_summary.csv; a truncated file fails verify by name."""
+    bundle = runner.execute(make_cfg())
+    run_dir = tmp_path / "run"
+    runner.persist(bundle, str(run_dir))
+    ens = bundle["equilibrium"].final_ensemble
+    path = run_dir / "trajectories.npy"
+    paths = np.load(path, allow_pickle=False)
+    assert paths.dtype == np.float64
+    assert paths.shape == ens.samples.shape
+    assert paths.ndim == (2 if bundle["domain"].kind == "interval" else 3)
+    assert np.array_equal(paths.view(np.int64), ens.samples.view(np.int64))
+    with open(run_dir / "trajectory_summary.csv") as fh:
+        assert sum(1 for _ in fh) == len(paths) + 1
+    path.write_bytes(path.read_bytes()[:-8])
+    check = runner.verify(str(run_dir))
+    assert not check.passed
+    assert "trajectories.npy" in check.error
