@@ -94,6 +94,12 @@ class SpatialDomain:
         except DomainError as err:
             raise DomainError(str(err), key) from None
 
+    def _nonempty_targets(self):
+        """The target nodes, for a query that needs one: a domain without any builds (H2 fails)."""
+        if len(self.targets) == 0:
+            raise DomainError(f"{self.kind} domain has no target node", "targets")
+        return self.targets
+
     def target_node_distances(self):
         """Distance from every node to the target set."""
         return self.point_target_distance(self.node_points())
@@ -157,7 +163,8 @@ class SpatialDomain:
 
     def point_target_distance(self, ps):
         """Distance of each point of a batch to the nearest target node."""
-        return np.min(self.point_distance_matrix(ps, self.points_of_nodes(self.targets)), axis=1)
+        targets = self.points_of_nodes(self._nonempty_targets())
+        return np.min(self.point_distance_matrix(ps, targets), axis=1)
 
     def interp(self, node_values, ps):
         """Interpolate a per-node field at continuous points."""
@@ -358,7 +365,7 @@ class IntervalDomain(SpatialDomain):
 
     def snap_to_target(self, ps):
         ps = np.array(ps, dtype=float)
-        tc = self.coords[self.targets]
+        tc = self.coords[self._nonempty_targets()]
         d = np.abs(ps[:, None] - tc)
         # the nearest target's distance first: only rows within dx/2 need its index
         hit = np.flatnonzero(np.minimum.reduce(d, axis=1) <= self.dx / 2 + 1e-12)
@@ -574,7 +581,7 @@ class Grid2dDomain(SpatialDomain):
 
     def snap_to_target(self, ps):
         ps = np.asarray(ps, dtype=float).copy()
-        tc = self.coords[self.targets]
+        tc = self.coords[self._nonempty_targets()]
         d = self._metric(ps[:, None, :] - tc[None, :, :])
         j = np.argmin(d, axis=1)
         hit = d[np.arange(len(ps)), j] <= self.dx / 2 + 1e-12
@@ -713,8 +720,9 @@ class GraphDomain(SpatialDomain):
 
     def snap_to_target(self, ps):
         ps = np.atleast_2d(np.asarray(ps, dtype=float)).copy()
+        targets = self._nonempty_targets()
         u, v, s, length = self._split(ps)
-        d = self._node_dist(u[:, None], v[:, None], s[:, None], length[:, None], self.targets)
+        d = self._node_dist(u[:, None], v[:, None], s[:, None], length[:, None], targets)
         j = np.argmin(d, axis=1)
         hit = d[np.arange(len(ps)), j] <= self.dx / 2 + 1e-12
         out = np.where(hit, self.targets[j], -1)

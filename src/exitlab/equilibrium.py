@@ -2,10 +2,10 @@
 
 The damping state is a fictitious-play mixture of past best responses; each
 iteration best-responds to the speed field induced by the mixture, mixes the
-candidate in, and then measures the new mixture's optimality gaps against
-the field induced by that mixture. Convergence is declared when every atom's
-optimality gap falls below the tolerance, which makes the weak and strong
-certification flags coincide on the returned ensemble.
+candidate in, and then measures the new mixture with exploitability, the one
+gap pass, against the field induced by that mixture. Convergence is declared
+when every atom's optimality gap falls below the tolerance, which makes the
+weak and strong certification flags coincide on the returned ensemble.
 """
 from __future__ import annotations
 
@@ -54,8 +54,6 @@ class EquilibriumReport:
     final_ensemble: TrajectoryEnsemble
     converged: bool
     iterations: int
-    exploitability: float
-    max_gap: float
     history: list = field(default_factory=list)
     m_infinity: ParticleMeasure | None = None  # set when the horizon end is settled
     certification: dict = field(default_factory=dict)
@@ -165,41 +163,27 @@ def admissibility_excess(ensemble, speed, slack):
     return worst
 
 
-def exploitability(ensemble, kernel, domain, cost):
+def exploitability(ensemble, kernel, domain, cost, reuse=None):
     """Weighted optimality gap of an ensemble against its own induced field.
 
-    epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))). Returns (epsilon,
-    details) with per-atom extremes; raises CertificationError when some
-    trajectory is inadmissible (beyond the dx slack) under its own field.
-    This is the standalone gate; solve_equilibrium measures every iteration
-    with optimality_gaps and gates only the mixture it returns.
+    epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))), the one gap pass.
+    reuse, an earlier solve_value result, saves work and changes no bit.
+    Returns (epsilon, details) as optimality_gaps does, plus
+    details["binned"]. It measures and never raises: certify gates.
     """
     binned = _use_binning(ensemble.n_traj, ensemble.n_steps + 1, domain.n_nodes)
-    field = field_from_marginals(kernel, ensemble, binned)
-    phi = solve_value(domain, cost, field)
-    excess = _admissibility_gate(ensemble, field, domain.dx)
+    phi = solve_value(domain, cost, field_from_marginals(kernel, ensemble, binned), reuse=reuse)
     eps, details = optimality_gaps(ensemble, cost, phi)
-    details["admissibility_excess"] = excess
+    details["binned"] = binned
     return eps, details
 
 
-def _admissibility_gate(ensemble, field, dx):
-    """admissibility_excess under the scheme's slack; raises CertificationError past it."""
-    # scheme-legitimate steps reach k_max dt + dx/2 (unit CFL move plus target
-    # snap), so the admissibility gate allows 1.5 dx of slack
-    excess = admissibility_excess(ensemble, field, 1.5 * dx)
-    if excess > 1e-9:
-        raise CertificationError(
-            f"ensemble leaves its own admissible class: step excess {excess:.3g} beyond slack")
-    return excess
-
-
 def optimality_gaps(ensemble, cost, phi):
-    """Per-trajectory optimality gaps against phi, without the admissibility gate.
+    """Per-trajectory optimality gaps against phi.
 
-    Returns (epsilon, details) as exploitability does, less its
-    "admissibility_excess" entry. A trajectory that never exits has gap +inf,
-    so a positive weight on it fails the certificate.
+    Returns (epsilon, details) with per-atom extremes. A trajectory that
+    never exits has gap +inf, so a positive weight on it fails the
+    certificate.
     """
     gaps = realized_costs(ensemble, cost) - phi.at_points(0, ensemble.samples[:, 0])
     w = ensemble.weights
@@ -215,10 +199,17 @@ def optimality_gaps(ensemble, cost, phi):
     return eps, details
 
 
-def _certificate(weights, details, tol):
-    """Weak / strong flags at tolerance tol from exploitability's details."""
+def _certificate(ensemble, details, tol):
+    """The admissibility gate, then weak / strong flags at tolerance tol, of a gap pass."""
+    phi = details["phi"]
+    # scheme-legitimate steps reach k_max dt + dx/2 (unit CFL move plus target
+    # snap), so the admissibility gate allows 1.5 dx of slack
+    excess = admissibility_excess(ensemble, phi.speed, 1.5 * phi.domain.dx)
+    if excess > 1e-9:
+        raise CertificationError(
+            f"ensemble leaves its own admissible class: step excess {excess:.3g} beyond slack")
     eps = details["epsilon"]
-    max_gap = float(np.max(details["gaps"][weights > 0]))
+    max_gap = float(np.max(details["gaps"][ensemble.weights > 0]))
     weak, strong = eps <= tol, max_gap <= tol
     return {
         "weak": bool(weak),
@@ -236,11 +227,10 @@ def certify(ensemble, kernel, domain, cost, tol):
 
     weak: weighted exploitability <= tol. strong: every positive-weight
     trajectory has optimality gap <= tol. On atomic ensembles the two are
-    designed to coincide at the solver's stopping rule. solve_equilibrium
-    builds the same flags from its last iteration (EquilibriumReport.certification).
+    designed to coincide at the solver's stopping rule. Raises
+    CertificationError on an ensemble inadmissible under its own field.
     """
-    _, details = exploitability(ensemble, kernel, domain, cost)
-    return _certificate(ensemble.weights, details, tol)
+    return _certificate(ensemble, exploitability(ensemble, kernel, domain, cost)[1], tol)
 
 
 def solve_equilibrium(m0, kernel, domain, cost, config):
@@ -250,18 +240,17 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
     (Q_{n+1} = (1 - lam_n) Q_n + lam_n BR(Q_n), merged and pruned); each
     iteration measures Q_n's optimality gaps against its own induced field
     and stops once every positive-weight atom's gap is below the tolerance.
-    Non-convergence is reported, not raised. The admissibility gate runs
-    once, after the loop, on the returned mixture and its own field (the
-    last gap pass's arguments): it raises CertificationError when some
-    trajectory of that mixture is inadmissible.
+    Non-convergence is reported, not raised. The loop certifies once, after
+    it ends, the last gap pass (the returned mixture on its own field): the
+    admissibility gate raises CertificationError when some trajectory of
+    that mixture is inadmissible.
     """
     dt, n_steps, r_max, t_bound = run_grid(domain, kernel, cost, m0)
     tol = config.exploitability_tol
     flags = []
     binned_any = False
 
-    field = frozen_field(m0, kernel, dt, n_steps)
-    phi = solve_value(domain, cost, field)
+    phi = solve_value(domain, cost, frozen_field(m0, kernel, dt, n_steps))
     mixture = None
     history = []
     converged = False
@@ -270,7 +259,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
     for n in range(config.max_iterations):
         iterations = n + 1
         # best response of every atom of m0 to the current field
-        samples, exit_idx, exit_node = synthesize_batch(phi, field, m0.points)
+        samples, exit_idx, exit_node = synthesize_batch(phi, phi.speed, m0.points)
         candidate = TrajectoryEnsemble(domain, dt, samples, m0.weights.copy(),
                                        exit_indices=exit_idx, exit_nodes=exit_node,
                                        validate=False)
@@ -278,13 +267,11 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
             mixture = candidate
         else:
             mixture = mixture.mix(candidate, config.weight(n), PRUNE_DEFAULT)
-        binned = _use_binning(mixture.n_traj, n_steps + 1, domain.n_nodes)
-        binned_any = binned_any or binned
         # the mixture's settled tail leaves the previous solve's trailing
         # speed and value rows unchanged: the solve copies them
-        field = field_from_marginals(kernel, mixture, binned)
-        phi = solve_value(domain, cost, field, reuse=phi)
-        eps, det = optimality_gaps(mixture, cost, phi)
+        eps, det = exploitability(mixture, kernel, domain, cost, reuse=phi)
+        binned_any = binned_any or det["binned"]
+        phi = det["phi"]
         history.append({
             "iteration": n,
             "exploitability": eps,
@@ -298,9 +285,8 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
             converged = True
             break
 
-    # the one admissibility gate, on the returned mixture and its own field:
-    # the arguments of the last gap pass
-    _admissibility_gate(mixture, field, domain.dx)
+    # the last gap pass measured the returned mixture on its own field
+    certification = _certificate(mixture, det, tol)
     if binned_any:
         flags.append(f"marginal binning active (speed error bound "
                      f"{kernel.binning_error_bound():.6g})")
@@ -309,17 +295,14 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
         final_ensemble=mixture,
         converged=converged,
         iterations=iterations,
-        exploitability=history[-1]["exploitability"],
-        max_gap=history[-1]["max_gap"],
         history=history,
         flags=flags,
         tol=tol,
         dt=dt,
         r_max=r_max,
         t_bound=t_bound,
-        final_phi=det["phi"],
-        # the last iteration measured the returned mixture on its own field
-        certification=_certificate(mixture.weights, det, tol),
+        final_phi=phi,
+        certification=certification,
     )
     try:
         report.m_infinity = limit_measure(mixture)

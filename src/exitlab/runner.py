@@ -108,8 +108,7 @@ def execute(cfg):
 
     config = sc.build_equilibrium_config(cfg)
     report = eq.solve_equilibrium(m0, kernel, domain, cost, config)
-    bundle.update(domain=domain, cost=cost, kernel=kernel, m0=m0,
-                  equilibrium=report, certification=report.certification)
+    bundle.update(domain=domain, cost=cost, kernel=kernel, m0=m0, equilibrium=report)
     bundle["flags"] += report.flags
 
     _asymptotics_stage(bundle, cfg)
@@ -155,7 +154,7 @@ def _assemble_checks(bundle):
     domain, cost, kernel, m0 = (bundle[k] for k in ("domain", "cost", "kernel", "m0"))
     bounds = (kernel.k_min, kernel.k_max)
     checks = eq._bound_checks(report, m0, kernel, domain, cost)
-    cert = bundle["certification"]
+    cert = report.certification
     ens = report.final_ensemble
     tol_dpp = default_dpp_tol(domain, report.dt)
 
@@ -221,12 +220,12 @@ def build_ledger(bundle):
     if "equilibrium" not in bundle:
         return ledger
     report = bundle["equilibrium"]
-    cert = bundle["certification"]
+    cert, last = report.certification, report.history[-1]
     ledger["equilibrium"] = {
         "converged": report.converged,
         "iterations": report.iterations,
-        "exploitability": _r12(report.exploitability),
-        "max_gap": _r12(report.max_gap),
+        "exploitability": _r12(last["exploitability"]),
+        "max_gap": _r12(last["max_gap"]),
         "dt": _r12(report.dt),
         "r_max": _r12(report.r_max),
         "t_bound": _r12(report.t_bound),
@@ -555,21 +554,19 @@ def _stability_quantities(bundle, ref):
     the reference run, both given as execute bundles."""
     report, ref_report = bundle["equilibrium"], ref["equilibrium"]
     domain = ref["domain"]
-    ens = report.final_ensemble
     limit_distance = np.nan
     if report.m_infinity is not None and ref_report.m_infinity is not None:
         limit_distance, _ = asy.transport_distance(
             _on_domain(domain, report.m_infinity), ref_report.m_infinity, 1)
-    # realized costs against the reference's value at the member's starts
-    costs = eq.realized_costs(ens, bundle["cost"])
-    base = ref_report.final_phi.at_points(0, ens.samples[:, 0])
     return {
         "perturbation": asy.transport_distance(_on_domain(domain, bundle["m0"]),
                                                ref["m0"], 1)[0],
         "limit_distance": limit_distance,
-        "cross_exploitability": float(np.sum(ens.weights * (costs - base))),
+        # the member's gaps against the reference's value at its starts
+        "cross_exploitability": eq.optimality_gaps(report.final_ensemble, bundle["cost"],
+                                                   ref_report.final_phi)[0],
         "converged": report.converged,
-        "exploitability": report.exploitability,
+        "exploitability": report.history[-1]["exploitability"],
     }
 
 

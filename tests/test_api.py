@@ -202,6 +202,26 @@ def test_every_traced_name_is_where_the_tracer_looks(tracer):
             assert attr in vars(owner), f"{span}: {path} has no {attr}"
 
 
+def test_the_traced_loop_measures_through_exploitability(tracer):
+    """Each iteration's gap pass is one equilibrium.exploitability span, and
+    its field induction and value solve are its children."""
+    from exitlab.scenarios import load_scenario
+
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        runner.execute(load_scenario("congested_corridor") | {"equilibrium": {
+            "max_iterations": 3, "damping": {"rule": "constant", "value": 0.4}}})
+    finally:
+        spans.uninstall()
+    passes = [i for i, rec in enumerate(spans.spans) if rec[0] == "equilibrium.exploitability"]
+    assert len(passes) == 3
+    for i in passes:
+        children = [rec[0] for rec in spans.spans if rec[3] == i]
+        assert children.count("equilibrium.field_from_marginals") == 1
+        assert children.count("ocp.solve_value") == 1
+
+
 def test_owners_of_one_layer_function_share_it(tracer):
     for span, owners in tracer.LAYER_FUNCTIONS:
         found = {id(vars(tracer._resolve(path))[attr]) for path, attr in owners}

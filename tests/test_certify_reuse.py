@@ -74,7 +74,8 @@ def test_final_field_is_the_final_ensembles_induced_field(game, cap, monkeypatch
 
 
 def test_exploitability_rejects_speeding_after_exit():
-    """The gate reads every step, also those after the recorded exit index."""
+    """The gate reads every step, also those after the recorded exit index.
+    exploitability measures the ensemble; certify rejects it."""
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0], origin=0.0)
     kernel = CongestionKernel(dom, Kappa("constant", value=1.0),
                               Chi("constant", value=0.0), Eta("constant", value=1.0))
@@ -84,8 +85,11 @@ def test_exploitability_rejects_speeding_after_exit():
     ens = TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
                              exit_indices=np.zeros(1, dtype=int))
     assert ens.exit_indices[0] == 0 and ens.exit_nodes[0] == 0
+    cost = ExitCost.zero(dom)
+    eps, _ = exploitability(ens, kernel, dom, cost)
+    assert np.isfinite(eps)
     with pytest.raises(CertificationError, match="admissible"):
-        exploitability(ens, kernel, dom, ExitCost.zero(dom))
+        certify(ens, kernel, dom, cost, tol=0.15)
 
 
 def exit_and_stay_ensemble(weights):
@@ -174,15 +178,20 @@ def test_moving_step_excess_matches_full_scan(backend):
 
 
 def test_execute_measures_the_final_mixture_once(monkeypatch):
-    """The loop measures gaps only; the ledger's certificate is its last gap
-    pass, the one admissibility gate reads the returned mixture on its own
-    field, and only the Lipschitz check reads its step lengths, each row once."""
+    """The loop measures through exploitability, one gap pass per iteration;
+    the ledger's certificate is its last gap pass, the one admissibility gate
+    reads the returned mixture on its own field, and only the Lipschitz check
+    reads its step lengths, each row once."""
     from exitlab import equilibrium as eq, runner
     from exitlab.scenarios import load_scenario
 
-    passes, gates, scans = [], [], []
-    plain_gaps, plain_gate = eq.optimality_gaps, eq.admissibility_excess
-    plain_steps = TrajectoryEnsemble.step_lengths
+    measured, passes, gates, scans = [], [], [], []
+    plain_measure, plain_gaps = eq.exploitability, eq.optimality_gaps
+    plain_gate, plain_steps = eq.admissibility_excess, TrajectoryEnsemble.step_lengths
+
+    def counted_measure(*args, **kwargs):
+        measured.append(args[0])
+        return plain_measure(*args, **kwargs)
 
     def counted_gaps(*args, **kwargs):
         passes.append(args[0])
@@ -196,6 +205,7 @@ def test_execute_measures_the_final_mixture_once(monkeypatch):
         scans.append((self, rows))
         return plain_steps(self, rows)
 
+    monkeypatch.setattr(eq, "exploitability", counted_measure)
     monkeypatch.setattr(eq, "optimality_gaps", counted_gaps)
     monkeypatch.setattr(eq, "admissibility_excess", counted_gate)
     monkeypatch.setattr(TrajectoryEnsemble, "step_lengths", counted_steps)
@@ -203,14 +213,17 @@ def test_execute_measures_the_final_mixture_once(monkeypatch):
         "max_iterations": 3, "damping": {"rule": "constant", "value": 0.4}}})
     report = bundle["equilibrium"]
     assert report.iterations == 3 and len(passes) == 3 and passes[-1] is report.final_ensemble
+    assert len(measured) == 3 and all(m is p for m, p in zip(measured, passes))
     assert len(gates) == 1
     assert gates[0][0] is report.final_ensemble and gates[0][1] is report.final_phi.speed
     final = report.final_ensemble
     assert scans and all(ens is final for ens, _ in scans)
     read = np.concatenate([np.arange(final.n_traj)[rows] for _, rows in scans])
     assert np.array_equal(read, np.arange(final.n_traj))
-    assert bundle["certification"] is report.certification
-    assert report.certification["epsilon"] == report.exploitability
+    assert "certification" not in bundle
+    ledger = runner.build_ledger(bundle)
+    assert ledger["certification"]["epsilon"] == runner._r12(report.certification["epsilon"])
+    assert report.certification["epsilon"] == report.history[-1]["exploitability"]
 
 
 def test_a_speeding_best_response_fails_the_solve(monkeypatch):

@@ -278,6 +278,27 @@ def test_validate_hypotheses_empty_target_fails_h2():
     assert not h2["passed"]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IntervalDomain(0.0, 1.0, 0.1, targets=[]),
+    lambda: Grid2dDomain([0.0, 0.0], [1.0, 1.0], 0.25, targets=[]),
+    lambda: GraphDomain(3, [[0, 1, 1.0], [1, 2, 0.5]], targets=[]),
+], ids=["interval", "grid2d", "graph"])
+def test_target_queries_on_an_empty_target_set_raise_domain_error(make):
+    """The domain builds (so H2 can fail), but each query that needs a
+    target names the target set instead of failing inside a reduction."""
+    from exitlab.ocp import SpeedField, solve_value
+
+    dom = make()
+    points = dom.node_points()[:2]
+    field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
+    for query in (lambda: dom.snap_to_target(points),
+                  lambda: dom.point_target_distance(points),
+                  lambda: solve_value(dom, ExitCost.zero(dom), field)):
+        with pytest.raises(DomainError, match="no target node") as err:
+            query()
+        assert err.value.key == "targets"
+
+
 def test_h3_holds_by_construction_with_the_tightest_constant():
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[0.0, 0.1])
     cost = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(0.1): 0.5})

@@ -3,6 +3,8 @@
 tests/golden_sha256.json holds the digest of every file of the five registry
 run directories except manifest.json (which carries a timestamp). A change
 that moves any of these bytes must say why and record the new digests.
+The small ledger files are also committed under tests/golden/<run>/ and
+compared byte for byte first, so a failure shows the lines that moved.
 """
 import hashlib
 import json
@@ -22,8 +24,9 @@ def _digest(path):
 
 
 @pytest.mark.parametrize("name", sorted(scenario_registry()))
-def test_registry_artifacts_match_golden_digests(registry_runs, name):
+def test_registry_artifacts_match_golden_digests(registry_runs, assert_readable_goldens, name):
     run_dir = registry_runs[name]["dir"]
+    assert_readable_goldens(run_dir, name)
     got = {f"{name}/{f}": _digest(os.path.join(run_dir, f))
            for f in sorted(os.listdir(run_dir)) if f != "manifest.json"}
     want = {k: v for k, v in GOLDEN.items() if k.split("/")[0] == name}

@@ -6,7 +6,8 @@ holds the digests of five further scenarios, run for several iterations
 with congestion: a binned grid2d room, and a small metric graph and a
 60-node random graph, each binned and unbinned. Each run forces its binning
 through exitlab.equilibrium.BINNING_WORK_CAP, whatever the size rule would
-pick. Every file of each run directory except manifest.json is compared.
+pick. Every file of each run directory except manifest.json is compared,
+and the small ledger files also byte for byte with tests/golden/<run>/.
 The room2d benchmark workload's seed 0 is checked against the hash pinned
 in perfbench/pinned_report_sha256.json, which is only read here.
 """
@@ -118,12 +119,14 @@ def _digest(path):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_backend_artifacts_match_golden_digests(tmp_path, monkeypatch, name):
+def test_backend_artifacts_match_golden_digests(tmp_path, monkeypatch, assert_readable_goldens,
+                                                name):
     cfg, cap = SCENARIOS[name]
     monkeypatch.setattr(equilibrium, "BINNING_WORK_CAP", cap)
     run_dir = str(tmp_path / name)
     result = runner.run(validate_config(cfg), run_dir)
     assert result.status == runner.STATUS_NOT_CONVERGED, result.error
+    assert_readable_goldens(run_dir, name)
     got = {f"{name}/{f}": _digest(os.path.join(run_dir, f))
            for f in sorted(os.listdir(run_dir)) if f != "manifest.json"}
     want = {k: v for k, v in GOLDEN.items() if k.split("/")[0] == name}

@@ -790,7 +790,7 @@ def test_stability_rows_measure_members_against_the_reference_run(tmp_path):
     cross = runner._r12(np.sum(ens.weights * (costs - base)))
     assert row["cross_exploitability"] == cross
     assert abs(cross - row["exploitability"]) > 0.05
-    assert row["exploitability"] == runner._r12(member["equilibrium"].exploitability)
+    assert row["exploitability"] == runner._r12(member["equilibrium"].history[-1]["exploitability"])
     assert row["perturbation"] == 0.1 and row["limit_distance"] == 0.0
 
 
