@@ -92,9 +92,12 @@ def field_from_marginals(kernel, ensemble, binned):
     last = ensemble.settled_slice
     if binned:
         hist = _slice_histograms(ensemble.node_indices, ensemble.weights, domain.n_nodes, last)
-        # the product runs over every row, so BLAS blocking sees the same matrix
-        density = hist @ kernel.node_interaction_matrix().T
-        values[:] = np.clip(kernel.kappa(density), kernel.k_min, kernel.k_max)
+        # the product runs over every row, so BLAS blocking sees the same
+        # matrix; the density and then the speeds are written into values,
+        # and hist is freed before kappa's temporaries are made
+        np.matmul(hist, kernel.node_interaction_matrix().T, out=values)
+        del hist
+        np.clip(kernel.kappa(values), kernel.k_min, kernel.k_max, out=values)
     else:
         for j in range(last + 1):
             mu = ParticleMeasure(domain, ensemble.samples[:, j], ensemble.weights,
@@ -107,16 +110,15 @@ def field_from_marginals(kernel, ensemble, binned):
 def _slice_histograms(nodes, weights, n_nodes, last):
     """hist[j, i]: the weight of the trajectories whose slice-j node is i.
 
-    Slices 0..last are copied once into a slice-major slab, so each slice's
-    nodes are one contiguous row, and one np.bincount per row bins them.
-    np.bincount adds in array order, so every bin sums its weights in
-    trajectory order, as np.add.at per slice does: the histogram is the
+    One np.bincount per slice j <= last bins row j of nodes.T, which an
+    ensemble's slice-major node_indices holds contiguously, so no slab is
+    copied. np.bincount adds in array order, so every bin sums its weights
+    in trajectory order, as np.add.at per slice does: the histogram is the
     same to the bit. Slices after last repeat slice last's nodes, so they
     copy its row.
     """
     hist = np.empty((nodes.shape[1], n_nodes))
-    slab = np.ascontiguousarray(nodes[:, :last + 1].T)
-    for j, row in enumerate(slab):
+    for j, row in enumerate(nodes.T[:last + 1]):
         hist[j] = np.bincount(row, weights=weights, minlength=n_nodes)
     hist[last + 1:] = hist[last]
     return hist
@@ -326,11 +328,13 @@ def _bound_checks(report, m0, kernel, domain, cost):
     checks.append({"name": "value_upper_bound", "passed": bool(excess <= slack),
                    "detail": f"max phi - (T(R) + max g) = {excess:.6g}"})
 
-    exc = confinement_excess(ens.samples, domain, cost, bounds)
+    # one pass over the mixture serves both confinement checks
+    excursions = origin_excursions(ens.samples, domain)
+    exc = confinement_excess(excursions, domain, cost, bounds)
     checks.append({"name": "psi_ball_confinement", "passed": bool(exc <= slack),
                    "detail": f"max excursion excess over psi(R) = {exc:.6g}"})
 
-    worst = _mass_confinement_gap(ens, m0, domain, cost, bounds)
+    worst = _mass_confinement_gap(ens.weights, excursions[1], m0, domain, cost, bounds)
     checks.append({"name": "mass_confinement", "passed": bool(worst >= -1e-9),
                    "detail": f"min over tested R of Q(psi-ball) - m0(R-ball) = {worst:.6g}"})
 
@@ -344,20 +348,20 @@ def _bound_checks(report, m0, kernel, domain, cost):
     return checks
 
 
-def _mass_confinement_gap(ens, m0, domain, cost, bounds):
+def _mass_confinement_gap(weights, furthest, m0, domain, cost, bounds):
     """min over tested R of Q(psi(R)-ball) - m0(R-ball).
 
     Mass confinement, the compact-search-set property: for each tested R,
     the ensemble mass staying inside the psi(R)-ball must cover the m0-mass
-    of the R-ball.
+    of the R-ball. weights and furthest are the ensemble's trajectory
+    weights and largest origin distances (origin_excursions).
     """
     start_d = m0.origin_distances()
     radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
     psis = trajectory_bound(horizon_bound(domain, cost, bounds, radii), bounds[1], radii)
-    _, excursions = origin_excursions(ens.samples, domain)
     worst = np.inf
     for r, psi_r in zip(radii, psis):
-        lhs = float(np.sum(ens.weights[excursions <= psi_r + 1e-9]))
+        lhs = float(np.sum(weights[furthest <= psi_r + 1e-9]))
         rhs = float(np.sum(m0.weights[start_d <= r + 1e-9]))
         worst = min(worst, lhs - rhs)
     return worst

@@ -56,10 +56,13 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(x):
-    """splitmix64 finalizer on a uint64 array (integer arithmetic wraps mod 2**64)."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX_A
-    x = (x ^ (x >> np.uint64(27))) * _MIX_B
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer on a uint64 array, in place (integer arithmetic wraps mod 2**64)."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX_A
+    x ^= x >> np.uint64(27)
+    x *= _MIX_B
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def trajectory_keys(exit_indices, samples):
@@ -71,9 +74,9 @@ def trajectory_keys(exit_indices, samples):
     """
     n = len(exit_indices)
     words = np.column_stack([exit_indices, np.ascontiguousarray(samples).reshape(
-        n, math.prod(np.shape(samples)[1:])).view(np.int64)])
-    salt = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN
-    return _mix64(np.bitwise_xor.reduce(_mix64(words.view(np.uint64) + salt), axis=1))
+        n, math.prod(np.shape(samples)[1:])).view(np.int64)]).view(np.uint64)
+    words += np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN  # the salt
+    return _mix64(np.bitwise_xor.reduce(_mix64(words), axis=1))
 
 
 class ParticleMeasure:
@@ -186,7 +189,9 @@ class TrajectoryEnsemble:
     keyword-only. Two more per-row fields are caches of the samples, computed
     here and carried by mix, which changes an ensemble in place:
     node_indices, the int32 nearest node of every sample, and row_keys, the
-    trajectory_keys() of every trajectory. settled_slice is derived from the
+    trajectory_keys() of every trajectory. node_indices is stored slice-major
+    and exposed as its transpose: node_indices.T[j] is slice j's nodes of
+    every trajectory, one contiguous row. settled_slice is derived from the
     samples once, and mix carries it.
     """
 
@@ -206,7 +211,8 @@ class TrajectoryEnsemble:
                 _, exit_nodes[exited] = domain.snap_to_target(
                     self.samples[exited, self.exit_indices[exited]])
         self.exit_nodes = np.asarray(exit_nodes, dtype=int)
-        self.node_indices = domain.nearest_nodes(self.samples).astype(np.int32)
+        self.node_indices = np.ascontiguousarray(
+            domain.nearest_nodes(self.samples).T, dtype=np.int32).T
         self.row_keys = trajectory_keys(self.exit_indices, self.samples)
         self._store = None  # mix's row buffers, with spare capacity
         if validate and abs(self.weights.sum() - 1.0) > 1e-9:
@@ -295,7 +301,8 @@ class TrajectoryEnsemble:
         may change with it.
 
         From its first mix on the ensemble keeps its rows in buffers of its
-        own with geometric spare capacity. The surviving rows of self move
+        own with geometric spare capacity (node_indices slice-major, as the
+        constructor lays it out). The surviving rows of self move
         toward the front in ascending order, ROW_BLOCK rows at a time, and
         the new rows of other follow them, so a mix that fits the buffers
         holds no second copy of the samples: only other's new rows and one
@@ -317,13 +324,17 @@ class TrajectoryEnsemble:
         mine = rows[rows < n]
         fields = {name: getattr(self, name) for name in ROW_FIELDS}
         # read before any row of self moves: other may share self's buffers
-        added = {name: getattr(other, name)[rows[len(mine):] - n] for name in ROW_FIELDS}
+        new = _run(rows[len(mine):] - n)
+        added = {name: np.array(getattr(other, name)[new]) for name in ROW_FIELDS}
         settled = max(self.settled_slice, other.settled_slice)
         room = 0 if self._store is None else len(self._store["samples"])
         if len(rows) > room:
             cap = max(len(rows), 2 * max(room, n))
             self._store = {name: _mapped((cap,) + a.shape[1:], a.dtype)
-                           for name, a in fields.items()}
+                           for name, a in fields.items() if name != "node_indices"}
+            # node_indices stays slice-major: the transpose of a (slices, cap) store
+            self._store["node_indices"] = _mapped(
+                (fields["node_indices"].shape[1], cap), np.int32).T
             start = 0
         else:  # rows already in place lead: mine[i] - i is 0 there and never falls
             start = int(np.searchsorted(mine - np.arange(len(mine)), 0, side="right"))
@@ -332,13 +343,25 @@ class TrajectoryEnsemble:
             # mine[i] >= i: a block reads only rows at or past its own, which
             # no earlier block wrote
             for lo in range(start, len(mine), ROW_BLOCK):
-                block = mine[lo:lo + ROW_BLOCK]
-                dst[lo:lo + len(block)] = src[block]
+                hi = min(lo + ROW_BLOCK, len(mine))
+                dst[lo:hi] = src[_run(mine[lo:hi])]
             dst[len(mine):len(rows)] = added[name]
             setattr(self, name, dst[:len(rows)])
         self.weights = w / w.sum()
         self.settled_slice = _last_change(self._sample_bits(), settled)
         return self
+
+
+def _run(rows):
+    """Ascending distinct row indices as a slice when they are consecutive, else as they are.
+
+    A slice reads the same rows; on the slice-major node_indices it copies
+    each slice's run at once, where an index array gathers one element at
+    a time.
+    """
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _last_change(bits, last):

@@ -109,13 +109,12 @@ def horizon_bound(domain, cost, bounds, r):
     terms are summed in this order on purpose: the ledger prints the bound,
     and a regrouped form such as G_0 + (d(0, y_0) + R)/K_min rounds differently.
     """
-    if len(domain.targets) == 0:
-        raise OcpError("target set is empty")
+    targets = domain._nonempty_targets()
     k_min = bounds[0]
     d = domain.point_distance(domain.points_of_nodes(domain.origin),
-                              domain.points_of_nodes(domain.targets))
+                              domain.points_of_nodes(targets))
     k = int(np.argmin(d))  # y_0: the first nearest target
-    g0 = cost.at_node(domain.targets[k])
+    g0 = cost.at_node(targets[k])
     t = g0 + d[k] / k_min + np.asarray(r, dtype=float) / k_min
     return float(t) if t.ndim == 0 else t
 
@@ -238,69 +237,76 @@ def _stationary_slice(domain, cost, speed, stencil):
 def _select_candidates(vals, disp):
     """Argmin by (value, displacement, slot order) over slot-major (S, m) arrays.
 
-    Slots are direction-ordered. Returns each column's slot and its value.
-    argmin takes the first least displacement among the value ties, which is
-    the slot-order tie-break; a column whose ties all have an infinite
-    displacement (no valid slot) gets slot 0, its first tie.
+    Slots are direction-ordered. Returns each column's slot and the column
+    minimum of vals; a tie of 0.0 and -0.0 may give the minimum either sign,
+    and vals[slot, column] is the chosen slot's own value. Overwrites disp:
+    every slot off its column's minimum gets an infinite displacement, so
+    argmin takes the first least displacement among the value ties, which
+    is the slot-order tie-break; a column whose ties all have an infinite
+    displacement (no valid slot) gets its first tie.
     """
     best = np.minimum.reduce(vals, axis=0)
-    best_slot = np.where(vals == best, disp, np.inf).argmin(axis=0)
-    # the chosen slot's own value: a tie of 0.0 and -0.0 keeps that slot's sign
-    return best_slot, vals[best_slot, np.arange(vals.shape[1])]
+    np.copyto(disp, np.inf, where=vals != best)
+    return disp.argmin(axis=0), best
 
 
 def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
     """Greedy semi-Lagrangian descent for a batch of start points at time 0.
 
-    Returns (samples, exit_indices, exit_nodes); every path starts at slice
-    0. Exit positions snap to the hit target node; paths extend constantly
-    after exit. Each step moves only the paths still active, and the
-    constant tails are filled once at the end.
+    Returns (samples, exit_indices, exit_nodes); samples is a C-contiguous
+    (m, n_steps + 1[, dim]) array and every path starts at slice 0. Exit
+    positions snap to the hit target node; paths extend constantly after
+    exit. Each step moves only the paths still active and writes one
+    contiguous slice of a slice-major buffer, copied from a carried row of
+    every path's latest point (an exited path keeps its exit point); once
+    the last path exits, one broadcast fills the later slices.
     """
     domain = phi.domain
     dt = phi.dt
     n_steps = phi.n_steps
     pts = domain.as_points(start_points)
     m = len(pts)
-    samples = np.empty((m, n_steps + 1) + pts.shape[1:])
+    slices = np.empty((n_steps + 1, m) + pts.shape[1:])
     exit_idx = np.full(m, -1, dtype=int)
     exit_node = np.full(m, -1, dtype=int)
 
-    pos, tgt = domain.snap_to_target(pts)
+    row, tgt = domain.snap_to_target(pts)
     hit = tgt >= 0
     exit_idx[hit] = 0
     exit_node[hit] = tgt[hit]
-    samples[:, 0] = pos
+    slices[0] = row
     act = np.flatnonzero(~hit)
-    cur = pos[act]
+    cur = row[act]
 
     # one plan serves every step: no step's budget exceeds r_max
     place = domain.reach_plan(float(np.max(speed.values)) * dt)
-    for j in range(n_steps):
-        if len(act) == 0:
-            break
+    cols = np.arange(len(act))
+    j = 0
+    while len(act) and j < n_steps:
         r = speed.at_points(j, cur) * dt
         cand, vals, disp = place(cur, r)(phi.values[j + 1])
-        slot, best_val = _select_candidates(vals, disp)
-        if best_val.max() >= BIG / 2:
-            stalled = best_val >= BIG / 2
-            raise SynthesisStall(f"no admissible move from {cur[stalled.argmax()]} at step {j}")
-        cur, tgt = domain.snap_to_target(cand[slot, np.arange(len(act))])
-        samples[act, j + 1] = cur
-        hit = tgt >= 0
-        if hit.any():
-            exit_idx[act[hit]] = j + 1
+        slot, best = _select_candidates(vals, disp)
+        if best.max() >= BIG / 2:
+            raise SynthesisStall(f"no admissible move from {cur[(best >= BIG / 2).argmax()]} "
+                                 f"at step {j}")
+        cur, tgt = domain.snap_to_target(cand[slot, cols])
+        j += 1
+        row[act] = cur
+        slices[j] = row
+        if tgt.max() >= 0:
+            hit = tgt >= 0
+            exit_idx[act[hit]] = j
             exit_node[act[hit]] = tgt[hit]
             act, cur = act[~hit], cur[~hit]
+            cols = cols[:len(act)]
     if raise_on_stall and len(act) > 0:
         raise SynthesisStall(
             f"synthesis stall: trajectory from {pts[act[0]]} never reached "
             f"the target within the horizon (stall position {cur[0]})")
-    # after exit a path stays at its exit position
-    last = np.where(exit_idx >= 0, exit_idx, n_steps)
-    tail = (np.arange(n_steps + 1) > last[:, None]).reshape((m, n_steps + 1) + (1,) * (pts.ndim - 1))
-    np.copyto(samples, samples[np.arange(m), last][:, None], where=tail)
-    return samples, exit_idx, exit_node
+    # every path has exited or the horizon is reached: the row stays put
+    slices[j + 1:] = row
+    # in C order: np.save would write a transposed view in Fortran order
+    return np.ascontiguousarray(np.swapaxes(slices, 0, 1)), exit_idx, exit_node
 
 
 def check_dpp(phi, samples, exit_indices):
@@ -347,8 +353,11 @@ def origin_excursions(samples, domain):
     return start, furthest
 
 
-def confinement_excess(samples, domain, cost, bounds):
-    """Worst excess of trajectory excursions over the psi(R)-ball radius."""
-    start_r, furthest = origin_excursions(samples, domain)
+def confinement_excess(excursions, domain, cost, bounds):
+    """Worst excess of trajectory excursions over the psi(R)-ball radius.
+
+    excursions is origin_excursions(samples, domain) of the trajectories.
+    """
+    start_r, furthest = excursions
     psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
     return float(np.max(furthest - psi_r, initial=-np.inf))

@@ -286,14 +286,15 @@ def test_validate_hypotheses_empty_target_fails_h2():
 def test_target_queries_on_an_empty_target_set_raise_domain_error(make):
     """The domain builds (so H2 can fail), but each query that needs a
     target names the target set instead of failing inside a reduction."""
-    from exitlab.ocp import SpeedField, solve_value
+    from exitlab.ocp import SpeedField, horizon_bound, solve_value
 
     dom = make()
     points = dom.node_points()[:2]
     field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
     for query in (lambda: dom.snap_to_target(points),
                   lambda: dom.point_target_distance(points),
-                  lambda: solve_value(dom, ExitCost.zero(dom), field)):
+                  lambda: solve_value(dom, ExitCost.zero(dom), field),
+                  lambda: horizon_bound(dom, ExitCost.zero(dom), (1.0, 1.0), 0.5)):
         with pytest.raises(DomainError, match="no target node") as err:
             query()
         assert err.value.key == "targets"
@@ -398,6 +399,34 @@ def test_target_snapping_within_half_cell():
     assert hit[1] == -1
     assert hit[2] == dom.node_at(1.0) and snapped[2] == 1.0
     assert hit[3] == -1
+
+
+def snap_table_reference(dom, ps):
+    """Interval snap by its definition: the first least distance over all targets."""
+    ps = np.array(ps, dtype=float)
+    tc = dom.coords[dom.targets]
+    d = np.abs(ps[:, None] - tc)
+    j = d.argmin(axis=1)
+    hit = d[np.arange(len(ps)), j] <= dom.dx / 2 + 1e-12
+    ps[hit] = tc[j[hit]]
+    return ps, np.where(hit, dom.targets[j], -1)
+
+
+@pytest.mark.parametrize("targets", [[1.0], [0.0], [0.0, 1.0], [0.0, 0.375, 0.4375, 0.5, 1.0]])
+def test_interval_snap_matches_the_nearest_target_table(targets):
+    """np.searchsorted finds the table's nearest target, the first on a tie,
+    also at the edges of the half-cell and exactly midway between targets."""
+    dom = IntervalDomain(0.0, 1.0, 0.0625, targets=targets)
+    tc = dom.coords[dom.targets]
+    edges = np.concatenate([tc - (dom.dx / 2 + 1e-12), tc + (dom.dx / 2 + 1e-12),
+                            (tc[:-1] + tc[1:]) / 2, tc])
+    pts = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                          np.random.default_rng(5).uniform(-0.1, 1.1, 200), [-0.0]])
+    got, got_idx = dom.snap_to_target(pts)
+    want, want_idx = snap_table_reference(dom, pts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got_idx, want_idx)
+    assert np.any(got_idx >= 0) and np.any(got_idx < 0)
 
 
 def test_grid2d_in_box_matches_the_all_axes_formula():

@@ -5,7 +5,7 @@ import pytest
 from exitlab.domain import BIG, ExitCost, IntervalDomain
 from exitlab.equilibrium import admissibility_excess, realized_costs
 from exitlab.measures import TrajectoryEnsemble
-from exitlab.ocp import (_select_candidates, OcpError, SpeedField, SynthesisStall,
+from exitlab.ocp import (_select_candidates, OcpError, SpeedField, SynthesisStall, ValueField,
                          check_dpp, default_dpp_tol, horizon_bound, solve_value,
                          synthesize_batch, trajectory_bound)
 
@@ -343,10 +343,13 @@ def test_select_candidates_matches_sequential_loop(seed):
     invalid[:8] = True  # rows with no valid slot at all
     vals[invalid] = BIG
     disp[invalid] = np.inf
-    slot, best = _select_candidates(vals.T, disp.T)  # slot-major, as plans return them
+    # slot-major, as plans return them; _select_candidates overwrites disp
+    slot, best = _select_candidates(vals.T, disp.T.copy())
     ref_slot, ref_best = sequential_select(vals, disp)
     assert np.array_equal(slot, ref_slot)
-    assert np.array_equal(best.view(np.int64), ref_best.view(np.int64))
+    # the chosen slot's own value, -0.0 bits included; best is the slot minimum
+    assert np.array_equal(vals[np.arange(m), slot].view(np.int64), ref_best.view(np.int64))
+    assert np.array_equal(best, ref_best)
 
 
 def synthesize_sequential(phi, speed, start_points):
@@ -418,3 +421,57 @@ def test_interval_endpoints_past_the_bounds_match_the_sequential_loop(target):
     assert np.all(got[1] >= 0)
     # some moves onto lo or hi are taken where that endpoint lies past it
     assert clipped > 0
+
+
+def sequential_case(case):
+    """(phi, speed, starts) of one synthesize_sequential comparison case."""
+    rng = np.random.default_rng(11)
+    if case == "flat_signed_zeros":
+        # value rows of 0.0 and -0.0 around the target: every move in that band
+        # ties on value, and the displacement and then the slot order decide
+        dom = IntervalDomain(0.0, 1.0, 0.05, targets=[1.0])
+        dt = dom.dx
+        values = np.tile(1.0 - dom.coords, (40, 1))
+        band = dom.coords >= 0.6
+        values[:, band] = np.where(rng.random((40, int(band.sum()))) < 0.5, -0.0, 0.0)
+        speed = SpeedField(dom, dt, rng.uniform(0.5, 1.0, values.shape), (0.5, 1.0))
+        phi = ValueField(dom, dt, values)
+        starts = np.concatenate([dom.coords[::3], rng.uniform(0.0, 1.0, 12)])
+        return phi, speed, starts
+    if case == "budget_of_dx":
+        # speed 1 at dt = dx: every budget is dx exactly, so sphere endpoints
+        # from a node land on the neighbouring nodes
+        dom = IntervalDomain(0.0, 1.0, 0.04, targets=[0.0, 1.0])
+        speed = SpeedField.constant(dom, 1.0, dom.dx, 2.0)
+        assert np.all(speed.values * speed.dt == dom.dx)
+        starts = np.concatenate([dom.coords[1:-1:2], rng.uniform(0.0, 1.0, 12)])
+        return solve_value(dom, ExitCost.zero(dom), speed), speed, starts
+    # targets at both ends and an interior target interval, exit costs from a table
+    # (dx = 1/16 keeps the coordinates and their differences exact)
+    dom = IntervalDomain(0.0, 1.0, 0.0625, targets=[0.0, 0.375, 0.4375, 0.5, 1.0])
+    cost = ExitCost(dom, dict(zip(dom.targets.tolist(), [0.3, 0.03, 0.0, 0.04, 0.2])))
+    dt = 1.5 * dom.dx
+    speed = SpeedField(dom, dt, rng.uniform(0.4, 1.0, (50, dom.n_nodes)), (0.4, 1.0))
+    # midway between two interior targets both are exactly dx/2 away: the first is hit
+    starts = np.concatenate([[0.40625, 0.46875, 0.2, 0.8], rng.uniform(0.0, 1.0, 20)])
+    return solve_value(dom, cost, speed), speed, starts
+
+
+@pytest.mark.parametrize("case", ["target_interval_table_cost", "flat_signed_zeros",
+                                  "budget_of_dx"])
+def test_synthesis_matches_the_sequential_loop(case):
+    phi, speed, starts = sequential_case(case)
+    samples, exit_idx, exit_node = synthesize_batch(phi, speed, starts, raise_on_stall=False)
+    want, want_idx, want_node, _ = synthesize_sequential(phi, speed, starts)
+    assert samples.flags.c_contiguous
+    assert np.array_equal(samples.view(np.int64), want.view(np.int64))
+    assert np.array_equal(exit_idx, want_idx) and np.array_equal(exit_node, want_node)
+    if case == "target_interval_table_cost":
+        assert exit_node[0] == phi.domain.node_at(0.375) and exit_idx[0] == 0
+        assert exit_node[1] == phi.domain.node_at(0.4375)
+        assert len(set(exit_node[exit_idx > 0].tolist())) >= 3
+    if case == "flat_signed_zeros":
+        # paths descend into the band and stay there, short of the target
+        assert np.any(samples[:, -1] != samples[:, 0]) and np.any(exit_idx < 0)
+    else:
+        assert np.all(exit_idx >= 0) and np.any(exit_idx > 0)

@@ -273,7 +273,8 @@ def test_row_blocked_checks_equal_the_whole_array_code(make, n):
         assert float_bits(ens.check_lipschitz(k_max)) == float_bits(
             check_lipschitz_whole(ens, k_max))
         bounds = (0.37, k_max)
-        assert float_bits(confinement_excess(ens.samples, dom, cost, bounds)) == float_bits(
+        assert float_bits(confinement_excess(origin_excursions(ens.samples, dom), dom, cost,
+                                             bounds)) == float_bits(
             confinement_excess_whole(ens.samples, dom, cost, bounds))
     got = ens.check_constant_after_exit()
     assert float_bits(got) == float_bits(check_constant_after_exit_whole(ens))

@@ -459,6 +459,45 @@ def test_bincount_histogram_and_field_equal_per_slice_add_at(make):
     assert np.array_equal(ens.node_indices, nodes)
 
 
+def test_binned_field_of_a_mixture_copies_no_node_slab():
+    """A mixture keeps its node indices slice-major, so the binned field bins
+    each slice's contiguous row where it lies: the field allocates less than
+    one (n_rows, settled_slice + 1) int32 slab of them."""
+    import tracemalloc
+
+    dom = interval()
+    rng = np.random.default_rng(31)
+    n_steps = 150
+
+    def exiting(n):
+        """Paths that wander over the interval until their exit slice and stay there."""
+        samples = rng.uniform(dom.lo, dom.hi, (n, n_steps + 1))
+        exits = rng.integers(60, 120, n)
+        samples[np.arange(n_steps + 1) > exits[:, None]] = dom.hi
+        samples[np.arange(n), exits] = dom.hi
+        return TrajectoryEnsemble(dom, 0.1, samples, np.full(n, 1 / n), exit_indices=exits,
+                                  validate=False)
+
+    mixture = exiting(1100).mix(exiting(1100), 0.4, 1e-9)
+    assert mixture.n_traj == 2200 and mixture.settled_slice >= 100
+    assert mixture.node_indices.T[0].flags.c_contiguous  # slice 0 of every row
+    kernel = congested_kernel(dom)
+    want = field_from_marginals(kernel, mixture, True).values  # builds the node matrix once
+    slab = mixture.n_traj * (mixture.settled_slice + 1) * 4
+    tracemalloc.start()
+    try:
+        got = field_from_marginals(kernel, mixture, True).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < slab
+    assert _bits(got) == _bits(want)
+    hist = histogram_reference(dom, mixture.samples, mixture.weights)
+    ref = np.clip(kernel.kappa(hist @ kernel.node_interaction_matrix().T), kernel.k_min,
+                  kernel.k_max)
+    assert _bits(got) == _bits(ref)
+
+
 # ---- synthesis plan -------------------------------------------------------
 
 def tied_value(domain, n_slices, rng, levels):
@@ -503,6 +542,9 @@ def test_synthesis_plan_matches_per_step_candidates(make, levels):
     pts = start_points(dom, rng)
     got = synthesize_batch(phi, speed, pts, raise_on_stall=False)
     want = synthesize_reference(phi, speed, pts)
+    # C order on every backend: np.save would write a transposed buffer's
+    # bytes in Fortran order
+    assert got[0].flags.c_contiguous and got[0].shape == want[0].shape
     assert _bits(got[0]) == _bits(want[0])
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
     assert np.any(got[1] > 0)
@@ -558,16 +600,43 @@ def test_reach_plan_selects_the_reach_candidates_move(make):
     for r in (rng.uniform(0.0, r_max, len(pts)), np.full(len(pts), r_max),
               np.full(len(pts), np.nextafter(r_max, np.inf)), np.full(len(pts), 0.2 * dom.dx)):
         cand, vals, disp = place(pts, r)(node_values)  # slot-major
-        slot, best = _select_candidates(vals, disp)
+        assert np.array_equal(np.isinf(disp), vals == BIG)
+        slot, best = _select_candidates(vals, disp)  # overwrites disp off the minima
         ref_cand, ref_disp, valid = dom.reach_candidates(pts, r)
         ref_vals = np.full(valid.shape, BIG)
         ref_vals[valid] = dom.interp(node_values, ref_cand[valid])
         ref_slot, ref_best = select_rows_reference(ref_vals, ref_disp)
         rows = np.arange(len(pts))
         assert _bits(cand[slot, rows]) == _bits(ref_cand[rows, ref_slot])
-        assert _bits(best) == _bits(ref_best)
+        assert _bits(vals[slot, rows]) == _bits(ref_best)
+        assert np.array_equal(best, ref_best)
         assert _bits(disp[slot, rows]) == _bits(ref_disp[rows, ref_slot])
-        assert np.array_equal(np.isinf(disp), vals == BIG)
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_a_selection_consumes_the_placement_displacements(make):
+    """Every evaluate of a placement returns the one displacement array that
+    _select_candidates overwrites: after a selection a second evaluate still
+    gives the right moves and values but the consumed displacements, and a
+    new placement gives them back."""
+    dom = make()
+    rng = np.random.default_rng(13)
+    r_max = 1.7 * dom.dx
+    place = dom.reach_plan(r_max)
+    pts = start_points(dom, rng)
+    r = rng.uniform(0.0, r_max, len(pts))
+    first, second = (np.round(rng.uniform(0.0, 1.0, dom.n_nodes) * 4) / 4 for _ in range(2))
+    evaluate = place(pts, r)
+    want = [a.copy() for a in evaluate(second)]  # the plan may reuse its arrays
+    cand, vals, disp = evaluate(first)
+    _select_candidates(vals, disp)
+    assert np.count_nonzero(np.isinf(disp)) > np.count_nonzero(np.isinf(want[2]))
+    cand, vals, consumed = evaluate(second)
+    assert _bits(cand) == _bits(want[0]) and _bits(vals) == _bits(want[1])
+    assert np.shares_memory(consumed, disp) and _bits(consumed) == _bits(disp)
+    cand, vals, disp = place(pts, r)(second)
+    assert _bits(cand) == _bits(want[0]) and _bits(vals) == _bits(want[1])
+    assert _bits(disp) == _bits(want[2])
 
 
 def test_interval_plan_has_room_for_a_budget_one_ulp_over_r_max():
