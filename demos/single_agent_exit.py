@@ -17,7 +17,7 @@ cost = ExitCost(domain, {domain.node_at(0.0): 0.05, domain.node_at(1.0): 0.0})
 # a speed field with a slow patch drifting to the right over time
 k_lo, k_hi = 0.4, 1.0
 dt = domain.dx / k_hi
-horizon = horizon_bound(domain, cost, (k_lo, k_hi), 1.0) + 3 * dt
+horizon = horizon_bound(cost, (k_lo, k_hi), 1.0) + 3 * dt
 n_steps = int(np.ceil(horizon / dt))
 t = np.arange(n_steps + 1)[:, None] * dt
 x = domain.coords[None, :]
@@ -30,7 +30,7 @@ print(f"value at (t=0, x=0.2): {phi.at(0.0, 0.2):.4f}   (slow patch sits nearby)
 
 tol = default_dpp_tol(domain, dt)
 starts = np.array([0.15, 0.5, 0.85])
-samples, exit_idx, exit_node = synthesize_batch(phi, field, starts)
+samples, exit_idx, exit_node = synthesize_batch(phi, starts)
 paths = TrajectoryEnsemble(domain, dt, samples, np.full(len(starts), 1 / len(starts)),
                            exit_indices=exit_idx, exit_nodes=exit_node)
 realized = realized_costs(paths, cost)

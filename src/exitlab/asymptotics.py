@@ -62,15 +62,15 @@ def settling_time(ensemble):
     return last * ensemble.dt
 
 
-def decay_constants(domain, cost, bounds):
+def decay_constants(cost, bounds):
     """(alpha, t_0) with T(R) <= R/alpha + t_0 from the explicit exit bound (alpha = K_min)."""
-    return bounds[0], horizon_bound(domain, cost, bounds, 0.0)
+    return bounds[0], horizon_bound(cost, bounds, 0.0)
 
 
-def psi_function(domain, cost, bounds):
+def psi_function(cost, bounds):
     """Vectorized confinement radius psi(R) = K_max T(R) + R."""
     def psi(r):
-        return trajectory_bound(horizon_bound(domain, cost, bounds, r), bounds[1], r)
+        return trajectory_bound(horizon_bound(cost, bounds, r), bounds[1], r)
     return psi
 
 
@@ -104,7 +104,7 @@ def transport_distance(mu, nu, p):
         return wasserstein(_project_to_nodes(mu), _project_to_nodes(nu), p), True
 
 
-def convergence_curve(ensemble, times, p, m0, domain, cost, bounds, m_inf):
+def convergence_curve(ensemble, times, p, m0, cost, bounds, m_inf):
     """W_p(m_t, m_inf) at the requested times, with m0's tail bound under the
     game constants alongside (nan below t_0). Oversized supports on LP
     backends are auto-projected to grid cells and flagged."""
@@ -118,8 +118,8 @@ def convergence_curve(ensemble, times, p, m0, domain, cost, bounds, m_inf):
             flags.append("marginals projected to grid cells for the "
                          "transport LP (support cap)")
     bound_vals = np.full(len(times), np.nan)
-    alpha, t0 = decay_constants(domain, cost, bounds)
-    psi = psi_function(domain, cost, bounds)
+    alpha, t0 = decay_constants(cost, bounds)
+    psi = psi_function(cost, bounds)
     for i, t in enumerate(times):
         if t >= t0 - 1e-12:
             bound_vals[i] = theorem_bound(m0, psi, alpha, t0, t, p)
@@ -167,9 +167,9 @@ def fit_decay_rate(curve, window, mode, tail_dimension):
     raise ValueError(f"unknown fit mode {mode!r}")
 
 
-def p_moment_excess(ensemble, m0, domain, cost, bounds, times, p):
+def p_moment_excess(ensemble, m0, cost, bounds, times, p):
     """Worst violation of p_moment(m_t) <= sum w psi(d(0, x_i))^p."""
-    psi = psi_function(domain, cost, bounds)
+    psi = psi_function(cost, bounds)
     ceiling = float(np.sum(m0.weights * psi(m0.origin_distances()) ** p))
     worst = -np.inf
     for t in times:

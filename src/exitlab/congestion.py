@@ -100,6 +100,8 @@ class Chi:
             raise HypothesisViolation("chi must be nonnegative", "chi")
         if family == "ball":
             self.radius = float(params.pop("radius"))
+            if self.radius < 0:
+                raise HypothesisViolation("ball chi needs a nonnegative radius", "chi")
         elif family == "gaussian":
             self.width = float(params.pop("width"))
             if self.width <= 0:

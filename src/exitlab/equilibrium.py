@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import limit_measure
-from .measures import MeasureError, ParticleMeasure, TrajectoryEnsemble
+from .domain import DomainError
+from .measures import ParticleMeasure, TrajectoryEnsemble
 from .ocp import (SpeedField, horizon_bound, trajectory_bound, solve_value,
                   synthesize_batch, default_dpp_tol, origin_excursions)
 
@@ -55,21 +55,27 @@ class EquilibriumReport:
     converged: bool
     iterations: int
     history: list = field(default_factory=list)
-    m_infinity: ParticleMeasure | None = None  # set when the horizon end is settled
-    certification: dict = field(default_factory=dict)
+    certification: dict = field(default_factory=dict)  # its "tol" is the loop's tolerance
     flags: list = field(default_factory=list)
-    tol: float = 0.0
-    dt: float = 0.0
     r_max: float = 0.0
     t_bound: float = 0.0
     final_phi: object = None  # final_phi.speed is final_ensemble's induced field
 
 
-def run_grid(domain, kernel, cost, m0):
+def _game_domain(kernel, cost, measure):
+    """The one domain object that the kernel, the exit cost and the measure
+    (or ensemble) of a game live on; DomainError when they are not on one."""
+    domain = kernel.domain
+    if cost.domain is not domain or measure.domain is not domain:
+        raise DomainError("the kernel, the exit cost and the measure live on different domains")
+    return domain
+
+
+def run_grid(kernel, cost, m0):
     """Unit-CFL time grid covering the a-priori exit bound of m0's support, plus two steps."""
-    dt = domain.dx / kernel.k_max
+    dt = kernel.domain.dx / kernel.k_max
     r_max = float(np.max(m0.origin_distances()))
-    t_bound = horizon_bound(domain, cost, (kernel.k_min, kernel.k_max), r_max)
+    t_bound = horizon_bound(cost, (kernel.k_min, kernel.k_max), r_max)
     n_steps = int(np.ceil(t_bound / dt - 1e-9)) + 2
     return dt, n_steps, r_max, t_bound
 
@@ -165,14 +171,16 @@ def admissibility_excess(ensemble, speed, slack):
     return worst
 
 
-def exploitability(ensemble, kernel, domain, cost, reuse=None):
+def exploitability(ensemble, kernel, cost, reuse=None):
     """Weighted optimality gap of an ensemble against its own induced field.
 
     epsilon = sum_i w_i (realized_i - phi_Q(0, x_i(0))), the one gap pass.
     reuse, an earlier solve_value result, saves work and changes no bit.
     Returns (epsilon, details) as optimality_gaps does, plus
-    details["binned"]. It measures and never raises: certify gates.
+    details["binned"]. It measures and never gates: certify gates. The
+    ensemble, the kernel and the cost must live on one domain (DomainError).
     """
+    domain = _game_domain(kernel, cost, ensemble)
     binned = _use_binning(ensemble.n_traj, ensemble.n_steps + 1, domain.n_nodes)
     phi = solve_value(domain, cost, field_from_marginals(kernel, ensemble, binned), reuse=reuse)
     eps, details = optimality_gaps(ensemble, cost, phi)
@@ -224,18 +232,19 @@ def _certificate(ensemble, details, tol):
     }
 
 
-def certify(ensemble, kernel, domain, cost, tol):
+def certify(ensemble, kernel, cost, tol):
     """Weak / strong equilibrium flags at tolerance tol.
 
     weak: weighted exploitability <= tol. strong: every positive-weight
     trajectory has optimality gap <= tol. On atomic ensembles the two are
     designed to coincide at the solver's stopping rule. Raises
-    CertificationError on an ensemble inadmissible under its own field.
+    CertificationError on an ensemble inadmissible under its own field, and
+    DomainError as exploitability does.
     """
-    return _certificate(ensemble, exploitability(ensemble, kernel, domain, cost)[1], tol)
+    return _certificate(ensemble, exploitability(ensemble, kernel, cost)[1], tol)
 
 
-def solve_equilibrium(m0, kernel, domain, cost, config):
+def solve_equilibrium(m0, kernel, cost, config):
     """Damped best-response iteration for MFG equilibria.
 
     The damping state Q_n is the weighted union of past best responses
@@ -245,9 +254,11 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
     Non-convergence is reported, not raised. The loop certifies once, after
     it ends, the last gap pass (the returned mixture on its own field): the
     admissibility gate raises CertificationError when some trajectory of
-    that mixture is inadmissible.
+    that mixture is inadmissible. m0, the kernel and the cost must live on
+    one domain (DomainError).
     """
-    dt, n_steps, r_max, t_bound = run_grid(domain, kernel, cost, m0)
+    domain = _game_domain(kernel, cost, m0)
+    dt, n_steps, r_max, t_bound = run_grid(kernel, cost, m0)
     tol = config.exploitability_tol
     flags = []
     binned_any = False
@@ -261,7 +272,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
     for n in range(config.max_iterations):
         iterations = n + 1
         # best response of every atom of m0 to the current field
-        samples, exit_idx, exit_node = synthesize_batch(phi, phi.speed, m0.points)
+        samples, exit_idx, exit_node = synthesize_batch(phi, m0.points)
         candidate = TrajectoryEnsemble(domain, dt, samples, m0.weights.copy(),
                                        exit_indices=exit_idx, exit_nodes=exit_node,
                                        validate=False)
@@ -271,7 +282,7 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
             mixture = mixture.mix(candidate, config.weight(n), PRUNE_DEFAULT)
         # the mixture's settled tail leaves the previous solve's trailing
         # speed and value rows unchanged: the solve copies them
-        eps, det = exploitability(mixture, kernel, domain, cost, reuse=phi)
+        eps, det = exploitability(mixture, kernel, cost, reuse=phi)
         binned_any = binned_any or det["binned"]
         phi = det["phi"]
         history.append({
@@ -293,48 +304,42 @@ def solve_equilibrium(m0, kernel, domain, cost, config):
         flags.append(f"marginal binning active (speed error bound "
                      f"{kernel.binning_error_bound():.6g})")
 
-    report = EquilibriumReport(
+    return EquilibriumReport(
         final_ensemble=mixture,
         converged=converged,
         iterations=iterations,
         history=history,
         flags=flags,
-        tol=tol,
-        dt=dt,
         r_max=r_max,
         t_bound=t_bound,
         final_phi=phi,
         certification=certification,
     )
-    try:
-        report.m_infinity = limit_measure(mixture)
-    except MeasureError:  # some trajectory still moves at the horizon end
-        pass
-    return report
 
 
-def _bound_checks(report, m0, kernel, domain, cost):
+def _bound_checks(report, m0, kernel, cost):
     """Ledger entries for the a-priori confinement and mass bounds."""
     from .ocp import value_bound_excess, confinement_excess
 
     ens = report.final_ensemble
+    domain = ens.domain
     bounds = (kernel.k_min, kernel.k_max)
     checks = []
 
     # exact on the interval backend (the 1d scheme computes true reach-ball
     # minima); 2d/graph carry the first-order interpolation slack
-    slack = 1e-9 if domain.kind == "interval" else default_dpp_tol(domain, report.dt)
-    excess = value_bound_excess(report.final_phi, domain, cost, bounds)
+    slack = 1e-9 if domain.kind == "interval" else default_dpp_tol(domain, ens.dt)
+    excess = value_bound_excess(report.final_phi, cost, bounds)
     checks.append({"name": "value_upper_bound", "passed": bool(excess <= slack),
                    "detail": f"max phi - (T(R) + max g) = {excess:.6g}"})
 
     # one pass over the mixture serves both confinement checks
     excursions = origin_excursions(ens.samples, domain)
-    exc = confinement_excess(excursions, domain, cost, bounds)
+    exc = confinement_excess(excursions, cost, bounds)
     checks.append({"name": "psi_ball_confinement", "passed": bool(exc <= slack),
                    "detail": f"max excursion excess over psi(R) = {exc:.6g}"})
 
-    worst = _mass_confinement_gap(ens.weights, excursions[1], m0, domain, cost, bounds)
+    worst = _mass_confinement_gap(ens.weights, excursions[1], m0, cost, bounds)
     checks.append({"name": "mass_confinement", "passed": bool(worst >= -1e-9),
                    "detail": f"min over tested R of Q(psi-ball) - m0(R-ball) = {worst:.6g}"})
 
@@ -348,7 +353,7 @@ def _bound_checks(report, m0, kernel, domain, cost):
     return checks
 
 
-def _mass_confinement_gap(weights, furthest, m0, domain, cost, bounds):
+def _mass_confinement_gap(weights, furthest, m0, cost, bounds):
     """min over tested R of Q(psi(R)-ball) - m0(R-ball).
 
     Mass confinement, the compact-search-set property: for each tested R,
@@ -358,7 +363,7 @@ def _mass_confinement_gap(weights, furthest, m0, domain, cost, bounds):
     """
     start_d = m0.origin_distances()
     radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
-    psis = trajectory_bound(horizon_bound(domain, cost, bounds, radii), bounds[1], radii)
+    psis = trajectory_bound(horizon_bound(cost, bounds, radii), bounds[1], radii)
     worst = np.inf
     for r, psi_r in zip(radii, psis):
         lhs = float(np.sum(weights[furthest <= psi_r + 1e-9]))

@@ -59,10 +59,6 @@ class SpeedField:
     def n_steps(self):
         return self.values.shape[0] - 1
 
-    @property
-    def horizon(self):
-        return self.n_steps * self.dt
-
     def at_nodes(self, j):
         return self.values[min(j, self.n_steps)]
 
@@ -88,10 +84,6 @@ class ValueField:
     def n_steps(self):
         return self.values.shape[0] - 1
 
-    @property
-    def horizon(self):
-        return self.n_steps * self.dt
-
     def time_index(self, t):
         return max(min(int(round(t / self.dt)), self.n_steps), 0)
 
@@ -102,13 +94,15 @@ class ValueField:
         return float(self.at_points(self.time_index(t), self.domain.as_points(point))[0])
 
 
-def horizon_bound(domain, cost, bounds, r):
-    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min, with D = 1 (H4).
+def horizon_bound(cost, bounds, r):
+    """A-priori value bound T(R) = G_0 + D d(0, y_0)/K_min + D R/K_min, with D = 1 (H4),
+    on the exit cost's domain.
 
     r may be an array (one bound per radius); a scalar r gives a float. The
     terms are summed in this order on purpose: the ledger prints the bound,
     and a regrouped form such as G_0 + (d(0, y_0) + R)/K_min rounds differently.
     """
+    domain = cost.domain
     targets = domain._nonempty_targets()
     k_min = bounds[0]
     d = domain.point_distance(domain.points_of_nodes(domain.origin),
@@ -157,7 +151,7 @@ def solve_value(domain, cost, speed, reuse=None):
     targets = domain.targets
     g_t = g[targets]
     values = np.empty((n_steps + 1, domain.n_nodes))
-    start = _reused_rows(domain, cost, speed, reuse)
+    start = _reused_rows(cost, speed, reuse)
     if start <= n_steps:
         values[start:] = reuse.values[start:]
     if start == 0:
@@ -167,7 +161,7 @@ def solve_value(domain, cost, speed, reuse=None):
     stencil = domain.reach_stencil(float(np.max(speed.values)) * dt)
     if start > n_steps:
         start = n_steps
-        values[n_steps] = _stationary_slice(domain, cost, speed, stencil)
+        values[n_steps] = _stationary_slice(cost, speed, stencil)
     # a new ball minimum only where the speed slice changes (frozen fields and
     # emptied late slices repeat): row start - 1 and every changed row below
     # it are bound, a block of rows per placement, and each row in between
@@ -190,14 +184,14 @@ def solve_value(domain, cost, speed, reuse=None):
     return ValueField(domain, dt, values, cost, speed)
 
 
-def _reused_rows(domain, cost, speed, reuse):
+def _reused_rows(cost, speed, reuse):
     """First row of the trailing run of speed rows bit-equal to reuse's.
 
     The row count (no row) when reuse is None or was solved on another
-    domain, cost, dt, K_min or grid shape.
+    domain than speed's, or another cost, dt, K_min or grid shape.
     """
     n_rows = speed.values.shape[0]
-    if (reuse is None or reuse.speed is None or reuse.domain is not domain
+    if (reuse is None or reuse.speed is None or reuse.domain is not speed.domain
             or reuse.cost is not cost or reuse.speed.dt != speed.dt
             or reuse.speed.k_min != speed.k_min
             or reuse.speed.values.shape != speed.values.shape):
@@ -207,12 +201,13 @@ def _reused_rows(domain, cost, speed, reuse):
     return int(differs[-1]) + 1 if len(differs) else 0
 
 
-def _stationary_slice(domain, cost, speed, stencil):
-    """Stationary fixed point under the frozen last speed slice.
+def _stationary_slice(cost, speed, stencil):
+    """Stationary fixed point under the frozen last speed slice, on its domain.
 
     Iterated monotonically down from the a-priori supersolution T-style
     bound (geodesic travel at K_min plus the worst exit cost).
     """
+    domain = speed.domain
     dt = speed.dt
     targets = domain.targets
     g_t = cost.node_table()[targets]
@@ -250,8 +245,9 @@ def _select_candidates(vals, disp):
     return disp.argmin(axis=0), best
 
 
-def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
-    """Greedy semi-Lagrangian descent for a batch of start points at time 0.
+def synthesize_batch(phi, start_points, *, raise_on_stall=True):
+    """Greedy semi-Lagrangian descent of phi under phi.speed, the field it
+    was solved on, for a batch of start points at time 0.
 
     Returns (samples, exit_indices, exit_nodes); samples is a C-contiguous
     (m, n_steps + 1[, dim]) array and every path starts at slice 0. Exit
@@ -259,8 +255,12 @@ def synthesize_batch(phi, speed, start_points, *, raise_on_stall=True):
     exit. Each step moves only the paths still active and writes one
     contiguous slice of a slice-major buffer, copied from a carried row of
     every path's latest point (an exited path keeps its exit point); once
-    the last path exits, one broadcast fills the later slices.
+    the last path exits, one broadcast fills the later slices. OcpError
+    when phi keeps no speed field (it was not made by solve_value).
     """
+    speed = phi.speed
+    if speed is None:
+        raise OcpError("synthesis needs the speed field phi was solved on (phi.speed is None)")
     domain = phi.domain
     dt = phi.dt
     n_steps = phi.n_steps
@@ -334,9 +334,9 @@ def check_dpp(phi, samples, exit_indices):
     return {"max_inequality_violation": worst_ineq, "max_equality_residual": worst_eq}
 
 
-def value_bound_excess(phi, domain, cost, bounds):
+def value_bound_excess(phi, cost, bounds):
     """Worst excess of phi over T(R) + max g with R = d(0, x) (a-priori bound)."""
-    limit = horizon_bound(domain, cost, bounds, domain.origin_node_distances()) + cost.max_cost
+    limit = horizon_bound(cost, bounds, phi.domain.origin_node_distances()) + cost.max_cost
     return float(np.max(phi.values - limit[None, :]))
 
 
@@ -353,11 +353,12 @@ def origin_excursions(samples, domain):
     return start, furthest
 
 
-def confinement_excess(excursions, domain, cost, bounds):
+def confinement_excess(excursions, cost, bounds):
     """Worst excess of trajectory excursions over the psi(R)-ball radius.
 
-    excursions is origin_excursions(samples, domain) of the trajectories.
+    excursions is origin_excursions(samples, domain) of the trajectories,
+    on the exit cost's domain.
     """
     start_r, furthest = excursions
-    psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
+    psi_r = trajectory_bound(horizon_bound(cost, bounds, start_r), bounds[1], start_r)
     return float(np.max(furthest - psi_r, initial=-np.inf))

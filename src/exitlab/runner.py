@@ -22,7 +22,7 @@ from . import equilibrium as eq
 from . import scenarios as sc
 from .congestion import HypothesisViolation
 from .domain import validate_hypotheses
-from .measures import ParticleMeasure
+from .measures import MeasureError, ParticleMeasure
 # not called here; kept because perfbench/tracer.py patches exitlab.runner.wasserstein
 from .measures import wasserstein  # noqa: F401
 from .ocp import check_dpp, default_dpp_tol
@@ -33,6 +33,10 @@ STATUS_NOT_CONVERGED = 3
 STATUS_INTERNAL = 4
 
 PACKAGE_VERSION = "0.1.0"
+# characters of a sweep member directory's label: at 4 UTF-8 bytes each the
+# name stays under the 255-byte limit of common file systems (the index
+# prefix keeps the cut names distinct)
+MEMBER_LABEL_CAP = 60
 # the config path each hypothesis reads: a failed one's error line starts with it
 HYPOTHESIS_PATHS = {"H1": "domain", "H2": "domain.targets", "H3": "exit_cost",
                     "H4": "domain.edges", "H5-H7": "kernel", "H8": "kernel", "H9": "kernel",
@@ -107,7 +111,7 @@ def execute(cfg):
         return bundle
 
     config = sc.build_equilibrium_config(cfg)
-    report = eq.solve_equilibrium(m0, kernel, domain, cost, config)
+    report = eq.solve_equilibrium(m0, kernel, cost, config)
     bundle.update(domain=domain, cost=cost, kernel=kernel, m0=m0, equilibrium=report)
     bundle["flags"] += report.flags
 
@@ -119,21 +123,26 @@ def execute(cfg):
 
 
 def _asymptotics_stage(bundle, cfg):
-    report = bundle["equilibrium"]
-    domain, cost, kernel, m0 = (bundle[k] for k in ("domain", "cost", "kernel", "m0"))
-    ens = report.final_ensemble
+    """The limit of the final mixture (bundle["m_infinity"], None while some
+    trajectory still moves at the horizon end), its settling time, the
+    convergence curve to the limit and the rate fit on it."""
+    cost, kernel, m0 = (bundle[k] for k in ("cost", "kernel", "m0"))
+    ens = bundle["equilibrium"].final_ensemble
     bounds = (kernel.k_min, kernel.k_max)
     p = int(cfg["asymptotics"]["p"])
     times = sc.report_times(cfg, ens.horizon)
     bundle["report_grid"] = times
 
-    t_star = asy.settling_time(ens)
-    bundle["settling_time"] = t_star
-    m_inf = report.m_infinity
+    bundle["settling_time"] = asy.settling_time(ens)
+    try:
+        m_inf = asy.limit_measure(ens)
+    except MeasureError:  # some trajectory still moves at the horizon end
+        m_inf = None
+    bundle["m_infinity"] = m_inf
     curve = None
     if m_inf is not None:
-        curve = asy.convergence_curve(ens, times, p, m0=m0, domain=domain,
-                                      cost=cost, bounds=bounds, m_inf=m_inf)
+        curve = asy.convergence_curve(ens, times, p, m0=m0, cost=cost, bounds=bounds,
+                                      m_inf=m_inf)
         bundle["flags"] += curve.flags
     bundle["curve"] = curve
     bundle["p"] = p
@@ -153,10 +162,10 @@ def _assemble_checks(bundle):
     report = bundle["equilibrium"]
     domain, cost, kernel, m0 = (bundle[k] for k in ("domain", "cost", "kernel", "m0"))
     bounds = (kernel.k_min, kernel.k_max)
-    checks = eq._bound_checks(report, m0, kernel, domain, cost)
+    checks = eq._bound_checks(report, m0, kernel, cost)
     cert = report.certification
     ens = report.final_ensemble
-    tol_dpp = default_dpp_tol(domain, report.dt)
+    tol_dpp = default_dpp_tol(domain, ens.dt)
 
     checks.append({"name": "weak_strong_agreement", "passed": cert["agree"],
                    "detail": f"weak={cert['weak']} strong={cert['strong']}"})
@@ -167,12 +176,11 @@ def _assemble_checks(bundle):
         checks.append({"name": "tail_decay_bound",
                        "passed": bool(excess <= 1e-9 or not np.isfinite(excess)),
                        "detail": f"max W_p^p - bound - {tol_dpp:.6g} = {excess:.6g}"})
-        pm = asy.p_moment_excess(ens, m0, domain, cost, bounds,
-                                 bundle["report_grid"], bundle["p"])
+        pm = asy.p_moment_excess(ens, m0, cost, bounds, bundle["report_grid"], bundle["p"])
         checks.append({"name": "p_moment_propagation", "passed": bool(pm <= 1e-9),
                        "detail": f"max p_moment excess over psi ceiling = {pm:.6g}"})
 
-    m_inf = report.m_infinity
+    m_inf = bundle["m_infinity"]
     if m_inf is not None:
         tdist = domain.point_target_distance(m_inf.points)
         worst = float(np.max(tdist, initial=0.0))
@@ -190,7 +198,7 @@ def _assemble_checks(bundle):
                        "detail": bundle["rate_fit_error"]})
 
     t_star = bundle["settling_time"]
-    settle_bound = report.t_bound + report.dt
+    settle_bound = report.t_bound + ens.dt
     settled_ok = t_star is not None and t_star <= settle_bound + 1e-9
     checks.append({"name": "compact_support_settling", "passed": bool(settled_ok),
                    "detail": ("not settled within horizon" if t_star is None
@@ -201,7 +209,7 @@ def _assemble_checks(bundle):
     top = np.argsort(ens.weights)[::-1][:3]
     res = check_dpp(report.final_phi, ens.samples[top], ens.exit_indices[top])
     worst_eq = float(np.max(res["max_equality_residual"], initial=0.0))
-    dpp_cap = report.tol + tol_dpp
+    dpp_cap = cert["tol"] + tol_dpp
     checks.append({"name": "dpp_equality_spot_check",
                    "passed": bool(worst_eq <= dpp_cap),
                    "detail": f"max equality residual {worst_eq:.6g} vs tol {dpp_cap:.6g}"})
@@ -226,7 +234,7 @@ def build_ledger(bundle):
         "iterations": report.iterations,
         "exploitability": _r12(last["exploitability"]),
         "max_gap": _r12(last["max_gap"]),
-        "dt": _r12(report.dt),
+        "dt": _r12(report.final_ensemble.dt),
         "r_max": _r12(report.r_max),
         "t_bound": _r12(report.t_bound),
     }
@@ -239,7 +247,7 @@ def build_ledger(bundle):
         {"name": c["name"], "passed": c["passed"], "detail": c["detail"]}
         for c in bundle["checks"]]
     ledger["settling_time"] = _r12(bundle.get("settling_time"))
-    m_inf = report.m_infinity
+    m_inf = bundle["m_infinity"]
     if m_inf is not None:
         pts = m_inf.points.reshape(m_inf.n_atoms, -1)
         ledger["m_infinity"] = [
@@ -515,8 +523,11 @@ def sweep(source, param_values, out_root, tol=None, max_iter=None):
         rows = []
     members = []
     for i, combo in enumerate(combos):
-        label = "_".join(f"{n.split('.')[-1]}={v}" for n, v in combo) or f"member_{i}"
-        member_dir = os.path.join(out_root, f"{i:03d}_{label}")
+        label = "_".join(f"{n.split('.')[-1]}={v}" for n, v in combo)
+        # a value's path separators would leave out_root, a NUL fails the mkdir
+        for sep in filter(None, (os.sep, os.altsep, "\0")):
+            label = label.replace(sep, "_")
+        member_dir = os.path.join(out_root, f"{i:03d}_{label[:MEMBER_LABEL_CAP]}")
         result, bundle = _run(source, member_dir, tol, max_iter, dict(combo))
         entry = {"index": i, "params": {n: v for n, v in combo},
                  "status": result.status, "dir": member_dir}
@@ -555,9 +566,9 @@ def _stability_quantities(bundle, ref):
     report, ref_report = bundle["equilibrium"], ref["equilibrium"]
     domain = ref["domain"]
     limit_distance = np.nan
-    if report.m_infinity is not None and ref_report.m_infinity is not None:
+    if bundle["m_infinity"] is not None and ref["m_infinity"] is not None:
         limit_distance, _ = asy.transport_distance(
-            _on_domain(domain, report.m_infinity), ref_report.m_infinity, 1)
+            _on_domain(domain, bundle["m_infinity"]), ref["m_infinity"], 1)
     return {
         "perturbation": asy.transport_distance(_on_domain(domain, bundle["m0"]),
                                                ref["m0"], 1)[0],
@@ -581,7 +592,8 @@ def _stability_table(ref_result, ref, rows):
     if measured:
         nearest = min(measured, key=lambda r: r["perturbation"])
         ref_report = ref["equilibrium"]
-        tol = ref_report.tol + default_dpp_tol(ref["domain"], ref_report.dt)
+        tol = (ref_report.certification["tol"]
+               + default_dpp_tol(ref["domain"], ref_report.final_ensemble.dt))
         cross = nearest["cross_exploitability"]
         probe = {"perturbation": _r12(nearest["perturbation"]),
                  "cross_exploitability": _r12(cross), "tolerance": _r12(tol),

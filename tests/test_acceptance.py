@@ -93,7 +93,7 @@ def test_criterion_3_settling():
     cfg["domain"]["targets"] = [0.0]
     cfg["initial_measure"] = {"kind": "uniform", "support": [0.8, 1.0], "count": 100}
     bundle = runner.execute(cfg)
-    dt = bundle["equilibrium"].dt
+    dt = bundle["equilibrium"].final_ensemble.dt
     t_star = bundle["settling_time"]
     ok = bundle["status"] == 0
     ok = ok and t_star is not None and abs(t_star - 1.0) <= 2 * dt
@@ -174,7 +174,7 @@ def _random_ocp_instance(rng, dom):
             cost_vals[int(dom.targets[b])] = min(cost_vals[int(dom.targets[b])], cap)
     cost = ExitCost(dom, cost_vals)
     assert cost.lipschitz_constant <= l_g
-    horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
+    horizon = horizon_bound(cost, (k_lo, k_hi), 1.0) + 3 * dt
     n_steps = int(np.ceil(horizon / dt))
     t = np.arange(n_steps + 1)[:, None] * dt
     x = dom.coords[None, :]
@@ -194,7 +194,7 @@ def test_criterion_7_ocp_suite():
     for trial in range(50):
         field, cost = _random_ocp_instance(rng, dom)
         phi = solve_value(dom, cost, field)
-        samples, exit_idx, exit_node = synthesize_batch(phi, field, dom.coords)
+        samples, exit_idx, exit_node = synthesize_batch(phi, dom.coords)
         realized = exit_idx * field.dt + np.array(
             [cost.at_node(n) for n in exit_node])
         gaps = np.abs(realized - phi.at_points(0, dom.coords))

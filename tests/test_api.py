@@ -149,14 +149,50 @@ def test_every_default_is_passed_by_some_caller():
     assert idle == []
 
 
+# parameters that carry their own domain (kernel.domain, cost.domain, ...)
+DOMAIN_CARRIERS = {"kernel", "cost", "m0", "mu", "nu", "measure", "ensemble", "phi", "speed"}
+# functions that take a domain beside such a parameter, and why
+DOMAIN_BESIDE_A_CARRIER_KEPT = {
+    "__init__": "a constructor stores the domain that its object then carries",
+    "solve_value": "the benchmark calls solve_value(domain, cost, speed) and its tracer "
+                   "reads speed at position 2",
+    "validate_hypotheses": "the benchmark calls validate_hypotheses(domain, cost)",
+    "_on_domain": "it reads a measure's atoms on another domain object",
+}
+
+
+def test_no_function_takes_a_domain_beside_an_object_that_carries_it():
+    """A domain parameter beside a kernel, cost, measure, ensemble or field
+    can disagree with the domain that object carries. The scenario builders
+    (scenarios.build_*) make the objects from a domain and a config."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in DOMAIN_BESIDE_A_CARRIER_KEPT or (
+                    os.path.basename(path) == "scenarios.py" and node.name.startswith("build_")):
+                continue
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "domain" in params and params & DOMAIN_CARRIERS:
+                found.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_the_removed_start_slots_raise_type_error():
-    """Every path starts at slice 0: a call that still passes a start slot fails."""
+    """Every path starts at slice 0 and is descended under phi.speed: a call
+    that still passes a start slot or a speed field fails."""
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])
     field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
     phi = solve_value(dom, ExitCost.zero(dom), field)
     with pytest.raises(TypeError):
-        synthesize_batch(phi, field, [0.5], 0.0)  # t0
-    samples, exits, nodes = synthesize_batch(phi, field, [0.5])
+        synthesize_batch(phi, [0.5], 0.0)  # t0
+    with pytest.raises(TypeError):
+        synthesize_batch(phi, field, [0.5])  # the speed field phi.speed already is
+    samples, exits, nodes = synthesize_batch(phi, [0.5])
     starts = np.zeros(1, dtype=int)
     with pytest.raises(TypeError):
         TrajectoryEnsemble(dom, dom.dx, samples, [1.0], starts, exits)

@@ -43,7 +43,7 @@ def two_sided_ensemble(dom, alpha, dt=0.005, n_steps=140):
 
 def test_limit_measure_examples():
     dom, cost, kernel = remark_game()
-    report = solve_equilibrium(ParticleMeasure.dirac(dom, 0.3), kernel, dom, cost,
+    report = solve_equilibrium(ParticleMeasure.dirac(dom, 0.3), kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.01))
     m_inf = limit_measure(report.final_ensemble)
     assert m_inf.n_atoms == 1 and m_inf.points[0] == 0.0
@@ -66,7 +66,7 @@ def test_convergence_curve_matches_line_formula():
     dom, cost, kernel = remark_game()
 
     def w1_curve(ens, times):
-        return convergence_curve(ens, times, 1, ens.time_marginal(0.0), dom, cost,
+        return convergence_curve(ens, times, 1, ens.time_marginal(0.0), cost,
                                  (kernel.k_min, kernel.k_max), limit_measure(ens))
 
     path, e = line_path(dom, 0.005, 0.5, 0.0, 140)
@@ -116,12 +116,12 @@ def test_a_failed_transport_lp_raises_and_is_not_projected(monkeypatch):
 
 def test_settling_time_examples():
     dom, cost, kernel = remark_game()
-    report = solve_equilibrium(ParticleMeasure.dirac(dom, 0.5), kernel, dom, cost,
+    report = solve_equilibrium(ParticleMeasure.dirac(dom, 0.5), kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.01))
     t_star = settling_time(report.final_ensemble)
-    assert t_star == pytest.approx(0.5, abs=report.dt + 1e-12)
+    assert t_star == pytest.approx(0.5, abs=report.final_ensemble.dt + 1e-12)
 
-    on_target = solve_equilibrium(ParticleMeasure.dirac(dom, 0.0), kernel, dom, cost,
+    on_target = solve_equilibrium(ParticleMeasure.dirac(dom, 0.0), kernel, cost,
                                   EquilibriumConfig(exploitability_tol=0.01))
     assert settling_time(on_target.final_ensemble) == 0.0
 
@@ -137,10 +137,10 @@ def test_settling_time_uniform_band():
                               Chi("constant", value=0.0), Eta("constant", value=1.0))
     pts = 0.8 + 0.2 * (np.arange(50) + 0.5) / 50
     m0 = ParticleMeasure(dom, pts, np.full(50, 0.02))
-    report = solve_equilibrium(m0, kernel, dom, cost,
+    report = solve_equilibrium(m0, kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.02))
     t_star = settling_time(report.final_ensemble)
-    assert t_star == pytest.approx(1.0, abs=2 * report.dt)
+    assert t_star == pytest.approx(1.0, abs=2 * report.final_ensemble.dt)
 
 
 # ---- "settled" as the step-length scans defined it ------------------------
@@ -173,12 +173,12 @@ def solved_reports():
     m0s = [ParticleMeasure.dirac(dom, 0.3), ParticleMeasure.dirac(dom, 0.0),
            ParticleMeasure(dom, [0.0, 1.0], [0.5, 0.5]),
            ParticleMeasure(dom, np.linspace(0.2, 0.8, 13), np.full(13, 1 / 13))]
-    reports = [solve_equilibrium(m0, kernel, dom, cost, config) for m0 in m0s]
+    reports = [solve_equilibrium(m0, kernel, cost, config) for m0 in m0s]
     congested = CongestionKernel(dom, Kappa("affine_clamped", intercept=1.0, slope=1.0, floor=0.2),
                                  Chi("gaussian", width=0.1, amplitude=0.6),
                                  Eta("taper", distance=0.1))
     m0 = ParticleMeasure(dom, np.linspace(0.3, 0.6, 16), np.full(16, 1 / 16))
-    reports.append(solve_equilibrium(m0, congested, dom, cost,
+    reports.append(solve_equilibrium(m0, congested, cost,
                                      EquilibriumConfig(max_iterations=5, damping="constant",
                                                        damping_value=0.4)))
     return reports
@@ -188,11 +188,12 @@ def test_solved_ensembles_settle_as_the_step_lengths_said():
     for report in solved_reports():
         ens = report.final_ensemble
         assert settling_time(ens) == settling_time_by_steps(ens)
-        assert (report.m_infinity is not None) == limit_guard_by_steps(ens) == has_limit(ens)
-        if report.m_infinity is not None:
+        limit = limit_measure(ens) if has_limit(ens) else None
+        assert (limit is not None) == limit_guard_by_steps(ens) == has_limit(ens)
+        if limit is not None:
             again = limit_measure(ens)
-            assert np.array_equal(again.points, report.m_infinity.points)
-            assert np.array_equal(again.weights, report.m_infinity.weights)
+            assert np.array_equal(again.points, limit.points)
+            assert np.array_equal(again.weights, limit.weights)
 
 
 def held_path(n_steps, start, stop, last_move, dt=0.01):
@@ -238,8 +239,8 @@ def test_hand_built_ensembles_settle_as_the_step_lengths_said(name):
 def test_theorem_bound_edges():
     dom, cost, kernel = remark_game()
     bounds = (kernel.k_min, kernel.k_max)
-    alpha, t0 = decay_constants(dom, cost, bounds)
-    psi = psi_function(dom, cost, bounds)
+    alpha, t0 = decay_constants(cost, bounds)
+    psi = psi_function(cost, bounds)
     m0 = ParticleMeasure(dom, [0.3, 0.7], [0.5, 0.5])
     whole = theorem_bound(m0, psi, alpha, t0, t0, 1)
     expected = 2.0 * float(np.sum(m0.weights * psi(m0.origin_distances())))
@@ -256,8 +257,8 @@ def test_theorem_bound_power_tail_decay():
     dom = IntervalDomain(0.0, 60.0, 0.05, targets=[0.0], origin=0.0)
     cost = ExitCost.zero(dom)
     bounds = (1.0, 1.0)
-    alpha, t0 = decay_constants(dom, cost, bounds)
-    psi = psi_function(dom, cost, bounds)
+    alpha, t0 = decay_constants(cost, bounds)
+    psi = psi_function(cost, bounds)
     beta = 4.0
     n = 4000
     # quantile atoms of the pure tail law on [1, 60]
@@ -303,15 +304,15 @@ def test_fit_decay_rate_window_errors():
 def test_curve_bound_and_moment_checks_on_solved_game():
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure(dom, [0.25, 0.5, 0.75], [0.25, 0.5, 0.25])
-    report = solve_equilibrium(m0, kernel, dom, cost,
+    report = solve_equilibrium(m0, kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.02))
     ens = report.final_ensemble
     bounds = (kernel.k_min, kernel.k_max)
     times = np.arange(0.0, ens.horizon, 0.05)
-    curve = convergence_curve(ens, times, 1, m0=m0, domain=dom, cost=cost, bounds=bounds,
+    curve = convergence_curve(ens, times, 1, m0=m0, cost=cost, bounds=bounds,
                               m_inf=limit_measure(ens))
-    assert curve_bound_excess(curve, 4 * (report.dt + dom.dx)) <= 1e-9
-    assert p_moment_excess(ens, m0, dom, cost, bounds, times, 1) <= 1e-9
+    assert curve_bound_excess(curve, 4 * (report.final_ensemble.dt + dom.dx)) <= 1e-9
+    assert p_moment_excess(ens, m0, cost, bounds, times, 1) <= 1e-9
 
 
 def stability_sweep(tmp_path, location, members):
@@ -332,9 +333,8 @@ def test_stability_sweep_remark_case_table(tmp_path):
     # limits flip across a = 1/2: delta_1 above, delta_0 below
     limits = []
     for a in (0.7, 0.55, 0.45, 0.3):
-        member_rep = solve_equilibrium(ParticleMeasure.dirac(dom, a), kernel,
-                                       dom, cost, config)
-        limits.append(float(member_rep.m_infinity.points[0]))
+        member_rep = solve_equilibrium(ParticleMeasure.dirac(dom, a), kernel, cost, config)
+        limits.append(float(limit_measure(member_rep.final_ensemble).points[0]))
     assert limits == [1.0, 1.0, 0.0, 0.0]
     # a decreasing perturbation schedule toward the base
     _, table, reference = stability_sweep(tmp_path, 0.5, [0.7, 0.55, 0.52])

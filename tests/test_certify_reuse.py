@@ -51,14 +51,14 @@ def solved(game, cap, monkeypatch):
         monkeypatch.setattr(equilibrium, "BINNING_WORK_CAP", cap)
     dom, cost, kernel, m0, extra = game()
     config = EquilibriumConfig(damping="constant", damping_value=0.4, **extra)
-    return dom, cost, kernel, solve_equilibrium(m0, kernel, dom, cost, config)
+    return dom, cost, kernel, solve_equilibrium(m0, kernel, cost, config)
 
 
 @pytest.mark.parametrize("game, cap", GAMES)
 def test_report_certification_equals_fresh_certify(game, cap, monkeypatch):
     dom, cost, kernel, report = solved(game, cap, monkeypatch)
     assert report.iterations > 1
-    fresh = certify(report.final_ensemble, kernel, dom, cost, report.tol)
+    fresh = certify(report.final_ensemble, kernel, cost, report.certification["tol"])
     assert report.certification == fresh
 
 
@@ -86,10 +86,10 @@ def test_exploitability_rejects_speeding_after_exit():
                              exit_indices=np.zeros(1, dtype=int))
     assert ens.exit_indices[0] == 0 and ens.exit_nodes[0] == 0
     cost = ExitCost.zero(dom)
-    eps, _ = exploitability(ens, kernel, dom, cost)
+    eps, _ = exploitability(ens, kernel, cost)
     assert np.isfinite(eps)
     with pytest.raises(CertificationError, match="admissible"):
-        certify(ens, kernel, dom, cost, tol=0.15)
+        certify(ens, kernel, cost, tol=0.15)
 
 
 def exit_and_stay_ensemble(weights):
@@ -109,7 +109,7 @@ def test_a_non_exiting_row_fails_the_certificate():
     dom, kernel, ens = exit_and_stay_ensemble([0.5, 0.5])
     cost = ExitCost.zero(dom)
     assert realized_costs(ens, cost)[1] == np.inf
-    cert = certify(ens, kernel, dom, cost, tol=0.15)
+    cert = certify(ens, kernel, cost, tol=0.15)
     assert not cert["strong"] and not cert["weak"] and cert["agree"]
     assert cert["max_gap"] == np.inf and cert["epsilon"] == np.inf
 
@@ -117,10 +117,10 @@ def test_a_non_exiting_row_fails_the_certificate():
 def test_a_zero_weight_non_exiting_row_adds_nothing():
     dom, kernel, ens = exit_and_stay_ensemble([1.0, 0.0])
     cost = ExitCost.zero(dom)
-    eps, details = exploitability(ens, kernel, dom, cost)
+    eps, details = exploitability(ens, kernel, cost)
     assert np.isfinite(eps) and abs(eps) <= 0.02
     assert details["max_gap"] == np.inf
-    cert = certify(ens, kernel, dom, cost, tol=0.15)
+    cert = certify(ens, kernel, cost, tol=0.15)
     assert cert["strong"] and cert["weak"] and cert["max_gap"] == eps
 
 
@@ -234,8 +234,8 @@ def test_a_speeding_best_response_fails_the_solve(monkeypatch):
     dom, cost, kernel, m0, extra = interval_game()
     plain = eq.synthesize_batch
 
-    def speeding(phi, speed, start_points):
-        samples, exits, nodes = plain(phi, speed, start_points)
+    def speeding(phi, start_points):
+        samples, exits, nodes = plain(phi, start_points)
         samples[0, 1:] = dom.coords[dom.targets[0]]
         exits[0], nodes[0] = 1, dom.targets[0]
         return samples, exits, nodes
@@ -243,4 +243,4 @@ def test_a_speeding_best_response_fails_the_solve(monkeypatch):
     monkeypatch.setattr(eq, "synthesize_batch", speeding)
     config = EquilibriumConfig(damping="constant", damping_value=0.4, max_iterations=3, **extra)
     with pytest.raises(CertificationError, match="leaves its own admissible class"):
-        solve_equilibrium(m0, kernel, dom, cost, config)
+        solve_equilibrium(m0, kernel, cost, config)

@@ -54,7 +54,7 @@ def rows(domain, rng, n_slices=90):
     phi = solve_value(domain, ExitCost.zero(domain), speed)
     nodes = domain.node_points()
     away = np.setdiff1d(np.arange(domain.n_nodes), domain.targets)
-    samples, exits, _ = synthesize_batch(phi, speed, nodes[rng.choice(away, 12)],
+    samples, exits, _ = synthesize_batch(phi, nodes[rng.choice(away, 12)],
                                          raise_on_stall=False)
     reversed_path = samples[0][::-1]
     constant = np.repeat(nodes[away[:1]], n_slices, axis=0)
@@ -71,7 +71,7 @@ def wrong_direction_rows():
     n = field.n_steps
     wrong = np.minimum(0.3 + np.arange(n + 1) * field.dt, 1.0)
     exit_idx = int(np.searchsorted(wrong, 1.0 - 1e-12))
-    samples, exits, _ = synthesize_batch(phi, field, np.array([0.3, 0.5, 0.8]))
+    samples, exits, _ = synthesize_batch(phi, np.array([0.3, 0.5, 0.8]))
     return phi, np.concatenate([wrong[None], samples]), np.concatenate([[exit_idx], exits])
 
 

@@ -294,7 +294,7 @@ def test_target_queries_on_an_empty_target_set_raise_domain_error(make):
     for query in (lambda: dom.snap_to_target(points),
                   lambda: dom.point_target_distance(points),
                   lambda: solve_value(dom, ExitCost.zero(dom), field),
-                  lambda: horizon_bound(dom, ExitCost.zero(dom), (1.0, 1.0), 0.5)):
+                  lambda: horizon_bound(ExitCost.zero(dom), (1.0, 1.0), 0.5)):
         with pytest.raises(DomainError, match="no target node") as err:
             query()
         assert err.value.key == "targets"

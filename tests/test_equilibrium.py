@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from exitlab.asymptotics import limit_measure
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
-from exitlab.domain import ExitCost, IntervalDomain
+from exitlab.domain import DomainError, ExitCost, IntervalDomain
 from exitlab.equilibrium import (EquilibriumConfig, _bound_checks, certify, exploitability,
                                  field_from_marginals, frozen_field, run_grid,
                                  solve_equilibrium)
@@ -47,8 +48,8 @@ def best_response(m0, dom, cost, kernel):
 
     Returns (ensemble, value of the frozen field, dt).
     """
-    report = solve_equilibrium(m0, kernel, dom, cost, EquilibriumConfig(max_iterations=1))
-    dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
+    report = solve_equilibrium(m0, kernel, cost, EquilibriumConfig(max_iterations=1))
+    dt, n_steps, _, _ = run_grid(kernel, cost, m0)
     phi = solve_value(dom, cost, frozen_field(m0, kernel, dt, n_steps))
     return report.final_ensemble, phi, dt
 
@@ -99,7 +100,7 @@ def test_exploitability_of_misrouted_atom():
     dt = 0.005
     n_steps = 220
     ens = build_line_ensemble(dom, dt, 0.3, 1.0, n_steps)
-    eps, det = exploitability(ens, kernel, dom, cost)
+    eps, det = exploitability(ens, kernel, cost)
     assert eps == pytest.approx(0.4, abs=default_dpp_tol(dom, dt))
 
 
@@ -114,30 +115,32 @@ def test_exploitability_of_optimal_mixture():
             dom, dt, np.concatenate([left.samples, right.samples]),
             np.array([alpha, 1 - alpha]),
             exit_indices=np.concatenate([left.exit_indices, right.exit_indices]))
-        eps, _ = exploitability(mix, kernel, dom, cost)
+        eps, _ = exploitability(mix, kernel, cost)
         assert abs(eps) <= default_dpp_tol(dom, dt)
 
 
 def test_solve_remark_dirac_converges_immediately():
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure.dirac(dom, 0.3)
-    report = solve_equilibrium(m0, kernel, dom, cost,
+    report = solve_equilibrium(m0, kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.01))
     assert report.converged and report.iterations == 1
     assert abs(report.history[-1]["exploitability"]) <= 0.01
-    assert report.m_infinity is not None
-    assert report.m_infinity.points[0] == 0.0  # Lim(delta_a) = delta_0 for a < 1/2
+    m_inf = limit_measure(report.final_ensemble)
+    assert m_inf is not None
+    assert m_inf.points[0] == 0.0  # Lim(delta_a) = delta_0 for a < 1/2
 
 
 def test_solve_initial_mass_on_target():
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure(dom, [0.0, 1.0], [0.5, 0.5])
-    report = solve_equilibrium(m0, kernel, dom, cost,
+    report = solve_equilibrium(m0, kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.01))
     assert report.converged and report.iterations == 1
     assert np.all(report.final_ensemble.exit_indices == 0)
-    assert report.m_infinity is not None
-    got = dict(zip(report.m_infinity.points.tolist(), report.m_infinity.weights.tolist()))
+    m_inf = limit_measure(report.final_ensemble)
+    assert m_inf is not None
+    got = dict(zip(m_inf.points.tolist(), m_inf.weights.tolist()))
     assert got == {0.0: pytest.approx(0.5), 1.0: pytest.approx(0.5)}
 
 
@@ -146,12 +149,12 @@ def test_congested_solve_certifies_and_flags_agree():
     m0 = ParticleMeasure(dom, np.linspace(0.005, 0.195, 40), np.full(40, 1 / 40))
     config = EquilibriumConfig(max_iterations=60, damping="constant",
                                damping_value=0.4, exploitability_tol=0.15)
-    report = solve_equilibrium(m0, kernel, dom, cost, config)
+    report = solve_equilibrium(m0, kernel, cost, config)
     assert report.converged
     assert report.iterations > 1  # genuine congestion feedback
-    cert = certify(report.final_ensemble, kernel, dom, cost, report.tol)
+    cert = certify(report.final_ensemble, kernel, cost, report.certification["tol"])
     assert cert["weak"] and cert["strong"] and cert["agree"]
-    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, dom, cost))
+    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, cost))
 
 
 def test_two_exit_congestion_splits_the_crowd():
@@ -168,12 +171,12 @@ def test_two_exit_congestion_splits_the_crowd():
     m0 = ParticleMeasure(dom, pts, np.full(80, 1 / 80))
     config = EquilibriumConfig(max_iterations=80, damping="constant",
                                damping_value=0.4, exploitability_tol=0.15)
-    report = solve_equilibrium(m0, kernel, dom, cost, config)
+    report = solve_equilibrium(m0, kernel, cost, config)
     assert report.converged
     exits = report.final_ensemble.samples[:, -1]
     left_mass = float(report.final_ensemble.weights[exits < 0.5].sum())
     assert 0.05 <= left_mass <= 0.5
-    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, dom, cost))
+    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, cost))
 
 
 def test_certify_rejects_suboptimal_mixture():
@@ -186,7 +189,7 @@ def test_certify_rejects_suboptimal_mixture():
         dom, dt, np.concatenate([good.samples, bad.samples]),
         np.array([0.5, 0.5]),
         exit_indices=np.concatenate([good.exit_indices, bad.exit_indices]))
-    cert = certify(mix, kernel, dom, cost, tol=0.15)
+    cert = certify(mix, kernel, cost, tol=0.15)
     assert not cert["weak"] and not cert["strong"]
     assert cert["agree"]
 
@@ -195,10 +198,10 @@ def test_certification_is_seed_stable():
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure.dirac(dom, 0.3)
     config = EquilibriumConfig(exploitability_tol=0.01)
-    report = solve_equilibrium(m0, kernel, dom, cost, config)
-    base = certify(report.final_ensemble, kernel, dom, cost, 0.01)
+    report = solve_equilibrium(m0, kernel, cost, config)
+    base = certify(report.final_ensemble, kernel, cost, 0.01)
     for _ in range(3):
-        again = certify(report.final_ensemble, kernel, dom, cost, 0.01)
+        again = certify(report.final_ensemble, kernel, cost, 0.01)
         assert again["epsilon"] == base["epsilon"]
 
 
@@ -207,7 +210,7 @@ def test_non_convergence_is_reported_not_raised():
     m0 = ParticleMeasure(dom, np.linspace(0.005, 0.195, 40), np.full(40, 1 / 40))
     config = EquilibriumConfig(max_iterations=1, damping="constant",
                                damping_value=0.4, exploitability_tol=1e-6)
-    report = solve_equilibrium(m0, kernel, dom, cost, config)
+    report = solve_equilibrium(m0, kernel, cost, config)
     assert not report.converged
     assert report.iterations == 1
     assert len(report.history) == 1
@@ -217,10 +220,10 @@ def test_exploitability_floor():
     """The weighted residual never drops below -tol_dpp on optimal ensembles."""
     dom, cost, kernel = remark_game()
     m0 = ParticleMeasure(dom, np.linspace(0.1, 0.9, 9), np.full(9, 1 / 9))
-    report = solve_equilibrium(m0, kernel, dom, cost,
+    report = solve_equilibrium(m0, kernel, cost,
                                EquilibriumConfig(exploitability_tol=0.02))
     assert report.converged
-    assert report.history[-1]["exploitability"] >= -default_dpp_tol(dom, report.dt)
+    assert report.history[-1]["exploitability"] >= -default_dpp_tol(dom, report.final_ensemble.dt)
 
 
 def test_exploitability_rejects_foreign_speeding():
@@ -236,10 +239,10 @@ def test_exploitability_rejects_foreign_speeding():
     exit_idx = int(np.argmax(path == 0.0))
     ens = TrajectoryEnsemble(dom, dt, path[None, :], np.array([1.0]),
                              exit_indices=np.array([exit_idx]))
-    eps, _ = exploitability(ens, kernel, dom, cost)
+    eps, _ = exploitability(ens, kernel, cost)
     assert np.isfinite(eps)
     with pytest.raises(CertificationError, match="admissible"):
-        certify(ens, kernel, dom, cost, tol=0.15)
+        certify(ens, kernel, cost, tol=0.15)
 
 
 def test_induced_field_inherits_kernel_lipschitz():
@@ -248,7 +251,7 @@ def test_induced_field_inherits_kernel_lipschitz():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 0.2, 25)
     m0 = ParticleMeasure(dom, pts, np.full(25, 1 / 25))
-    dt, n_steps, _, _ = run_grid(dom, kernel, cost, m0)
+    dt, n_steps, _, _ = run_grid(kernel, cost, m0)
     field = frozen_field(m0, kernel, dt, min(n_steps, 50))
     l_r, _ = kernel.estimate_lipschitz()
     nodes = dom.node_points()
@@ -269,3 +272,27 @@ def test_config_validation():
         EquilibriumConfig(damping="secant")
     fp = EquilibriumConfig()
     assert fp.weight(0) == 1.0 and fp.weight(3) == 0.25
+
+
+@pytest.mark.parametrize("entry", ["solve_equilibrium", "exploitability", "certify"])
+def test_a_game_on_two_domain_objects_raises_domain_error(entry):
+    """The kernel, the exit cost and the measure or ensemble of one game live
+    on one domain object; a twin domain with the same grid is another one."""
+    dom, cost, kernel = remark_game(dx=0.02)
+    twin, twin_cost, twin_kernel = remark_game(dx=0.02)
+    m0 = ParticleMeasure.dirac(dom, 0.3)
+    config = EquilibriumConfig(exploitability_tol=0.05)
+    ens = solve_equilibrium(m0, kernel, cost, config).final_ensemble
+    twin_ens = TrajectoryEnsemble(twin, ens.dt, ens.samples, ens.weights,
+                                  exit_indices=ens.exit_indices, exit_nodes=ens.exit_nodes)
+    calls = {
+        "solve_equilibrium": lambda m, k, c: solve_equilibrium(
+            ParticleMeasure(m.domain, m0.points, m0.weights), k, c, config),
+        "exploitability": lambda e, k, c: exploitability(e, k, c),
+        "certify": lambda e, k, c: certify(e, k, c, 0.05),
+    }
+    call = calls[entry]
+    call(ens, kernel, cost)  # one domain: no error
+    for parts in ((twin_ens, kernel, cost), (ens, twin_kernel, cost), (ens, kernel, twin_cost)):
+        with pytest.raises(DomainError, match="live on different domains"):
+            call(*parts)

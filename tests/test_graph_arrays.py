@@ -242,14 +242,14 @@ def test_value_solve_and_synthesis_match_the_point_loops(seed, n, chords, monkey
     speed = SpeedField(dom, dt, rng.uniform(0.5, 1.0, (n_steps + 1, dom.n_nodes)), (0.5, 1.0))
     starts = np.concatenate([dom.node_points(), random_points(dom, rng, (20,))])
     phi = solve_value(dom, cost, speed)
-    got = synthesize_batch(phi, speed, starts, raise_on_stall=False)
+    got = synthesize_batch(phi, starts, raise_on_stall=False)
 
     monkeypatch.setattr(GraphDomain, "reach_candidates", reach_candidates_reference)
     monkeypatch.setattr(GraphDomain, "interp", interp_reference)
     monkeypatch.setattr(GraphDomain, "snap_to_target", snap_to_target_reference)
     phi_ref = solve_value(dom, cost, speed)
     assert np.array_equal(bits(phi.values), bits(phi_ref.values))
-    want = synthesize_batch(phi_ref, speed, starts, raise_on_stall=False)
+    want = synthesize_batch(phi_ref, starts, raise_on_stall=False)
     assert np.array_equal(bits(got[0]), bits(want[0]))  # move for move
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
     assert np.any(got[0][..., 0] != got[0][..., 1])  # some moves stop on an edge

@@ -23,10 +23,10 @@ def path(dom, dt, samples, exit_index=-1):
                               exit_indices=np.array([exit_index]))
 
 
-def synthesize_one(phi, field, x0, raise_on_stall=True):
+def synthesize_one(phi, x0, raise_on_stall=True):
     """The synthesized path from (0, x0) as a one-row ensemble."""
     samples, exit_idx, exit_node = synthesize_batch(
-        phi, field, phi.domain.as_points(x0), raise_on_stall=raise_on_stall)
+        phi, phi.domain.as_points(x0), raise_on_stall=raise_on_stall)
     return TrajectoryEnsemble(phi.domain, phi.dt, samples, np.ones(1),
                               exit_indices=exit_idx, exit_nodes=exit_node)
 
@@ -90,8 +90,8 @@ def test_exit_time_examples():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     # with a zero exit cost the realized cost is the exit time
-    assert realized(synthesize_one(phi, field, 0.5), cost) == pytest.approx(0.5, abs=2 * dom.dx)
-    assert realized(synthesize_one(phi, field, 0.0), cost) == 0.0
+    assert realized(synthesize_one(phi, 0.5), cost) == pytest.approx(0.5, abs=2 * dom.dx)
+    assert realized(synthesize_one(phi, 0.0), cost) == 0.0
     const = path(dom, field.dt, np.full(field.n_steps + 1, 0.5))
     assert realized(const, cost) == np.inf
 
@@ -125,10 +125,10 @@ def test_admissibility_excess_examples():
 def test_synthesize_left_exit_and_target_start():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    ens = synthesize_one(phi, field, 0.3)
+    ens = synthesize_one(phi, 0.3)
     assert ens.exit_nodes[0] == dom.node_at(0.0)
     assert realized(ens, cost) == pytest.approx(0.3, abs=2 * dom.dx)
-    at_target = synthesize_one(phi, field, 1.0)
+    at_target = synthesize_one(phi, 1.0)
     assert at_target.exit_indices[0] == 0
     assert realized(at_target, cost) == 0.0
     assert np.all(at_target.samples == 1.0)
@@ -137,7 +137,7 @@ def test_synthesize_left_exit_and_target_start():
 def test_synthesize_tie_break_is_deterministic():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
-    runs = [synthesize_one(phi, field, 0.5) for _ in range(3)]
+    runs = [synthesize_one(phi, 0.5) for _ in range(3)]
     sides = {int(ens.exit_nodes[0]) for ens in runs}
     assert len(sides) == 1
     assert realized(runs[0], cost) == pytest.approx(0.5, abs=2 * dom.dx)
@@ -146,11 +146,11 @@ def test_synthesize_tie_break_is_deterministic():
 def test_horizon_bound_examples():
     dom = IntervalDomain(0.0, 1.0, 0.005, targets=[0.0, 1.0], origin=0.0)
     cost = ExitCost.zero(dom)
-    assert horizon_bound(dom, cost, (1.0, 1.0), 0.5) == pytest.approx(0.5)
-    assert horizon_bound(dom, cost, (1.0, 1.0), 0.0) == pytest.approx(0.0)
+    assert horizon_bound(cost, (1.0, 1.0), 0.5) == pytest.approx(0.5)
+    assert horizon_bound(cost, (1.0, 1.0), 0.0) == pytest.approx(0.0)
     far = IntervalDomain(0.0, 2.0, 0.01, targets=[1.0], origin=0.0)
     cost_far = ExitCost(far, {far.node_at(1.0): 0.2})
-    assert horizon_bound(far, cost_far, (0.5, 1.0), 2.0) == pytest.approx(0.2 + 2.0 + 4.0)
+    assert horizon_bound(cost_far, (0.5, 1.0), 2.0) == pytest.approx(0.2 + 2.0 + 4.0)
 
 
 def test_trajectory_bound_examples():
@@ -163,7 +163,7 @@ def test_check_dpp_on_optimal_and_adversarial_paths():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     tol = default_dpp_tol(dom, field.dt)
-    res = dpp_residuals(phi, synthesize_one(phi, field, 0.3))
+    res = dpp_residuals(phi, synthesize_one(phi, 0.3))
     assert res["max_equality_residual"] <= tol
     assert res["max_inequality_violation"] <= 1e-9
 
@@ -205,7 +205,7 @@ def test_speed_monotonicity_of_value(seed):
     cost = ExitCost.zero(dom)
     k_lo, k_hi = 0.4, 1.0
     dt = dom.dx / k_hi
-    horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
+    horizon = horizon_bound(cost, (k_lo, k_hi), 1.0) + 3 * dt
     slow = random_smooth_field(dom, rng, k_lo, 0.8, dt, horizon)
     bump = rng.uniform(0.0, k_hi - 0.8, slow.values.shape)
     fast = SpeedField(dom, dt, np.minimum(slow.values + bump, k_hi), (k_lo, k_hi))
@@ -225,16 +225,16 @@ def test_restriction_optimality():
     cost = ExitCost.zero(dom)
     k_lo, k_hi = 0.4, 1.0
     dt = dom.dx / k_hi
-    horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
+    horizon = horizon_bound(cost, (k_lo, k_hi), 1.0) + 3 * dt
     for seed in range(6):
         field = random_smooth_field(dom, np.random.default_rng(seed), k_lo, k_hi, dt, horizon)
         phi = solve_value(dom, cost, field)
-        ens = synthesize_one(phi, field, 0.52)
+        ens = synthesize_one(phi, 0.52)
         t1 = max(int(ens.exit_indices[0]) // 2, 1)
         shifted = SpeedField(dom, dt, field.values[t1:], (k_lo, k_hi))
         phi_tail = solve_value(dom, cost, shifted)
         assert np.array_equal(phi_tail.values.view(np.int64), phi.values[t1:].view(np.int64))
-        tail = synthesize_one(phi_tail, shifted, ens.samples[0, t1])
+        tail = synthesize_one(phi_tail, ens.samples[0, t1])
         assert np.array_equal(tail.samples[0].view(np.int64), ens.samples[0, t1:].view(np.int64))
         assert tail.exit_indices[0] == ens.exit_indices[0] - t1
 
@@ -274,7 +274,7 @@ def test_value_regularity_on_nonautonomous_fields(seed):
     cost = ExitCost.zero(dom)
     k_lo, k_hi = 0.4, 1.0
     dt = dom.dx / k_hi
-    horizon = horizon_bound(dom, cost, (k_lo, k_hi), 1.0) + 3 * dt
+    horizon = horizon_bound(cost, (k_lo, k_hi), 1.0) + 3 * dt
     field = random_smooth_field(dom, rng, k_lo, k_hi, dt, horizon)
     phi = solve_value(dom, cost, field)
     quotient_min, spatial = value_regularity(phi)
@@ -292,14 +292,21 @@ def test_smallness_refusal():
         solve_value(dom, bad_cost, field)
 
 
+def test_synthesis_needs_the_speed_field_phi_was_solved_on():
+    dom, cost, field = remark_setup()
+    phi = solve_value(dom, cost, field)
+    with pytest.raises(OcpError, match="phi.speed is None"):
+        synthesize_batch(ValueField(dom, phi.dt, phi.values), [0.5])
+
+
 def test_synthesis_stall_reports_position():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0])
     cost = ExitCost.zero(dom)
     field = SpeedField.constant(dom, 1.0, 0.01, 0.1)  # horizon far too short
     phi = solve_value(dom, cost, field)
     with pytest.raises(SynthesisStall, match="stall position"):
-        synthesize_one(phi, field, 0.9)
-    ens = synthesize_one(phi, field, 0.9, raise_on_stall=False)
+        synthesize_one(phi, 0.9)
+    ens = synthesize_one(phi, 0.9, raise_on_stall=False)
     assert ens.exit_indices[0] == -1 and realized(ens, cost) == np.inf
 
 
@@ -308,9 +315,9 @@ def test_synthesized_batch_matches_single():
     dom, cost, field = remark_setup()
     phi = solve_value(dom, cost, field)
     starts = np.array([0.1, 0.33, 0.5, 0.77])
-    samples, exit_idx, exit_node = synthesize_batch(phi, field, starts)
+    samples, exit_idx, exit_node = synthesize_batch(phi, starts)
     for k, x0 in enumerate(starts):
-        one, exit_one, node_one = synthesize_batch(phi, field, starts[k:k + 1])
+        one, exit_one, node_one = synthesize_batch(phi, starts[k:k + 1])
         assert np.array_equal(samples[k].view(np.int64), one[0].view(np.int64))
         assert exit_idx[k] == exit_one[0] and exit_node[k] == node_one[0]
 
@@ -414,7 +421,7 @@ def test_interval_endpoints_past_the_bounds_match_the_sequential_loop(target):
             assert np.array_equal(ball_min(node_values).view(np.int64), best.view(np.int64))
     # starts at both ends, within 1e-13 of them, a cell's fifth inside and across the interval
     starts = np.concatenate([[0.0, 1.0, 1e-13, 1 - 1e-13, 0.01, 0.99], rng.uniform(0.0, 1.0, 20)])
-    got = synthesize_batch(phi, speed, starts)
+    got = synthesize_batch(phi, starts)
     *want, clipped = synthesize_sequential(phi, speed, starts)
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
@@ -435,7 +442,7 @@ def sequential_case(case):
         band = dom.coords >= 0.6
         values[:, band] = np.where(rng.random((40, int(band.sum()))) < 0.5, -0.0, 0.0)
         speed = SpeedField(dom, dt, rng.uniform(0.5, 1.0, values.shape), (0.5, 1.0))
-        phi = ValueField(dom, dt, values)
+        phi = ValueField(dom, dt, values, speed=speed)
         starts = np.concatenate([dom.coords[::3], rng.uniform(0.0, 1.0, 12)])
         return phi, speed, starts
     if case == "budget_of_dx":
@@ -461,7 +468,7 @@ def sequential_case(case):
                                   "budget_of_dx"])
 def test_synthesis_matches_the_sequential_loop(case):
     phi, speed, starts = sequential_case(case)
-    samples, exit_idx, exit_node = synthesize_batch(phi, speed, starts, raise_on_stall=False)
+    samples, exit_idx, exit_node = synthesize_batch(phi, starts, raise_on_stall=False)
     want, want_idx, want_node, _ = synthesize_sequential(phi, speed, starts)
     assert samples.flags.c_contiguous
     assert np.array_equal(samples.view(np.int64), want.view(np.int64))

@@ -165,10 +165,10 @@ def test_array_bounds_bit_equal_to_scalar_calls(make):
     bounds = (0.37, 1.9)
     rng = np.random.default_rng(2)
     radii = np.concatenate([rng.uniform(0.0, 3.0, 2000), dom.origin_node_distances(), [0.0]])
-    t_arr = horizon_bound(dom, cost, bounds, radii)
+    t_arr = horizon_bound(cost, bounds, radii)
     t_ref = np.array([horizon_bound_reference(dom, cost, bounds, r) for r in radii])
     assert np.array_equal(t_arr.view(np.int64), t_ref.view(np.int64))
-    scalar = horizon_bound(dom, cost, bounds, radii[0])
+    scalar = horizon_bound(cost, bounds, radii[0])
     assert type(scalar) is float and scalar == t_ref[0]
 
     psi_arr = trajectory_bound(t_arr, bounds[1], radii)
@@ -232,7 +232,7 @@ def confinement_excess_whole(samples, domain, cost, bounds):
     """confinement_excess before row blocks."""
     dists = domain.point_origin_distance(samples)
     start_r = dists[:, 0]
-    psi_r = trajectory_bound(horizon_bound(domain, cost, bounds, start_r), bounds[1], start_r)
+    psi_r = trajectory_bound(horizon_bound(cost, bounds, start_r), bounds[1], start_r)
     return float(np.max(np.max(dists, axis=1) - psi_r, initial=-np.inf))
 
 
@@ -273,7 +273,7 @@ def test_row_blocked_checks_equal_the_whole_array_code(make, n):
         assert float_bits(ens.check_lipschitz(k_max)) == float_bits(
             check_lipschitz_whole(ens, k_max))
         bounds = (0.37, k_max)
-        assert float_bits(confinement_excess(origin_excursions(ens.samples, dom), dom, cost,
+        assert float_bits(confinement_excess(origin_excursions(ens.samples, dom), cost,
                                              bounds)) == float_bits(
             confinement_excess_whole(ens.samples, dom, cost, bounds))
     got = ens.check_constant_after_exit()
@@ -305,7 +305,7 @@ def test_bound_checks_peak_stays_below_one_copy_of_the_samples(make):
     cost = exit_cost(dom)
     tracemalloc.start()
     try:
-        checks = eq._bound_checks(report, m0, kernel, dom, cost)
+        checks = eq._bound_checks(report, m0, kernel, cost)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -650,6 +650,7 @@ def test_cli_run_prints_a_failed_hypothesis_and_the_run_directory(tmp_path, caps
     ("kappa", {"family": "constant", "value": 0.0}, "constant kappa must be positive"),
     ("chi", {"family": "gaussian", "width": -1.0}, "gaussian chi needs positive width"),
     ("eta", {"family": "taper", "distance": 0.0}, "taper eta needs positive distance"),
+    ("chi", {"family": "ball", "radius": -0.5}, "ball chi needs a nonnegative radius"),
 ])
 def test_a_kernel_part_that_breaks_h8_names_its_path(tmp_path, part, params, message):
     cfg = load_scenario("congested_corridor")
@@ -716,6 +717,23 @@ def test_sweep_records_member_failures(tmp_path):
     statuses = [m["status"] for m in aggregate["members"]]
     assert statuses[0] == 0
     assert statuses[1] != 0
+
+
+@pytest.mark.parametrize("value", ["../../../escaped", "x" * 300, "nul\0byte"],
+                         ids=["separators", "long", "nul"])
+def test_sweep_member_directories_are_names_under_the_output_root(tmp_path, monkeypatch, value):
+    """A swept value with path separators or a NUL, or longer than a file
+    name may be, still names one member directory directly under out_root,
+    and the member runs there."""
+    monkeypatch.chdir(tmp_path)
+    out = os.path.join("a", "b", "out")
+    aggregate = runner.sweep("remark_5_3", {"name": [value]}, out)
+    (member,) = aggregate["members"]
+    assert member["status"] == 0
+    assert os.path.dirname(member["dir"]) == out
+    assert os.listdir(tmp_path / "a" / "b") == ["out"]
+    assert sorted(os.listdir(out)) == [os.path.basename(member["dir"]), "sweep_report.json"]
+    assert (tmp_path / member["dir"] / "report.json").exists()
 
 
 def assert_same_run_dirs(a, b):

@@ -538,9 +538,9 @@ def test_synthesis_plan_matches_per_step_candidates(make, levels):
     dt = dom.dx  # unit CFL at k_max = 1
     n_slices = 40
     speed = random_speed(dom, dt, n_slices, rng)
-    phi = ValueField(dom, dt, tied_value(dom, n_slices, rng, levels))
+    phi = ValueField(dom, dt, tied_value(dom, n_slices, rng, levels), speed=speed)
     pts = start_points(dom, rng)
-    got = synthesize_batch(phi, speed, pts, raise_on_stall=False)
+    got = synthesize_batch(phi, pts, raise_on_stall=False)
     want = synthesize_reference(phi, speed, pts)
     # C order on every backend: np.save would write a transposed buffer's
     # bytes in Fortran order
@@ -550,9 +550,9 @@ def test_synthesis_plan_matches_per_step_candidates(make, levels):
     assert np.any(got[1] > 0)
 
 
-def synthesized_or_stall(synthesize, phi, speed, pts, raise_on_stall):
+def synthesized_or_stall(synthesize, args, raise_on_stall):
     try:
-        return synthesize(phi, speed, pts, raise_on_stall=raise_on_stall)
+        return synthesize(*args, raise_on_stall=raise_on_stall)
     except SynthesisStall as err:
         return str(err)
 
@@ -571,10 +571,10 @@ def test_synthesis_equals_the_full_width_loop(make, n_slices):
     fields["inadmissible"] = np.full((n_slices, dom.n_nodes), BIG)  # no move is admissible
     stalls = []
     for values in fields.values():
-        phi = ValueField(dom, dt, values)
+        phi = ValueField(dom, dt, values, speed=speed)
         for raise_on_stall in (True, False):
-            got = synthesized_or_stall(synthesize_batch, phi, speed, pts, raise_on_stall)
-            want = synthesized_or_stall(synthesize_loop_reference, phi, speed, pts,
+            got = synthesized_or_stall(synthesize_batch, (phi, pts), raise_on_stall)
+            want = synthesized_or_stall(synthesize_loop_reference, (phi, speed, pts),
                                         raise_on_stall)
             if isinstance(want, str):
                 stalls.append(want)

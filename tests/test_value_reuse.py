@@ -374,7 +374,7 @@ def test_equilibrium_loop_reuses_the_previous_solve(monkeypatch):
         return phi
 
     monkeypatch.setattr(eq, "solve_value", spy)
-    report = eq.solve_equilibrium(m0, kernel, dom, cost, config)
+    report = eq.solve_equilibrium(m0, kernel, cost, config)
     assert report.iterations == 6 and len(solves) == 7
     for (reuse, _, _), (_, previous, _) in zip(solves[1:], solves):
         assert reuse is previous
@@ -401,7 +401,7 @@ def synthesized_ensemble(domain, rng, n_slices=80):
         pts = domain.coords[rng.integers(0, domain.n_nodes, 12)]
     else:
         pts = domain.node_points()[[0, 1, 3, 0, 1]]
-    samples, exits, nodes = synthesize_batch(phi, speed, pts)
+    samples, exits, nodes = synthesize_batch(phi, pts)
     w = rng.uniform(0.1, 1.0, len(exits))
     return TrajectoryEnsemble(domain, dt, samples, w / w.sum(), exit_indices=exits,
                               exit_nodes=nodes), speed
