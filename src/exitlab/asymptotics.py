@@ -9,6 +9,7 @@ bound T(R), where the geodesic constant D is 1 on every backend (H4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,16 +68,10 @@ def decay_constants(cost, bounds):
     return bounds[0], horizon_bound(cost, bounds, 0.0)
 
 
-def psi_function(cost, bounds):
-    """Vectorized confinement radius psi(R) = K_max T(R) + R."""
-    def psi(r):
-        return trajectory_bound(horizon_bound(cost, bounds, r), bounds[1], r)
-    return psi
-
-
 def theorem_bound(m0, psi_fn, alpha, t0, t, p):
     """Tail decay bound 2^p * sum over atoms outside the alpha(t-t0)-ball of
-    w psi(d(0, x))^p; defined for t >= t0."""
+    w psi(d(0, x))^p; defined for t >= t0. psi_fn maps radii to psi, as
+    partial(trajectory_bound, cost, bounds) does."""
     if t < t0 - 1e-12:
         raise ValueError(f"bound is defined for t >= t_0 = {t0:.6g}, got {t}")
     radius = alpha * (t - t0)
@@ -119,7 +114,7 @@ def convergence_curve(ensemble, times, p, m0, cost, bounds, m_inf):
                          "transport LP (support cap)")
     bound_vals = np.full(len(times), np.nan)
     alpha, t0 = decay_constants(cost, bounds)
-    psi = psi_function(cost, bounds)
+    psi = partial(trajectory_bound, cost, bounds)
     for i, t in enumerate(times):
         if t >= t0 - 1e-12:
             bound_vals[i] = theorem_bound(m0, psi, alpha, t0, t, p)
@@ -169,8 +164,8 @@ def fit_decay_rate(curve, window, mode, tail_dimension):
 
 def p_moment_excess(ensemble, m0, cost, bounds, times, p):
     """Worst violation of p_moment(m_t) <= sum w psi(d(0, x_i))^p."""
-    psi = psi_function(cost, bounds)
-    ceiling = float(np.sum(m0.weights * psi(m0.origin_distances()) ** p))
+    psi = trajectory_bound(cost, bounds, m0.origin_distances())
+    ceiling = float(np.sum(m0.weights * psi ** p))
     worst = -np.inf
     for t in times:
         m = ensemble.time_marginal(t)

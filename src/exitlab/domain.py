@@ -272,6 +272,8 @@ class IntervalDomain(SpatialDomain):
         self.origin = self._resolve_nodes([origin], "origin")[0]
 
     def node_at(self, coord):
+        if not np.isfinite(coord):
+            raise DomainError(f"coordinate {coord} is not a finite number")
         i = int(round((float(coord) - self.lo) / self.dx))
         if not (0 <= i < self.n_nodes) or abs(self.coords[min(max(i, 0), self.n_nodes - 1)] - coord) > self.dx / 2 + 1e-9:
             raise DomainError(f"coordinate {coord} outside [{self.lo}, {self.hi}]")
@@ -406,7 +408,8 @@ class IntervalDomain(SpatialDomain):
 
     def validate_points(self, ps):
         ps = np.asarray(ps, dtype=float)
-        if np.any(ps < self.lo - 1e-9) or np.any(ps > self.hi + 1e-9):
+        # a NaN fails both comparisons
+        if not np.all((ps >= self.lo - 1e-9) & (ps <= self.hi + 1e-9)):
             raise DomainError("point outside interval domain")
 
 
@@ -449,6 +452,8 @@ class Grid2dDomain(SpatialDomain):
 
     def node_at(self, coord):
         coord = np.asarray(coord, dtype=float)
+        if not np.all(np.isfinite(coord)):
+            raise DomainError(f"coordinate {coord} is not a finite point")
         ix = int(round((coord[0] - self.lo[0]) / self.dx))
         iy = int(round((coord[1] - self.lo[1]) / self.dx))
         if not (0 <= ix < self.shape[0] and 0 <= iy < self.shape[1]):

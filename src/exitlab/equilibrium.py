@@ -15,8 +15,7 @@ import numpy as np
 
 from .domain import DomainError
 from .measures import ParticleMeasure, TrajectoryEnsemble
-from .ocp import (SpeedField, horizon_bound, trajectory_bound, solve_value,
-                  synthesize_batch, default_dpp_tol, origin_excursions)
+from .ocp import SpeedField, horizon_bound, solve_value, synthesize_batch
 
 PRUNE_DEFAULT = 1e-9
 BINNING_WORK_CAP = 4_000_000
@@ -316,57 +315,3 @@ def solve_equilibrium(m0, kernel, cost, config):
         certification=certification,
     )
 
-
-def _bound_checks(report, m0, kernel, cost):
-    """Ledger entries for the a-priori confinement and mass bounds."""
-    from .ocp import value_bound_excess, confinement_excess
-
-    ens = report.final_ensemble
-    domain = ens.domain
-    bounds = (kernel.k_min, kernel.k_max)
-    checks = []
-
-    # exact on the interval backend (the 1d scheme computes true reach-ball
-    # minima); 2d/graph carry the first-order interpolation slack
-    slack = 1e-9 if domain.kind == "interval" else default_dpp_tol(domain, ens.dt)
-    excess = value_bound_excess(report.final_phi, cost, bounds)
-    checks.append({"name": "value_upper_bound", "passed": bool(excess <= slack),
-                   "detail": f"max phi - (T(R) + max g) = {excess:.6g}"})
-
-    # one pass over the mixture serves both confinement checks
-    excursions = origin_excursions(ens.samples, domain)
-    exc = confinement_excess(excursions, cost, bounds)
-    checks.append({"name": "psi_ball_confinement", "passed": bool(exc <= slack),
-                   "detail": f"max excursion excess over psi(R) = {exc:.6g}"})
-
-    worst = _mass_confinement_gap(ens.weights, excursions[1], m0, cost, bounds)
-    checks.append({"name": "mass_confinement", "passed": bool(worst >= -1e-9),
-                   "detail": f"min over tested R of Q(psi-ball) - m0(R-ball) = {worst:.6g}"})
-
-    lip = ens.check_lipschitz(kernel.k_max)
-    checks.append({"name": "ensemble_lipschitz", "passed": bool(lip <= 1e-9),
-                   "detail": f"max step excess over K_max dt + dx = {lip:.6g}"})
-
-    tail = ens.check_constant_after_exit()
-    checks.append({"name": "constant_after_exit", "passed": bool(tail <= 1e-12),
-                   "detail": f"max drift after exit = {tail:.6g}"})
-    return checks
-
-
-def _mass_confinement_gap(weights, furthest, m0, cost, bounds):
-    """min over tested R of Q(psi(R)-ball) - m0(R-ball).
-
-    Mass confinement, the compact-search-set property: for each tested R,
-    the ensemble mass staying inside the psi(R)-ball must cover the m0-mass
-    of the R-ball. weights and furthest are the ensemble's trajectory
-    weights and largest origin distances (origin_excursions).
-    """
-    start_d = m0.origin_distances()
-    radii = np.quantile(start_d, [0.25, 0.5, 0.75, 1.0])
-    psis = trajectory_bound(horizon_bound(cost, bounds, radii), bounds[1], radii)
-    worst = np.inf
-    for r, psi_r in zip(radii, psis):
-        lhs = float(np.sum(weights[furthest <= psi_r + 1e-9]))
-        rhs = float(np.sum(m0.weights[start_d <= r + 1e-9]))
-        worst = min(worst, lhs - rhs)
-    return worst

@@ -16,8 +16,8 @@ from scipy.optimize import linprog
 
 MAX_LP_SUPPORT = 512
 WEIGHT_TOL = 1e-12
-# trajectories per block in the row-blocked scans of an ensemble (the
-# certificate checks and the moves of mix): bounds their temporaries
+# trajectories per block in the row-blocked scans of an ensemble (row_scan
+# and the moves of mix): bounds their temporaries
 ROW_BLOCK = 256
 
 
@@ -89,9 +89,10 @@ class ParticleMeasure:
         if len(self.weights) != len(self.points):
             raise MeasureError("points and weights length mismatch")
         if validate:
-            if np.any(self.weights < -WEIGHT_TOL):
-                raise MeasureError("negative atom weight")
-            if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
+            # the not (x <= bound) form: a NaN weight fails it
+            if not np.all(-self.weights <= WEIGHT_TOL):
+                raise MeasureError("negative or NaN atom weight")
+            if not abs(self.weights.sum() - 1.0) <= WEIGHT_TOL:
                 raise MeasureError(f"weights sum to {self.weights.sum()}, not 1")
             domain.validate_points(self.points)
 
@@ -215,7 +216,7 @@ class TrajectoryEnsemble:
             domain.nearest_nodes(self.samples).T, dtype=np.int32).T
         self.row_keys = trajectory_keys(self.exit_indices, self.samples)
         self._store = None  # mix's row buffers, with spare capacity
-        if validate and abs(self.weights.sum() - 1.0) > 1e-9:
+        if validate and not abs(self.weights.sum() - 1.0) <= 1e-9:  # NaN fails
             raise MeasureError("trajectory weights must sum to 1")
 
     @property
@@ -270,24 +271,33 @@ class TrajectoryEnsemble:
         return np.reshape(self.domain.point_distance(block[:, :-1], block[:, 1:]),
                           (len(block), self.n_steps))
 
-    def check_lipschitz(self, k_max):
-        """Worst excess over the Lipschitz bound k_max*dt + dx, read ROW_BLOCK rows at a time."""
-        bound = k_max * self.dt + self.domain.dx
-        longest = max((np.max(self.step_lengths(slice(lo, lo + ROW_BLOCK)), initial=-np.inf)
-                       for lo in range(0, self.n_traj, ROW_BLOCK)), default=-np.inf)
-        # rounding is monotone, so max(d) - bound is max(d - bound) to the bit
-        return float(longest - bound)
+    def row_scan(self):
+        """One pass over the rows, ROW_BLOCK at a time: (start, furthest, longest, drift).
 
-    def check_constant_after_exit(self):
-        """Worst distance of a sample after the exit index from the exit sample."""
-        worst = [0.0]
+        start and furthest are each row's origin distance at slice 0 and its
+        largest one; longest is the longest step of step_lengths (-inf when
+        there is none); drift is the largest distance of a sample after its
+        row's exit index from the exit sample (0 when there is none). The
+        ledger's confinement, mass, Lipschitz and constant-after-exit checks
+        are maxima of these, so the row blocks change no bit of them.
+        """
+        dom = self.domain
+        start, furthest = np.empty(self.n_traj), np.empty(self.n_traj)
+        longest, drift = -np.inf, 0.0
+        slices = np.arange(self.n_steps + 1)
+        # each block temporary is freed before the next one is made
         for lo in range(0, self.n_traj, ROW_BLOCK):
-            rows, e = self.samples[lo:lo + ROW_BLOCK], self.exit_indices[lo:lo + ROW_BLOCK]
-            exit_pts = rows[np.arange(len(rows)), np.maximum(e, 0)]
-            drift = self.domain.point_distance(rows, exit_pts[:, None])
-            after = (np.arange(self.n_steps + 1) > e[:, None]) & (e >= 0)[:, None]
-            worst.append(np.max(drift[after], initial=0.0))
-        return float(np.max(worst))
+            rows = slice(lo, lo + ROW_BLOCK)
+            block, e = self.samples[rows], self.exit_indices[rows]
+            dists = dom.point_origin_distance(block)
+            start[rows], furthest[rows] = dists[:, 0], np.max(dists, axis=1)
+            del dists
+            longest = max(longest, np.max(self.step_lengths(rows), initial=-np.inf))
+            after = (slices > e[:, None]) & (e >= 0)[:, None]
+            exit_pts = block[np.arange(len(block)), np.maximum(e, 0)]
+            drift = max(drift, np.max(dom.point_distance(block, exit_pts[:, None])[after],
+                                      initial=0.0))
+        return start, furthest, float(longest), float(drift)
 
     def mix(self, other, lam, prune):
         """Fictitious-play style weighted union (1-lam)*self + lam*other, in place.

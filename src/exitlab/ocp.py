@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import BIG, STENCIL_ROWS
-from .measures import ROW_BLOCK
 
 STATIONARY_TOL = 1e-10  # sup-norm sweep change that ends the terminal stationary solve
 
@@ -48,12 +47,6 @@ class SpeedField:
             raise OcpError(
                 f"speed values [{lo:.6g}, {hi:.6g}] leave the declared bounds "
                 f"[{self.k_min:.6g}, {self.k_max:.6g}] (H5)")
-
-    @classmethod
-    def constant(cls, domain, k, dt, horizon):
-        n_steps = int(np.ceil(horizon / dt - 1e-9))
-        values = np.full((n_steps + 1, domain.n_nodes), float(k))
-        return cls(domain, dt, values, (k, k))
 
     @property
     def n_steps(self):
@@ -113,9 +106,14 @@ def horizon_bound(cost, bounds, r):
     return float(t) if t.ndim == 0 else t
 
 
-def trajectory_bound(t_of_r, k_max, r):
-    """Confinement radius psi(R) = K_max T(R) + R for optimal paths (arrays broadcast)."""
-    out = k_max * np.asarray(t_of_r, dtype=float) + np.asarray(r, dtype=float)
+def trajectory_bound(cost, bounds, r):
+    """Confinement radius psi(R) = K_max T(R) + R for optimal paths, with
+    T(R) = horizon_bound(cost, bounds, R): the one definition of psi.
+
+    r may be an array (one radius per entry); a scalar r gives a float.
+    """
+    t = np.asarray(horizon_bound(cost, bounds, r), dtype=float)
+    out = bounds[1] * t + np.asarray(r, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -340,25 +338,11 @@ def value_bound_excess(phi, cost, bounds):
     return float(np.max(phi.values - limit[None, :]))
 
 
-def origin_excursions(samples, domain):
-    """Per row of samples: the origin distance of its first sample, and its largest.
-
-    Read ROW_BLOCK rows at a time, so no whole-ensemble distance array is built.
-    """
-    start, furthest = np.empty(len(samples)), np.empty(len(samples))
-    for lo in range(0, len(samples), ROW_BLOCK):
-        dists = domain.point_origin_distance(samples[lo:lo + ROW_BLOCK])
-        start[lo:lo + len(dists)] = dists[:, 0]
-        furthest[lo:lo + len(dists)] = np.max(dists, axis=1)
-    return start, furthest
-
-
-def confinement_excess(excursions, cost, bounds):
+def confinement_excess(start_r, furthest, cost, bounds):
     """Worst excess of trajectory excursions over the psi(R)-ball radius.
 
-    excursions is origin_excursions(samples, domain) of the trajectories,
-    on the exit cost's domain.
+    start_r and furthest are each trajectory's starting and largest origin
+    distance (TrajectoryEnsemble.row_scan), on the exit cost's domain.
     """
-    start_r, furthest = excursions
-    psi_r = trajectory_bound(horizon_bound(cost, bounds, start_r), bounds[1], start_r)
+    psi_r = trajectory_bound(cost, bounds, start_r)
     return float(np.max(furthest - psi_r, initial=-np.inf))

@@ -10,7 +10,8 @@ import exitlab
 from exitlab import cli, runner
 from exitlab.domain import ExitCost, IntervalDomain
 from exitlab.measures import TrajectoryEnsemble
-from exitlab.ocp import SpeedField, check_dpp, solve_value, synthesize_batch
+from exitlab.ocp import check_dpp, solve_value, synthesize_batch
+from test_ocp import constant_speed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -41,11 +42,34 @@ def referenced_names(path):
     return found
 
 
-def names_used_by_the_package_and_the_demos():
+def qualified_reads(path):
+    """(owner, attribute) of every <Name>.<attribute> a module reads, with
+    cls.<attribute> read as (class, attribute) inside that class."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def walk(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = cls if node.value.id == "cls" else node.value.id
+            found.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            walk(child, cls)
+
+    walk(tree, None)
+    return found
+
+
+def package_and_demo_paths():
     paths = [p for p in glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))
              if os.path.basename(p) != "__init__.py"]
-    paths += glob.glob(os.path.join(ROOT, "demos", "*.py"))
-    return set().union(*map(referenced_names, paths))
+    return paths + glob.glob(os.path.join(ROOT, "demos", "*.py"))
+
+
+def names_used_by_the_package_and_the_demos():
+    return set().union(*map(referenced_names, package_and_demo_paths()))
 
 
 def test_every_public_name_has_a_caller():
@@ -56,17 +80,25 @@ def test_every_public_name_has_a_caller():
 def test_every_definition_in_the_package_has_a_caller(tracer):
     """A function, class or method that neither the package nor a demo uses
     outside its own definition has no caller, unless the benchmark tracer
-    patches it. Dunder methods are called by the language."""
+    patches it. Dunder methods are called by the language. A classmethod is
+    used only where <Class>.<name> is read, or cls.<name> inside its class:
+    a bare name may be another class's method of the same name."""
     used = names_used_by_the_package_and_the_demos()
     used |= {attr for _, owners in patch_targets(tracer) for _, attr in owners}
+    qualified = set().union(*map(qualified_reads, package_and_demo_paths()))
     orphans = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "exitlab", "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
+        classmethods = {id(fn): (cls.name, fn.name) for cls in ast.walk(tree)
+                        if isinstance(cls, ast.ClassDef) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)
+                        and "classmethod" in {getattr(d, "id", None) for d in fn.decorator_list}}
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in used):
+                    and (classmethods[id(node)] not in qualified if id(node) in classmethods
+                         else node.name not in used)):
                 orphans.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
     assert orphans == []
 
@@ -186,7 +218,7 @@ def test_the_removed_start_slots_raise_type_error():
     """Every path starts at slice 0 and is descended under phi.speed: a call
     that still passes a start slot or a speed field fails."""
     dom = IntervalDomain(0.0, 1.0, 0.1, targets=[1.0])
-    field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
+    field = constant_speed(dom, 1.0, dom.dx, 1.2)
     phi = solve_value(dom, ExitCost.zero(dom), field)
     with pytest.raises(TypeError):
         synthesize_batch(phi, [0.5], 0.0)  # t0

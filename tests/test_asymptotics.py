@@ -1,5 +1,6 @@
 """Limit extraction, convergence curves, decay bounds and rates, stability."""
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from exitlab import runner
 from exitlab.asymptotics import (ConvergenceCurve, ShrinkWindowError,
                                  convergence_curve, curve_bound_excess,
                                  decay_constants, fit_decay_rate, limit_measure,
-                                 p_moment_excess, psi_function, settling_time,
+                                 p_moment_excess, settling_time,
                                  theorem_bound, transport_distance)
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import ExitCost, Grid2dDomain, IntervalDomain
 from exitlab.equilibrium import EquilibriumConfig, solve_equilibrium
 from exitlab.measures import MeasureError, ParticleMeasure, TrajectoryEnsemble, wasserstein
+from exitlab.ocp import trajectory_bound
 from exitlab.scenarios import load_scenario
 from test_measures import failing_linprog
 
@@ -240,7 +242,7 @@ def test_theorem_bound_edges():
     dom, cost, kernel = remark_game()
     bounds = (kernel.k_min, kernel.k_max)
     alpha, t0 = decay_constants(cost, bounds)
-    psi = psi_function(cost, bounds)
+    psi = partial(trajectory_bound, cost, bounds)
     m0 = ParticleMeasure(dom, [0.3, 0.7], [0.5, 0.5])
     whole = theorem_bound(m0, psi, alpha, t0, t0, 1)
     expected = 2.0 * float(np.sum(m0.weights * psi(m0.origin_distances())))
@@ -258,7 +260,7 @@ def test_theorem_bound_power_tail_decay():
     cost = ExitCost.zero(dom)
     bounds = (1.0, 1.0)
     alpha, t0 = decay_constants(cost, bounds)
-    psi = psi_function(cost, bounds)
+    psi = partial(trajectory_bound, cost, bounds)
     beta = 4.0
     n = 4000
     # quantile atoms of the pure tail law on [1, 60]

@@ -6,8 +6,9 @@ from exitlab import runner
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain
 from exitlab.equilibrium import realized_costs
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble, wasserstein
-from exitlab.ocp import SpeedField, solve_value, synthesize_batch
+from exitlab.ocp import solve_value, synthesize_batch
 from exitlab.scenarios import validate_config
+from test_ocp import constant_speed
 
 
 def synthesize_one(phi, field, cost, x0):
@@ -22,7 +23,7 @@ def test_grid2d_value_and_synthesis_constant_speed():
     dom = Grid2dDomain([0.0, 0.0], [0.5, 0.5], 0.1, targets=[[0.0, 0.0]],
                        connectivity=8)
     cost = ExitCost.zero(dom)
-    field = SpeedField.constant(dom, 1.0, dom.dx, 2.0)
+    field = constant_speed(dom, 1.0, dom.dx, 2.0)
     phi = solve_value(dom, cost, field)
     dist = dom.target_node_distances()
     assert np.max(np.abs(phi.values[0] - dist)) <= dom.dx
@@ -36,7 +37,7 @@ def test_graph_value_exact_on_line_of_edges():
     dom = GraphDomain(5, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.7), (3, 4, 0.4)],
                       targets=[2, 4], origin=0)
     cost = ExitCost(dom, {2: 0.0, 4: 0.1})
-    field = SpeedField.constant(dom, 1.0, dom.dx, 5.0)
+    field = constant_speed(dom, 1.0, dom.dx, 5.0)
     phi = solve_value(dom, cost, field)
     assert np.allclose(phi.values[0], [1.5, 0.5, 0.0, 0.5, 0.1], atol=1e-9)
     exit_node, cost_realized = synthesize_one(phi, field, cost, (0.0, 0.0, 0.0))

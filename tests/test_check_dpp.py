@@ -10,6 +10,7 @@ import pytest
 
 from exitlab.domain import ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
 from exitlab.ocp import SpeedField, check_dpp, solve_value, synthesize_batch
+from test_ocp import constant_speed
 
 K_MIN, K_MAX = 0.4, 1.0
 
@@ -66,7 +67,7 @@ def rows(domain, rng, n_slices=90):
 def wrong_direction_rows():
     """The remark game with the path that moves against the descent."""
     dom = IntervalDomain(0.0, 1.0, 0.005, targets=[0.0, 1.0], origin=0.0)
-    field = SpeedField.constant(dom, 1.0, dom.dx, 0.7)
+    field = constant_speed(dom, 1.0, dom.dx, 0.7)
     phi = solve_value(dom, ExitCost.zero(dom), field)
     n = field.n_steps
     wrong = np.minimum(0.3 + np.arange(n + 1) * field.dt, 1.0)

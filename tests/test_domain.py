@@ -80,6 +80,21 @@ def test_interval_unknown_node_raises():
         ExitCost(dom, {5000: 0.0})
     with pytest.raises(DomainError):
         dom.node_at(1.7)
+    for coord in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="not a finite number"):
+            dom.node_at(coord)
+
+
+@pytest.mark.parametrize("coord", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["targets", "origin"])
+def test_non_finite_target_and_origin_coordinates_raise_domain_error(key, coord):
+    with pytest.raises(DomainError, match="not a finite") as err:
+        IntervalDomain(0.0, 1.0, 0.1, **{"targets": [1.0], key: [coord]})
+    assert err.value.key == key
+    with pytest.raises(DomainError, match="not a finite") as err:
+        Grid2dDomain([0.0, 0.0], [0.5, 0.4], 0.1,
+                     **{"targets": [[0.5, 0.2]], key: [[0.1, coord]]})
+    assert err.value.key == key
 
 
 @pytest.mark.parametrize("name", ORACLE_DOMAINS)
@@ -286,11 +301,12 @@ def test_validate_hypotheses_empty_target_fails_h2():
 def test_target_queries_on_an_empty_target_set_raise_domain_error(make):
     """The domain builds (so H2 can fail), but each query that needs a
     target names the target set instead of failing inside a reduction."""
-    from exitlab.ocp import SpeedField, horizon_bound, solve_value
+    from exitlab.ocp import horizon_bound, solve_value
+    from test_ocp import constant_speed
 
     dom = make()
     points = dom.node_points()[:2]
-    field = SpeedField.constant(dom, 1.0, dom.dx, 1.2)
+    field = constant_speed(dom, 1.0, dom.dx, 1.2)
     for query in (lambda: dom.snap_to_target(points),
                   lambda: dom.point_target_distance(points),
                   lambda: solve_value(dom, ExitCost.zero(dom), field),

@@ -2,14 +2,31 @@
 import numpy as np
 import pytest
 
+from exitlab import runner
 from exitlab.asymptotics import limit_measure
 from exitlab.congestion import Chi, CongestionKernel, Eta, Kappa
 from exitlab.domain import DomainError, ExitCost, IntervalDomain
-from exitlab.equilibrium import (EquilibriumConfig, _bound_checks, certify, exploitability,
+from exitlab.equilibrium import (EquilibriumConfig, certify, exploitability,
                                  field_from_marginals, frozen_field, run_grid,
                                  solve_equilibrium)
 from exitlab.measures import ParticleMeasure, TrajectoryEnsemble
 from exitlab.ocp import default_dpp_tol, solve_value
+
+
+APRIORI_CHECKS = ["value_upper_bound", "psi_ball_confinement", "mass_confinement",
+                  "ensemble_lipschitz", "constant_after_exit"]
+
+
+def apriori_checks(report, m0, kernel, cost):
+    """The five a-priori bound checks that head runner._assemble_checks's
+    ledger checks, on a solved report (no convergence curve, no limit)."""
+    bundle = {"equilibrium": report, "domain": report.final_ensemble.domain, "cost": cost,
+              "kernel": kernel, "m0": m0, "curve": None, "m_infinity": None,
+              "report_grid": [0.0], "rate_fit_error": None, "settling_time": None}
+    runner._assemble_checks(bundle)
+    checks = bundle["checks"][:len(APRIORI_CHECKS)]
+    assert [c["name"] for c in checks] == APRIORI_CHECKS
+    return checks
 
 
 def remark_game(dx=0.005):
@@ -154,7 +171,7 @@ def test_congested_solve_certifies_and_flags_agree():
     assert report.iterations > 1  # genuine congestion feedback
     cert = certify(report.final_ensemble, kernel, cost, report.certification["tol"])
     assert cert["weak"] and cert["strong"] and cert["agree"]
-    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, cost))
+    assert all(c["passed"] for c in apriori_checks(report, m0, kernel, cost))
 
 
 def test_two_exit_congestion_splits_the_crowd():
@@ -176,7 +193,7 @@ def test_two_exit_congestion_splits_the_crowd():
     exits = report.final_ensemble.samples[:, -1]
     left_mass = float(report.final_ensemble.weights[exits < 0.5].sum())
     assert 0.05 <= left_mass <= 0.5
-    assert all(c["passed"] for c in _bound_checks(report, m0, kernel, cost))
+    assert all(c["passed"] for c in apriori_checks(report, m0, kernel, cost))
 
 
 def test_certify_rejects_suboptimal_mixture():

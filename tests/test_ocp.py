@@ -10,10 +10,16 @@ from exitlab.ocp import (_select_candidates, OcpError, SpeedField, SynthesisStal
                          synthesize_batch, trajectory_bound)
 
 
+def constant_speed(domain, k, dt, horizon):
+    """The time-constant speed field k (bounds (k, k)) on the grid of step dt up to horizon."""
+    n_steps = int(np.ceil(horizon / dt - 1e-9))
+    return SpeedField(domain, dt, np.full((n_steps + 1, domain.n_nodes), float(k)), (k, k))
+
+
 def remark_setup(dx=0.005, k=1.0, horizon=0.7):
     dom = IntervalDomain(0.0, 1.0, dx, targets=[0.0, 1.0], origin=0.0)
     cost = ExitCost.zero(dom)
-    field = SpeedField.constant(dom, k, dx / k, horizon)
+    field = constant_speed(dom, k, dx / k, horizon)
     return dom, cost, field
 
 
@@ -71,7 +77,7 @@ def test_value_matches_remark_profile():
 def test_value_pinned_to_exit_cost_on_target():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0, 1.0])
     cost = ExitCost(dom, {dom.node_at(0.0): 0.1, dom.node_at(1.0): 0.3})
-    field = SpeedField.constant(dom, 1.0, 0.01, 1.5)
+    field = constant_speed(dom, 1.0, 0.01, 1.5)
     phi = solve_value(dom, cost, field)
     assert np.allclose(phi.values[:, dom.node_at(0.0)], 0.1)
     assert np.allclose(phi.values[:, dom.node_at(1.0)], 0.3)
@@ -80,7 +86,7 @@ def test_value_pinned_to_exit_cost_on_target():
 def test_value_constant_speed_two_against_oracle():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0], origin=0.0)
     cost = ExitCost.zero(dom)
-    field = SpeedField.constant(dom, 2.0, dom.dx / 2.0, 0.7)
+    field = constant_speed(dom, 2.0, dom.dx / 2.0, 0.7)
     phi = solve_value(dom, cost, field)
     oracle = minimal_time_oracle(dom, cost, 2.0)
     assert np.max(np.abs(phi.values[0] - oracle)) <= dom.dx + 1e-9
@@ -154,9 +160,13 @@ def test_horizon_bound_examples():
 
 
 def test_trajectory_bound_examples():
-    assert trajectory_bound(0.5, 1.0, 0.5) == pytest.approx(1.0)
-    assert trajectory_bound(0.0, 2.0, 0.0) == 0.0
-    assert trajectory_bound(6.2, 2.0, 2.0) == pytest.approx(14.4)
+    dom = IntervalDomain(0.0, 1.0, 0.005, targets=[0.0, 1.0], origin=0.0)
+    cost = ExitCost.zero(dom)
+    assert trajectory_bound(cost, (1.0, 1.0), 0.5) == pytest.approx(1.0)  # T(R) = 0.5
+    assert trajectory_bound(cost, (1.0, 2.0), 0.0) == 0.0
+    far = IntervalDomain(0.0, 2.0, 0.01, targets=[1.0], origin=0.0)
+    cost_far = ExitCost(far, {far.node_at(1.0): 0.2})
+    assert trajectory_bound(cost_far, (0.5, 2.0), 2.0) == pytest.approx(14.4)  # T(R) = 6.2
 
 
 def test_check_dpp_on_optimal_and_adversarial_paths():
@@ -287,7 +297,7 @@ def test_smallness_refusal():
     # costs 0 and 1.2 at targets a unit apart: the tightest L_g is 1.2
     bad_cost = ExitCost(dom, {dom.node_at(0.0): 0.0, dom.node_at(1.0): 1.2})
     assert bad_cost.lipschitz_constant == 1.2
-    field = SpeedField.constant(dom, 1.0, 0.01, 1.5)
+    field = constant_speed(dom, 1.0, 0.01, 1.5)
     with pytest.raises(OcpError, match="smallness"):
         solve_value(dom, bad_cost, field)
 
@@ -302,7 +312,7 @@ def test_synthesis_needs_the_speed_field_phi_was_solved_on():
 def test_synthesis_stall_reports_position():
     dom = IntervalDomain(0.0, 1.0, 0.01, targets=[0.0])
     cost = ExitCost.zero(dom)
-    field = SpeedField.constant(dom, 1.0, 0.01, 0.1)  # horizon far too short
+    field = constant_speed(dom, 1.0, 0.01, 0.1)  # horizon far too short
     phi = solve_value(dom, cost, field)
     with pytest.raises(SynthesisStall, match="stall position"):
         synthesize_one(phi, 0.9)
@@ -449,7 +459,7 @@ def sequential_case(case):
         # speed 1 at dt = dx: every budget is dx exactly, so sphere endpoints
         # from a node land on the neighbouring nodes
         dom = IntervalDomain(0.0, 1.0, 0.04, targets=[0.0, 1.0])
-        speed = SpeedField.constant(dom, 1.0, dom.dx, 2.0)
+        speed = constant_speed(dom, 1.0, dom.dx, 2.0)
         assert np.all(speed.values * speed.dt == dom.dx)
         starts = np.concatenate([dom.coords[1:-1:2], rng.uniform(0.0, 1.0, 12)])
         return solve_value(dom, ExitCost.zero(dom), speed), speed, starts

@@ -1,6 +1,6 @@
 """The backend point-batch surface: as_points, nearest_nodes, batched distances,
 array-valued T(R) and psi(R), the vectorized constant-after-exit check, and
-the certificate checks read ROW_BLOCK rows at a time.
+the bound checks read ROW_BLOCK rows at a time by one row_scan.
 
 The references below are the per-item versions these functions replaced; each
 test asserts bit-equal results against them on all backends that apply.
@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from exitlab.domain import DomainError, ExitCost, GraphDomain, Grid2dDomain, IntervalDomain
-from exitlab import equilibrium as eq
 from exitlab.measures import ROW_BLOCK, ParticleMeasure, TrajectoryEnsemble
-from exitlab.ocp import (ValueField, confinement_excess, horizon_bound, origin_excursions,
-                         trajectory_bound)
+from exitlab.ocp import ValueField, confinement_excess, horizon_bound, trajectory_bound
 from test_domain import node_distance_reference
+from test_equilibrium import apriori_checks
 from test_graph_arrays import edge_len_reference, pair_dist_reference, point_node_dist_reference
 
 
@@ -171,10 +170,11 @@ def test_array_bounds_bit_equal_to_scalar_calls(make):
     scalar = horizon_bound(cost, bounds, radii[0])
     assert type(scalar) is float and scalar == t_ref[0]
 
-    psi_arr = trajectory_bound(t_arr, bounds[1], radii)
+    psi_arr = trajectory_bound(cost, bounds, radii)
     psi_ref = np.array([bounds[1] * t + float(r) for t, r in zip(t_ref, radii)])
     assert np.array_equal(psi_arr.view(np.int64), psi_ref.view(np.int64))
-    assert type(trajectory_bound(t_ref[0], bounds[1], radii[0])) is float
+    scalar = trajectory_bound(cost, bounds, radii[0])
+    assert type(scalar) is float and scalar == psi_ref[0]
 
 
 def check_constant_after_exit_reference(ens):
@@ -201,11 +201,11 @@ def test_check_constant_after_exit_matches_reference(make):
             samples[k, e:] = samples[k, e]
     ens = TrajectoryEnsemble(dom, 0.1, samples, np.full(n, 1.0 / n), exit_indices=exits,
                              exit_nodes=np.zeros(n, dtype=int))
-    assert ens.check_constant_after_exit() == 0.0 == check_constant_after_exit_reference(ens)
+    assert ens.row_scan()[3] == 0.0 == check_constant_after_exit_reference(ens)
     # drift after exit on a few rows, including the last step and a non-exited row
     for k, j in ((2, 6), (4, steps), (7, 8), (0, 4)):
         samples[k, j] = random_points(dom, rng, ())
-    got = ens.check_constant_after_exit()
+    got = ens.row_scan()[3]
     assert got > 0.0
     assert got == check_constant_after_exit_reference(ens)
 
@@ -213,14 +213,14 @@ def test_check_constant_after_exit_matches_reference(make):
 # ---- row-blocked certificate checks against the whole-array code ----------
 
 def check_lipschitz_whole(ens, k_max):
-    """check_lipschitz before row blocks: one step-length array, less the bound."""
+    """The Lipschitz check's excess before row blocks: one step-length array, less the bound."""
     d = ens.domain.point_distance(ens.samples[:, :-1], ens.samples[:, 1:])
     excess = np.reshape(d, (ens.n_traj, ens.n_steps)) - (k_max * ens.dt + ens.domain.dx)
     return float(np.max(excess, initial=-np.inf))
 
 
 def check_constant_after_exit_whole(ens):
-    """check_constant_after_exit before row blocks: one drift array over every sample."""
+    """The constant-after-exit drift before row blocks: one drift array over every sample."""
     e = ens.exit_indices
     exit_pts = ens.samples[np.arange(ens.n_traj), np.maximum(e, 0)]
     drift = ens.domain.point_distance(ens.samples, exit_pts[:, None])
@@ -232,7 +232,7 @@ def confinement_excess_whole(samples, domain, cost, bounds):
     """confinement_excess before row blocks."""
     dists = domain.point_origin_distance(samples)
     start_r = dists[:, 0]
-    psi_r = trajectory_bound(horizon_bound(cost, bounds, start_r), bounds[1], start_r)
+    psi_r = bounds[1] * horizon_bound(cost, bounds, start_r) + start_r
     return float(np.max(np.max(dists, axis=1) - psi_r, initial=-np.inf))
 
 
@@ -269,17 +269,15 @@ def test_row_blocked_checks_equal_the_whole_array_code(make, n):
     dom = make()
     ens = blocked_ensemble(dom, np.random.default_rng(n), n, steps=7)
     cost = exit_cost(dom)
+    start, furthest, longest, drift = ens.row_scan()  # one pass serves every check
     for k_max in (0.37, 1.9, 50.0):
-        assert float_bits(ens.check_lipschitz(k_max)) == float_bits(
+        assert float_bits(longest - (k_max * ens.dt + dom.dx)) == float_bits(
             check_lipschitz_whole(ens, k_max))
         bounds = (0.37, k_max)
-        assert float_bits(confinement_excess(origin_excursions(ens.samples, dom), cost,
-                                             bounds)) == float_bits(
+        assert float_bits(confinement_excess(start, furthest, cost, bounds)) == float_bits(
             confinement_excess_whole(ens.samples, dom, cost, bounds))
-    got = ens.check_constant_after_exit()
-    assert float_bits(got) == float_bits(check_constant_after_exit_whole(ens))
-    assert got > 0.0 or n < 2  # the rows moved after their exit are seen
-    start, furthest = origin_excursions(ens.samples, dom)
+    assert float_bits(drift) == float_bits(check_constant_after_exit_whole(ens))
+    assert drift > 0.0 or n < 2  # the rows moved after their exit are seen
     assert np.array_equal(float_bits(furthest), float_bits(excursions_whole(ens.samples, dom)))
     assert np.array_equal(float_bits(start),
                           float_bits(dom.point_origin_distance(ens.samples[:, 0])))
@@ -289,9 +287,9 @@ def test_row_blocked_checks_equal_the_whole_array_code(make, n):
 def test_bound_checks_peak_stays_below_one_copy_of_the_samples(make):
     """The a-priori bound checks read the final mixture ROW_BLOCK rows at a time.
 
-    What they hold at once is one (n_traj, n_steps) array, the Lipschitz
-    check's step_lengths read, or a few per-row vectors, with one block of
-    temporaries; the whole-array checks held two copies of the samples.
+    What they hold at once is row_scan's two per-row vectors (each row's
+    starting and largest origin distance) with one block of temporaries;
+    the whole-array checks held two copies of the samples.
     """
     import tracemalloc
     from types import SimpleNamespace
@@ -299,15 +297,16 @@ def test_bound_checks_peak_stays_below_one_copy_of_the_samples(make):
     dom = make()
     ens = blocked_ensemble(dom, np.random.default_rng(3), 40 * ROW_BLOCK + 37, steps=5)
     phi = ValueField(dom, ens.dt, np.zeros((ens.n_steps + 1, dom.n_nodes)))
-    report = SimpleNamespace(final_ensemble=ens, final_phi=phi, dt=ens.dt)
+    report = SimpleNamespace(final_ensemble=ens, final_phi=phi, t_bound=1.0,
+                             certification={"weak": True, "strong": True, "agree": True,
+                                            "tol": 0.1})
     m0 = ParticleMeasure(dom, ens.samples[:, 0], ens.weights, validate=False)
     kernel = SimpleNamespace(k_min=0.37, k_max=1.9)
     cost = exit_cost(dom)
     tracemalloc.start()
     try:
-        checks = eq._bound_checks(report, m0, kernel, cost)
+        apriori_checks(report, m0, kernel, cost)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(checks) == 5
     assert peak < ens.samples.nbytes

@@ -206,12 +206,30 @@ def test_verify_fails_cleanly_on_a_bad_report_or_artifact_name(tmp_path, capsys,
     assert f"FAIL: {check.error}" in capsys.readouterr().err
 
 
-def test_verify_with_tol_override_lists_differences(tmp_path):
+def test_verify_with_tol_override_lists_differences(tmp_path, capsys):
+    """--tol lists the differences and passes only when there are none, as
+    verify without it does: a ledger re-derived at another tolerance fails,
+    and so does a tampered ledger re-derived at the run's own tolerance."""
     out = tmp_path / "run"
     runner.run("remark_5_3", str(out))
     check = runner.verify(str(out), tol=1e-9)
-    assert check.passed  # integrity passes; differences reported
+    assert not check.passed and check.error is None  # integrity passes; differences reported
     assert any("tol" in d or "certification" in d for d in check.differences)
+
+    report = json.loads((out / "report.json").read_text())
+    report["settling_time"] = 123.0
+    runner._write_json(out / "report.json", report)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["artifacts"]["report.json"] = runner._sha256(out / "report.json")
+    runner._write_json(out / "manifest.json", manifest)
+    assert not runner.verify(str(out)).passed
+    own_tol = manifest["config"]["equilibrium"]["tolerance"]
+    check = runner.verify(str(out), tol=own_tol)
+    assert not check.passed and check.error is None
+    assert [d for d in check.differences if d.startswith("settling_time: 123.0 != ")]
+    capsys.readouterr()
+    assert cli.main(["verify", str(out), "--tol", str(own_tol)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
 def test_validation_failure_status(tmp_path):
